@@ -11,6 +11,7 @@ semicolons (``\\forall integer i; ...``) do not split clauses apart.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Any, Iterable
 
@@ -247,25 +248,23 @@ class _Clause:
 def _scan_clauses(segments: list[tuple[int, str]]) -> list[_Clause]:
     body = "\n".join(text for _, text in segments)
     # Map body offsets back to source lines.
-    line_starts: list[tuple[int, int]] = []  # (offset, source line)
+    offsets: list[int] = []
     offset = 0
-    for line_no, text in segments:
-        line_starts.append((offset, line_no))
+    for _, text in segments:
+        offsets.append(offset)
         offset += len(text) + 1
 
     def line_of(pos: int) -> int:
-        result = line_starts[0][1] if line_starts else 1
-        for start, line_no in line_starts:
-            if start <= pos:
-                result = line_no
-            else:
-                break
-        return result
+        return segments[bisect_right(offsets, pos) - 1][0]
 
     matches = []
     for m in _STARTER_RE.finditer(body):
-        before = body[: m.start()].rstrip()
-        if before and before[-1] not in ";:":
+        # Last non-space character before the match; the backward walk only
+        # crosses the whitespace since the previous match, so the scan is linear.
+        j = m.start() - 1
+        while j >= 0 and body[j].isspace():
+            j -= 1
+        if j >= 0 and body[j] not in ";:":
             continue  # mid-clause word (e.g. after a binder semicolon), not a new clause
         matches.append(m)
 
@@ -313,8 +312,24 @@ class AnnotationBlock:
     is_function_contract: bool
 
 
-def parse_blocks(code: str) -> tuple[list[AnnotationBlock], list[Token]]:
-    """Parse annotation blocks plus the full token stream they came from."""
+@dataclass(frozen=True)
+class AnalyzedCode:
+    """One source text scanned once: its tokens (comments included) and ACSL blocks.
+
+    The census, lint and preservation check all accept this value in place
+    of the text, so a reply analyzed for all three is tokenized once.
+    """
+
+    code: str
+    tokens: list[Token]
+    blocks: list[AnnotationBlock]
+
+
+def parse_blocks(code: str) -> AnalyzedCode:
+    """Tokenize ``code`` once and parse its annotation blocks.
+
+    Raises TokenizeError when ``code`` does not scan.
+    """
     tokens = tokenize(code)
     blocks: list[AnnotationBlock] = []
     depth = 0
@@ -332,21 +347,16 @@ def parse_blocks(code: str) -> tuple[list[AnnotationBlock], list[Token]]:
         if not clauses:
             continue
 
-        next_code = next(
-            (
-                (j, t)
-                for j, t in enumerate(tokens[idx + 1:], start=idx + 1)
-                if not t.is_comment
-            ),
-            None,
-        )
-        heads_loop = next_code is not None and next_code[1].text in _LOOP_HEADS
+        next_code = idx + 1  # index of the first non-comment token after the block
+        while next_code < len(tokens) and tokens[next_code].is_comment:
+            next_code += 1
+        heads_loop = next_code < len(tokens) and tokens[next_code].text in _LOOP_HEADS
         has_loop_clause = any(c.kind.keyword.startswith("loop ") for c in clauses)
         block_style = token.kind is TokenKind.COMMENT
 
         if heads_loop or has_loop_clause:
             enclosing_for = lambda _c: LOOP_ANNOTATION  # noqa: E731
-            loop_key = next_code[0] if heads_loop else idx
+            loop_key = next_code if heads_loop else idx
             is_contract = False
         elif depth == 0:
             loop_key = None
@@ -385,13 +395,14 @@ def parse_blocks(code: str) -> tuple[list[AnnotationBlock], list[Token]]:
                 is_function_contract=is_contract,
             )
         )
-    return blocks, tokens
+    return AnalyzedCode(code=code, tokens=tokens, blocks=blocks)
 
 
-def parse_annotations(code: str) -> list[Annotation]:
+def parse_annotations(code: str | AnalyzedCode) -> list[Annotation]:
     """All ACSL clauses in ``code``, in source order."""
-    blocks, _ = parse_blocks(code)
-    return [a for b in blocks for a in b.annotations]
+    if isinstance(code, str):
+        code = parse_blocks(code)
+    return [a for b in code.blocks for a in b.annotations]
 
 
 def count_by_kind(annotations: Iterable[Annotation]) -> dict[AnnotationKind, int]:
@@ -416,22 +427,25 @@ def merge_loop_assigns(
     return merged
 
 
-def strip_annotations(code: str) -> str:
+def strip_annotations(code: str | AnalyzedCode) -> str:
     """Remove all ACSL comments, preserving every other token in order.
 
     Newlines inside removed blocks are kept so remaining tokens stay on their
     original lines; code with no annotations comes back byte-identical.
     """
-    tokens = tokenize(code)
+    if isinstance(code, AnalyzedCode):
+        source, tokens = code.code, code.tokens
+    else:
+        source, tokens = code, tokenize(code)
     spans = [(t.start, t.end, t.text) for t in tokens if t.is_acsl]
     if not spans:
-        return code
+        return source
     out: list[str] = []
     pos = 0
     for start, end, text in spans:
-        out.append(code[pos:start])
+        out.append(source[pos:start])
         newlines = "\n" * text.count("\n")
         out.append(newlines if newlines else " ")
         pos = end
-    out.append(code[pos:])
+    out.append(source[pos:])
     return "".join(out)

@@ -9,8 +9,8 @@ from enum import Enum
 from typing import Any
 
 from ..model import SourceProgram
-from .annotations import parse_blocks, strip_annotations
-from .lexer import C_KEYWORDS, Token, TokenKind, compare_text, tokenize
+from .annotations import AnalyzedCode, parse_blocks, strip_annotations
+from .lexer import C_KEYWORDS, ComparableStream, Token, TokenKind, tokenize
 
 
 @dataclass(frozen=True)
@@ -49,23 +49,36 @@ class PreservationVerdict:
         )
 
 
-def _comparable(source: str) -> list[Token]:
-    return [t for t in tokenize(source) if not t.is_comment]
-
-
 def check_code_preserved(
-    original: SourceProgram, annotated_code: str, max_diff_runs: int = 10
+    original: SourceProgram | ComparableStream,
+    annotated_code: str | AnalyzedCode,
+    max_diff_runs: int = 10,
 ) -> PreservationVerdict:
     """True iff stripping annotations from ``annotated_code`` leaves the original tokens.
 
     Whitespace and comments never count; the diff localizes up to
     ``max_diff_runs`` mismatching token runs, line numbers taken from the
-    original source where possible.
+    original source where possible. ``original`` may be the program's
+    precomputed stream (``load_corpus`` stores one per entry) and
+    ``annotated_code`` the reply's ``parse_blocks`` result, so nothing is
+    scanned twice.
+
+    The reply's own non-comment tokens are compared directly: removing a
+    comment leaves whitespace, which changes no other token. The one
+    exception is a ``#`` that lexes as a punctuator because an ACSL comment
+    precedes it on its line; stripped, it may start the line and lex as a
+    directive. Only a reply holding a punctuator ``#`` is therefore stripped
+    and scanned again.
     """
-    tok_orig = _comparable(original.source)
-    tok_mod = _comparable(strip_annotations(annotated_code))
-    values_orig = [compare_text(t) for t in tok_orig]
-    values_mod = [compare_text(t) for t in tok_mod]
+    if isinstance(original, SourceProgram):
+        original = ComparableStream.of(tokenize(original.source))
+    if isinstance(annotated_code, str):
+        annotated_code = parse_blocks(annotated_code)
+    tokens = annotated_code.tokens
+    if any(t.kind is TokenKind.PUNCT and t.text == "#" for t in tokens):
+        tokens = tokenize(strip_annotations(annotated_code))
+    modified = ComparableStream.of(tokens)
+    values_orig, values_mod = original.texts, modified.texts
     if values_orig == values_mod:
         return PreservationVerdict(preserved=True, diff=())
 
@@ -74,12 +87,12 @@ def check_code_preserved(
     for op, i1, i2, j1, j2 in matcher.get_opcodes():
         if op == "equal":
             continue
-        if i1 < len(tok_orig):
-            line = tok_orig[i1].line
-        elif tok_orig:
-            line = tok_orig[-1].line
-        elif j1 < len(tok_mod):
-            line = tok_mod[j1].line
+        if i1 < len(values_orig):
+            line = original.lines[i1]
+        elif values_orig:
+            line = original.lines[-1]
+        elif j1 < len(values_mod):
+            line = modified.lines[j1]
         else:
             line = 1
         runs.append(
@@ -195,7 +208,7 @@ def _formals_after(tokens: list[Token], start: int) -> set[str] | None:
     return names
 
 
-def lint(code: str) -> list[LintIssue]:
+def lint(code: str | AnalyzedCode) -> list[LintIssue]:
     """Structural rules over annotations; conservative, warning-grade findings.
 
     - variant_before_assigns: a loop's ``loop variant`` precedes its
@@ -206,7 +219,9 @@ def lint(code: str) -> list[LintIssue]:
     - block_style_in_body: a multi-clause ``/*@`` block annotating a non-loop
       statement inside a function body.
     """
-    blocks, tokens = parse_blocks(code)
+    if isinstance(code, str):
+        code = parse_blocks(code)
+    blocks, tokens = code.blocks, code.tokens
     issues: list[LintIssue] = []
     file_scope = _file_scope_names(tokens)
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterable
 
 
 class TokenizeError(Exception):
@@ -44,7 +45,7 @@ class TokenKind(Enum):
     PUNCT = "punct"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Token:
     kind: TokenKind
     text: str
@@ -75,12 +76,6 @@ C_KEYWORDS = frozenset(
     """.split()
 )
 
-_ID_RE = re.compile(r"[A-Za-z_$][A-Za-z0-9_$]*")
-_NUMBER_RE = re.compile(
-    r"(?:0[xX][0-9a-fA-F]+|(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)"
-    r"[uUlLfF]*"
-)
-
 # Longest-match first; covers C punctuators plus nothing ACSL-specific (ACSL
 # text lives inside comment tokens and is never scanned here).
 _PUNCTUATORS = (
@@ -91,6 +86,40 @@ _PUNCTUATORS = (
     "?", ":", ";", ",", ".", "(", ")", "[", "]", "{", "}",
 )
 
+# One master pattern; the first alternative that matches at a position wins.
+# Only " \t\r\v\f" and "\n" are whitespace, and only "\n" ends a line. A
+# directive starts at a '#' preceded on its line by whitespace alone, so
+# ``newline`` stops right after a newline for ``preproc`` to try the next
+# line; a line whose trailing-whitespace-stripped text ends in a backslash
+# continues the directive. Newlines escaped inside literals do not count as
+# lines. ``quote`` catches literals the ``string``/``char`` forms cannot close.
+_TOKEN_RE = re.compile(
+    r"(?P<preproc>^[ \t\r\v\f]*\#(?:[^\n]*\\[^\S\n]*\n)*[^\n]*)"
+    r"|(?P<newline>(?:[ \t\r\v\f]*\n)+)"
+    r"|(?P<space>[ \t\r\v\f]+)"
+    r"|(?P<id>[A-Za-z_$][A-Za-z0-9_$]*)"
+    r"|(?P<number>(?:0[xX][0-9a-fA-F]+|(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)[uUlLfF]*)"
+    r"|(?P<comment>/\*)"
+    r"|(?P<line_comment>//[^\n]*)"
+    r'|(?P<string>"[^"\\\n]*(?:\\[\s\S][^"\\\n]*)*")'
+    r"|(?P<char>'[^'\\\n]*(?:\\[\s\S][^'\\\n]*)*')"
+    r"|(?P<quote>[\"'])"
+    r"|(?P<punct>" + "|".join(re.escape(p) for p in _PUNCTUATORS) + ")"
+    # Any other character (@, \, `, non-ASCII...) is a one-char punctuator.
+    r"|(?P<other>[\s\S])",
+    re.MULTILINE,
+)
+
+_PLAIN_KINDS = {
+    "id": TokenKind.ID,
+    "punct": TokenKind.PUNCT,
+    "number": TokenKind.NUMBER,
+    "other": TokenKind.PUNCT,
+    "string": TokenKind.STRING,
+    "char": TokenKind.CHAR,
+    "line_comment": TokenKind.LINE_COMMENT,
+}
+
 
 def tokenize(source: str) -> list[Token]:
     """Scan ``source`` into tokens, comments included.
@@ -98,112 +127,37 @@ def tokenize(source: str) -> list[Token]:
     Raises UnterminatedComment / UnterminatedLiteral; everything else scans.
     """
     tokens: list[Token] = []
+    append = tokens.append
+    match = _TOKEN_RE.match
+    plain_kinds = _PLAIN_KINDS
     pos = 0
     line = 1
     n = len(source)
-    at_line_start = True  # only whitespace seen since the last newline
-
     while pos < n:
-        ch = source[pos]
-
-        if ch == "\n":
-            line += 1
-            pos += 1
-            at_line_start = True
-            continue
-        if ch in " \t\r\v\f":
-            pos += 1
-            continue
-
-        start = pos
-        start_line = line
-
-        if ch == "/" and source.startswith("/*", pos):
+        m = match(source, pos)
+        group = m.lastgroup
+        end = m.end()
+        kind = plain_kinds.get(group)
+        if kind is not None:
+            append(Token(kind, m.group(), line, pos, end))
+        elif group == "newline":
+            line += source.count("\n", pos, end)
+        elif group == "comment":
             close = source.find("*/", pos + 2)
             if close == -1:
-                raise UnterminatedComment(start_line)
+                raise UnterminatedComment(line)
             end = close + 2
-            text = source[start:end]
+            text = source[pos:end]
+            append(Token(TokenKind.COMMENT, text, line, pos, end))
             line += text.count("\n")
-            tokens.append(Token(TokenKind.COMMENT, text, start_line, start, end))
-            pos = end
-            at_line_start = False
-            continue
-
-        if ch == "/" and source.startswith("//", pos):
-            end = source.find("\n", pos)
-            end = n if end == -1 else end
-            tokens.append(
-                Token(TokenKind.LINE_COMMENT, source[start:end], start_line, start, end)
-            )
-            pos = end
-            at_line_start = False
-            continue
-
-        if ch == "#" and at_line_start:
-            # One token per directive; backslash-newline continues the line.
-            end = pos
-            while end < n:
-                nl = source.find("\n", end)
-                if nl == -1:
-                    end = n
-                    break
-                stripped = source[end:nl].rstrip()
-                if stripped.endswith("\\"):
-                    line += 1
-                    end = nl + 1
-                else:
-                    end = nl
-                    break
-            tokens.append(Token(TokenKind.PREPROC, source[start:end], start_line, start, end))
-            pos = end
-            at_line_start = False
-            continue
-
-        at_line_start = False
-
-        if ch in "'\"":
-            pos += 1
-            while pos < n:
-                c = source[pos]
-                if c == "\\" and pos + 1 < n:
-                    pos += 2
-                    continue
-                if c == ch:
-                    pos += 1
-                    break
-                if c == "\n":
-                    raise UnterminatedLiteral(start_line, ch)
-                pos += 1
-            else:
-                raise UnterminatedLiteral(start_line, ch)
-            kind = TokenKind.CHAR if ch == "'" else TokenKind.STRING
-            tokens.append(Token(kind, source[start:pos], start_line, start, pos))
-            continue
-
-        m = _ID_RE.match(source, pos)
-        if m:
-            tokens.append(Token(TokenKind.ID, m.group(), start_line, start, m.end()))
-            pos = m.end()
-            continue
-
-        if ch.isdigit() or (ch == "." and pos + 1 < n and source[pos + 1].isdigit()):
-            m = _NUMBER_RE.match(source, pos)
-            if m:
-                tokens.append(Token(TokenKind.NUMBER, m.group(), start_line, start, m.end()))
-                pos = m.end()
-                continue
-
-        for p in _PUNCTUATORS:
-            if source.startswith(p, pos):
-                pos += len(p)
-                tokens.append(Token(TokenKind.PUNCT, p, start_line, start, pos))
-                break
-        else:
-            # Unknown byte (@, \, $...) — keep it as a one-char punctuator.
-            pos += 1
-            tokens.append(Token(TokenKind.PUNCT, ch, start_line, start, pos))
-
+        elif group == "preproc":
+            start = source.index("#", pos)
+            text = source[start:end]
+            append(Token(TokenKind.PREPROC, text, line, start, end))
+            line += text.count("\n")
+        elif group == "quote":
+            raise UnterminatedLiteral(line, m.group())
+        pos = end
     return tokens
 
 
@@ -224,3 +178,20 @@ def compare_text(token: Token) -> str:
     if token.kind is TokenKind.PREPROC:
         return _WS_RUN_RE.sub(" ", token.text.strip())
     return token.text
+
+
+@dataclass(frozen=True, slots=True)
+class ComparableStream:
+    """The stream preservation compares: ``compare_text`` values and lines.
+
+    Built from a source's non-comment tokens. It keeps strings and line
+    numbers only, so a corpus entry can hold one without its tokens.
+    """
+
+    texts: tuple[str, ...]
+    lines: tuple[int, ...]
+
+    @classmethod
+    def of(cls, tokens: Iterable[Token]) -> "ComparableStream":
+        code = [t for t in tokens if not t.is_comment]
+        return cls(tuple(compare_text(t) for t in code), tuple(t.line for t in code))

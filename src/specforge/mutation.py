@@ -131,10 +131,8 @@ def _identifier_sites(tokens: list[Token]) -> list[MutationSite]:
         t = tokens[idx]
         if t.kind is not TokenKind.ID or t.text in C_KEYWORDS:
             return False
-        nxt = next(
-            (u for u in tokens[idx + 1:] if not u.is_comment), None
-        )
-        return not (nxt is not None and nxt.text == "(")  # skip call positions
+        # skip call positions; ``tokens`` holds no comments
+        return not (idx + 1 < len(tokens) and tokens[idx + 1].text == "(")
 
     # Replacement pool: other identifiers on the same source line.
     by_line: dict[int, list[int]] = {}

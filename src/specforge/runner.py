@@ -12,12 +12,13 @@ from __future__ import annotations
 import hashlib
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
 from .analyzer import (
     Annotation,
+    ComparableStream,
     NoCodeFence,
     PreservationVerdict,
     SplitResponse,
@@ -25,6 +26,7 @@ from .analyzer import (
     check_code_preserved,
     count_by_kind,
     parse_annotations,
+    parse_blocks,
     spec_similarity,
     split_response,
     tokenize,
@@ -72,7 +74,12 @@ class ConfigError(RuntimeError):
 
 @dataclass(frozen=True)
 class CorpusEntry:
-    """One program plus whatever symbolic context shipped next to it."""
+    """One program plus whatever symbolic context shipped next to it.
+
+    ``comparable`` is the program's preservation stream, computed once by
+    ``load_corpus``; cells of an entry built without it scan the program
+    text each time.
+    """
 
     program: SourceProgram
     suite: TestSuite | None = None
@@ -80,6 +87,7 @@ class CorpusEntry:
     load_errors: tuple[str, ...] = ()
     provenance: str = "unspecified"
     tags: tuple[tuple[str, str], ...] = ()  # free-form meta.json entries (clarity, ...)
+    comparable: ComparableStream | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -113,7 +121,7 @@ def load_corpus(directory: Path | str) -> CorpusLoad:
         hasher.update(f"{name}/program.c\x00".encode())
         hasher.update(source.encode("utf-8"))
         try:
-            tokenize(source)
+            comparable = ComparableStream.of(tokenize(source))
         except TokenizeError as exc:
             skipped.append((name, f"program.c does not tokenize: {exc}"))
             continue
@@ -175,6 +183,7 @@ def load_corpus(directory: Path | str) -> CorpusLoad:
                 load_errors=tuple(errors),
                 provenance=provenance,
                 tags=tags,
+                comparable=comparable,
             )
         )
 
@@ -413,11 +422,13 @@ def _run_cell(
             **base,
         )
 
+    original = entry.program if entry.comparable is None else entry.comparable
     try:
-        annotations = tuple(parse_annotations(split.code))
+        analyzed = parse_blocks(split.code)  # the reply's only scan
+        annotations = tuple(parse_annotations(analyzed))
         histogram = count_by_kind(annotations)
-        lint_issues = tuple(lint_code(split.code))
-        preservation = check_code_preserved(entry.program, split.code)
+        lint_issues = tuple(lint_code(analyzed))
+        preservation = check_code_preserved(original, analyzed)
     except TokenizeError as exc:
         return GenerationResult(
             status=STATUS_PARSE_FAILED,

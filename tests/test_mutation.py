@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 
 from conftest import oracle_tokens
@@ -189,3 +192,19 @@ def test_sites_sorted_by_source_position():
     sites = enumerate_sites(TRITYPE_COND)
     starts = [s.edits[0][0] for s in sites]
     assert starts == sorted(starts)
+
+
+def test_enumerate_sites_unchanged_on_shipped_corpus(corpus_load):
+    # Digest of every site's fields over the shipped corpus, recorded from
+    # the implementation that scanned the rest of the token list per token.
+    rows = [
+        [
+            entry.program.name, site.operator.value, site.line, site.token,
+            site.replacement, [list(edit) for edit in site.edits],
+        ]
+        for entry in corpus_load.entries
+        for site in enumerate_sites(entry.program)
+    ]
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert len(rows) == 523
+    assert digest == "51f52cb3b2f2f3c766239a6c1c1a0daa672ebfd3552a014beb8636634101cfd0"

@@ -1,7 +1,15 @@
 from __future__ import annotations
 
+import re
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from conftest import FIXTURES_DIR, oracle_tokens
+from reference_analyzer import strip_and_rescan_verdict
 from specforge.analyzer import (
+    TokenizeError,
     check_code_preserved,
     split_response,
     strip_annotations,
@@ -96,3 +104,78 @@ def test_preservation_verdict_json_round_trip(corpus_load):
         mutated, mutated.source.replace("(i+k <= i)", "(j+k <= i)")
     )
     assert PreservationVerdict.from_dict(verdict.to_dict()) == verdict
+
+
+# A '#' right after an ACSL comment lexes as a punctuator in the reply, but
+# as a directive once the comment is stripped and the '#' starts its line.
+HASH_PARENT = SourceProgram(name="p", source="#define N 3\nint f(void) { return N; }\n")
+HASH_BODY = "#define N 3\nint f(void) { return N; }\n"
+
+
+@pytest.mark.parametrize(
+    "reply, preserved",
+    [
+        ("/*@ requires \\true; */ " + HASH_BODY, True),
+        ("/*@ requires \\true;\n ensures 1; */" + HASH_BODY, True),
+        ("/* c */ " + HASH_BODY, False),
+    ],
+)
+def test_directive_after_comment_verdicts(reply, preserved):
+    verdict = check_code_preserved(HASH_PARENT, reply)
+    assert verdict.preserved is preserved
+    assert verdict == strip_and_rescan_verdict(HASH_PARENT.source, reply)
+
+
+_PARENTS = [
+    HASH_PARENT.source,
+    "#define N 3\n#include <a.h>\nint g;\nint f(int a) {\n"
+    "  if (a < N) a = a + 1;\n  return a; /* end */\n}\n",
+    "/* nothing but a comment */\n",
+]
+_PREFIXES = [
+    "", " ", "\n",
+    "/*@ requires \\true; */", "/*@ requires a;\n   ensures 1; */", "/*@ assigns g; */\n",
+    "//@ assert a;\n", "/* c */", "/* c\n */", "// c\n", "#", "\\\n",
+]
+_EDITS = ["a", "b", "<=", "+", "#", "", "/*@ x */", "#define M 1\n"]
+_LEXEME_RE = re.compile(r"\w+|\S")
+
+
+@st.composite
+def _replies(draw):
+    parent = draw(st.sampled_from(_PARENTS))
+    lines = parent.split("\n")
+    out = []
+    for line in lines:
+        prefix = draw(st.sampled_from(_PREFIXES))
+        out.append(prefix + draw(st.sampled_from(["", " "])) + line)
+    if draw(st.booleans()):  # one-token edit: replace, delete or insert
+        i = draw(st.integers(0, len(out) - 1))
+        lexemes = list(_LEXEME_RE.finditer(out[i]))
+        replacement = draw(st.sampled_from(_EDITS))
+        if lexemes:
+            m = lexemes[draw(st.integers(0, len(lexemes) - 1))]
+            if draw(st.booleans()):
+                out[i] = out[i][: m.start()] + replacement + out[i][m.end():]
+            else:
+                out[i] = out[i][: m.start()] + replacement + " " + out[i][m.start():]
+        else:
+            out[i] = replacement + out[i]
+    return parent, "\n".join(out)
+
+
+def _outcome(check, *args):
+    try:
+        return check(*args)
+    except TokenizeError as exc:
+        return type(exc), exc.line
+
+
+@settings(max_examples=400, deadline=None)
+@given(_replies())
+def test_verdict_equals_strip_and_rescan(case):
+    parent, reply = case
+    program = SourceProgram(name="p", source=parent)
+    assert _outcome(check_code_preserved, program, reply) == _outcome(
+        strip_and_rescan_verdict, parent, reply
+    )

@@ -397,3 +397,40 @@ def test_emit_empty_report_headers_only(tmp_path):
 
 def test_report_json_round_trip(full_report):
     assert ExperimentReport.from_dict(full_report.to_dict()).to_dict() == full_report.to_dict()
+
+
+def test_each_reply_is_tokenized_once(
+    monkeypatch, corpus_load_module, templates_module, replay_backend
+):
+    import specforge.analyzer.annotations
+    import specforge.analyzer.checks
+    import specforge.analyzer.lexer
+    import specforge.mutation
+    import specforge.runner
+
+    from specforge.analyzer import tokenize
+
+    scanned: list[str] = []
+
+    def counting_tokenize(source):
+        scanned.append(source)
+        return tokenize(source)
+
+    for module in (
+        specforge.analyzer.annotations,
+        specforge.analyzer.checks,
+        specforge.analyzer.lexer,
+        specforge.runner,
+        specforge.mutation,
+    ):
+        monkeypatch.setattr(module, "tokenize", counting_tokenize)
+
+    entry = next(e for e in corpus_load_module.entries if e.program.name == "binary_search")
+    report = run(
+        [entry], [PromptVariant.BASELINE], GenerationConfig(samples_per_program=3),
+        replay_backend, templates_module, max_workers=1,
+    )
+    replies = [r.split.code for r in report.results]
+    assert [r.status for r in report.results] == [STATUS_OK] * 3
+    assert sorted(scanned) == sorted(replies)
+    assert entry.program.source not in scanned

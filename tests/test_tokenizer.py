@@ -1,15 +1,20 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import oracle_tokens
+from conftest import FIXTURES_DIR, oracle_tokens
+from reference_analyzer import reference_tokenize
 from specforge.analyzer import (
     Token,
+    TokenizeError,
     TokenKind,
     UnterminatedComment,
     UnterminatedLiteral,
     code_tokens,
     compare_text,
+    split_response,
     tokenize,
 )
 
@@ -123,3 +128,49 @@ def test_matches_oracle_on_shipped_programs(corpus_load):
             else:
                 mine.append(tok.text)
         assert mine == oracle_tokens(source), entry.program.name
+
+
+# Fragments that meet at every lexer boundary: comment and literal openers
+# and closers, directives at and off line start, continuations, escapes,
+# numbers next to dots, longest-match punctuators, and non-ASCII digits,
+# letters and spaces that only some character classes accept.
+_FRAGMENTS = [
+    " ", "  ", "\t", "\n", "\r\n", "\v", "\f",
+    "/*", "*/", "/*@", "//", "//@", "/", "*",
+    "#", "#define X 1", "#if", "\\", "\\\n", "\\ \n", "\\\f\n", "\\\u00a0\r\n",
+    '"', "'", '"ab"', "'c'", '"\\""', "\\'", "\\n", '"a\\\nb"', "'\\\n'",
+    "x", "ab_1", "$v", "e", "E5", "0x", "0x1F", "12", "1.5e-3", ".5", "...", "..", ".",
+    "<<=", ">>=", "->", "++", "<<", "<=", "=", "&&", "|", "^=", "?", ":", ";", ",",
+    "(", ")", "[", "]", "{", "}", "@", "`",
+    "é", "²", "٣", " ", "\u0085", " ", "\x1c",
+]
+_c_like = st.one_of(
+    st.lists(st.sampled_from(_FRAGMENTS), max_size=40).map("".join),
+    st.text(alphabet="".join(set("".join(_FRAGMENTS))), max_size=60),
+)
+
+
+@settings(max_examples=2000, deadline=None)
+@given(_c_like)
+def test_tokenize_matches_reference_scanner(source):
+    try:
+        expected = reference_tokenize(source)
+    except TokenizeError as exc:
+        with pytest.raises(type(exc)) as raised:
+            tokenize(source)
+        assert type(raised.value) is type(exc)
+        assert raised.value.line == exc.line
+        return
+    got = [(t.kind, t.text, t.line, t.start, t.end) for t in tokenize(source)]
+    assert got == expected
+
+
+def test_tokenize_matches_reference_on_shipped_sources(corpus_load):
+    sources = [e.program.source for e in corpus_load.entries]
+    sources += [
+        split_response(p.read_text(encoding="utf-8")).code
+        for p in sorted(FIXTURES_DIR.rglob("*.txt"))
+    ]
+    for source in sources:
+        got = [(t.kind, t.text, t.line, t.start, t.end) for t in tokenize(source)]
+        assert got == reference_tokenize(source)
