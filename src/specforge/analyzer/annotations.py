@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from dataclasses import dataclass
-from typing import Any, Iterable
+from dataclasses import dataclass, field
+from typing import Iterable
 
 from ..model import (
     ASSERT,
@@ -29,6 +29,7 @@ from ..model import (
     PREDICATE,
     REQUIRES,
     AnnotationKind,
+    Record,
 )
 from .lexer import Token, TokenKind, tokenize
 
@@ -38,18 +39,11 @@ class NoCodeFence(ValueError):
 
 
 @dataclass(frozen=True)
-class SplitResponse:
+class SplitResponse(Record):
     """An LLM reply split into reasoning prose and the annotated-program fence."""
 
     reasoning: str
     code: str
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"reasoning": self.reasoning, "code": self.code}
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "SplitResponse":
-        return cls(reasoning=d["reasoning"], code=d["code"])
 
 
 def split_response(response_text: str) -> SplitResponse:
@@ -94,27 +88,17 @@ def split_response(response_text: str) -> SplitResponse:
 
 
 @dataclass(frozen=True)
-class Enclosing:
+class Enclosing(Record):
     """Where a clause sits: function contract, loop, statement, or behavior body."""
 
     context: str  # "function_contract" | "loop" | "statement" | "behavior_body"
-    behavior: str | None = None
+    behavior: str | None = field(default=None, metadata={"omit_if_none": True})
 
     def __post_init__(self) -> None:
         if self.context not in ("function_contract", "loop", "statement", "behavior_body"):
             raise ValueError(f"bad enclosing context {self.context!r}")
         if (self.context == "behavior_body") != (self.behavior is not None):
             raise ValueError("behavior name set iff context is behavior_body")
-
-    def to_dict(self) -> dict[str, Any]:
-        d: dict[str, Any] = {"context": self.context}
-        if self.behavior is not None:
-            d["behavior"] = self.behavior
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "Enclosing":
-        return cls(context=d["context"], behavior=d.get("behavior"))
 
 
 FUNCTION_CONTRACT = Enclosing("function_contract")
@@ -123,7 +107,7 @@ STATEMENT = Enclosing("statement")
 
 
 @dataclass(frozen=True)
-class Annotation:
+class Annotation(Record):
     """One classified ACSL clause."""
 
     kind: AnnotationKind
@@ -131,25 +115,6 @@ class Annotation:
     block_style: bool  # True inside /*@ ... */, False for //@ lines
     line: int
     enclosing: Enclosing
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "kind": self.kind.to_dict(),
-            "clause_text": self.clause_text,
-            "block_style": self.block_style,
-            "line": self.line,
-            "enclosing": self.enclosing.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "Annotation":
-        return cls(
-            kind=AnnotationKind.from_dict(d["kind"]),
-            clause_text=d["clause_text"],
-            block_style=d["block_style"],
-            line=d["line"],
-            enclosing=Enclosing.from_dict(d["enclosing"]),
-        )
 
 
 # Clause-starting keywords. Core kinds get their own bucket; the rest of the

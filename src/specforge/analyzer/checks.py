@@ -6,47 +6,29 @@ import re
 from dataclasses import dataclass
 from difflib import SequenceMatcher
 from enum import Enum
-from typing import Any
 
-from ..model import SourceProgram
+from ..model import Record, SourceProgram
 from .annotations import AnalyzedCode, parse_blocks, strip_annotations
 from .lexer import C_KEYWORDS, ComparableStream, Token, TokenKind, tokenize
 
 
 @dataclass(frozen=True)
-class DiffRun:
+class DiffRun(Record):
     """One mismatching token run between original and annotated-then-stripped code."""
 
     line: int
     original: str
     modified: str
 
-    def to_dict(self) -> dict[str, Any]:
-        return {"line": self.line, "original": self.original, "modified": self.modified}
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "DiffRun":
-        return cls(line=d["line"], original=d["original"], modified=d["modified"])
-
 
 @dataclass(frozen=True)
-class PreservationVerdict:
+class PreservationVerdict(Record):
     preserved: bool
     diff: tuple[DiffRun, ...]
 
     def __post_init__(self) -> None:
         if self.preserved and self.diff:
             raise ValueError("preserved verdict must carry an empty diff")
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"preserved": self.preserved, "diff": [d.to_dict() for d in self.diff]}
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "PreservationVerdict":
-        return cls(
-            preserved=d["preserved"],
-            diff=tuple(DiffRun.from_dict(r) for r in d["diff"]),
-        )
 
 
 def check_code_preserved(
@@ -114,17 +96,10 @@ class LintRule(str, Enum):
 
 
 @dataclass(frozen=True)
-class LintIssue:
+class LintIssue(Record):
     rule: LintRule
     line: int
     detail: str
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"rule": self.rule.value, "line": self.line, "detail": self.detail}
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "LintIssue":
-        return cls(rule=LintRule(d["rule"]), line=d["line"], detail=d["detail"])
 
 
 _IDENT_RE = re.compile(r"[A-Za-z_]\w*")

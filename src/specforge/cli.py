@@ -283,7 +283,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     try:
         report = load_report(args.infile)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: cannot load report: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     emit(report, args.out, normalize=args.normalize)

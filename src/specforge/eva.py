@@ -11,7 +11,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any
+
+from .model import Record
 
 
 class AlarmKind(str, Enum):
@@ -31,7 +32,7 @@ _KNOWN_KINDS = {
 
 
 @dataclass(frozen=True)
-class EvaAlarm:
+class EvaAlarm(Record):
     """One alarm: a possible runtime error and the assertion excluding it."""
 
     file: str
@@ -40,78 +41,30 @@ class EvaAlarm:
     kind_text: str  # verbatim kind phrase, meaningful when kind == OTHER
     assertion: str  # expression text after "assert", without the trailing ";"
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "file": self.file,
-            "line": self.line,
-            "kind": self.kind.value,
-            "kind_text": self.kind_text,
-            "assertion": self.assertion,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "EvaAlarm":
-        return cls(
-            file=d["file"],
-            line=d["line"],
-            kind=AlarmKind(d["kind"]),
-            kind_text=d["kind_text"],
-            assertion=d["assertion"],
-        )
-
 
 @dataclass(frozen=True)
-class ValueDomain:
+class ValueDomain(Record):
     """A variable and its verbatim domain text, e.g. ``{1; 2; 3; 4}``."""
 
     variable: str
     domain: str
 
-    def to_dict(self) -> dict[str, Any]:
-        return {"variable": self.variable, "domain": self.domain}
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "ValueDomain":
-        return cls(variable=d["variable"], domain=d["domain"])
-
 
 @dataclass(frozen=True)
-class EvaReport:
+class EvaReport(Record):
     alarms: tuple[EvaAlarm, ...]
     domains: tuple[ValueDomain, ...]
     summary_alarm_count: int | None
     warnings_kernel: int | None
     raw: str
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "alarms": [a.to_dict() for a in self.alarms],
-            "domains": [d.to_dict() for d in self.domains],
-            "summary_alarm_count": self.summary_alarm_count,
-            "warnings_kernel": self.warnings_kernel,
-            "raw": self.raw,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "EvaReport":
-        return cls(
-            alarms=tuple(EvaAlarm.from_dict(a) for a in d["alarms"]),
-            domains=tuple(ValueDomain.from_dict(v) for v in d["domains"]),
-            summary_alarm_count=d.get("summary_alarm_count"),
-            warnings_kernel=d.get("warnings_kernel"),
-            raw=d["raw"],
-        )
-
 
 @dataclass(frozen=True)
-class Discrepancy:
+class Discrepancy(Record):
     """Summary line and parsed alarms disagree."""
 
     expected: int
     parsed: int
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"expected": self.expected, "parsed": self.parsed}
 
 
 _ALARM_MARKER = "[eva:alarm]"

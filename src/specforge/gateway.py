@@ -17,11 +17,11 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Protocol
+from typing import Protocol
 
 import requests
 
-from .model import GenerationConfig
+from .model import GenerationConfig, Record
 from .prompts import BuiltPrompt
 
 DEFAULT_API_KEY_ENV = "SPECFORGE_API_KEY"
@@ -85,7 +85,7 @@ def request_digest(prompt_text: str, temperature: float, sample_index: int) -> s
 
 
 @dataclass(frozen=True)
-class CompletionResponse:
+class CompletionResponse(Record):
     text: str
     backend_kind: str  # "live" | "replay"
     backend_detail: str  # model id for live, fixture key for replay
@@ -97,25 +97,6 @@ class CompletionResponse:
             raise ValueError("completion text must be non-empty")
         if self.latency_ms < 0:
             raise ValueError("latency must be >= 0")
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "text": self.text,
-            "backend_kind": self.backend_kind,
-            "backend_detail": self.backend_detail,
-            "latency_ms": self.latency_ms,
-            "request_digest": self.request_digest,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "CompletionResponse":
-        return cls(
-            text=d["text"],
-            backend_kind=d["backend_kind"],
-            backend_detail=d["backend_detail"],
-            latency_ms=d["latency_ms"],
-            request_digest=d["request_digest"],
-        )
 
 
 class CompletionBackend(Protocol):

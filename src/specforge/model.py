@@ -3,13 +3,155 @@
 Everything here is an immutable value type with a canonical JSON encoding
 (lowercase snake_case field names). These encodings are the interchange
 format used by every adapter, the gateway, and the experiment reports.
+
+Every record is a frozen dataclass deriving from :class:`Record`, whose one
+codec derives ``to_dict``/``from_dict`` from the field types:
+
+- ``str``, ``int``, ``float``, ``bool`` and ``None`` encode as themselves;
+- an enum encodes as its ``.value``, a nested record as an object;
+- a ``tuple`` encodes as a list, recursively; a ``frozenset`` as a sorted list;
+- a ``dict`` encodes as an object with its keys sorted.
+
+Two per-field exceptions are declared with ``dataclasses.field(metadata=...)``:
+``{"omit_if_none": True}`` leaves the key out while the value is ``None``, and
+``{"codec": (encode, decode)}`` converts a non-``None`` value with that pair
+of functions instead.
+
+Decoding ignores unknown keys. A missing key takes the field default, or
+``None`` when the field is optional and has none. A value that does not fit
+its field, and a check the record itself makes, raise :class:`CodecError`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import dataclasses
+import functools
+import typing
+from dataclasses import MISSING, dataclass, field
 from enum import Enum
-from typing import Any
+from operator import attrgetter
+from typing import Any, Callable, TypeVar
+
+
+class CodecError(ValueError):
+    """A JSON value does not fit the record field it is decoded into."""
+
+
+_R = TypeVar("_R", bound="Record")
+
+
+class Record:
+    """Base of the frozen dataclasses with a canonical JSON encoding."""
+
+    def to_dict(self) -> dict[str, Any]:
+        return _plan(type(self))[0](self)
+
+    @classmethod
+    def from_dict(cls: type[_R], d: Any) -> _R:
+        return _plan(cls)[1](d)
+
+
+def _check(kinds: tuple[type, ...], what: str, value: Any) -> Any:
+    if not isinstance(value, kinds):
+        raise CodecError(f"expected {what}, got {type(value).__name__}")
+    return value
+
+
+def _items(value: Any, length: int | None = None) -> list | tuple:
+    """``value`` if it is a list, of ``length`` items when that is given."""
+    _check((list, tuple), "a list", value)
+    if length is not None and len(value) != length:
+        raise CodecError(f"expected {length} items, got {len(value)}")
+    return value
+
+
+_SCALARS = {str: (str,), int: (int,), float: (int, float), bool: (bool,)}
+
+
+def _converters(tp: Any) -> tuple[Callable | None, Callable]:
+    """(encode, decode) for one field type; an ``encode`` of None keeps the value."""
+    if tp in _SCALARS:
+        return None, functools.partial(_check, _SCALARS[tp], tp.__name__)
+    if isinstance(tp, type) and issubclass(tp, Enum):
+        return attrgetter("value"), tp
+    if isinstance(tp, type) and issubclass(tp, Record):
+        return _plan(tp)
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is tuple and args[-1] is not Ellipsis:  # fixed length, e.g. (name, value)
+        encs, decs = zip(*map(_converters, args))
+        return (
+            lambda v: [x if e is None else e(x) for e, x in zip(encs, v)],
+            lambda v: tuple(d(x) for d, x in zip(decs, _items(v, len(decs)))),
+        )
+    if origin in (tuple, frozenset):
+        enc, dec = _converters(args[0])
+        order = sorted if origin is frozenset else list
+        return (
+            order if enc is None else lambda v: order(map(enc, v)),
+            lambda v: origin(map(dec, _items(v))),
+        )
+    if origin is dict and args[0] is str:
+        enc, dec = _converters(args[1])
+        return (
+            lambda v: {k: x if enc is None else enc(x) for k, x in sorted(v.items())},
+            lambda v: {k: dec(x) for k, x in _check((dict,), "an object", v).items()},
+        )
+    raise TypeError(f"no JSON encoding for field type {tp!r}")
+
+
+@functools.cache
+def _plan(cls: type) -> tuple[Callable[[Any], dict[str, Any]], Callable[[Any], Any]]:
+    """(encode, decode) for one record class, built on its first use."""
+    hints = typing.get_type_hints(cls)
+    encoders, decoders = [], []
+    for f in dataclasses.fields(cls):
+        tp = hints[f.name]
+        optional = type(None) in typing.get_args(tp)
+        if optional:
+            (tp,) = [a for a in typing.get_args(tp) if a is not type(None)]
+        enc, dec = f.metadata.get("codec") or _converters(tp)
+        required = f.default is MISSING and f.default_factory is MISSING
+        plain = () if "codec" in f.metadata else _SCALARS.get(tp, ())
+        encoders.append((f.name, enc, f.metadata.get("omit_if_none")))
+        decoders.append((f.name, plain, dec, optional, required))
+
+    def encode(obj: Any) -> dict[str, Any]:
+        out = {}
+        for name, enc, omit_if_none in encoders:
+            value = getattr(obj, name)
+            if value is None:
+                if omit_if_none:
+                    continue
+            elif enc is not None:
+                value = enc(value)
+            out[name] = value
+        return out
+
+    def decode(d: Any) -> Any:
+        _check((dict,), "an object", d)
+        kwargs = {}
+        for name, plain, dec, optional, required in decoders:
+            value = d.get(name, MISSING)
+            if isinstance(value, plain):  # a scalar of its field's type: nothing to convert
+                kwargs[name] = value
+            elif value is MISSING:
+                if required and not optional:
+                    raise CodecError(f"missing key {name!r}")
+                if required:
+                    kwargs[name] = None
+            elif value is None and optional:
+                kwargs[name] = None
+            else:
+                try:
+                    kwargs[name] = dec(value)
+                except ValueError as exc:  # also an enum's unknown value
+                    raise CodecError(f"{name}: {exc}") from None
+        try:
+            return cls(**kwargs)
+        except ValueError as exc:
+            raise CodecError(str(exc)) from exc
+
+    return encode, decode
 
 
 class PromptVariant(str, Enum):
@@ -34,12 +176,12 @@ class PromptVariant(str, Enum):
 
 
 @dataclass(frozen=True)
-class Origin:
+class Origin(Record):
     """Provenance of a program: written by hand, or derived from a parent by one mutation."""
 
     kind: str  # "original" | "mutant"
-    parent_name: str | None = None
-    mutation_id: str | None = None
+    parent_name: str | None = field(default=None, metadata={"omit_if_none": True})
+    mutation_id: str | None = field(default=None, metadata={"omit_if_none": True})
 
     def __post_init__(self) -> None:
         if self.kind not in ("original", "mutant"):
@@ -57,24 +199,9 @@ class Origin:
     def mutant(cls, parent_name: str, mutation_id: str) -> "Origin":
         return cls(kind="mutant", parent_name=parent_name, mutation_id=mutation_id)
 
-    def to_dict(self) -> dict[str, Any]:
-        d: dict[str, Any] = {"kind": self.kind}
-        if self.kind == "mutant":
-            d["parent_name"] = self.parent_name
-            d["mutation_id"] = self.mutation_id
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "Origin":
-        return cls(
-            kind=d["kind"],
-            parent_name=d.get("parent_name"),
-            mutation_id=d.get("mutation_id"),
-        )
-
 
 @dataclass(frozen=True)
-class SourceProgram:
+class SourceProgram(Record):
     """One C source unit plus metadata.
 
     ``source`` is the full program text; mutants point back at their parent
@@ -93,26 +220,9 @@ class SourceProgram:
         if not self.source:
             raise ValueError("program source must be non-empty")
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "source": self.source,
-            "entry_function": self.entry_function,
-            "origin": self.origin.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "SourceProgram":
-        return cls(
-            name=d["name"],
-            source=d["source"],
-            entry_function=d.get("entry_function"),
-            origin=Origin.from_dict(d["origin"]) if "origin" in d else Origin.original(),
-        )
-
 
 @dataclass(frozen=True)
-class AnnotationKind:
+class AnnotationKind(Record):
     """Classification of one ACSL clause by its keyword.
 
     ``keyword`` is the canonical clause keyword ("requires", "loop invariant",
@@ -131,13 +241,6 @@ class AnnotationKind:
     @classmethod
     def other(cls, raw_keyword: str) -> "AnnotationKind":
         return cls(keyword=raw_keyword, known=False)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"keyword": self.keyword, "known": self.known}
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "AnnotationKind":
-        return cls(keyword=d["keyword"], known=d.get("known", True))
 
 
 REQUIRES = AnnotationKind("requires")
@@ -176,7 +279,7 @@ def kind_sort_key(kind: AnnotationKind) -> tuple[int, str]:
 
 
 @dataclass(frozen=True)
-class GenerationConfig:
+class GenerationConfig(Record):
     """Sampling configuration for annotation generation."""
 
     model_id: str = "gpt-4-0125-preview"
@@ -191,20 +294,3 @@ class GenerationConfig:
             raise ValueError("samples_per_program must be positive")
         if self.max_output_tokens < 1:
             raise ValueError("max_output_tokens must be positive")
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "model_id": self.model_id,
-            "temperature": self.temperature,
-            "samples_per_program": self.samples_per_program,
-            "max_output_tokens": self.max_output_tokens,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "GenerationConfig":
-        return cls(
-            model_id=d["model_id"],
-            temperature=d["temperature"],
-            samples_per_program=d["samples_per_program"],
-            max_output_tokens=d["max_output_tokens"],
-        )

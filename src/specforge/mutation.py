@@ -17,10 +17,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any
 
 from .analyzer.lexer import C_KEYWORDS, Token, TokenKind, tokenize
-from .model import Origin, SourceProgram
+from .model import Origin, Record, SourceProgram
 
 
 class NoMutationSite(ValueError):
@@ -54,7 +53,7 @@ class MutationSite:
 
 
 @dataclass(frozen=True)
-class MutationRecord:
+class MutationRecord(Record):
     mutation_id: str
     operator: MutationOperator
     line: int
@@ -65,27 +64,6 @@ class MutationRecord:
     def __post_init__(self) -> None:
         if self.original_token == self.mutated_token:
             raise ValueError("mutation must change the token")
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "mutation_id": self.mutation_id,
-            "operator": self.operator.value,
-            "line": self.line,
-            "original_token": self.original_token,
-            "mutated_token": self.mutated_token,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "MutationRecord":
-        return cls(
-            mutation_id=d["mutation_id"],
-            operator=MutationOperator(d["operator"]),
-            line=d["line"],
-            original_token=d["original_token"],
-            mutated_token=d["mutated_token"],
-            seed=d["seed"],
-        )
 
 
 _RELATIONAL_FLIPS = {"<": "<=", "<=": "<", ">": ">=", ">=": ">"}

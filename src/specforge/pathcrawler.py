@@ -10,7 +10,8 @@ verbatim because prompts embed it byte-for-byte.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+
+from .model import Record
 
 
 class CsvError(ValueError):
@@ -29,7 +30,7 @@ class RowArity(CsvError):
 
 
 @dataclass(frozen=True)
-class TestCase:
+class TestCase(Record):
     """One test case: named input values, an output (possibly empty), a verdict."""
 
     __test__ = False  # domain class, not a pytest suite
@@ -38,24 +39,9 @@ class TestCase:
     output: str
     verdict: str
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "inputs": [[name, value] for name, value in self.inputs],
-            "output": self.output,
-            "verdict": self.verdict,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "TestCase":
-        return cls(
-            inputs=tuple((name, value) for name, value in d["inputs"]),
-            output=d["output"],
-            verdict=d["verdict"],
-        )
-
 
 @dataclass(frozen=True)
-class TestSuite:
+class TestSuite(Record):
     __test__ = False  # domain class, not a pytest suite
 
     columns: tuple[str, ...]
@@ -66,24 +52,9 @@ class TestSuite:
     def input_columns(self) -> tuple[str, ...]:
         return self.columns[:-2]
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "columns": list(self.columns),
-            "cases": [c.to_dict() for c in self.cases],
-            "raw": self.raw,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "TestSuite":
-        return cls(
-            columns=tuple(d["columns"]),
-            cases=tuple(TestCase.from_dict(c) for c in d["cases"]),
-            raw=d["raw"],
-        )
-
 
 @dataclass(frozen=True)
-class TestSuiteSummary:
+class TestSuiteSummary(Record):
     """Shape of a suite at a glance; feeds warnings and reports.
 
     ``has_output`` is false iff every case's output field is empty, the
@@ -98,31 +69,6 @@ class TestSuiteSummary:
     distinct_verdicts: frozenset[str]
     has_output: bool
     distinct_values_per_input: dict[str, frozenset[str]]
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "case_count": self.case_count,
-            "input_columns": list(self.input_columns),
-            "distinct_verdicts": sorted(self.distinct_verdicts),
-            "has_output": self.has_output,
-            "distinct_values_per_input": {
-                col: sorted(values)
-                for col, values in sorted(self.distinct_values_per_input.items())
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "TestSuiteSummary":
-        return cls(
-            case_count=d["case_count"],
-            input_columns=tuple(d["input_columns"]),
-            distinct_verdicts=frozenset(d["distinct_verdicts"]),
-            has_output=d["has_output"],
-            distinct_values_per_input={
-                col: frozenset(values)
-                for col, values in d["distinct_values_per_input"].items()
-            },
-        )
 
 
 def _split_fields(line: str, row_index: int | None) -> list[str]:

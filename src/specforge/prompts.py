@@ -15,10 +15,9 @@ import re
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Any
 
 from .eva import EvaReport
-from .model import PromptVariant, SourceProgram
+from .model import PromptVariant, Record, SourceProgram
 from .pathcrawler import TestSuite, render_csv, summarize
 
 
@@ -67,22 +66,15 @@ _PLACEHOLDER_RE = re.compile(r"\{[a-z_]+\}")
 
 
 @dataclass(frozen=True)
-class PromptTemplate:
+class PromptTemplate(Record):
     """A loaded template: snippet slots already filled, context slots still open."""
 
     variant: PromptVariant
     body: str
 
-    def to_dict(self) -> dict[str, Any]:
-        return {"variant": self.variant.value, "body": self.body}
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "PromptTemplate":
-        return cls(variant=PromptVariant(d["variant"]), body=d["body"])
-
 
 @dataclass(frozen=True)
-class BuiltPrompt:
+class BuiltPrompt(Record):
     """A fully substituted prompt ready for the gateway."""
 
     variant: PromptVariant
@@ -90,25 +82,6 @@ class BuiltPrompt:
     program_name: str
     context_digest: str  # sha256 of the substituted context; "" for baseline
     warnings: tuple[str, ...] = ()
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "variant": self.variant.value,
-            "text": self.text,
-            "program_name": self.program_name,
-            "context_digest": self.context_digest,
-            "warnings": list(self.warnings),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "BuiltPrompt":
-        return cls(
-            variant=PromptVariant(d["variant"]),
-            text=d["text"],
-            program_name=d["program_name"],
-            context_digest=d["context_digest"],
-            warnings=tuple(d.get("warnings", ())),
-        )
 
 
 def default_template_dir() -> Path:

@@ -43,9 +43,11 @@ from .gateway import (
 from .model import (
     KNOWN_KINDS,
     AnnotationKind,
+    CodecError,
     GenerationConfig,
     Origin,
     PromptVariant,
+    Record,
     SourceProgram,
     kind_sort_key,
 )
@@ -91,6 +93,15 @@ class CorpusEntry:
 
 
 @dataclass(frozen=True)
+class _Meta(Record):
+    """The ``meta.json`` keys the runner reads; every other key becomes a tag."""
+
+    entry_function: str | None = None
+    provenance: str = "unspecified"
+    origin: Origin = field(default_factory=Origin.original)
+
+
+@dataclass(frozen=True)
 class CorpusLoad:
     entries: tuple[CorpusEntry, ...]
     skipped: tuple[tuple[str, str], ...]  # (directory name, reason)
@@ -126,9 +137,7 @@ def load_corpus(directory: Path | str) -> CorpusLoad:
             skipped.append((name, f"program.c does not tokenize: {exc}"))
             continue
 
-        entry_function = None
-        origin = Origin.original()
-        provenance = "unspecified"
+        meta = _Meta()
         tags: tuple[tuple[str, str], ...] = ()
         meta_path = subdir / "meta.json"
         if meta_path.is_file():
@@ -136,19 +145,16 @@ def load_corpus(directory: Path | str) -> CorpusLoad:
             hasher.update(f"{name}/meta.json\x00".encode())
             hasher.update(raw_meta.encode("utf-8"))
             try:
-                meta = json.loads(raw_meta)
-                entry_function = meta.get("entry_function")
-                provenance = meta.get("provenance", provenance)
-                if "origin" in meta:
-                    origin = Origin.from_dict(meta["origin"])
+                raw = json.loads(raw_meta)
+                meta = _Meta.from_dict(raw)
                 tags = tuple(
                     sorted(
                         (str(k), str(v))
-                        for k, v in meta.items()
+                        for k, v in raw.items()
                         if k not in ("entry_function", "origin", "provenance")
                     )
                 )
-            except (ValueError, KeyError) as exc:
+            except ValueError as exc:
                 errors.append(f"meta.json: {exc}")
 
         suite = None
@@ -175,13 +181,13 @@ def load_corpus(directory: Path | str) -> CorpusLoad:
                 program=SourceProgram(
                     name=name,
                     source=source,
-                    entry_function=entry_function,
-                    origin=origin,
+                    entry_function=meta.entry_function,
+                    origin=meta.origin,
                 ),
                 suite=suite,
                 report=report,
                 load_errors=tuple(errors),
-                provenance=provenance,
+                provenance=meta.provenance,
                 tags=tags,
                 comparable=comparable,
             )
@@ -194,8 +200,25 @@ def load_corpus(directory: Path | str) -> CorpusLoad:
     )
 
 
+def histogram_to_dict(histogram: dict[AnnotationKind, int]) -> dict[str, int]:
+    """Histogram keyed by canonical keyword, in canonical order."""
+    return {
+        kind.keyword: histogram[kind] for kind in sorted(histogram, key=kind_sort_key)
+    }
+
+
+def histogram_from_dict(d: dict[str, int]) -> dict[AnnotationKind, int]:
+    if not isinstance(d, dict) or not all(isinstance(n, int) for n in d.values()):
+        raise CodecError("a histogram maps keywords to counts")
+    by_keyword = {k.keyword: k for k in KNOWN_KINDS}
+    return {
+        by_keyword.get(keyword) or AnnotationKind.other(keyword): count
+        for keyword, count in d.items()
+    }
+
+
 @dataclass(frozen=True)
-class GenerationResult:
+class GenerationResult(Record):
     """Everything learned from one program x variant x sample cell."""
 
     program_name: str
@@ -206,7 +229,9 @@ class GenerationResult:
     response: CompletionResponse | None = None
     split: SplitResponse | None = None
     annotations: tuple[Annotation, ...] = ()
-    histogram: dict[AnnotationKind, int] | None = None
+    histogram: dict[AnnotationKind, int] | None = field(
+        default=None, metadata={"codec": (histogram_to_dict, histogram_from_dict)}
+    )
     lint_issues: tuple[LintIssue, ...] = ()
     preservation: PreservationVerdict | None = None
     prompt_warnings: tuple[str, ...] = ()
@@ -216,62 +241,6 @@ class GenerationResult:
             self.histogram is None or self.preservation is None
         ):
             raise ValueError("ok results must carry histogram and preservation")
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "program_name": self.program_name,
-            "variant": self.variant.value,
-            "sample_index": self.sample_index,
-            "status": self.status,
-            "status_reason": self.status_reason,
-            "response": self.response.to_dict() if self.response else None,
-            "split": self.split.to_dict() if self.split else None,
-            "annotations": [a.to_dict() for a in self.annotations],
-            "histogram": histogram_to_dict(self.histogram)
-            if self.histogram is not None
-            else None,
-            "lint_issues": [i.to_dict() for i in self.lint_issues],
-            "preservation": self.preservation.to_dict() if self.preservation else None,
-            "prompt_warnings": list(self.prompt_warnings),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "GenerationResult":
-        return cls(
-            program_name=d["program_name"],
-            variant=PromptVariant(d["variant"]),
-            sample_index=d["sample_index"],
-            status=d["status"],
-            status_reason=d.get("status_reason"),
-            response=CompletionResponse.from_dict(d["response"])
-            if d.get("response")
-            else None,
-            split=SplitResponse.from_dict(d["split"]) if d.get("split") else None,
-            annotations=tuple(Annotation.from_dict(a) for a in d["annotations"]),
-            histogram=histogram_from_dict(d["histogram"])
-            if d.get("histogram") is not None
-            else None,
-            lint_issues=tuple(LintIssue.from_dict(i) for i in d["lint_issues"]),
-            preservation=PreservationVerdict.from_dict(d["preservation"])
-            if d.get("preservation")
-            else None,
-            prompt_warnings=tuple(d.get("prompt_warnings", ())),
-        )
-
-
-def histogram_to_dict(histogram: dict[AnnotationKind, int]) -> dict[str, int]:
-    """Histogram keyed by canonical keyword, in canonical order."""
-    return {
-        kind.keyword: histogram[kind] for kind in sorted(histogram, key=kind_sort_key)
-    }
-
-
-def histogram_from_dict(d: dict[str, int]) -> dict[AnnotationKind, int]:
-    by_keyword = {k.keyword: k for k in KNOWN_KINDS}
-    return {
-        by_keyword.get(keyword, AnnotationKind.other(keyword)): count
-        for keyword, count in d.items()
-    }
 
 
 def sum_histograms(
@@ -285,7 +254,7 @@ def sum_histograms(
 
 
 @dataclass(frozen=True)
-class RobustnessRow:
+class RobustnessRow(Record):
     """Mean spec similarity between a parent's and a mutant's sampled specs.
 
     Samples are paired by index; ``mean_similarity`` is None when no sample
@@ -298,28 +267,9 @@ class RobustnessRow:
     mean_similarity: float | None
     pairs_compared: int
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "parent": self.parent,
-            "mutant": self.mutant,
-            "variant": self.variant.value,
-            "mean_similarity": self.mean_similarity,
-            "pairs_compared": self.pairs_compared,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "RobustnessRow":
-        return cls(
-            parent=d["parent"],
-            mutant=d["mutant"],
-            variant=PromptVariant(d["variant"]),
-            mean_similarity=d["mean_similarity"],
-            pairs_compared=d["pairs_compared"],
-        )
-
 
 @dataclass(frozen=True)
-class ExperimentReport:
+class ExperimentReport(Record):
     config: GenerationConfig
     corpus_digest: str
     backend_kind: str
@@ -348,34 +298,13 @@ class ExperimentReport:
         return counts
 
     def to_dict(self) -> dict[str, Any]:
+        """The codec's encoding plus the per-variant totals and failure counts."""
+        aggregates = sorted(self.aggregate_histograms.items(), key=lambda kv: kv[0].value)
         return {
-            "config": self.config.to_dict(),
-            "corpus_digest": self.corpus_digest,
-            "backend_kind": self.backend_kind,
-            "results": [r.to_dict() for r in self.results],
-            "skips": [list(s) for s in self.skips],
-            "robustness": [r.to_dict() for r in self.robustness],
-            "notes": list(self.notes),
-            "aggregate_histograms": {
-                variant.value: histogram_to_dict(histogram)
-                for variant, histogram in sorted(
-                    self.aggregate_histograms.items(), key=lambda kv: kv[0].value
-                )
-            },
+            **super().to_dict(),
+            "aggregate_histograms": {v.value: histogram_to_dict(h) for v, h in aggregates},
             "failures": dict(sorted(self.failures.items())),
         }
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "ExperimentReport":
-        return cls(
-            config=GenerationConfig.from_dict(d["config"]),
-            corpus_digest=d["corpus_digest"],
-            backend_kind=d["backend_kind"],
-            results=tuple(GenerationResult.from_dict(r) for r in d["results"]),
-            skips=tuple((s[0], s[1], s[2]) for s in d["skips"]),
-            robustness=tuple(RobustnessRow.from_dict(r) for r in d["robustness"]),
-            notes=tuple(d.get("notes", ())),
-        )
 
 
 def _context_for(
@@ -448,40 +377,6 @@ def _run_cell(
         preservation=preservation,
         **base,
     )
-
-
-def _generate_results(
-    entries: Sequence[CorpusEntry],
-    variants: Sequence[PromptVariant],
-    config: GenerationConfig,
-    backend: CompletionBackend,
-    templates: dict[PromptVariant, PromptTemplate],
-    max_workers: int,
-) -> tuple[list[GenerationResult], list[tuple[str, str, str]]]:
-    tasks = []
-    skips: list[tuple[str, str, str]] = []
-    for entry in entries:
-        for variant in variants:
-            available, suite, report, reason = _context_for(entry, variant)
-            if not available:
-                skips.append((entry.program.name, variant.value, reason))
-                continue
-            template = templates[variant]
-            for sample_index in range(config.samples_per_program):
-                tasks.append((entry, template, suite, report, sample_index))
-
-    if not tasks:
-        return [], skips
-
-    with ThreadPoolExecutor(max_workers=max(1, max_workers)) as pool:
-        results = list(
-            pool.map(
-                lambda t: _run_cell(t[0], t[1], t[2], t[3], config, backend, t[4]),
-                tasks,
-            )
-        )
-    results.sort(key=lambda r: (r.program_name, r.variant.value, r.sample_index))
-    return results, skips
 
 
 def _robustness_rows(
@@ -558,9 +453,26 @@ def run(
     if missing:
         raise ConfigError(f"no template loaded for variants: {missing}")
 
-    results, skips = _generate_results(
-        entries, variants, config, backend, templates, max_workers
-    )
+    tasks = []
+    skips: list[tuple[str, str, str]] = []
+    for entry in entries:
+        for variant in variants:
+            available, suite, report, reason = _context_for(entry, variant)
+            if not available:
+                skips.append((entry.program.name, variant.value, reason))
+                continue
+            template = templates[variant]
+            for sample_index in range(config.samples_per_program):
+                tasks.append((entry, template, suite, report, sample_index))
+    with ThreadPoolExecutor(max_workers=max(1, max_workers)) as pool:
+        results = list(
+            pool.map(
+                lambda t: _run_cell(t[0], t[1], t[2], t[3], config, backend, t[4]),
+                tasks,
+            )
+        )
+    results.sort(key=lambda r: (r.program_name, r.variant.value, r.sample_index))
+
     rows = _robustness_rows(results, mutant_pairs(entries), variants)
     backend_kind = type(backend).__name__
     notes = []
@@ -577,30 +489,6 @@ def run(
         robustness=tuple(rows),
         notes=tuple(notes),
     )
-
-
-def robustness_study(
-    pairs: Sequence[tuple[CorpusEntry, CorpusEntry]],
-    variants: Sequence[PromptVariant],
-    config: GenerationConfig,
-    backend: CompletionBackend,
-    templates: dict[PromptVariant, PromptTemplate],
-    max_workers: int = 4,
-) -> list[RobustnessRow]:
-    """Generate specs for each (parent, mutant) pair and score their similarity.
-
-    Samples are paired by index so a deterministic backend scores an
-    identical pair at exactly 1.0; rows come back sorted by (variant, parent).
-    """
-    seen: dict[str, CorpusEntry] = {}
-    for parent, mutant in pairs:
-        seen.setdefault(parent.program.name, parent)
-        seen.setdefault(mutant.program.name, mutant)
-    results, _ = _generate_results(
-        list(seen.values()), variants, config, backend, templates, max_workers
-    )
-    name_pairs = [(p.program.name, m.program.name) for p, m in pairs]
-    return _robustness_rows(results, name_pairs, variants)
 
 
 def _canonical_json(data: Any) -> str:

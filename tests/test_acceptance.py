@@ -263,18 +263,18 @@ def test_criterion_8_robustness(corpus_load):
     from specforge.gateway import ReplayBackend
     from specforge.model import GenerationConfig
     from specforge.prompts import load_templates
-    from specforge.runner import robustness_study
+    from specforge.runner import run
 
     from conftest import TEMPLATES_DIR
 
     entries = {e.program.name: e for e in corpus_load.entries}
-    rows = robustness_study(
-        [(entries["tritype"], entries["tritype_mutated"])],
+    rows = run(
+        [entries["tritype"], entries["tritype_mutated"]],
         [PromptVariant.BASELINE],
         GenerationConfig(),
         ReplayBackend(FIXTURES_DIR),
         load_templates(TEMPLATES_DIR),
-    )
+    ).robustness
     assert rows[0].mean_similarity is not None and rows[0].mean_similarity > 0
     _passed(
         8,

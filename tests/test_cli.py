@@ -5,6 +5,8 @@ import shutil
 import subprocess
 import sys
 
+import pytest
+
 from conftest import ADPCM_CSV, CORPUS_DIR, FIXTURES_DIR, REPO_ROOT
 from specforge.cli import main
 
@@ -203,6 +205,43 @@ def test_report_reemit_fixed_point(tmp_path):
     assert main(["report", "--in", str(first / "report.json"), "--out", str(second)]) == 0
     for name in ("report.json", "histogram.csv", "robustness.csv"):
         assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        {"results": 5},
+        {"config": {"temperature": 9.0}},
+        {"skips": [["only-one-field"]]},
+        {"robustness": [{"parent": "a"}]},
+    ],
+)
+def test_report_malformed_report_exits_two(tmp_path, capsys, shape):
+    data = {
+        "config": {
+            "model_id": "m",
+            "temperature": 0.7,
+            "samples_per_program": 3,
+            "max_output_tokens": 4096,
+        },
+        "corpus_digest": "",
+        "backend_kind": "ReplayBackend",
+        "results": [],
+        "skips": [],
+        "robustness": [],
+    }
+    data.update(shape)
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(data))
+    assert main(["report", "--in", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "error: cannot load report: " in capsys.readouterr().err
+
+
+def test_report_top_level_list_exits_two(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    path.write_text("[]")
+    assert main(["report", "--in", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "error: cannot load report: " in capsys.readouterr().err
 
 
 def test_run_eva_hook_captures_stdout(tmp_path, capsys):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import json
 import random
 import shutil
@@ -8,7 +10,7 @@ import pytest
 
 from conftest import CORPUS_DIR, FIXTURES_DIR
 from specforge.gateway import ReplayBackend
-from specforge.model import GenerationConfig, PromptVariant
+from specforge.model import GenerationConfig, Origin, PromptVariant
 from specforge.runner import (
     STATUS_BACKEND_FAILED,
     STATUS_NO_CODE_FENCE,
@@ -21,7 +23,6 @@ from specforge.runner import (
     load_corpus,
     load_report,
     mutant_pairs,
-    robustness_study,
     run,
     sum_histograms,
 )
@@ -93,6 +94,25 @@ def test_load_corpus_malformed_csv_recorded_not_fatal(tmp_path):
     entry = load.entries[0]
     assert entry.suite is None
     assert entry.load_errors and "tests.csv" in entry.load_errors[0]
+
+
+@pytest.mark.parametrize(
+    "meta",
+    ['{"origin": {"kind": "mutant"}}', '{"origin": "mutant"}', '["x"]', '{"provenance": ["x"]}'],
+)
+def test_load_corpus_malformed_meta_recorded_not_fatal(tmp_path, meta):
+    for name in ("broken", "good"):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "program.c").write_text("int f(void) { return 0; }\n")
+    (tmp_path / "broken" / "meta.json").write_text(meta)
+    (tmp_path / "good" / "meta.json").write_text('{"entry_function": "f"}')
+    by_name = {e.program.name: e for e in load_corpus(tmp_path).entries}
+    broken = by_name["broken"]
+    assert len(broken.load_errors) == 1
+    assert broken.load_errors[0].startswith("meta.json: ")
+    assert broken.program.origin == Origin.original()
+    assert by_name["good"].load_errors == ()
+    assert by_name["good"].program.entry_function == "f"
 
 
 def test_load_corpus_untokenizable_program_skipped(tmp_path):
@@ -263,18 +283,28 @@ def test_tritype_pair_similarity_positive(full_report):
 
 
 def test_identical_pair_scores_exactly_one(
-    corpus_load_module, templates_module, replay_backend
+    tmp_path, corpus_load_module, templates_module
 ):
     entry = next(
         e for e in corpus_load_module.entries if e.program.name == "binary_search"
     )
-    rows = robustness_study(
-        [(entry, entry)],
+    twin = dataclasses.replace(
+        entry,
+        program=dataclasses.replace(
+            entry.program,
+            name="binary_search_twin",
+            origin=Origin.mutant("binary_search", "identical"),
+        ),
+    )
+    for name in ("binary_search", "binary_search_twin"):
+        shutil.copytree(FIXTURES_DIR / "binary_search", tmp_path / name)
+    rows = run(
+        [entry, twin],
         [PromptVariant.BASELINE],
         CONFIG,
-        replay_backend,
+        ReplayBackend(tmp_path),
         templates_module,
-    )
+    ).robustness
     assert len(rows) == 1
     assert rows[0].mean_similarity == 1.0
 
@@ -288,13 +318,13 @@ def test_pair_with_all_failures_marked_unavailable(
     entry_mutant = next(
         e for e in corpus_load_module.entries if e.program.name == "tritype_mutated"
     )
-    rows = robustness_study(
-        [(entry_parent, entry_mutant)],
+    rows = run(
+        [entry_parent, entry_mutant],
         [PromptVariant.BASELINE],
         CONFIG,
         ReplayBackend(tmp_path),  # no fixtures at all
         templates_module,
-    )
+    ).robustness
     assert rows[0].mean_similarity is None
     assert rows[0].pairs_compared == 0
 
@@ -322,6 +352,17 @@ def test_emit_is_deterministic(full_report, tmp_path):
     emit(full_report, tmp_path / "b")
     for name in ("report.json", "histogram.csv", "robustness.csv"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+# Recorded before the hand-written to_dict methods gave way to the dataclass
+# codec; equal to perfbench/golden/replay.json.
+SHIPPED_REPORT_SHA256 = "dce26d26446f95880e6b0cf909fcb70a7e2dac528a7908a5a6972d2c5120862b"
+
+
+def test_emit_shipped_study_report_digest(full_report, tmp_path):
+    emit(full_report, tmp_path)
+    digest = hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest()
+    assert digest == SHIPPED_REPORT_SHA256
 
 
 def test_report_load_emit_fixed_point(full_report, tmp_path):
