@@ -8,6 +8,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import shlex
+import signal
 import subprocess
 import sys
 import tempfile
@@ -31,7 +34,6 @@ from .pathcrawler import CsvError, parse_test_csv, summarize
 from .prompts import TemplateError, default_template_dir, load_templates
 from .runner import (
     ConfigError,
-    CorpusEntry,
     EmptyCorpus,
     emit,
     histogram_to_dict,
@@ -43,6 +45,7 @@ from .runner import (
 EXIT_OK = 0
 EXIT_FINDINGS = 1
 EXIT_CONFIG = 2
+HOOK_TIMEOUT_S = 600.0  # seconds per --run-pathcrawler / --run-eva invocation
 
 
 def _print_json(data: object) -> None:
@@ -59,8 +62,8 @@ def _read_file(path: str) -> str:
 def _hook_context(entries, command: str, which: str):
     """Run a user command per program lacking context; capture stdout into the adapter.
 
-    The program source is written to a temporary .c file whose path is
-    appended to the command line.
+    The program source is written to a temporary .c file whose quoted path is
+    appended to the command line. Failure or timeout is that entry's load error.
     """
     patched = []
     for entry in entries:
@@ -72,32 +75,36 @@ def _hook_context(entries, command: str, which: str):
             "w", suffix=".c", prefix=f"{entry.program.name}-", delete=False
         ) as tmp:
             tmp.write(entry.program.source)
-            tmp_path = tmp.name
-        proc = subprocess.run(
-            f"{command} {tmp_path}",
-            shell=True,
-            capture_output=True,
-            text=True,
-        )
-        Path(tmp_path).unlink(missing_ok=True)
-        if proc.returncode != 0:
-            patched.append(
-                replace(
-                    entry,
-                    load_errors=entry.load_errors
-                    + (f"{which} hook failed (exit {proc.returncode})",),
-                )
-            )
-            continue
+        error = None
         try:
-            if which == "tests":
-                patched.append(replace(entry, suite=parse_test_csv(proc.stdout)))
+            with subprocess.Popen(
+                f"{command} {shlex.quote(tmp.name)}",
+                shell=True,
+                stdout=subprocess.PIPE,
+                stderr=subprocess.DEVNULL,
+                text=True,
+                start_new_session=True,
+            ) as proc:
+                try:
+                    stdout, _ = proc.communicate(timeout=HOOK_TIMEOUT_S)
+                except subprocess.TimeoutExpired:
+                    os.killpg(proc.pid, signal.SIGKILL)  # the shell and its children
+                    raise
+            if proc.returncode != 0:
+                error = f"{which} hook failed (exit {proc.returncode})"
+            elif which == "tests":
+                entry = replace(entry, suite=parse_test_csv(stdout))
             else:
-                patched.append(replace(entry, report=parse_eva_report(proc.stdout)))
+                entry = replace(entry, report=parse_eva_report(stdout))
+        except subprocess.TimeoutExpired:
+            error = f"{which} hook timed out after {HOOK_TIMEOUT_S:g} s"
         except CsvError as exc:
-            patched.append(
-                replace(entry, load_errors=entry.load_errors + (f"{which} hook: {exc}",))
-            )
+            error = f"{which} hook: {exc}"
+        finally:
+            Path(tmp.name).unlink(missing_ok=True)
+        if error:
+            entry = replace(entry, load_errors=entry.load_errors + (error,))
+        patched.append(entry)
     return patched
 
 
@@ -122,11 +129,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         else:
             if not args.base_url:
                 raise ConfigError("--base-url is required for the live backend")
-            backend = LiveBackend(
-                base_url=args.base_url,
-                api_key_env=args.api_key_env,
-                max_inflight=args.max_inflight,
-            )
+            backend = LiveBackend(base_url=args.base_url, api_key_env=args.api_key_env)
 
         report = run(
             entries,

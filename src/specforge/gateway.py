@@ -13,7 +13,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,7 +24,6 @@ from .model import GenerationConfig, Record
 from .prompts import BuiltPrompt
 
 DEFAULT_API_KEY_ENV = "SPECFORGE_API_KEY"
-DEFAULT_MAX_INFLIGHT = 4
 
 
 class GatewayError(RuntimeError):
@@ -140,7 +138,7 @@ class LiveBackend:
 
     Transport failures and 5xx responses are retried with exponential backoff
     (one sleep per retry, ``backoff_s`` long); 4xx responses fail immediately.
-    Concurrent use is limited to ``max_inflight`` requests.
+    The client does not limit concurrent use; ``runner.run`` bounds it.
     """
 
     def __init__(
@@ -149,7 +147,6 @@ class LiveBackend:
         api_key_env: str = DEFAULT_API_KEY_ENV,
         timeout_s: float = 120.0,
         backoff_s: tuple[float, ...] = (1.0, 2.0, 4.0),
-        max_inflight: int = DEFAULT_MAX_INFLIGHT,
         session: requests.Session | None = None,
     ):
         self.base_url = base_url.rstrip("/")
@@ -157,7 +154,6 @@ class LiveBackend:
         self.timeout_s = timeout_s
         self.backoff_s = backoff_s
         self._session = session or requests.Session()
-        self._gate = threading.Semaphore(max_inflight)
 
     def complete(self, request: CompletionRequest) -> CompletionResponse:
         api_key = os.environ.get(self.api_key_env, "")
@@ -177,38 +173,37 @@ class LiveBackend:
 
         started = time.perf_counter()
         last_error: tuple[int | None, str] = (None, "no attempt made")
-        with self._gate:
-            for attempt in range(len(self.backoff_s) + 1):
-                if attempt > 0:
-                    time.sleep(self.backoff_s[attempt - 1])
-                try:
-                    http = self._session.post(
-                        url, json=payload, headers=headers, timeout=self.timeout_s
-                    )
-                except requests.RequestException as exc:
-                    last_error = (None, f"transport failure: {exc}")
-                    continue
-                if 400 <= http.status_code < 500:
-                    raise BackendError(http.status_code, http.text[:500])
-                if http.status_code >= 500:
-                    last_error = (http.status_code, http.text[:500])
-                    continue
-                try:
-                    text = http.json()["choices"][0]["message"]["content"]
-                except (ValueError, KeyError, IndexError, TypeError) as exc:
-                    raise BackendError(
-                        http.status_code, f"malformed completion payload: {exc}"
-                    ) from exc
-                if not text:
-                    raise EmptyResponse(request.key)
-                latency_ms = int((time.perf_counter() - started) * 1000)
-                return CompletionResponse(
-                    text=text,
-                    backend_kind="live",
-                    backend_detail=request.config.model_id,
-                    latency_ms=latency_ms,
-                    request_digest=request.digest,
+        for attempt in range(len(self.backoff_s) + 1):
+            if attempt > 0:
+                time.sleep(self.backoff_s[attempt - 1])
+            try:
+                http = self._session.post(
+                    url, json=payload, headers=headers, timeout=self.timeout_s
                 )
+            except requests.RequestException as exc:
+                last_error = (None, f"transport failure: {exc}")
+                continue
+            if 400 <= http.status_code < 500:
+                raise BackendError(http.status_code, http.text[:500])
+            if http.status_code >= 500:
+                last_error = (http.status_code, http.text[:500])
+                continue
+            try:
+                text = http.json()["choices"][0]["message"]["content"]
+            except (ValueError, KeyError, IndexError, TypeError) as exc:
+                raise BackendError(
+                    http.status_code, f"malformed completion payload: {exc}"
+                ) from exc
+            if not text:
+                raise EmptyResponse(request.key)
+            latency_ms = int((time.perf_counter() - started) * 1000)
+            return CompletionResponse(
+                text=text,
+                backend_kind="live",
+                backend_detail=request.config.model_id,
+                latency_ms=latency_ms,
+                request_digest=request.digest,
+            )
         raise BackendError(last_error[0], f"retries exhausted: {last_error[1]}")
 
 

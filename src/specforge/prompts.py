@@ -3,9 +3,9 @@
 Templates are plain-text data files, one per variant, with placeholder slots
 ``{program}``, ``{csv}``, ``{eva}`` plus two few-shot snippet slots
 ``{valid_assigns}``/``{invalid_assigns}`` filled from companion files at load
-time. Substitution is purely textual (no format-string machinery — C code is
-full of braces), so a built prompt contains the program and its context
-byte-for-byte.
+time. Substitution is purely textual and single-pass (no format-string
+machinery — C code is full of braces), so a built prompt contains the program
+and its context byte-for-byte, even when they hold slot-like text.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ class MissingContext(TemplateError):
 
 class UnresolvedPlaceholder(TemplateError):
     def __init__(self, name: str):
-        super().__init__(f"placeholder {name} left unresolved after substitution")
+        super().__init__(f"placeholder {name} is not filled by this variant")
         self.name = name
 
 
@@ -144,8 +144,9 @@ def build_prompt(
     """Substitute the program and its context into the template's slots.
 
     The Pathcrawler variant requires ``suite``, the Eva variant ``report``;
-    raises MissingContext otherwise. A suite whose cases all have empty
-    outputs attaches a state-mutation warning to the result.
+    raises MissingContext otherwise, and UnresolvedPlaceholder for a slot the
+    variant does not fill, which only a hand-built template can hold. A suite
+    whose cases all have empty outputs attaches a state-mutation warning.
     """
     warnings: tuple[str, ...] = ()
     if template.variant is PromptVariant.PATHCRAWLER:
@@ -161,14 +162,16 @@ def build_prompt(
     else:
         context = ""
 
-    text = template.body.replace("{program}", program.source)
     slot = _CONTEXT_SLOT[template.variant]
-    if slot:
-        text = text.replace(slot, context)
 
-    for name in ("{program}", "{csv}", "{eva}", *_SNIPPET_SLOTS):
-        if name in text:
-            raise UnresolvedPlaceholder(name)
+    def fill(match: re.Match[str]) -> str:
+        if match.group() == "{program}":
+            return program.source
+        if match.group() == slot:
+            return context
+        raise UnresolvedPlaceholder(match.group())
+
+    text = _PLACEHOLDER_RE.sub(fill, template.body)  # inserted text is not rescanned
 
     digest = hashlib.sha256(context.encode("utf-8")).hexdigest() if context else ""
     return BuiltPrompt(

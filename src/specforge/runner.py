@@ -13,6 +13,7 @@ import hashlib
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
@@ -52,7 +53,7 @@ from .model import (
     kind_sort_key,
 )
 from .pathcrawler import CsvError, TestSuite, parse_test_csv
-from .prompts import PromptTemplate, build_prompt
+from .prompts import BuiltPrompt, PromptTemplate, build_prompt
 
 STATUS_OK = "ok"
 STATUS_NO_CODE_FENCE = "no_code_fence"
@@ -278,7 +279,7 @@ class ExperimentReport(Record):
     robustness: tuple[RobustnessRow, ...]
     notes: tuple[str, ...] = ()
 
-    @property
+    @cached_property
     def aggregate_histograms(self) -> dict[PromptVariant, dict[AnnotationKind, int]]:
         by_variant: dict[PromptVariant, list[dict[AnnotationKind, int]]] = {}
         for result in self.results:
@@ -307,39 +308,30 @@ class ExperimentReport(Record):
         }
 
 
-def _context_for(
-    entry: CorpusEntry, variant: PromptVariant
-) -> tuple[bool, TestSuite | None, EvaReport | None, str]:
-    """(available, suite, report, reason-if-missing) for one program x variant."""
+def _missing_context(entry: CorpusEntry, variant: PromptVariant) -> str | None:
+    """Why ``entry`` cannot be prompted with ``variant``; None when it can."""
     if variant is PromptVariant.PATHCRAWLER and entry.suite is None:
-        return False, None, None, "no test suite for this program"
+        return "no test suite for this program"
     if variant is PromptVariant.EVA and entry.report is None:
-        return False, None, None, "no value-analysis report for this program"
-    return True, entry.suite, entry.report, ""
+        return "no value-analysis report for this program"
+    return None
 
 
-def _run_cell(
+def _analyze(
     entry: CorpusEntry,
-    template: PromptTemplate,
-    suite: TestSuite | None,
-    report: EvaReport | None,
-    config: GenerationConfig,
-    backend: CompletionBackend,
+    prompt: BuiltPrompt,
     sample_index: int,
+    response: CompletionResponse | GatewayError,
 ) -> GenerationResult:
-    prompt = build_prompt(template, entry.program, suite=suite, report=report)
+    """Turn one backend reply, or its failure, into the cell's result."""
     base: dict[str, Any] = dict(
         program_name=entry.program.name,
-        variant=template.variant,
+        variant=prompt.variant,
         sample_index=sample_index,
         prompt_warnings=prompt.warnings,
     )
-    try:
-        response = backend.complete(
-            CompletionRequest(prompt=prompt, config=config, sample_index=sample_index)
-        )
-    except GatewayError as exc:
-        return GenerationResult(status=STATUS_BACKEND_FAILED, status_reason=str(exc), **base)
+    if isinstance(response, GatewayError):
+        return GenerationResult(status=STATUS_BACKEND_FAILED, status_reason=str(response), **base)
 
     try:
         split = split_response(response.text)
@@ -439,7 +431,9 @@ def run(
 
     Variants whose required context is absent for a program are skipped and
     recorded; per-cell failures become result statuses. Robustness rows are
-    computed for every corpus mutant whose parent is present.
+    computed for every corpus mutant whose parent is present. At most
+    ``max_workers`` backend requests are in flight; replies are analyzed on
+    the calling thread, in order, while later requests are still pending.
     """
     if isinstance(corpus, CorpusLoad):
         entries: Sequence[CorpusEntry] = corpus.entries
@@ -453,24 +447,29 @@ def run(
     if missing:
         raise ConfigError(f"no template loaded for variants: {missing}")
 
-    tasks = []
+    cells: list[tuple[CorpusEntry, BuiltPrompt, int]] = []
     skips: list[tuple[str, str, str]] = []
     for entry in entries:
         for variant in variants:
-            available, suite, report, reason = _context_for(entry, variant)
-            if not available:
+            reason = _missing_context(entry, variant)
+            if reason:
                 skips.append((entry.program.name, variant.value, reason))
                 continue
-            template = templates[variant]
-            for sample_index in range(config.samples_per_program):
-                tasks.append((entry, template, suite, report, sample_index))
-    with ThreadPoolExecutor(max_workers=max(1, max_workers)) as pool:
-        results = list(
-            pool.map(
-                lambda t: _run_cell(t[0], t[1], t[2], t[3], config, backend, t[4]),
-                tasks,
+            prompt = build_prompt(
+                templates[variant], entry.program, suite=entry.suite, report=entry.report
             )
-        )
+            cells.extend((entry, prompt, i) for i in range(config.samples_per_program))
+
+    def complete(cell: tuple[CorpusEntry, BuiltPrompt, int]) -> CompletionResponse | GatewayError:
+        request = CompletionRequest(prompt=cell[1], config=config, sample_index=cell[2])
+        try:
+            return backend.complete(request)
+        except GatewayError as exc:
+            return exc
+
+    with ThreadPoolExecutor(max_workers=max(1, max_workers)) as pool:
+        replies = pool.map(complete, cells)
+        results = [_analyze(*cell, reply) for cell, reply in zip(cells, replies)]
     results.sort(key=lambda r: (r.program_name, r.variant.value, r.sample_index))
 
     rows = _robustness_rows(results, mutant_pairs(entries), variants)

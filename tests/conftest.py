@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import os
 import re
 from pathlib import Path
 
@@ -9,6 +10,14 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 CORPUS_DIR = REPO_ROOT / "corpus"
 FIXTURES_DIR = REPO_ROOT / "fixtures"
 TEMPLATES_DIR = REPO_ROOT / "src" / "specforge" / "templates"
+
+
+def src_env() -> dict[str, str]:
+    """This environment with ``src`` first on PYTHONPATH, for child interpreters."""
+    env = dict(os.environ)
+    src = str(REPO_ROOT / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    return env
 DATA_DIR = Path(__file__).resolve().parent / "data"
 
 # Recorded sample inputs used across suites. The ADPCM test CSV: four input

@@ -4,10 +4,12 @@ import json
 import shutil
 import subprocess
 import sys
+import time
+from pathlib import Path
 
 import pytest
 
-from conftest import ADPCM_CSV, CORPUS_DIR, FIXTURES_DIR, REPO_ROOT
+from conftest import ADPCM_CSV, CORPUS_DIR, FIXTURES_DIR, REPO_ROOT, src_env
 from specforge.cli import main
 
 
@@ -244,24 +246,24 @@ def test_report_top_level_list_exits_two(tmp_path, capsys):
     assert "error: cannot load report: " in capsys.readouterr().err
 
 
-def test_run_eva_hook_captures_stdout(tmp_path, capsys):
+_HOOKED_REPLY = (
+    "reasoning\n\n```c\n/*@ requires x <= 1073741823; */\nint f(int x) { return x * 2; }\n```\n"
+)
+
+
+def _run_eva_hook(tmp_path, names, hook_body):
+    """generate --run-eva over one-function programs named ``names``; the report."""
     corpus = tmp_path / "corpus"
-    program = corpus / "hooked"
-    program.mkdir(parents=True)
-    (program / "program.c").write_text("int f(int x) { return x * 2; }\n")
     fixtures = tmp_path / "fixtures"
-    cell = fixtures / "hooked" / "eva"
-    cell.mkdir(parents=True)
-    for index in range(3):
-        (cell / f"{index}.txt").write_text(
-            "reasoning\n\n```c\n/*@ requires x <= 1073741823; */\nint f(int x) { return x * 2; }\n```\n"
-        )
+    for name in names:
+        (corpus / name).mkdir(parents=True)
+        (corpus / name / "program.c").write_text("int f(int x) { return x * 2; }\n")
+        cell = fixtures / name / "eva"
+        cell.mkdir(parents=True)
+        for index in range(3):
+            (cell / f"{index}.txt").write_text(_HOOKED_REPLY)
     hook = tmp_path / "fake_eva.sh"
-    hook.write_text(
-        "#!/bin/sh\n"
-        "echo '[eva:alarm] prog.c:1: Warning:'\n"
-        "echo '  signed overflow. assert x * 2 <= 2147483647;'\n"
-    )
+    hook.write_text("#!/bin/sh\n" + hook_body)
     hook.chmod(0o755)
     code = main(
         [
@@ -279,9 +281,55 @@ def test_run_eva_hook_captures_stdout(tmp_path, capsys):
         ]
     )
     assert code == 0
-    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    return json.loads((tmp_path / "out" / "report.json").read_text())
+
+
+_EVA_ALARM = (
+    "echo '[eva:alarm] prog.c:1: Warning:'\n"
+    "echo '  signed overflow. assert x * 2 <= 2147483647;'\n"
+)
+
+
+def test_run_eva_hook_captures_stdout(tmp_path):
+    report = _run_eva_hook(tmp_path, ["hooked"], _EVA_ALARM)
     assert len(report["results"]) == 3
     assert report["results"][0]["status"] == "ok"
+
+
+def test_run_eva_hook_gets_spaced_path_as_one_argument(tmp_path):
+    hook_body = '[ "$#" -eq 1 ] && [ -f "$1" ] || exit 3\n' + _EVA_ALARM
+    report = _run_eva_hook(tmp_path, ["two words"], hook_body)
+    assert [r["status"] for r in report["results"]] == ["ok"] * 3
+
+
+def _process_gone(pid: int, within_s: float = 5.0) -> bool:
+    """True once ``pid`` no longer runs (absent or a zombie)."""
+    stat = Path(f"/proc/{pid}/stat")
+    deadline = time.monotonic() + within_s
+    while time.monotonic() < deadline:
+        try:
+            if stat.read_text().rsplit(")", 1)[1].split()[0] == "Z":
+                return True
+        except FileNotFoundError:
+            return True
+        time.sleep(0.05)
+    return False
+
+
+def test_run_eva_hook_timeout_is_a_load_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr("specforge.cli.HOOK_TIMEOUT_S", 0.5)
+    child_pid = tmp_path / "child.pid"
+    hook_body = (
+        f'case "$1" in *slow*) sleep 30 & echo $! > {child_pid}; wait;; esac\n'
+        + _EVA_ALARM
+    )
+    report = _run_eva_hook(tmp_path, ["fast", "slow"], hook_body)
+    assert {r["program_name"] for r in report["results"]} == {"fast"}
+    assert report["skips"] == [
+        ["slow", "eva", "no value-analysis report for this program"]
+    ]
+    assert "load warning [slow]: eva hook timed out after 0.5 s" in capsys.readouterr().err
+    assert _process_gone(int(child_pid.read_text()))  # the hook's children die with it
 
 
 def test_console_script_entry_point():
@@ -290,6 +338,7 @@ def test_console_script_entry_point():
         capture_output=True,
         text=True,
         cwd=REPO_ROOT,
+        env=src_env(),
     )
     assert proc.returncode == 0
     assert "generate" in proc.stdout

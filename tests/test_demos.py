@@ -7,14 +7,13 @@ from their own location resolve and ``demo_out`` never lands in the tree.
 
 from __future__ import annotations
 
-import os
 import shutil
 import subprocess
 import sys
 
 import pytest
 
-from conftest import CORPUS_DIR, FIXTURES_DIR, REPO_ROOT
+from conftest import CORPUS_DIR, FIXTURES_DIR, REPO_ROOT, src_env
 
 DEMOS = sorted((REPO_ROOT / "demos").glob("0*.py"))
 
@@ -26,13 +25,10 @@ def test_demo_runs(demo, tmp_path):
     shutil.copy(demo, script)
     (tmp_path / "corpus").symlink_to(CORPUS_DIR, target_is_directory=True)
     (tmp_path / "fixtures").symlink_to(FIXTURES_DIR, target_is_directory=True)
-    env = dict(os.environ)
-    src = str(REPO_ROOT / "src")
-    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
     proc = subprocess.run(
         [sys.executable, str(script)],
         cwd=tmp_path,
-        env=env,
+        env=src_env(),
         capture_output=True,
         text=True,
         timeout=120,

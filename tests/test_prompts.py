@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import ADPCM_CSV, TEMPLATES_DIR
-from specforge.eva import parse_eva_report
+from specforge.eva import EvaReport, parse_eva_report
 from specforge.model import PromptVariant, SourceProgram
 from specforge.pathcrawler import parse_test_csv, render_csv
 from specforge.prompts import (
@@ -12,6 +14,7 @@ from specforge.prompts import (
     MissingContext,
     MissingTemplate,
     PlaceholderMismatch,
+    PromptTemplate,
     UnresolvedPlaceholder,
     build_prompt,
     default_template_dir,
@@ -122,10 +125,44 @@ def test_no_unresolved_placeholders(templates, labels_tritype_eva_report):
             assert name not in prompt.text
 
 
-def test_unresolved_placeholder_error_when_program_smuggles_slot(templates):
-    smuggler = SourceProgram(name="s", source='char *s = "{csv}";\n')
+def test_program_smuggling_slots_appears_verbatim(templates, labels_tritype_eva_report):
+    smuggler = SourceProgram(
+        name="s", source='char *s = "{program}{csv}{eva}{valid_assigns}";\n'
+    )
+    suite = parse_test_csv(ADPCM_CSV)
+    report = parse_eva_report(labels_tritype_eva_report)
+    built = [
+        build_prompt(templates[PromptVariant.BASELINE], smuggler),
+        build_prompt(templates[PromptVariant.PATHCRAWLER], smuggler, suite=suite),
+        build_prompt(templates[PromptVariant.EVA], smuggler, report=report),
+    ]
+    for prompt in built:
+        assert prompt.text.count(smuggler.source) == 1
+    assert built[2].text.count(report.raw) == 1
+
+
+def test_unfilled_slot_of_hand_built_template_raises():
+    template = PromptTemplate(variant=PromptVariant.BASELINE, body="{program}\n{eva}\n")
     with pytest.raises(UnresolvedPlaceholder):
-        build_prompt(templates[PromptVariant.BASELINE], smuggler)
+        build_prompt(template, PROGRAM)
+
+
+_slotty_text = st.lists(
+    st.sampled_from(["{program}", "{csv}", "{eva}", "{invalid_assigns}", "{", "}"])
+    | st.text(max_size=6)
+).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(source=_slotty_text.filter(bool), raw=_slotty_text)
+def test_program_and_report_text_appear_verbatim(templates, source, raw):
+    program = SourceProgram(name="p", source=source)
+    report = EvaReport(
+        alarms=(), domains=(), summary_alarm_count=None, warnings_kernel=None, raw=raw
+    )
+    prompt = build_prompt(templates[PromptVariant.EVA], program, report=report)
+    assert source in prompt.text
+    assert raw in prompt.text
 
 
 def test_build_is_deterministic(templates):

@@ -5,11 +5,12 @@ import hashlib
 import json
 import random
 import shutil
+import threading
 
 import pytest
 
 from conftest import CORPUS_DIR, FIXTURES_DIR
-from specforge.gateway import ReplayBackend
+from specforge.gateway import BackendError, ReplayBackend
 from specforge.model import GenerationConfig, Origin, PromptVariant
 from specforge.runner import (
     STATUS_BACKEND_FAILED,
@@ -475,3 +476,106 @@ def test_each_reply_is_tokenized_once(
     assert [r.status for r in report.results] == [STATUS_OK] * 3
     assert sorted(scanned) == sorted(replies)
     assert entry.program.source not in scanned
+
+
+# ------------------------------------------------------------------ concurrency
+
+class _BarrierBackend:
+    """Replay backend whose requests wait until ``parties`` of them are in flight."""
+
+    def __init__(self, parties: int):
+        self.inner = ReplayBackend(FIXTURES_DIR)
+        self.barrier = threading.Barrier(parties, timeout=10)
+        self.lock = threading.Lock()
+        self.inflight = 0
+        self.peak = 0
+
+    def complete(self, request):
+        with self.lock:
+            self.inflight += 1
+            self.peak = max(self.peak, self.inflight)
+        try:
+            self.barrier.wait()
+            return self.inner.complete(request)
+        finally:
+            with self.lock:
+                self.inflight -= 1
+
+
+def test_backend_concurrency_reaches_and_never_exceeds_max_workers(
+    corpus_load_module, templates_module
+):
+    entries = [
+        e for e in corpus_load_module.entries if e.program.name in ("binary_search", "tritype")
+    ]
+    backend = _BarrierBackend(parties=3)
+    report = run(
+        entries, [PromptVariant.BASELINE], CONFIG, backend, templates_module, max_workers=3
+    )
+    assert [r.status for r in report.results] == [STATUS_OK] * 6
+    assert backend.peak == 3
+
+
+def test_analysis_runs_on_the_calling_thread(
+    monkeypatch, corpus_load_module, templates_module, replay_backend
+):
+    import specforge.runner
+
+    threads: list[int] = []
+
+    def on_caller(fn):
+        def recorded(*args, **kwargs):
+            threads.append(threading.get_ident())
+            return fn(*args, **kwargs)
+
+        return recorded
+
+    for name in ("parse_blocks", "check_code_preserved"):
+        monkeypatch.setattr(specforge.runner, name, on_caller(getattr(specforge.runner, name)))
+    report = run(
+        corpus_load_module, ALL_VARIANTS, CONFIG, replay_backend, templates_module,
+        max_workers=4,
+    )
+    ok = sum(1 for r in report.results if r.status == STATUS_OK)
+    assert len(threads) == 2 * ok
+    assert set(threads) == {threading.get_ident()}
+
+
+def test_backend_error_for_one_sample_fails_exactly_that_cell(
+    corpus_load_module, templates_module, replay_backend
+):
+    class FlakyBackend:
+        def complete(self, request):
+            if request.key == "tritype/eva/1":
+                raise BackendError(503, "overloaded")
+            return replay_backend.complete(request)
+
+    report = run(
+        corpus_load_module, ALL_VARIANTS, CONFIG, FlakyBackend(), templates_module
+    )
+    failed = [r for r in report.results if r.status != STATUS_OK]
+    assert [(r.program_name, r.variant, r.sample_index, r.status) for r in failed] == [
+        ("tritype", PromptVariant.EVA, 1, STATUS_BACKEND_FAILED)
+    ]
+    assert "overloaded" in failed[0].status_reason
+
+
+def test_prompt_built_once_per_program_and_variant(
+    monkeypatch, corpus_load_module, templates_module, replay_backend
+):
+    import specforge.runner
+
+    built: list[tuple[str, PromptVariant]] = []
+    build_prompt = specforge.runner.build_prompt
+
+    def counting_build_prompt(template, program, **context):
+        built.append((program.name, template.variant))
+        return build_prompt(template, program, **context)
+
+    monkeypatch.setattr(specforge.runner, "build_prompt", counting_build_prompt)
+    report = run(
+        corpus_load_module, ALL_VARIANTS, CONFIG, replay_backend, templates_module
+    )
+    cells = {(r.program_name, r.variant) for r in report.results}
+    assert sorted(built, key=str) == sorted(cells, key=str)
+    assert len(report.results) == len(built) * CONFIG.samples_per_program
