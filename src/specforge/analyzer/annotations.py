@@ -11,7 +11,6 @@ semicolons (``\\forall integer i; ...``) do not split clauses apart.
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -165,11 +164,17 @@ _ALL_STARTERS: tuple[str, ...] = tuple(
     )
 )
 
+_STARTER_KINDS: dict[str, AnnotationKind] = {
+    kw: _CORE_STARTERS.get(kw) or AnnotationKind.other(kw) for kw in _ALL_STARTERS
+}
+
+# A clause starts at the start of a body or after ';' or ':' plus whitespace;
+# a keyword anywhere else is a word inside a clause (e.g. after a binder
+# semicolon). Group 1 is the keyword, its words split by any whitespace.
 _STARTER_RE = re.compile(
-    "|".join(
-        r"(?:\b" + r"\s+".join(re.escape(w) for w in kw.split()) + r"\b)"
-        for kw in _ALL_STARTERS
-    )
+    r"(?:\A|[;:])\s*("
+    + "|".join(r"\s+".join(re.escape(w) for w in kw.split()) for kw in _ALL_STARTERS)
+    + r")\b"
 )
 
 _BEHAVIOR_NAME_RE = re.compile(r"\s*([A-Za-z_]\w*)\s*:")
@@ -189,75 +194,41 @@ def _normalize_line(raw_line: str) -> str:
     return text
 
 
-def _comment_body(token: Token) -> list[tuple[int, str]]:
-    """Normalized (line, text) segments of an annotation comment's content."""
+def _comment_body(token: Token) -> str:
+    """An annotation comment's content, each line normalized, lines kept."""
     if token.kind is TokenKind.COMMENT:
         inner = token.text[3:-2]  # strip '/*@' and '*/'
     else:
         inner = token.text[3:]  # strip '//@'
-    segments = []
-    for i, raw_line in enumerate(inner.split("\n")):
-        segments.append((token.line + i, _normalize_line(raw_line)))
-    return segments
+    return "\n".join(map(_normalize_line, inner.split("\n")))
 
 
-@dataclass(frozen=True)
-class _Clause:
-    kind: AnnotationKind
-    text: str
-    line: int
-    is_behavior_header: bool
-    behavior_name: str | None
+# (kind, clause text, line, behavior name); the name is set iff the clause is
+# a behavior header.
+_Clause = tuple[AnnotationKind, str, int, str | None]
 
 
-def _scan_clauses(segments: list[tuple[int, str]]) -> list[_Clause]:
-    body = "\n".join(text for _, text in segments)
-    # Map body offsets back to source lines.
-    offsets: list[int] = []
-    offset = 0
-    for _, text in segments:
-        offsets.append(offset)
-        offset += len(text) + 1
-
-    def line_of(pos: int) -> int:
-        return segments[bisect_right(offsets, pos) - 1][0]
-
-    matches = []
-    for m in _STARTER_RE.finditer(body):
-        # Last non-space character before the match; the backward walk only
-        # crosses the whitespace since the previous match, so the scan is linear.
-        j = m.start() - 1
-        while j >= 0 and body[j].isspace():
-            j -= 1
-        if j >= 0 and body[j] not in ";:":
-            continue  # mid-clause word (e.g. after a binder semicolon), not a new clause
-        matches.append(m)
-
+def _scan_clauses(body: str, first_line: int) -> list[_Clause]:
+    """The clauses of a normalized annotation body whose first line is ``first_line``."""
+    matches = list(_STARTER_RE.finditer(body))
     clauses: list[_Clause] = []
+    line, counted = first_line, 0
     for i, m in enumerate(matches):
-        keyword = " ".join(m.group().split())
-        end = matches[i + 1].start() if i + 1 < len(matches) else len(body)
-        text = body[m.end():end].strip().rstrip(";").strip()
-        kind = _CORE_STARTERS.get(keyword, AnnotationKind.other(keyword))
+        start, end = m.span(1)
+        keyword = m.group(1)
+        kind = _STARTER_KINDS.get(keyword) or _STARTER_KINDS[" ".join(keyword.split())]
+        stop = matches[i + 1].start(1) if i + 1 < len(matches) else len(body)
+        text = body[end:stop].strip().rstrip(";").strip()
         behavior_name = None
-        is_header = False
-        if kind == BEHAVIOR:
-            is_header = True
-            name_match = _BEHAVIOR_NAME_RE.match(body, m.end())
+        if kind is BEHAVIOR:
+            name_match = _BEHAVIOR_NAME_RE.match(body, end)
             if name_match:
-                behavior_name = name_match.group(1)
-                text = behavior_name
+                behavior_name = text = name_match.group(1)
             else:
                 behavior_name = text or "<anonymous>"
-        clauses.append(
-            _Clause(
-                kind=kind,
-                text=text,
-                line=line_of(m.start()),
-                is_behavior_header=is_header,
-                behavior_name=behavior_name,
-            )
-        )
+        line += body.count("\n", counted, start)
+        counted = start
+        clauses.append((kind, text, line, behavior_name))
     return clauses
 
 
@@ -299,16 +270,16 @@ def parse_blocks(code: str) -> AnalyzedCode:
     blocks: list[AnnotationBlock] = []
     depth = 0
     for idx, token in enumerate(tokens):
+        if token.kind is TokenKind.PUNCT:
+            if token.text == "{":
+                depth += 1
+            elif token.text == "}":
+                depth = max(0, depth - 1)
+            continue
         if not token.is_acsl:
-            if token.kind is TokenKind.PUNCT:
-                if token.text == "{":
-                    depth += 1
-                elif token.text == "}":
-                    depth = max(0, depth - 1)
             continue
 
-        segments = _comment_body(token)
-        clauses = _scan_clauses(segments)
+        clauses = _scan_clauses(_comment_body(token), token.line)
         if not clauses:
             continue
 
@@ -316,7 +287,7 @@ def parse_blocks(code: str) -> AnalyzedCode:
         while next_code < len(tokens) and tokens[next_code].is_comment:
             next_code += 1
         heads_loop = next_code < len(tokens) and tokens[next_code].text in _LOOP_HEADS
-        has_loop_clause = any(c.kind.keyword.startswith("loop ") for c in clauses)
+        has_loop_clause = any(c[0].keyword.startswith("loop ") for c in clauses)
         block_style = token.kind is TokenKind.COMMENT
 
         if heads_loop or has_loop_clause:
@@ -329,8 +300,8 @@ def parse_blocks(code: str) -> AnalyzedCode:
             current_behavior: list[str | None] = [None]
 
             def enclosing_for(c: _Clause) -> Enclosing:
-                if c.is_behavior_header:
-                    current_behavior[0] = c.behavior_name
+                if c[3] is not None:
+                    current_behavior[0] = c[3]
                     return FUNCTION_CONTRACT
                 if current_behavior[0] is not None:
                     return Enclosing("behavior_body", current_behavior[0])
@@ -343,10 +314,10 @@ def parse_blocks(code: str) -> AnalyzedCode:
 
         annotations = tuple(
             Annotation(
-                kind=c.kind,
-                clause_text=c.text,
+                kind=c[0],
+                clause_text=c[1],
                 block_style=block_style,
-                line=c.line,
+                line=c[2],
                 enclosing=enclosing_for(c),
             )
             for c in clauses

@@ -6,6 +6,7 @@ import re
 from dataclasses import dataclass
 from difflib import SequenceMatcher
 from enum import Enum
+from typing import Sequence
 
 from ..model import Record, SourceProgram
 from .annotations import AnalyzedCode, parse_blocks, strip_annotations
@@ -29,6 +30,96 @@ class PreservationVerdict(Record):
     def __post_init__(self) -> None:
         if self.preserved and self.diff:
             raise ValueError("preserved verdict must carry an empty diff")
+
+
+_Opcode = tuple[str, int, int, int, int]
+
+# Polynomial rolling hash over per-token hashes; equal hashes are only
+# candidates, confirmed by comparing the slices.
+_HASH_MOD = (1 << 61) - 1
+_HASH_BASE = 1_000_000_007
+
+
+def _prefix_hashes(values: Sequence[str]) -> list[int]:
+    """``h[k]`` hashes ``values[:k]``; ``values[i:i+m]`` hashes to ``h[i+m] - h[i]*B**m``."""
+    hashes = [0]
+    h = 0
+    for value in values:
+        h = (h * _HASH_BASE + hash(value)) % _HASH_MOD
+        hashes.append(h)
+    return hashes
+
+
+def _block_exists(
+    a: Sequence[str],
+    b: Sequence[str],
+    hashes: tuple[list[int], list[int]],
+    m: int,
+    window: tuple[int, int, int, int],
+    skip: tuple[int, int] | None = None,
+) -> bool:
+    """True iff ``a[i:i+m] == b[j:j+m]`` inside ``window`` for some ``(i, j) != skip``."""
+    alo, ahi, blo, bhi = window
+    if m > ahi - alo or m > bhi - blo:
+        return False
+    ha, hb = hashes
+    shift = pow(_HASH_BASE, m, _HASH_MOD)
+    starts: dict[int, list[int]] = {}
+    for j in range(blo, bhi - m + 1):
+        starts.setdefault((hb[j + m] - hb[j] * shift) % _HASH_MOD, []).append(j)
+    for i in range(alo, ahi - m + 1):
+        for j in starts.get((ha[i + m] - ha[i] * shift) % _HASH_MOD, ()):
+            if (i, j) != skip and a[i : i + m] == b[j : j + m]:
+                return True
+    return False
+
+
+def _opcodes(a: Sequence[str], b: Sequence[str]) -> list[_Opcode]:
+    """``SequenceMatcher(None, a, b, autojunk=False).get_opcodes()``, window first.
+
+    The matcher takes the longest common block of its window (ties go to the
+    earliest start in ``a``, then in ``b``) and recurses on both sides. Its
+    steps that take the common prefix or suffix are replayed here: the longer
+    of the two (the prefix on a tie) is taken when no other block would win,
+    then the same is tried at the other end. Only the edited window left
+    between them goes through the quadratic matcher. The prefix, starting at
+    (0, 0), wins every tie, so it is taken unless a block is longer; the
+    suffix, starting last, is taken only when no other block is as long.
+    """
+    alo, ahi, blo, bhi = 0, len(a), 0, len(b)
+    hashes = None
+    while True:
+        n = min(ahi - alo, bhi - blo)
+        head = 0
+        while head < n and a[alo + head] == b[blo + head]:
+            head += 1
+        tail = 0
+        while tail < n and a[ahi - tail - 1] == b[bhi - tail - 1]:
+            tail += 1
+        if not head and not tail:
+            break
+        if hashes is None:
+            hashes = (_prefix_hashes(a), _prefix_hashes(b))
+        window = (alo, ahi, blo, bhi)
+        if head >= tail:
+            if _block_exists(a, b, hashes, head + 1, window):
+                break
+            alo += head
+            blo += head
+        else:
+            if _block_exists(a, b, hashes, tail, window, skip=(ahi - tail, bhi - tail)):
+                break
+            ahi -= tail
+            bhi -= tail
+    # Trimmed ends are maximal, so the window's opcodes neither start nor end
+    # with an "equal" that would have to merge with theirs.
+    ops: list[_Opcode] = [("equal", 0, alo, 0, blo)] if alo else []
+    matcher = SequenceMatcher(None, a[alo:ahi], b[blo:bhi], autojunk=False)
+    for tag, i1, i2, j1, j2 in matcher.get_opcodes():
+        ops.append((tag, i1 + alo, i2 + alo, j1 + blo, j2 + blo))
+    if ahi < len(a) or bhi < len(b):
+        ops.append(("equal", ahi, len(a), bhi, len(b)))
+    return ops
 
 
 def check_code_preserved(
@@ -56,17 +147,17 @@ def check_code_preserved(
         original = ComparableStream.of(tokenize(original.source))
     if isinstance(annotated_code, str):
         annotated_code = parse_blocks(annotated_code)
-    tokens = annotated_code.tokens
-    if any(t.kind is TokenKind.PUNCT and t.text == "#" for t in tokens):
-        tokens = tokenize(strip_annotations(annotated_code))
-    modified = ComparableStream.of(tokens)
+    modified = ComparableStream.of(annotated_code.tokens)
+    if "#" in modified.texts and any(
+        t.kind is TokenKind.PUNCT and t.text == "#" for t in annotated_code.tokens
+    ):
+        modified = ComparableStream.of(tokenize(strip_annotations(annotated_code)))
     values_orig, values_mod = original.texts, modified.texts
     if values_orig == values_mod:
         return PreservationVerdict(preserved=True, diff=())
 
     runs: list[DiffRun] = []
-    matcher = SequenceMatcher(None, values_orig, values_mod, autojunk=False)
-    for op, i1, i2, j1, j2 in matcher.get_opcodes():
+    for op, i1, i2, j1, j2 in _opcodes(values_orig, values_mod):
         if op == "equal":
             continue
         if i1 < len(values_orig):

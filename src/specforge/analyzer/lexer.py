@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 
 class TokenizeError(Exception):
@@ -45,8 +45,12 @@ class TokenKind(Enum):
     PUNCT = "punct"
 
 
-@dataclass(frozen=True, slots=True)
-class Token:
+_COMMENT_KINDS = (TokenKind.COMMENT, TokenKind.LINE_COMMENT)
+
+
+class Token(NamedTuple):
+    """One scanned token; a plain tuple, so it equals ``(kind, text, line, start, end)``."""
+
     kind: TokenKind
     text: str
     line: int   # 1-based line of the token's first character
@@ -55,7 +59,7 @@ class Token:
 
     @property
     def is_comment(self) -> bool:
-        return self.kind in (TokenKind.COMMENT, TokenKind.LINE_COMMENT)
+        return self.kind in _COMMENT_KINDS
 
     @property
     def is_acsl(self) -> bool:
@@ -128,6 +132,7 @@ def tokenize(source: str) -> list[Token]:
     """
     tokens: list[Token] = []
     append = tokens.append
+    new = tuple.__new__  # builds a Token without the Python-level __new__ call
     match = _TOKEN_RE.match
     plain_kinds = _PLAIN_KINDS
     pos = 0
@@ -139,7 +144,7 @@ def tokenize(source: str) -> list[Token]:
         end = m.end()
         kind = plain_kinds.get(group)
         if kind is not None:
-            append(Token(kind, m.group(), line, pos, end))
+            append(new(Token, (kind, m.group(), line, pos, end)))
         elif group == "newline":
             line += source.count("\n", pos, end)
         elif group == "comment":
@@ -148,12 +153,12 @@ def tokenize(source: str) -> list[Token]:
                 raise UnterminatedComment(line)
             end = close + 2
             text = source[pos:end]
-            append(Token(TokenKind.COMMENT, text, line, pos, end))
+            append(new(Token, (TokenKind.COMMENT, text, line, pos, end)))
             line += text.count("\n")
         elif group == "preproc":
             start = source.index("#", pos)
             text = source[start:end]
-            append(Token(TokenKind.PREPROC, text, line, start, end))
+            append(new(Token, (TokenKind.PREPROC, text, line, start, end)))
             line += text.count("\n")
         elif group == "quote":
             raise UnterminatedLiteral(line, m.group())
@@ -162,11 +167,6 @@ def tokenize(source: str) -> list[Token]:
 
 
 _WS_RUN_RE = re.compile(r"\s+")
-
-
-def code_tokens(source: str) -> list[Token]:
-    """Tokens with comments dropped: the stream preservation checks compare."""
-    return [t for t in tokenize(source) if not t.is_comment]
 
 
 def compare_text(token: Token) -> str:
@@ -193,5 +193,5 @@ class ComparableStream:
 
     @classmethod
     def of(cls, tokens: Iterable[Token]) -> "ComparableStream":
-        code = [t for t in tokens if not t.is_comment]
-        return cls(tuple(compare_text(t) for t in code), tuple(t.line for t in code))
+        code = [t for t in tokens if t.kind not in _COMMENT_KINDS]
+        return cls(tuple(map(compare_text, code)), tuple(t.line for t in code))

@@ -46,6 +46,7 @@ EXIT_OK = 0
 EXIT_FINDINGS = 1
 EXIT_CONFIG = 2
 HOOK_TIMEOUT_S = 600.0  # seconds per --run-pathcrawler / --run-eva invocation
+HOOK_STDERR_LINES, HOOK_STDERR_CHARS = 3, 500  # stderr kept in a hook's load error
 
 
 def _print_json(data: object) -> None:
@@ -59,11 +60,19 @@ def _read_file(path: str) -> str:
     return p.read_text(encoding="utf-8")
 
 
+def _stderr_tail(stderr: str) -> str:
+    """``": "`` and the last non-blank lines of a hook's stderr, bounded; "" if none."""
+    lines = [line.strip() for line in stderr.splitlines() if line.strip()]
+    tail = " | ".join(lines[-HOOK_STDERR_LINES:])[-HOOK_STDERR_CHARS:]
+    return f": {tail}" if tail else ""
+
+
 def _hook_context(entries, command: str, which: str):
     """Run a user command per program lacking context; capture stdout into the adapter.
 
     The program source is written to a temporary .c file whose quoted path is
-    appended to the command line. Failure or timeout is that entry's load error.
+    appended to the command line. Failure or timeout is that entry's load
+    error; a failure's error ends with the last lines the hook wrote to stderr.
     """
     patched = []
     for entry in entries:
@@ -81,17 +90,17 @@ def _hook_context(entries, command: str, which: str):
                 f"{command} {shlex.quote(tmp.name)}",
                 shell=True,
                 stdout=subprocess.PIPE,
-                stderr=subprocess.DEVNULL,
+                stderr=subprocess.PIPE,
                 text=True,
                 start_new_session=True,
             ) as proc:
                 try:
-                    stdout, _ = proc.communicate(timeout=HOOK_TIMEOUT_S)
+                    stdout, stderr = proc.communicate(timeout=HOOK_TIMEOUT_S)
                 except subprocess.TimeoutExpired:
                     os.killpg(proc.pid, signal.SIGKILL)  # the shell and its children
                     raise
             if proc.returncode != 0:
-                error = f"{which} hook failed (exit {proc.returncode})"
+                error = f"{which} hook failed (exit {proc.returncode})" + _stderr_tail(stderr)
             elif which == "tests":
                 entry = replace(entry, suite=parse_test_csv(stdout))
             else:

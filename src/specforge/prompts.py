@@ -4,15 +4,15 @@ Templates are plain-text data files, one per variant, with placeholder slots
 ``{program}``, ``{csv}``, ``{eva}`` plus two few-shot snippet slots
 ``{valid_assigns}``/``{invalid_assigns}`` filled from companion files at load
 time. Substitution is purely textual and single-pass (no format-string
-machinery — C code is full of braces), so a built prompt contains the program
-and its context byte-for-byte, even when they hold slot-like text.
+machinery — C code is full of braces), so a built prompt contains the program,
+its context and the snippets byte-for-byte, even when they hold slot-like text.
 """
 
 from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
@@ -67,10 +67,17 @@ _PLACEHOLDER_RE = re.compile(r"\{[a-z_]+\}")
 
 @dataclass(frozen=True)
 class PromptTemplate(Record):
-    """A loaded template: snippet slots already filled, context slots still open."""
+    """A loaded template: snippet slots already filled, context slots still open.
+
+    ``snippet_spans`` are the ``(start, end)`` offsets of the snippet text in
+    ``body``. Slot-like text there is literal: ``build_prompt`` leaves it be.
+    """
 
     variant: PromptVariant
     body: str
+    snippet_spans: tuple[tuple[int, int], ...] | None = field(
+        default=None, metadata={"omit_if_none": True}
+    )
 
 
 @dataclass(frozen=True)
@@ -96,7 +103,7 @@ def _validate(variant: PromptVariant, body: str) -> None:
         raise PlaceholderMismatch(
             variant, "{program}", "template must end with the START OF INPUT section"
         )
-    allowed = {"{program}"}
+    allowed = {"{program}", *_SNIPPET_SLOTS}
     context = _CONTEXT_SLOT[variant]
     if context:
         if context not in body:
@@ -107,12 +114,32 @@ def _validate(variant: PromptVariant, body: str) -> None:
             raise PlaceholderMismatch(variant, found, "slot not allowed in this template")
 
 
+def _fill_snippets(
+    raw: str, snippets: dict[str, str]
+) -> tuple[str, tuple[tuple[int, int], ...]]:
+    """``raw`` with its snippet slots filled in one pass, and where the snippets landed."""
+    spans: list[tuple[int, int]] = []
+    growth = 0  # how much longer the filled text is than the raw text so far
+
+    def fill(match: re.Match[str]) -> str:
+        nonlocal growth
+        text = snippets.get(match.group())
+        if text is None:
+            return match.group()  # a context slot, filled by build_prompt
+        start = match.start() + growth
+        spans.append((start, start + len(text)))
+        growth += len(text) - len(match.group())
+        return text
+
+    return _PLACEHOLDER_RE.sub(fill, raw), tuple(spans)
+
+
 def load_templates(directory: Path | str) -> dict[PromptVariant, PromptTemplate]:
     """Read and validate one template per variant from ``directory``.
 
     Snippet slots are filled from ``snippets/valid_assigns.c`` and
-    ``snippets/invalid_assigns.c`` next to the templates. Raises
-    MissingTemplate / PlaceholderMismatch.
+    ``snippets/invalid_assigns.c`` next to the templates, in one pass, and
+    their text stays literal. Raises MissingTemplate / PlaceholderMismatch.
     """
     directory = Path(directory)
     templates: dict[PromptVariant, PromptTemplate] = {}
@@ -120,18 +147,22 @@ def load_templates(directory: Path | str) -> dict[PromptVariant, PromptTemplate]
         path = directory / f"{variant.value}.txt"
         if not path.is_file():
             raise MissingTemplate(variant, path)
-        body = path.read_text(encoding="utf-8")
+        raw = path.read_text(encoding="utf-8")
+        _validate(variant, raw)
+        snippets: dict[str, str] = {}
         for slot in _SNIPPET_SLOTS:
-            if slot not in body:
+            if slot not in raw:
                 continue
             snippet_path = directory / "snippets" / f"{slot[1:-1]}.c"
             if not snippet_path.is_file():
                 raise PlaceholderMismatch(
                     variant, slot, f"snippet file {snippet_path} is missing"
                 )
-            body = body.replace(slot, snippet_path.read_text(encoding="utf-8").rstrip("\n"))
-        _validate(variant, body)
-        templates[variant] = PromptTemplate(variant=variant, body=body)
+            snippets[slot] = snippet_path.read_text(encoding="utf-8").rstrip("\n")
+        body, spans = _fill_snippets(raw, snippets)
+        templates[variant] = PromptTemplate(
+            variant=variant, body=body, snippet_spans=spans or None
+        )
     return templates
 
 
@@ -163,8 +194,11 @@ def build_prompt(
         context = ""
 
     slot = _CONTEXT_SLOT[template.variant]
+    literal = template.snippet_spans or ()
 
     def fill(match: re.Match[str]) -> str:
+        if any(match.start() < end and start < match.end() for start, end in literal):
+            return match.group()
         if match.group() == "{program}":
             return program.source
         if match.group() == slot:

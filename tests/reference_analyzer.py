@@ -1,23 +1,48 @@
 """Frozen reference implementations the analyzer is checked against.
 
-``reference_tokenize`` is the original character-loop scanner and
+``reference_tokenize`` is the original character-loop scanner,
 ``strip_and_rescan_verdict`` the original preservation check, which removes
-the ACSL comments from the reply text and scans what is left again. Both are
-kept as they were so that differential tests can compare the faster
-implementations in ``specforge.analyzer`` with them; do not optimize them.
+the ACSL comments from the reply text and scans what is left again, and
+``reference_parse_blocks`` the clause scanner that tried every keyword at
+every position of an annotation body. All are kept as they were so that
+differential tests can compare the faster implementations in
+``specforge.analyzer`` with them; do not optimize them.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
+from dataclasses import dataclass
 from difflib import SequenceMatcher
 
 from specforge.analyzer import (
+    FUNCTION_CONTRACT,
+    LOOP_ANNOTATION,
+    STATEMENT,
+    Annotation,
+    AnnotationBlock,
     DiffRun,
+    Enclosing,
     PreservationVerdict,
     TokenKind,
     UnterminatedComment,
     UnterminatedLiteral,
+    tokenize,
+)
+from specforge.model import (
+    ASSERT,
+    ASSIGNS,
+    ASSUMES,
+    BEHAVIOR,
+    ENSURES,
+    GHOST,
+    LOOP_ASSIGNS,
+    LOOP_INVARIANT,
+    LOOP_VARIANT,
+    PREDICATE,
+    REQUIRES,
+    AnnotationKind,
 )
 
 RefToken = tuple[TokenKind, str, int, int, int]  # kind, text, line, start, end
@@ -211,3 +236,214 @@ def strip_and_rescan_verdict(
         if len(runs) >= max_diff_runs:
             break
     return PreservationVerdict(preserved=False, diff=tuple(runs))
+
+
+# The clause scanner as it was: every keyword tried at every position of the
+# body, matches kept only after ';', ':' or the start, one _Clause per match.
+# Do not optimize.
+
+_CORE_STARTERS: dict[str, AnnotationKind] = {
+    "loop invariant": LOOP_INVARIANT,
+    "loop assigns": LOOP_ASSIGNS,
+    "loop variant": LOOP_VARIANT,
+    "requires": REQUIRES,
+    "ensures": ENSURES,
+    "assigns": ASSIGNS,
+    "assert": ASSERT,
+    "behavior": BEHAVIOR,
+    "assumes": ASSUMES,
+    "predicate": PREDICATE,
+    "ghost": GHOST,
+}
+
+_OTHER_STARTERS: tuple[str, ...] = (
+    "complete behaviors",
+    "disjoint behaviors",
+    "global invariant",
+    "loop allocates",
+    "loop frees",
+    "terminates",
+    "decreases",
+    "allocates",
+    "frees",
+    "exits",
+    "returns",
+    "breaks",
+    "continues",
+    "invariant",
+    "variant",
+    "axiomatic",
+    "axiom",
+    "lemma",
+    "logic",
+    "inductive",
+    "check",
+    "admit",
+)
+
+_ALL_STARTERS: tuple[str, ...] = tuple(
+    sorted(
+        list(_CORE_STARTERS) + list(_OTHER_STARTERS),
+        key=lambda kw: (-len(kw.split()), -len(kw)),
+    )
+)
+
+_STARTER_RE = re.compile(
+    "|".join(
+        r"(?:\b" + r"\s+".join(re.escape(w) for w in kw.split()) + r"\b)"
+        for kw in _ALL_STARTERS
+    )
+)
+
+_BEHAVIOR_NAME_RE = re.compile(r"\s*([A-Za-z_]\w*)\s*:")
+_LOOP_HEADS = frozenset(("for", "while", "do"))
+
+
+def _normalize_line(raw_line: str) -> str:
+    text = raw_line.strip()
+    while text.startswith("@"):
+        text = text[1:].lstrip()
+    while text.endswith("@"):
+        text = text[:-1].rstrip()
+    cut = text.find("//")
+    if cut != -1:
+        text = text[:cut].rstrip()
+    return text
+
+
+def _comment_body(token) -> list[tuple[int, str]]:
+    if token.kind is TokenKind.COMMENT:
+        inner = token.text[3:-2]
+    else:
+        inner = token.text[3:]
+    segments = []
+    for i, raw_line in enumerate(inner.split("\n")):
+        segments.append((token.line + i, _normalize_line(raw_line)))
+    return segments
+
+
+@dataclass(frozen=True)
+class _Clause:
+    kind: AnnotationKind
+    text: str
+    line: int
+    is_behavior_header: bool
+    behavior_name: str | None
+
+
+def _scan_clauses(segments: list[tuple[int, str]]) -> list[_Clause]:
+    body = "\n".join(text for _, text in segments)
+    offsets: list[int] = []
+    offset = 0
+    for _, text in segments:
+        offsets.append(offset)
+        offset += len(text) + 1
+
+    def line_of(pos: int) -> int:
+        return segments[bisect_right(offsets, pos) - 1][0]
+
+    matches = []
+    for m in _STARTER_RE.finditer(body):
+        j = m.start() - 1
+        while j >= 0 and body[j].isspace():
+            j -= 1
+        if j >= 0 and body[j] not in ";:":
+            continue
+        matches.append(m)
+
+    clauses: list[_Clause] = []
+    for i, m in enumerate(matches):
+        keyword = " ".join(m.group().split())
+        end = matches[i + 1].start() if i + 1 < len(matches) else len(body)
+        text = body[m.end():end].strip().rstrip(";").strip()
+        kind = _CORE_STARTERS.get(keyword, AnnotationKind.other(keyword))
+        behavior_name = None
+        is_header = False
+        if kind == BEHAVIOR:
+            is_header = True
+            name_match = _BEHAVIOR_NAME_RE.match(body, m.end())
+            if name_match:
+                behavior_name = name_match.group(1)
+                text = behavior_name
+            else:
+                behavior_name = text or "<anonymous>"
+        clauses.append(
+            _Clause(
+                kind=kind,
+                text=text,
+                line=line_of(m.start()),
+                is_behavior_header=is_header,
+                behavior_name=behavior_name,
+            )
+        )
+    return clauses
+
+
+def reference_parse_blocks(code: str) -> list[AnnotationBlock]:
+    """The original ``parse_blocks``: the same blocks, clauses and placement facts."""
+    tokens = tokenize(code)
+    blocks: list[AnnotationBlock] = []
+    depth = 0
+    for idx, token in enumerate(tokens):
+        if not token.is_acsl:
+            if token.kind is TokenKind.PUNCT:
+                if token.text == "{":
+                    depth += 1
+                elif token.text == "}":
+                    depth = max(0, depth - 1)
+            continue
+
+        segments = _comment_body(token)
+        clauses = _scan_clauses(segments)
+        if not clauses:
+            continue
+
+        next_code = idx + 1
+        while next_code < len(tokens) and tokens[next_code].is_comment:
+            next_code += 1
+        heads_loop = next_code < len(tokens) and tokens[next_code].text in _LOOP_HEADS
+        has_loop_clause = any(c.kind.keyword.startswith("loop ") for c in clauses)
+        block_style = token.kind is TokenKind.COMMENT
+
+        if heads_loop or has_loop_clause:
+            enclosing_for = lambda _c: LOOP_ANNOTATION  # noqa: E731
+            loop_key = next_code if heads_loop else idx
+            is_contract = False
+        elif depth == 0:
+            loop_key = None
+            is_contract = True
+            current_behavior: list[str | None] = [None]
+
+            def enclosing_for(c: _Clause) -> Enclosing:
+                if c.is_behavior_header:
+                    current_behavior[0] = c.behavior_name
+                    return FUNCTION_CONTRACT
+                if current_behavior[0] is not None:
+                    return Enclosing("behavior_body", current_behavior[0])
+                return FUNCTION_CONTRACT
+
+        else:
+            loop_key = None
+            is_contract = False
+            enclosing_for = lambda _c: STATEMENT  # noqa: E731
+
+        annotations = tuple(
+            Annotation(
+                kind=c.kind,
+                clause_text=c.text,
+                block_style=block_style,
+                line=c.line,
+                enclosing=enclosing_for(c),
+            )
+            for c in clauses
+        )
+        blocks.append(
+            AnnotationBlock(
+                annotations=annotations,
+                block_style=block_style,
+                token_index=idx,
+                loop_key=loop_key,
+                is_function_contract=is_contract,
+            )
+        )
+    return blocks

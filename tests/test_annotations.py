@@ -1,16 +1,19 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import oracle_tokens
+from conftest import FIXTURES_DIR, oracle_tokens
+from reference_analyzer import reference_parse_blocks
 from specforge import model
 from specforge.analyzer import (
     NoCodeFence,
+    TokenizeError,
     count_by_kind,
     merge_loop_assigns,
     parse_annotations,
+    parse_blocks,
     split_response,
     strip_annotations,
 )
@@ -255,3 +258,90 @@ def test_strip_parse_coherence_property(pieces):
     acsl_free = [t for t in oracle_tokens(code)]
     # the oracle is comment-blind, so stripped and original agree token-wise
     assert oracle_tokens(stripped) == acsl_free
+
+
+# ------------------------------------------------- scanner vs frozen reference
+
+_KEYWORDS = [
+    "requires", "ensures", "assigns", "assert", "behavior", "assumes",
+    "predicate", "ghost", "loop invariant", "loop assigns", "loop variant",
+    "complete behaviors", "disjoint behaviors", "global invariant",
+    "loop allocates", "loop frees", "terminates", "decreases", "invariant",
+    "variant", "axiom", "lemma", "logic", "check", "admit", "exits",
+]
+# Clause-body pieces: binder semicolons, keywords in mid-clause position,
+# colons, '@' decoration, '//' tails, and words that merely contain keywords.
+_BODY_PIECES = [
+    "x", " ", "\n", "\n  @ ", " @", "@", ";", ":", "::", " ; ", "0 <= i < n",
+    "\\forall integer i;", "\\exists int k; ", "a[i] == 0", "==>", "(", ")",
+    "requires", "ensures", "loop", "invariant", "behavior", "assignsx",
+    "xrequires", "b:", " // note", "\\result", "_", "\t", "\u00a0", "\x1c",
+]
+
+
+@st.composite
+def _acsl_body(draw):
+    out = [draw(st.sampled_from(["", " ", "\n  ", "@ ", "\n@"]))]
+    for _ in range(draw(st.integers(0, 6))):
+        sep = draw(st.sampled_from([" ", "  ", "\n", "\n  @ ", "\t"]))  # inside a keyword
+        out.append(sep.join(draw(st.sampled_from(_KEYWORDS)).split()))
+        out.extend(draw(st.lists(st.sampled_from(_BODY_PIECES), max_size=6)))
+        out.append(draw(st.sampled_from([";", ";\n", "; ", "", ":", " ;;"])))
+    return "".join(out)
+
+
+@st.composite
+def _annotated_c(draw):
+    pieces = []
+    for _ in range(draw(st.integers(1, 6))):
+        choice = draw(st.integers(0, 2))
+        if choice == 0:
+            pieces.append("/*@" + draw(_acsl_body()) + "*/")
+        elif choice == 1:
+            pieces.append("//@" + draw(_acsl_body()).replace("\n", " ") + "\n")
+        else:
+            pieces.append(draw(st.sampled_from([
+                "{", "}", "\n", "int f(int n) ", "for (i = 0; i < n; i++) ",
+                "while (x) ", "do ", "x = 1;\n", "/* plain */", "// c\n",
+            ])))
+    return "".join(pieces)
+
+
+def _blocks_or_error(parse, code):
+    try:
+        return parse(code)
+    except TokenizeError as exc:
+        return type(exc), exc.line
+
+
+@settings(max_examples=400, deadline=None)
+@given(_annotated_c())
+def test_parse_blocks_matches_reference_scanner(code):
+    mine = _blocks_or_error(lambda c: parse_blocks(c).blocks, code)
+    assert mine == _blocks_or_error(reference_parse_blocks, code)
+
+
+def test_parse_blocks_matches_reference_on_fixture_replies():
+    replies = sorted(FIXTURES_DIR.rglob("*.txt"))
+    assert replies
+    for path in replies:
+        code = split_response(path.read_text(encoding="utf-8")).code
+        assert parse_blocks(code).blocks == reference_parse_blocks(code), path
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "requires \\forall integer i; 0 <= i < n ==> a[i] == 0;",
+        "loop\n  @ invariant 0 <= i;\n  @ loop\n   assigns i;",
+        "behavior pos:\n assumes x > 0;\n ensures \\result == 1;\n"
+        "behavior neg: assumes x <= 0; complete behaviors; disjoint\n behaviors;",
+        "behavior ; requires x;",
+        "ensures x requires y; assigns\u00a0x;",
+    ],
+)
+def test_parse_blocks_matches_reference_on_pinned_bodies(body):
+    for code in (f"/*@ {body} */\nint f(int x);\n", f"{{ /*@ {body} */ x = 1; }}\n"):
+        parsed = parse_blocks(code)
+        assert parsed.blocks == reference_parse_blocks(code)
+        assert parse_annotations(parsed)

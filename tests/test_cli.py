@@ -302,6 +302,28 @@ def test_run_eva_hook_gets_spaced_path_as_one_argument(tmp_path):
     assert [r["status"] for r in report["results"]] == ["ok"] * 3
 
 
+def _hook_failure(tmp_path, capsys, stderr_lines):
+    """The load warning of a hook that writes ``stderr_lines`` to stderr and exits 3."""
+    hook_body = "".join(f"echo '{line}' >&2\n" for line in stderr_lines) + "exit 3\n"
+    report = _run_eva_hook(tmp_path, ["broken"], hook_body)
+    assert report["results"] == []
+    (warning,) = [
+        line for line in capsys.readouterr().err.splitlines() if "[broken]" in line
+    ]
+    return warning
+
+
+def test_run_eva_hook_failure_keeps_last_stderr_lines(tmp_path, capsys):
+    warning = _hook_failure(tmp_path, capsys, ["starting", "a", "", "b", "fatal: no entry"])
+    assert warning == "load warning [broken]: eva hook failed (exit 3): a | b | fatal: no entry"
+
+
+def test_run_eva_hook_failure_stderr_is_bounded(tmp_path, capsys):
+    warning = _hook_failure(tmp_path, capsys, ["x" * 300, "y" * 300])
+    kept = "x" * 197 + " | " + "y" * 300  # the last 500 characters
+    assert warning == "load warning [broken]: eva hook failed (exit 3): " + kept
+
+
 def _process_gone(pid: int, within_s: float = 5.0) -> bool:
     """True once ``pid`` no longer runs (absent or a zombie)."""
     stat = Path(f"/proc/{pid}/stat")

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import re
+from difflib import SequenceMatcher
 
 import pytest
 from hypothesis import given, settings
@@ -9,11 +10,15 @@ from hypothesis import strategies as st
 from conftest import FIXTURES_DIR, oracle_tokens
 from reference_analyzer import strip_and_rescan_verdict
 from specforge.analyzer import (
+    ComparableStream,
+    DiffRun,
     TokenizeError,
     check_code_preserved,
     split_response,
     strip_annotations,
+    tokenize,
 )
+from specforge.analyzer import checks
 from specforge.model import SourceProgram
 
 
@@ -179,3 +184,91 @@ def test_verdict_equals_strip_and_rescan(case):
     assert _outcome(check_code_preserved, program, reply) == _outcome(
         strip_and_rescan_verdict, parent, reply
     )
+
+
+# ------------------------------------------------- edited-window diff exactness
+
+def _full_opcodes(a, b):
+    return SequenceMatcher(None, a, b, autojunk=False).get_opcodes()
+
+
+@st.composite
+def _streams(draw):
+    """Two token streams over a 1-3 letter alphabet; the second often an edit of the first."""
+    alphabet = "abc"[: draw(st.integers(1, 3))]
+    letters = st.sampled_from(alphabet)
+    a = draw(st.lists(letters, max_size=16))
+    if draw(st.booleans()):
+        return a, draw(st.lists(letters, max_size=16))
+    b = list(a)
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(b)))
+        edit = draw(st.sampled_from(["insert", "delete", "replace"]))
+        if edit == "insert":
+            b.insert(at, draw(letters))
+        elif b:
+            at = min(at, len(b) - 1)
+            if edit == "delete":
+                del b[at]
+            else:
+                b[at] = draw(letters)
+    return a, b
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_streams())
+def test_edited_window_opcodes_equal_full_matcher(pair):
+    a, b = pair
+    assert checks._opcodes(a, b) == _full_opcodes(a, b)
+    original, reply = "\n".join(a), "\n".join(b)
+    verdict = check_code_preserved(
+        ComparableStream.of(tokenize(original)), reply, max_diff_runs=100
+    )
+    assert verdict == strip_and_rescan_verdict(original, reply, max_diff_runs=100)
+
+
+@pytest.fixture
+def matcher_windows(monkeypatch):
+    """The (a, b) pairs ``check_code_preserved`` hands to SequenceMatcher."""
+    seen = []
+
+    class Recording(SequenceMatcher):
+        def __init__(self, isjunk, a, b, autojunk):
+            seen.append((tuple(a), tuple(b)))
+            super().__init__(isjunk, a, b, autojunk)
+
+    monkeypatch.setattr(checks, "SequenceMatcher", Recording)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "a, b, window",
+    [
+        # a block longer than the prefix: the suffix "A B" is it, taken first
+        ("A B", "A C A B", ((), ("A", "C"))),
+        # a block longer than both ends: the whole streams go to the matcher
+        ("A B C D X", "A Y B C D", None),
+        # a tie with the suffix: the earlier "A B" wins, so the suffix is not taken
+        ("Q A B X A B", "A B Z A B", None),
+        # a tie between prefix and suffix goes to the prefix, then the suffix
+        ("A B X A B", "A B Y A B", (("X",), ("Y",))),
+        # an edit near the start: the longer suffix is taken first, then the prefix
+        ("A X " + " ".join(f"t{i}" for i in range(50)),
+         "A Y " + " ".join(f"t{i}" for i in range(50)), (("X",), ("Y",))),
+    ],
+)
+def test_edited_window_pinned_cases(matcher_windows, a, b, window):
+    a, b = a.split(), b.split()
+    assert checks._opcodes(a, b) == _full_opcodes(a, b)
+    assert matcher_windows[0] == (window or (tuple(a), tuple(b)))
+
+
+def test_edit_near_end_of_long_program_diffs_a_small_window(matcher_windows):
+    lines = [f"  v{i % 7} = v{(i + 1) % 7} + {i % 5};" for i in range(800)]
+    source = "int f(void) {\n" + "\n".join(lines) + "\n}\n"
+    lines[793] = lines[793].replace("+", "-")  # source line 795
+    edited = "int f(void) {\n" + "\n".join(lines) + "\n}\n"
+    verdict = check_code_preserved(SourceProgram(name="p", source=source), edited)
+    assert verdict.diff == (DiffRun(line=795, original="+", modified="-"),)
+    (window,) = matcher_windows
+    assert max(map(len, window)) <= 3

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import shutil
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -79,6 +81,19 @@ def test_missing_snippet_file_rejected(tmp_path):
     with pytest.raises(PlaceholderMismatch) as exc:
         load_templates(tmp_path)
     assert exc.value.placeholder == "{valid_assigns}"
+
+
+def test_slot_text_in_snippet_files_stays_literal(tmp_path):
+    shutil.copytree(TEMPLATES_DIR, tmp_path, dirs_exist_ok=True)
+    valid = tmp_path / "snippets" / "valid_assigns.c"
+    valid.write_text(valid.read_text() + "/* see {program} and {invalid_assigns} */\n")
+    invalid = (tmp_path / "snippets" / "invalid_assigns.c").read_text().rstrip("\n")
+    template = load_templates(tmp_path)[PromptVariant.BASELINE]
+    prompt = build_prompt(template, PROGRAM)
+    assert prompt.text.count(PROGRAM.source) == 1
+    assert "/* see {program} and {invalid_assigns} */" in prompt.text
+    assert prompt.text.count(invalid) == 1
+    assert PromptTemplate.from_dict(template.to_dict()) == template
 
 
 def test_build_baseline_contains_program_in_fence(templates):

@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 from conftest import FIXTURES_DIR, oracle_tokens
 from reference_analyzer import reference_tokenize
 from specforge.analyzer import (
+    ComparableStream,
     Token,
     TokenizeError,
     TokenKind,
     UnterminatedComment,
     UnterminatedLiteral,
-    code_tokens,
     compare_text,
     split_response,
     tokenize,
@@ -108,7 +108,14 @@ def test_spans_reconstruct_source():
 
 def test_code_tokens_drop_comments_only():
     code = "/*@ requires x; */ int x; // note\n"
-    assert [t.text for t in code_tokens(code)] == ["int", "x", ";"]
+    assert ComparableStream.of(tokenize(code)).texts == ("int", "x", ";")
+
+
+def test_token_equals_its_plain_five_tuple():
+    (token,) = tokenize("//@ assert x;")
+    assert token == (TokenKind.LINE_COMMENT, "//@ assert x;", 1, 0, 13)
+    assert Token(*token) == token
+    assert token.is_comment and token.is_acsl
 
 
 def test_compare_text_normalizes_preproc_whitespace():
@@ -121,7 +128,7 @@ def test_matches_oracle_on_shipped_programs(corpus_load):
     for entry in corpus_load.entries:
         source = entry.program.source
         mine = []
-        for tok in code_tokens(source):
+        for tok in (t for t in tokenize(source) if not t.is_comment):
             if tok.kind is TokenKind.PREPROC:
                 # the oracle splits directives; do the same here
                 mine.extend(oracle_tokens(tok.text))
