@@ -125,6 +125,13 @@ def _cmd_generate(args: argparse.Namespace) -> int:
             temperature=args.temperature,
             samples_per_program=args.samples,
         )
+        if args.backend == "replay":
+            backend = ReplayBackend(args.fixtures)
+        else:
+            if not args.base_url:
+                raise ConfigError("--base-url is required for the live backend")
+            backend = LiveBackend(base_url=args.base_url, api_key_env=args.api_key_env)
+
         templates = load_templates(args.templates or default_template_dir())
         corpus = load_corpus(args.corpus)
         entries = list(corpus.entries)
@@ -132,13 +139,6 @@ def _cmd_generate(args: argparse.Namespace) -> int:
             entries = _hook_context(entries, args.run_pathcrawler, "tests")
         if args.run_eva:
             entries = _hook_context(entries, args.run_eva, "eva")
-
-        if args.backend == "replay":
-            backend = ReplayBackend(args.fixtures)
-        else:
-            if not args.base_url:
-                raise ConfigError("--base-url is required for the live backend")
-            backend = LiveBackend(base_url=args.base_url, api_key_env=args.api_key_env)
 
         report = run(
             entries,

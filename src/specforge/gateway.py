@@ -17,8 +17,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol
-
-import requests
+from urllib.parse import urlsplit
 
 from .model import GenerationConfig, Record
 from .prompts import BuiltPrompt
@@ -134,10 +133,20 @@ class ReplayBackend:
 
 
 class LiveBackend:
-    """HTTP chat-completion client with bounded retries.
+    """HTTP chat-completion client on the standard library, with bounded retries.
+
+    Each attempt is one ``urllib.request`` POST on a connection of its own, so
+    nothing is shared between the threads of ``runner.run`` and the client
+    needs no lock. ``HTTP_PROXY``, ``HTTPS_PROXY`` and ``NO_PROXY`` are
+    honoured as by ``urllib.request.urlopen``, with the proxies read when the
+    backend is built. HTTPS certificates are checked against OpenSSL's default
+    CA paths, which ``SSL_CERT_FILE`` and ``SSL_CERT_DIR`` override. The HTTP
+    modules are imported here, not by the package, so replay runs never load
+    them.
 
     Transport failures and 5xx responses are retried with exponential backoff
-    (one sleep per retry, ``backoff_s`` long); 4xx responses fail immediately.
+    (one sleep per retry, ``backoff_s`` long); 4xx responses fail immediately,
+    and so do 3xx responses: redirects are never followed.
     The client does not limit concurrent use; ``runner.run`` bounds it.
     """
 
@@ -147,13 +156,44 @@ class LiveBackend:
         api_key_env: str = DEFAULT_API_KEY_ENV,
         timeout_s: float = 120.0,
         backoff_s: tuple[float, ...] = (1.0, 2.0, 4.0),
-        session: requests.Session | None = None,
     ):
+        # Checked here, because urllib would retry a bad port as a transport
+        # failure, and raise on a bad scheme or a non-ASCII path in a worker thread.
+        try:
+            parts = urlsplit(base_url)
+            usable = (
+                parts.scheme in ("http", "https")
+                and bool(parts.hostname)
+                and parts.port != 0
+                and all("!" <= c <= "~" for c in base_url)
+            )
+        except ValueError:  # a malformed IPv6 host, or a port not a number in range
+            usable = False
+        if not usable:
+            raise ValueError(
+                "base URL must be http(s)://host[:port][/path] in printable ASCII "
+                f"without spaces, got {base_url!r}"
+            )
+        import http.client
+        import urllib.request
+
         self.base_url = base_url.rstrip("/")
         self.api_key_env = api_key_env
         self.timeout_s = timeout_s
         self.backoff_s = backoff_s
-        self._session = session or requests.Session()
+        # Proxy and HTTP(S) handlers only: with no redirect or error handler,
+        # every reply comes back as it is, so a 3xx never carries the API key
+        # to the host its Location names. The proxies are read here, once;
+        # urlopen's process-wide opener would keep those of its first call.
+        self._opener = urllib.request.OpenerDirector()
+        for handler in (
+            urllib.request.ProxyHandler(),
+            urllib.request.HTTPHandler(),
+            urllib.request.HTTPSHandler(),
+        ):
+            self._opener.add_handler(handler)
+        self._request_class = urllib.request.Request
+        self._transport_errors = (OSError, http.client.HTTPException)
 
     def complete(self, request: CompletionRequest) -> CompletionResponse:
         api_key = os.environ.get(self.api_key_env, "")
@@ -165,6 +205,7 @@ class LiveBackend:
             "temperature": request.config.temperature,
             "max_tokens": request.config.max_output_tokens,
         }
+        body = json.dumps(payload, allow_nan=False).encode("utf-8")
         headers = {
             "Authorization": f"Bearer {api_key}",
             "Content-Type": "application/json",
@@ -177,22 +218,23 @@ class LiveBackend:
             if attempt > 0:
                 time.sleep(self.backoff_s[attempt - 1])
             try:
-                http = self._session.post(
-                    url, json=payload, headers=headers, timeout=self.timeout_s
-                )
-            except requests.RequestException as exc:
+                status, location, raw = self._post(url, body, headers)
+            except self._transport_errors as exc:
                 last_error = (None, f"transport failure: {exc}")
                 continue
-            if 400 <= http.status_code < 500:
-                raise BackendError(http.status_code, http.text[:500])
-            if http.status_code >= 500:
-                last_error = (http.status_code, http.text[:500])
+            if 300 <= status < 400:
+                raise BackendError(status, f"redirect to {location!r} not followed")
+            if status >= 400:
+                message = raw.decode("utf-8", errors="replace")[:500]
+                if status < 500:
+                    raise BackendError(status, message)
+                last_error = (status, message)
                 continue
             try:
-                text = http.json()["choices"][0]["message"]["content"]
+                text = json.loads(raw)["choices"][0]["message"]["content"]
             except (ValueError, KeyError, IndexError, TypeError) as exc:
                 raise BackendError(
-                    http.status_code, f"malformed completion payload: {exc}"
+                    status, f"malformed completion payload: {exc}"
                 ) from exc
             if not text:
                 raise EmptyResponse(request.key)
@@ -205,6 +247,14 @@ class LiveBackend:
                 request_digest=request.digest,
             )
         raise BackendError(last_error[0], f"retries exhausted: {last_error[1]}")
+
+    def _post(
+        self, url: str, body: bytes, headers: dict[str, str]
+    ) -> tuple[int, str | None, bytes]:
+        """(status, Location header, body) of one POST, whatever the status."""
+        request = self._request_class(url, data=body, headers=headers, method="POST")
+        with self._opener.open(request, timeout=self.timeout_s) as reply:
+            return reply.status, reply.headers.get("Location"), reply.read()
 
 
 def record_fixture(

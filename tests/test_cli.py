@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import shlex
 import shutil
 import subprocess
 import sys
@@ -11,6 +12,7 @@ import pytest
 
 from conftest import ADPCM_CSV, CORPUS_DIR, FIXTURES_DIR, REPO_ROOT, src_env
 from specforge.cli import main
+from specforge.gateway import BackendError, LiveBackend
 
 
 def test_parse_tests_outputs_json(tmp_path, capsys):
@@ -185,6 +187,38 @@ def test_generate_live_without_base_url_exits_two(tmp_path, capsys):
         ]
     )
     assert code == 2
+
+
+def test_generate_live_refuses_schemeless_base_url(tmp_path, capsys, monkeypatch):
+    sent = []
+
+    def complete(self, request):
+        sent.append(request.key)
+        raise BackendError(None, "no request may be sent")
+
+    monkeypatch.setattr(LiveBackend, "complete", complete)
+    monkeypatch.setenv("SPECFORGE_API_KEY", "test-key")
+    hook_ran = tmp_path / "hook_ran"
+    code = main(
+        [
+            "generate",
+            "--corpus",
+            str(CORPUS_DIR),
+            "--backend",
+            "live",
+            "--base-url",
+            "localhost:9",
+            "--run-eva",
+            f"touch {shlex.quote(str(hook_ran))}",
+            "--out",
+            str(tmp_path / "out"),
+        ]
+    )
+    assert code == 2
+    assert "error: base URL must be http(s)://" in capsys.readouterr().err
+    assert sent == []
+    assert not hook_ran.exists()  # refused before any context hook runs
+    assert not (tmp_path / "out").exists()
 
 
 def test_report_reemit_fixed_point(tmp_path):

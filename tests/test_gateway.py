@@ -36,21 +36,32 @@ def _request(sample_index: int = 0, text: str = "annotate this") -> CompletionRe
 
 
 class _Script(BaseHTTPRequestHandler):
-    """Serves a scripted sequence of (status, body) responses."""
+    """Serves a scripted sequence of (status, body) responses.
 
-    script: list[tuple[int, str]] = []
+    A body may be ``str`` (sent as UTF-8) or raw ``bytes``. A status of
+    ``None`` sends the body alone, with no status line, and closes the
+    connection. An entry may carry a third item, a dict of extra headers.
+    """
+
+    script: list[tuple] = []
     requests_seen: list[dict] = []
 
     def do_POST(self):  # noqa: N802 (http.server API)
         length = int(self.headers["Content-Length"])
         _Script.requests_seen.append(json.loads(self.rfile.read(length)))
-        status, body = (
+        status, body, *extra = (
             _Script.script.pop(0) if _Script.script else (200, _ok_body("fallback"))
         )
-        payload = body.encode("utf-8")
+        payload = body if isinstance(body, bytes) else body.encode("utf-8")
+        if status is None:
+            self.wfile.write(payload)
+            self.close_connection = True
+            return
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
+        for name, value in (extra[0] if extra else {}).items():
+            self.send_header(name, value)
         self.end_headers()
         self.wfile.write(payload)
 
@@ -71,6 +82,7 @@ def script_server():
     _Script.requests_seen = []
     yield server, f"http://127.0.0.1:{server.server_port}"
     server.shutdown()
+    server.server_close()
 
 
 @pytest.fixture()
@@ -162,6 +174,139 @@ def test_live_transport_error_retries_and_fails(credentials):
     with pytest.raises(BackendError) as exc:
         backend.complete(_request())
     assert "transport" in str(exc.value)
+
+
+def test_live_non_json_200_fails_without_retry(script_server, credentials):
+    _, base_url = script_server
+    _Script.script = [(200, "<html>not json</html>")]
+    backend = LiveBackend(base_url=base_url, backoff_s=(0.0, 0.0, 0.0))
+    with pytest.raises(BackendError) as exc:
+        backend.complete(_request())
+    assert exc.value.status == 200
+    assert "malformed completion payload" in str(exc.value)
+    assert len(_Script.requests_seen) == 1
+
+
+def test_live_dropped_connection_is_retried_as_transport_failure(
+    script_server, credentials
+):
+    _, base_url = script_server
+    _Script.script = [(None, ""), (None, b"garbage\r\n\r\n"), (None, "")]
+    backend = LiveBackend(base_url=base_url, backoff_s=(0.0, 0.0))
+    with pytest.raises(BackendError) as exc:
+        backend.complete(_request())
+    assert exc.value.status is None
+    assert "retries exhausted: transport failure" in str(exc.value)
+    assert len(_Script.requests_seen) == 3
+
+    _Script.requests_seen = []
+    _Script.script = [(None, ""), (200, _ok_body("second try"))]
+    assert backend.complete(_request()).text == "second try"
+    assert len(_Script.requests_seen) == 2
+
+
+def test_live_non_utf8_error_body_is_bounded(script_server, credentials):
+    _, base_url = script_server
+    _Script.script = [(503, b"\xff\xfe" * 1024)] * 2
+    backend = LiveBackend(base_url=base_url, backoff_s=(0.0,))
+    with pytest.raises(BackendError) as exc:
+        backend.complete(_request())
+    assert exc.value.status == 503
+    body = str(exc.value).split("retries exhausted: ", 1)[1]
+    assert 0 < len(body) <= 500
+    assert set(body) == {"\ufffd"}
+
+
+class _Sink(BaseHTTPRequestHandler):
+    """Records the headers of every request it gets and answers 200."""
+
+    headers_seen: list[dict[str, str]] = []
+
+    def _record(self):
+        _Sink.headers_seen.append(dict(self.headers))
+        self.rfile.read(int(self.headers.get("Content-Length") or 0))
+        payload = _ok_body("redirected").encode("utf-8")
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(payload)))
+        self.end_headers()
+        self.wfile.write(payload)
+
+    do_GET = do_POST = _record  # noqa: N815 (http.server API)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.mark.parametrize("status", [301, 302, 307, 308])
+def test_live_redirect_is_refused_and_sends_no_credential(
+    script_server, credentials, status
+):
+    _, base_url = script_server
+    sink = HTTPServer(("127.0.0.1", 0), _Sink)
+    thread = threading.Thread(target=sink.serve_forever, daemon=True)
+    thread.start()
+    _Sink.headers_seen = []
+    try:
+        target = f"http://127.0.0.1:{sink.server_port}/chat/completions"
+        _Script.script = [(status, "moved", {"Location": target})]
+        backend = LiveBackend(base_url=base_url, backoff_s=(0.0, 0.0, 0.0))
+        with pytest.raises(BackendError) as exc:
+            backend.complete(_request())
+    finally:
+        sink.shutdown()
+        sink.server_close()
+    assert exc.value.status == status
+    assert "not followed" in str(exc.value) and target in str(exc.value)
+    assert len(_Script.requests_seen) == 1
+    assert _Sink.headers_seen == []  # neither the request nor its Authorization
+
+
+_PROXY_VARIABLES = ("http_proxy", "https_proxy", "all_proxy", "no_proxy")
+
+
+def test_live_honours_proxy_environment(script_server, credentials, monkeypatch):
+    _, base_url = script_server
+    for name in _PROXY_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
+    monkeypatch.setenv("HTTP_PROXY", "http://127.0.0.1:9")  # nothing listens there
+    with pytest.raises(BackendError, match="transport failure"):
+        LiveBackend(base_url=base_url, backoff_s=(0.0,), timeout_s=2.0).complete(_request())
+    assert _Script.requests_seen == []
+
+    monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+    _Script.script = [(200, _ok_body("direct"))]
+    backend = LiveBackend(base_url=base_url, backoff_s=(0.0,), timeout_s=2.0)
+    assert backend.complete(_request()).text == "direct"
+    assert len(_Script.requests_seen) == 1
+
+
+@pytest.mark.parametrize(
+    "base_url",
+    [
+        "file:///tmp",
+        "ftp://h",
+        "localhost:8080",
+        "http://",
+        "http://:80",
+        "http://h:abc",
+        "http://h:99999",
+        "http://h:0",
+        "http://[::1",
+        "http://h/a b",
+        "http://h/\u00fc",
+    ],
+)
+def test_live_refuses_unusable_base_url(base_url):
+    with pytest.raises(ValueError, match="base URL"):
+        LiveBackend(base_url=base_url)
+
+
+@pytest.mark.parametrize(
+    "base_url", ["http://127.0.0.1:9", "https://api.example.com/v1/", "HTTP://[::1]:8080"]
+)
+def test_live_accepts_http_base_url(base_url):
+    assert LiveBackend(base_url=base_url).base_url == base_url.rstrip("/")
 
 
 def test_live_missing_credential(monkeypatch):
