@@ -1,20 +1,16 @@
 """specforge command line: generate, parse-tests, parse-eva, mutate, count, lint, report.
 
 Exit codes: 0 success, 1 findings or per-cell failures present, 2
-configuration error (bad arguments, missing files, unusable backend).
+configuration error (bad arguments, unreadable inputs or unwritable outputs,
+unusable backend). Handlers raise; only :func:`main` turns an error into an
+``error: …`` line and an exit code.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
-import shlex
-import signal
-import subprocess
 import sys
-import tempfile
-from dataclasses import replace
 from pathlib import Path
 
 from .analyzer import (
@@ -45,8 +41,6 @@ from .runner import (
 EXIT_OK = 0
 EXIT_FINDINGS = 1
 EXIT_CONFIG = 2
-HOOK_TIMEOUT_S = 600.0  # seconds per --run-pathcrawler / --run-eva invocation
-HOOK_STDERR_LINES, HOOK_STDERR_CHARS = 3, 500  # stderr kept in a hook's load error
 
 
 def _print_json(data: object) -> None:
@@ -60,117 +54,35 @@ def _read_file(path: str) -> str:
     return p.read_text(encoding="utf-8")
 
 
-def _stderr_tail(stderr: str) -> str:
-    """``": "`` and the last non-blank lines of a hook's stderr, bounded; "" if none."""
-    lines = [line.strip() for line in stderr.splitlines() if line.strip()]
-    tail = " | ".join(lines[-HOOK_STDERR_LINES:])[-HOOK_STDERR_CHARS:]
-    return f": {tail}" if tail else ""
-
-
-def _hook_context(entries, command: str, which: str):
-    """Run a user command per program lacking context; capture stdout into the adapter.
-
-    The program source is written to a temporary .c file whose quoted path is
-    appended to the command line. Failure or timeout is that entry's load
-    error; a failure's error ends with the last lines the hook wrote to stderr.
-    """
-    patched = []
-    for entry in entries:
-        needs = entry.suite is None if which == "tests" else entry.report is None
-        if not needs:
-            patched.append(entry)
-            continue
-        with tempfile.NamedTemporaryFile(
-            "w", suffix=".c", prefix=f"{entry.program.name}-", delete=False
-        ) as tmp:
-            tmp.write(entry.program.source)
-        error = None
-        try:
-            with subprocess.Popen(
-                f"{command} {shlex.quote(tmp.name)}",
-                shell=True,
-                stdout=subprocess.PIPE,
-                stderr=subprocess.PIPE,
-                text=True,
-                start_new_session=True,
-            ) as proc:
-                try:
-                    stdout, stderr = proc.communicate(timeout=HOOK_TIMEOUT_S)
-                except subprocess.TimeoutExpired:
-                    os.killpg(proc.pid, signal.SIGKILL)  # the shell and its children
-                    raise
-            if proc.returncode != 0:
-                error = f"{which} hook failed (exit {proc.returncode})" + _stderr_tail(stderr)
-            elif which == "tests":
-                entry = replace(entry, suite=parse_test_csv(stdout))
-            else:
-                entry = replace(entry, report=parse_eva_report(stdout))
-        except subprocess.TimeoutExpired:
-            error = f"{which} hook timed out after {HOOK_TIMEOUT_S:g} s"
-        except CsvError as exc:
-            error = f"{which} hook: {exc}"
-        finally:
-            Path(tmp.name).unlink(missing_ok=True)
-        if error:
-            entry = replace(entry, load_errors=entry.load_errors + (error,))
-        patched.append(entry)
-    return patched
-
-
 def _cmd_generate(args: argparse.Namespace) -> int:
-    try:
-        variants = [PromptVariant.parse(v) for v in args.variants.split(",") if v]
-        config = GenerationConfig(
-            model_id=args.model,
-            temperature=args.temperature,
-            samples_per_program=args.samples,
-        )
-        if args.backend == "replay":
-            backend = ReplayBackend(args.fixtures)
-        else:
-            if not args.base_url:
-                raise ConfigError("--base-url is required for the live backend")
-            backend = LiveBackend(base_url=args.base_url, api_key_env=args.api_key_env)
+    variants = [PromptVariant.parse(v) for v in args.variants.split(",") if v]
+    config = GenerationConfig(
+        model_id=args.model,
+        temperature=args.temperature,
+        samples_per_program=args.samples,
+    )
+    if args.backend == "replay":
+        backend = ReplayBackend(args.fixtures)
+    else:
+        if not args.base_url:
+            raise ConfigError("--base-url is required for the live backend")
+        backend = LiveBackend(base_url=args.base_url, api_key_env=args.api_key_env)
 
-        templates = load_templates(args.templates or default_template_dir())
-        corpus = load_corpus(args.corpus)
-        entries = list(corpus.entries)
-        if args.run_pathcrawler:
-            entries = _hook_context(entries, args.run_pathcrawler, "tests")
-        if args.run_eva:
-            entries = _hook_context(entries, args.run_eva, "eva")
-
-        report = run(
-            entries,
-            variants,
-            config,
-            backend,
-            templates,
-            max_workers=args.max_inflight,
-        )
-        # carry the corpus digest even when entries were patched by hooks
-        report = replace(report, corpus_digest=corpus.digest)
-    except (ConfigError, EmptyCorpus, TemplateError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
+    templates = load_templates(args.templates or default_template_dir())
+    corpus = load_corpus(args.corpus, tests_hook=args.run_pathcrawler, eva_hook=args.run_eva)
+    report = run(corpus, variants, config, backend, templates, max_workers=args.max_inflight)
     emit(report, args.out, normalize=args.normalize)
 
     for name, reason in corpus.skipped:
         print(f"skipped corpus entry {name}: {reason}", file=sys.stderr)
-    for entry in entries:
+    for entry in corpus.entries:
         for err in entry.load_errors:
             print(f"load warning [{entry.program.name}]: {err}", file=sys.stderr)
-    warned = set()
-    for result in report.results:
-        for warning in result.prompt_warnings:
-            key = (result.program_name, result.variant.value)
-            if key not in warned:
-                warned.add(key)
-                print(
-                    f"warning [{result.program_name}/{result.variant.value}]: {warning}",
-                    file=sys.stderr,
-                )
+    # every sample of a (program, variant) cell shares its prompt and warnings
+    by_cell = {(r.program_name, r.variant.value): r.prompt_warnings for r in report.results}
+    for (program, variant), warnings in by_cell.items():
+        for warning in warnings:
+            print(f"warning [{program}/{variant}]: {warning}", file=sys.stderr)
 
     failures = report.failures
     ok = sum(1 for r in report.results if r.status == "ok")
@@ -183,16 +95,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_parse_tests(args: argparse.Namespace) -> int:
-    try:
-        raw = _read_file(args.file)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        suite = parse_test_csv(raw)
-    except CsvError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FINDINGS
+    suite = parse_test_csv(_read_file(args.file))
     data = suite.to_dict()
     data["summary"] = summarize(suite).to_dict()
     _print_json(data)
@@ -200,42 +103,28 @@ def _cmd_parse_tests(args: argparse.Namespace) -> int:
 
 
 def _cmd_parse_eva(args: argparse.Namespace) -> int:
-    try:
-        raw = _read_file(args.file)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    _print_json(parse_eva_report(raw).to_dict())
+    _print_json(parse_eva_report(_read_file(args.file)).to_dict())
     return EXIT_OK
 
 
 def _cmd_mutate(args: argparse.Namespace) -> int:
-    try:
-        source = _read_file(args.file)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    program = SourceProgram(name=Path(args.file).stem, source=source)
-    try:
-        if args.list_sites:
-            sites = enumerate_sites(program)
-            _print_json(
-                [
-                    {
-                        "operator": s.operator.value,
-                        "line": s.line,
-                        "token": s.token,
-                        "replacement": s.replacement,
-                        "single_token": s.single_token,
-                    }
-                    for s in sites
-                ]
-            )
-            return EXIT_OK
-        mutant, record = mutate(program, args.seed)
-    except (NoMutationSite, TokenizeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FINDINGS
+    program = SourceProgram(name=Path(args.file).stem, source=_read_file(args.file))
+    if args.list_sites:
+        sites = enumerate_sites(program)
+        _print_json(
+            [
+                {
+                    "operator": s.operator.value,
+                    "line": s.line,
+                    "token": s.token,
+                    "replacement": s.replacement,
+                    "single_token": s.single_token,
+                }
+                for s in sites
+            ]
+        )
+        return EXIT_OK
+    mutant, record = mutate(program, args.seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = f"{program.name}.mut{record.mutation_id}"
@@ -258,15 +147,8 @@ def _split_if_response(text: str) -> str:
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
-    try:
-        code = _split_if_response(_read_file(args.file))
-        histogram = count_by_kind(parse_annotations(code))
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except TokenizeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FINDINGS
+    code = _split_if_response(_read_file(args.file))
+    histogram = count_by_kind(parse_annotations(code))
     if args.merge_loop_assigns:
         histogram = merge_loop_assigns(histogram)
     if args.csv:
@@ -279,15 +161,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    try:
-        code = _split_if_response(_read_file(args.file))
-        issues = lint_code(code)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except TokenizeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FINDINGS
+    issues = lint_code(_split_if_response(_read_file(args.file)))
     _print_json([i.to_dict() for i in issues])
     return EXIT_FINDINGS if issues else EXIT_OK
 
@@ -296,8 +170,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     try:
         report = load_report(args.infile)
     except (OSError, ValueError) as exc:
-        print(f"error: cannot load report: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"cannot load report: {exc}") from exc
     emit(report, args.out, normalize=args.normalize)
     print(f"report re-emitted under {args.out}")
     return EXIT_OK
@@ -383,8 +256,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand; the only place an error becomes an exit code."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (CsvError, NoMutationSite, TokenizeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FINDINGS
+    except (ConfigError, EmptyCorpus, TemplateError, ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

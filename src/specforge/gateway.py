@@ -120,7 +120,10 @@ class ReplayBackend:
         text_path, _ = fixture_paths(self.directory, request.key)
         if not text_path.is_file():
             raise MissingFixture(request.key, text_path)
-        text = text_path.read_text(encoding="utf-8")
+        try:
+            text = text_path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise GatewayError(f"cannot read fixture {text_path}: {exc}") from exc
         if not text:
             raise EmptyResponse(request.key)
         return CompletionResponse(
@@ -236,6 +239,11 @@ class LiveBackend:
                 raise BackendError(
                     status, f"malformed completion payload: {exc}"
                 ) from exc
+            if not isinstance(text, str):
+                raise BackendError(
+                    status,
+                    f"malformed completion payload: content is {type(text).__name__}",
+                )
             if not text:
                 raise EmptyResponse(request.key)
             latency_ms = int((time.perf_counter() - started) * 1000)

@@ -11,11 +11,16 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import shlex
+import signal
+import subprocess
+import tempfile
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from .analyzer import (
     Annotation,
@@ -60,6 +65,9 @@ STATUS_NO_CODE_FENCE = "no_code_fence"
 STATUS_PARSE_FAILED = "parse_failed"
 STATUS_BACKEND_FAILED = "backend_failed"
 
+HOOK_TIMEOUT_S = 600.0  # seconds per tests_hook / eva_hook invocation
+HOOK_STDERR_LINES, HOOK_STDERR_CHARS = 3, 500  # stderr kept in a hook's load error
+
 REPLAY_PROVENANCE_NOTE = (
     "replay fixtures are curated recordings standing in for live model output; "
     "live sampling is non-deterministic and will not reproduce them"
@@ -80,17 +88,16 @@ class CorpusEntry:
     """One program plus whatever symbolic context shipped next to it.
 
     ``comparable`` is the program's preservation stream, computed once by
-    ``load_corpus``; cells of an entry built without it scan the program
-    text each time.
+    ``load_corpus``.
     """
 
     program: SourceProgram
+    comparable: ComparableStream = field(repr=False, compare=False)
     suite: TestSuite | None = None
     report: EvaReport | None = None
     load_errors: tuple[str, ...] = ()
     provenance: str = "unspecified"
     tags: tuple[tuple[str, str], ...] = ()  # free-form meta.json entries (clarity, ...)
-    comparable: ComparableStream | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -102,6 +109,9 @@ class _Meta(Record):
     origin: Origin = field(default_factory=Origin.original)
 
 
+_META_KEYS = frozenset(f.name for f in fields(_Meta))
+
+
 @dataclass(frozen=True)
 class CorpusLoad:
     entries: tuple[CorpusEntry, ...]
@@ -109,12 +119,72 @@ class CorpusLoad:
     digest: str  # content hash over every corpus file read
 
 
-def load_corpus(directory: Path | str) -> CorpusLoad:
+def _stderr_tail(stderr: str) -> str:
+    """``": "`` and the last non-blank lines of a hook's stderr, bounded; "" if none."""
+    lines = [line.strip() for line in stderr.splitlines() if line.strip()]
+    tail = " | ".join(lines[-HOOK_STDERR_LINES:])[-HOOK_STDERR_CHARS:]
+    return f": {tail}" if tail else ""
+
+
+def _run_hook(
+    command: str, which: str, program: SourceProgram, errors: list[str]
+) -> str | None:
+    """Run ``command`` on a temporary copy of ``program``, its path appended quoted.
+
+    Returns the hook's stdout, or None after adding its load error to ``errors``.
+    """
+    with tempfile.NamedTemporaryFile(
+        "w", suffix=".c", prefix=f"{program.name}-", delete=False
+    ) as tmp:
+        tmp.write(program.source)
+    try:
+        with subprocess.Popen(
+            f"{command} {shlex.quote(tmp.name)}",
+            shell=True,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            start_new_session=True,
+        ) as proc:
+            try:
+                stdout, stderr = proc.communicate(timeout=HOOK_TIMEOUT_S)
+            except subprocess.TimeoutExpired:
+                os.killpg(proc.pid, signal.SIGKILL)  # the shell and its children
+                raise
+    except subprocess.TimeoutExpired:
+        errors.append(f"{which} hook timed out after {HOOK_TIMEOUT_S:g} s")
+        return None
+    finally:
+        Path(tmp.name).unlink(missing_ok=True)
+    if proc.returncode != 0:
+        errors.append(f"{which} hook failed (exit {proc.returncode})" + _stderr_tail(stderr))
+        return None
+    return stdout
+
+
+def _parse_context(
+    parse: Callable[[str], Any], text: str, label: str, errors: list[str]
+) -> Any:
+    """``parse(text)``, or None with ``"<label>: <reason>"`` added to ``errors``."""
+    try:
+        return parse(text)
+    except CsvError as exc:
+        errors.append(f"{label}: {exc}")
+        return None
+
+
+def load_corpus(
+    directory: Path | str,
+    tests_hook: str | None = None,
+    eva_hook: str | None = None,
+) -> CorpusLoad:
     """Read ``<dir>/<name>/program.c`` entries with optional tests.csv/eva.txt/meta.json.
 
-    Context that fails to parse is recorded on the entry and left absent; a
-    program that cannot even be tokenized skips the whole entry with a
-    reason. Raises EmptyCorpus when nothing loads.
+    Context that cannot be read or parsed is recorded on the entry and left
+    absent; a program that cannot be read, is empty, or does not tokenize
+    skips the whole entry with a reason. Where no test suite (report) parsed,
+    ``tests_hook`` (``eva_hook``) runs on the program and its stdout is parsed
+    instead, outside the digest. Raises EmptyCorpus when nothing loads.
     """
     directory = Path(directory)
     entries: list[CorpusEntry] = []
@@ -129,9 +199,24 @@ def load_corpus(directory: Path | str) -> CorpusLoad:
     for subdir in candidates:
         name = subdir.name
         errors: list[str] = []
-        source = (subdir / "program.c").read_text(encoding="utf-8")
-        hasher.update(f"{name}/program.c\x00".encode())
-        hasher.update(source.encode("utf-8"))
+        texts: dict[str, str] = {}
+        for filename in ("program.c", "meta.json", "tests.csv", "eva.txt"):
+            path = subdir / filename
+            if not path.is_file():
+                continue
+            try:
+                text = path.read_text(encoding="utf-8")
+            except (OSError, UnicodeDecodeError) as exc:
+                errors.append(f"{filename}: {exc}")
+                continue
+            hasher.update(f"{name}/{filename}\x00".encode())
+            hasher.update(text.encode("utf-8"))
+            texts[filename] = text
+
+        source = texts.get("program.c")
+        if not source:  # empty, or unreadable and the first error says why
+            skipped.append((name, errors[0] if source is None else "program.c is empty"))
+            continue
         try:
             comparable = ComparableStream.of(tokenize(source))
         except TokenizeError as exc:
@@ -140,57 +225,44 @@ def load_corpus(directory: Path | str) -> CorpusLoad:
 
         meta = _Meta()
         tags: tuple[tuple[str, str], ...] = ()
-        meta_path = subdir / "meta.json"
-        if meta_path.is_file():
-            raw_meta = meta_path.read_text(encoding="utf-8")
-            hasher.update(f"{name}/meta.json\x00".encode())
-            hasher.update(raw_meta.encode("utf-8"))
+        if "meta.json" in texts:
             try:
-                raw = json.loads(raw_meta)
+                raw = json.loads(texts["meta.json"])
                 meta = _Meta.from_dict(raw)
                 tags = tuple(
-                    sorted(
-                        (str(k), str(v))
-                        for k, v in raw.items()
-                        if k not in ("entry_function", "origin", "provenance")
-                    )
+                    sorted((str(k), str(v)) for k, v in raw.items() if k not in _META_KEYS)
                 )
             except ValueError as exc:
                 errors.append(f"meta.json: {exc}")
+        program = SourceProgram(
+            name=name, source=source, entry_function=meta.entry_function, origin=meta.origin
+        )
 
-        suite = None
-        csv_path = subdir / "tests.csv"
-        if csv_path.is_file():
-            raw_csv = csv_path.read_text(encoding="utf-8")
-            hasher.update(f"{name}/tests.csv\x00".encode())
-            hasher.update(raw_csv.encode("utf-8"))
-            try:
-                suite = parse_test_csv(raw_csv)
-            except CsvError as exc:
-                errors.append(f"tests.csv: {exc}")
-
-        report = None
-        eva_path = subdir / "eva.txt"
-        if eva_path.is_file():
-            raw_eva = eva_path.read_text(encoding="utf-8")
-            hasher.update(f"{name}/eva.txt\x00".encode())
-            hasher.update(raw_eva.encode("utf-8"))
-            report = parse_eva_report(raw_eva)
+        # Looked up at call time, so a tracer that rebinds these names sees the calls.
+        context = []
+        for which, filename, parse, hook in (
+            ("tests", "tests.csv", parse_test_csv, tests_hook),
+            ("eva", "eva.txt", parse_eva_report, eva_hook),
+        ):
+            parsed = None
+            if filename in texts:
+                parsed = _parse_context(parse, texts[filename], filename, errors)
+            if parsed is None and hook:
+                stdout = _run_hook(hook, which, program, errors)
+                if stdout is not None:
+                    parsed = _parse_context(parse, stdout, f"{which} hook", errors)
+            context.append(parsed)
+        suite, report = context
 
         entries.append(
             CorpusEntry(
-                program=SourceProgram(
-                    name=name,
-                    source=source,
-                    entry_function=meta.entry_function,
-                    origin=meta.origin,
-                ),
+                program=program,
+                comparable=comparable,
                 suite=suite,
                 report=report,
                 load_errors=tuple(errors),
                 provenance=meta.provenance,
                 tags=tags,
-                comparable=comparable,
             )
         )
 
@@ -343,13 +415,12 @@ def _analyze(
             **base,
         )
 
-    original = entry.program if entry.comparable is None else entry.comparable
     try:
         analyzed = parse_blocks(split.code)  # the reply's only scan
         annotations = tuple(parse_annotations(analyzed))
         histogram = count_by_kind(annotations)
         lint_issues = tuple(lint_code(analyzed))
-        preservation = check_code_preserved(original, analyzed)
+        preservation = check_code_preserved(entry.comparable, analyzed)
     except TokenizeError as exc:
         return GenerationResult(
             status=STATUS_PARSE_FAILED,

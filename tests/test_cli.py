@@ -13,6 +13,7 @@ import pytest
 from conftest import ADPCM_CSV, CORPUS_DIR, FIXTURES_DIR, REPO_ROOT, src_env
 from specforge.cli import main
 from specforge.gateway import BackendError, LiveBackend
+from specforge.runner import load_corpus
 
 
 def test_parse_tests_outputs_json(tmp_path, capsys):
@@ -280,6 +281,80 @@ def test_report_top_level_list_exits_two(tmp_path, capsys):
     assert "error: cannot load report: " in capsys.readouterr().err
 
 
+def _error_cases():
+    """(argv builder, exit code): each ends in one ``error:`` line, never a traceback."""
+    tritype = str(CORPUS_DIR / "tritype" / "program.c")
+
+    def generate(tmp_path, a_file):
+        return [
+            "generate", "--corpus", str(CORPUS_DIR), "--fixtures", str(FIXTURES_DIR),
+            "--out", str(a_file / "x"),
+        ]
+
+    def write(tmp_path, name, data):
+        (tmp_path / name).write_bytes(data)
+        return str(tmp_path / name)
+
+    return [
+        pytest.param(generate, 2, id="generate-out-under-a-file"),
+        pytest.param(
+            lambda tmp_path, a_file: ["mutate", tritype, "--seed", "5", "--out", str(a_file)],
+            2,
+            id="mutate-out-is-a-file",
+        ),
+        pytest.param(
+            lambda tmp_path, a_file: ["lint", write(tmp_path, "bad.c", b"int \xff;\n")],
+            2,
+            id="lint-non-utf8",
+        ),
+        pytest.param(
+            lambda tmp_path, a_file: ["count", write(tmp_path, "bad.c", b"int \xff;\n")],
+            2,
+            id="count-non-utf8",
+        ),
+        pytest.param(
+            lambda tmp_path, a_file: ["parse-tests", write(tmp_path, "t.csv", b"bad,header\n")],
+            1,
+            id="parse-tests-malformed",
+        ),
+        pytest.param(
+            lambda tmp_path, a_file: [
+                "mutate", write(tmp_path, "flat.c", b"int f(void) { return 0; }\n"),
+                "--seed", "1", "--out", str(tmp_path),
+            ],
+            1,
+            id="mutate-no-site",
+        ),
+    ]
+
+
+@pytest.mark.parametrize("argv, code", _error_cases())
+def test_errors_exit_with_one_error_line(tmp_path, capsys, argv, code):
+    a_file = tmp_path / "a_file"
+    a_file.write_text("not a directory\n")
+    assert main(argv(tmp_path, a_file)) == code
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("error: ")]
+    assert "Traceback" not in err
+
+
+def test_generate_skips_only_an_empty_program(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(CORPUS_DIR / "tritype", corpus / "tritype")
+    (corpus / "blank").mkdir()
+    (corpus / "blank" / "program.c").write_text("")
+    code = main(
+        [
+            "generate", "--corpus", str(corpus), "--fixtures", str(FIXTURES_DIR),
+            "--out", str(tmp_path / "out"),
+        ]
+    )
+    assert code == 0
+    assert "skipped corpus entry blank: program.c is empty" in capsys.readouterr().err
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert {r["program_name"] for r in report["results"]} == {"tritype"}
+
+
 _HOOKED_REPLY = (
     "reasoning\n\n```c\n/*@ requires x <= 1073741823; */\nint f(int x) { return x * 2; }\n```\n"
 )
@@ -330,6 +405,11 @@ def test_run_eva_hook_captures_stdout(tmp_path):
     assert report["results"][0]["status"] == "ok"
 
 
+def test_run_eva_hook_report_carries_the_corpus_digest(tmp_path):
+    report = _run_eva_hook(tmp_path, ["hooked"], _EVA_ALARM)
+    assert report["corpus_digest"] == load_corpus(tmp_path / "corpus").digest
+
+
 def test_run_eva_hook_gets_spaced_path_as_one_argument(tmp_path):
     hook_body = '[ "$#" -eq 1 ] && [ -f "$1" ] || exit 3\n' + _EVA_ALARM
     report = _run_eva_hook(tmp_path, ["two words"], hook_body)
@@ -373,7 +453,7 @@ def _process_gone(pid: int, within_s: float = 5.0) -> bool:
 
 
 def test_run_eva_hook_timeout_is_a_load_error(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr("specforge.cli.HOOK_TIMEOUT_S", 0.5)
+    monkeypatch.setattr("specforge.runner.HOOK_TIMEOUT_S", 0.5)
     child_pid = tmp_path / "child.pid"
     hook_body = (
         f'case "$1" in *slow*) sleep 30 & echo $! > {child_pid}; wait;; esac\n'

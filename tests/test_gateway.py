@@ -11,6 +11,7 @@ from specforge.gateway import (
     CompletionRequest,
     CompletionResponse,
     EmptyResponse,
+    GatewayError,
     LiveBackend,
     MissingCredential,
     MissingFixture,
@@ -76,7 +77,10 @@ def _ok_body(text: str) -> str:
 @pytest.fixture()
 def script_server():
     server = HTTPServer(("127.0.0.1", 0), _Script)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # A short poll, so shutdown() does not wait out the default 0.5 s.
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    )
     thread.start()
     _Script.script = []
     _Script.requests_seen = []
@@ -126,6 +130,15 @@ def test_replay_empty_fixture_is_error(tmp_path):
     text_path.write_text("", encoding="utf-8")
     with pytest.raises(EmptyResponse):
         ReplayBackend(tmp_path).complete(_request())
+
+
+def test_replay_undecodable_fixture_is_a_gateway_error(tmp_path):
+    text_path, _ = fixture_paths(tmp_path, "binary_search/baseline/0")
+    text_path.parent.mkdir(parents=True)
+    text_path.write_bytes(b"```c\nint f(void) { return 0; } /* \xff */\n```\n")
+    with pytest.raises(GatewayError) as exc:
+        ReplayBackend(tmp_path).complete(_request())
+    assert "cannot read fixture" in str(exc.value)
 
 
 def test_live_success(script_server, credentials):
@@ -179,6 +192,18 @@ def test_live_transport_error_retries_and_fails(credentials):
 def test_live_non_json_200_fails_without_retry(script_server, credentials):
     _, base_url = script_server
     _Script.script = [(200, "<html>not json</html>")]
+    backend = LiveBackend(base_url=base_url, backoff_s=(0.0, 0.0, 0.0))
+    with pytest.raises(BackendError) as exc:
+        backend.complete(_request())
+    assert exc.value.status == 200
+    assert "malformed completion payload" in str(exc.value)
+    assert len(_Script.requests_seen) == 1
+
+
+@pytest.mark.parametrize("content", [["x"], {"text": "x"}, 7, None])
+def test_live_non_string_content_is_malformed(script_server, credentials, content):
+    _, base_url = script_server
+    _Script.script = [(200, json.dumps({"choices": [{"message": {"content": content}}]}))]
     backend = LiveBackend(base_url=base_url, backoff_s=(0.0, 0.0, 0.0))
     with pytest.raises(BackendError) as exc:
         backend.complete(_request())
@@ -243,7 +268,9 @@ def test_live_redirect_is_refused_and_sends_no_credential(
 ):
     _, base_url = script_server
     sink = HTTPServer(("127.0.0.1", 0), _Sink)
-    thread = threading.Thread(target=sink.serve_forever, daemon=True)
+    thread = threading.Thread(
+        target=sink.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    )
     thread.start()
     _Sink.headers_seen = []
     try:

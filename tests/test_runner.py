@@ -6,10 +6,11 @@ import json
 import random
 import shutil
 import threading
+from pathlib import Path
 
 import pytest
 
-from conftest import CORPUS_DIR, FIXTURES_DIR
+from conftest import ADPCM_CSV, CORPUS_DIR, FIXTURES_DIR
 from specforge.gateway import BackendError, ReplayBackend
 from specforge.model import GenerationConfig, Origin, PromptVariant
 from specforge.runner import (
@@ -128,6 +129,75 @@ def test_load_corpus_untokenizable_program_skipped(tmp_path):
     assert load.skipped[0][0] == "bad"
 
 
+def _program(root, name, source="int f(void) { return 0; }\n"):
+    (root / name).mkdir()
+    (root / name / "program.c").write_bytes(
+        source if isinstance(source, bytes) else source.encode("utf-8")
+    )
+    return root / name
+
+
+@pytest.mark.parametrize(
+    "source, reason",
+    [("", "program.c is empty"), (b"int f(void) { return '\xff'; }\n", "program.c: 'utf-8'")],
+    ids=["empty", "non-utf8"],
+)
+def test_load_corpus_unreadable_program_skips_only_its_entry(tmp_path, source, reason):
+    _program(tmp_path, "good")
+    _program(tmp_path, "bad", source)
+    load = load_corpus(tmp_path)
+    assert [e.program.name for e in load.entries] == ["good"]
+    ((name, why),) = load.skipped
+    assert name == "bad" and why.startswith(reason)
+
+
+@pytest.mark.parametrize("filename", ["meta.json", "tests.csv", "eva.txt"])
+def test_load_corpus_undecodable_context_file_is_a_load_error(tmp_path, filename):
+    program = _program(tmp_path, "p")
+    (program / filename).write_bytes(b"\xff\xfe not utf-8\n")
+    (entry,) = load_corpus(tmp_path).entries
+    assert entry.suite is None and entry.report is None
+    assert entry.program.origin == Origin.original()
+    (error,) = entry.load_errors
+    assert error.startswith(f"{filename}: 'utf-8' codec can't decode")
+
+
+def _counting_hook(tmp_path, stdout: str) -> tuple[str, Path]:
+    """A shell hook that prints ``stdout`` and appends its argument to a log."""
+    log = tmp_path / "hook.log"
+    hook = tmp_path / "hook.sh"
+    hook.write_text(
+        f'#!/bin/sh\necho "$1" >> "{log}"\ncat <<\'EOF\'\n{stdout}EOF\n'
+    )
+    hook.chmod(0o755)
+    return str(hook), log
+
+
+def test_load_corpus_tests_hook_replaces_a_malformed_suite(tmp_path):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    program = _program(corpus, "broken")
+    (program / "tests.csv").write_text("not,a,proper,header\n1,2\n")
+    hook, log = _counting_hook(tmp_path, "also,not,a,suite\n")
+    (entry,) = load_corpus(corpus, tests_hook=hook).entries
+    assert entry.suite is None
+    assert [e.split(":")[0] for e in entry.load_errors] == ["tests.csv", "tests hook"]
+    assert len(log.read_text().splitlines()) == 1
+
+
+def test_load_corpus_tests_hook_skips_a_valid_suite(tmp_path):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (_program(corpus, "valid") / "tests.csv").write_text(ADPCM_CSV)
+    _program(corpus, "bare")
+    hook, log = _counting_hook(tmp_path, ADPCM_CSV)
+    by_name = {e.program.name: e for e in load_corpus(corpus, tests_hook=hook).entries}
+    assert by_name["valid"].suite is not None and by_name["bare"].suite is not None
+    assert by_name["valid"].load_errors == by_name["bare"].load_errors == ()
+    (ran,) = log.read_text().splitlines()
+    assert Path(ran).name.startswith("bare-")
+
+
 def test_corpus_digest_tracks_content(tmp_path):
     program = tmp_path / "p"
     program.mkdir()
@@ -216,6 +286,20 @@ def test_missing_fixture_isolated_to_one_cell(
     assert (only.program_name, only.variant.value, only.sample_index) == ("adpcm", "baseline", 1)
     assert only.status == STATUS_BACKEND_FAILED
     assert report.failures == {STATUS_BACKEND_FAILED: 1}
+
+
+def test_undecodable_fixture_isolated_to_one_cell(
+    tmp_path, corpus_load_module, templates_module
+):
+    partial = tmp_path / "fixtures"
+    shutil.copytree(FIXTURES_DIR, partial)
+    (partial / "adpcm" / "baseline" / "1.txt").write_bytes(b"```c\n\xff\n```\n")
+    report = run(
+        corpus_load_module, ALL_VARIANTS, CONFIG, ReplayBackend(partial), templates_module
+    )
+    (only,) = [r for r in report.results if r.status != STATUS_OK]
+    assert (only.program_name, only.variant.value, only.sample_index) == ("adpcm", "baseline", 1)
+    assert only.status == STATUS_BACKEND_FAILED
 
 
 def test_variant_subset_runs_only_requested(
