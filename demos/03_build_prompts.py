@@ -8,7 +8,12 @@ built prompt.
 from pathlib import Path
 
 from specforge.model import PromptVariant
-from specforge.prompts import build_prompt, default_template_dir, load_templates
+from specforge.prompts import (
+    build_prompt,
+    default_template_dir,
+    load_templates,
+    missing_context,
+)
 from specforge.runner import load_corpus
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -18,14 +23,12 @@ corpus = load_corpus(ROOT / "corpus")
 entry = next(e for e in corpus.entries if e.program.name == "adpcm")
 
 for variant in PromptVariant:
-    if variant is PromptVariant.EVA and entry.report is None:
-        print(f"[{variant}] skipped: no value-analysis report for {entry.program.name}")
+    reason = missing_context(variant, entry.suite, entry.report)
+    if reason:
+        print(f"[{variant}] skipped for {entry.program.name}: {reason}")
         continue
     prompt = build_prompt(
-        templates[variant],
-        entry.program,
-        suite=entry.suite if variant is PromptVariant.PATHCRAWLER else None,
-        report=entry.report if variant is PromptVariant.EVA else None,
+        templates[variant], entry.program, suite=entry.suite, report=entry.report
     )
     print(f"[{variant}] {len(prompt.text)} chars, context digest "
           f"{prompt.context_digest[:12] or '(none)'}")

@@ -14,22 +14,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from ..model import (
-    ASSERT,
-    ASSIGNS,
-    ASSUMES,
-    BEHAVIOR,
-    ENSURES,
-    GHOST,
-    KNOWN_KINDS,
-    LOOP_ASSIGNS,
-    LOOP_INVARIANT,
-    LOOP_VARIANT,
-    PREDICATE,
-    REQUIRES,
-    AnnotationKind,
-    Record,
-)
+from ..model import ASSIGNS, BEHAVIOR, KNOWN_KINDS, LOOP_ASSIGNS, AnnotationKind, Record
 from .lexer import Token, TokenKind, tokenize
 
 
@@ -116,22 +101,8 @@ class Annotation(Record):
     enclosing: Enclosing
 
 
-# Clause-starting keywords. Core kinds get their own bucket; the rest of the
-# ACSL clause vocabulary is recognized but reported verbatim as "other".
-_CORE_STARTERS: dict[str, AnnotationKind] = {
-    "loop invariant": LOOP_INVARIANT,
-    "loop assigns": LOOP_ASSIGNS,
-    "loop variant": LOOP_VARIANT,
-    "requires": REQUIRES,
-    "ensures": ENSURES,
-    "assigns": ASSIGNS,
-    "assert": ASSERT,
-    "behavior": BEHAVIOR,
-    "assumes": ASSUMES,
-    "predicate": PREDICATE,
-    "ghost": GHOST,
-}
-
+# Clause-starting keywords: the known kinds get their own bucket; the rest of
+# the ACSL clause vocabulary is recognized but reported verbatim as "other".
 _OTHER_STARTERS: tuple[str, ...] = (
     "complete behaviors",
     "disjoint behaviors",
@@ -157,15 +128,9 @@ _OTHER_STARTERS: tuple[str, ...] = (
     "admit",
 )
 
-_ALL_STARTERS: tuple[str, ...] = tuple(
-    sorted(
-        list(_CORE_STARTERS) + list(_OTHER_STARTERS),
-        key=lambda kw: (-len(kw.split()), -len(kw)),
-    )
-)
-
 _STARTER_KINDS: dict[str, AnnotationKind] = {
-    kw: _CORE_STARTERS.get(kw) or AnnotationKind.other(kw) for kw in _ALL_STARTERS
+    **{kind.keyword: kind for kind in KNOWN_KINDS},
+    **{kw: AnnotationKind.other(kw) for kw in _OTHER_STARTERS},
 }
 
 # A clause starts at the start of a body or after ';' or ':' plus whitespace;
@@ -173,7 +138,11 @@ _STARTER_KINDS: dict[str, AnnotationKind] = {
 # semicolon). Group 1 is the keyword, its words split by any whitespace.
 _STARTER_RE = re.compile(
     r"(?:\A|[;:])\s*("
-    + "|".join(r"\s+".join(re.escape(w) for w in kw.split()) for kw in _ALL_STARTERS)
+    + "|".join(
+        r"\s+".join(map(re.escape, kw.split()))
+        # most words, then longest, first: alternation takes the first that fits
+        for kw in sorted(_STARTER_KINDS, key=lambda kw: (-len(kw.split()), -len(kw)))
+    )
     + r")\b"
 )
 
@@ -291,44 +260,30 @@ def parse_blocks(code: str) -> AnalyzedCode:
         block_style = token.kind is TokenKind.COMMENT
 
         if heads_loop or has_loop_clause:
-            enclosing_for = lambda _c: LOOP_ANNOTATION  # noqa: E731
-            loop_key = next_code if heads_loop else idx
-            is_contract = False
+            placement, loop_key = LOOP_ANNOTATION, next_code if heads_loop else idx
         elif depth == 0:
-            loop_key = None
-            is_contract = True
-            current_behavior: list[str | None] = [None]
-
-            def enclosing_for(c: _Clause) -> Enclosing:
-                if c[3] is not None:
-                    current_behavior[0] = c[3]
-                    return FUNCTION_CONTRACT
-                if current_behavior[0] is not None:
-                    return Enclosing("behavior_body", current_behavior[0])
-                return FUNCTION_CONTRACT
-
+            placement, loop_key = FUNCTION_CONTRACT, None
         else:
-            loop_key = None
-            is_contract = False
-            enclosing_for = lambda _c: STATEMENT  # noqa: E731
+            placement, loop_key = STATEMENT, None
 
-        annotations = tuple(
-            Annotation(
-                kind=c[0],
-                clause_text=c[1],
-                block_style=block_style,
-                line=c[2],
-                enclosing=enclosing_for(c),
-            )
-            for c in clauses
-        )
+        # In a contract, clauses after a behavior header belong to its body.
+        annotations: list[Annotation] = []
+        behavior = None
+        for kind, text, line, behavior_name in clauses:
+            enclosing = placement
+            if placement is FUNCTION_CONTRACT:
+                if behavior_name is not None:
+                    behavior = behavior_name
+                elif behavior is not None:
+                    enclosing = Enclosing("behavior_body", behavior)
+            annotations.append(Annotation(kind, text, block_style, line, enclosing))
         blocks.append(
             AnnotationBlock(
-                annotations=annotations,
+                annotations=tuple(annotations),
                 block_style=block_style,
                 token_index=idx,
                 loop_key=loop_key,
-                is_function_contract=is_contract,
+                is_function_contract=placement is FUNCTION_CONTRACT,
             )
         )
     return AnalyzedCode(code=code, tokens=tokens, blocks=blocks)

@@ -9,7 +9,6 @@ unusable backend). Handlers raise; only :func:`main` turns an error into an
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -24,11 +23,12 @@ from .analyzer import (
 )
 from .eva import parse_eva_report
 from .gateway import DEFAULT_API_KEY_ENV, LiveBackend, ReplayBackend
-from .model import GenerationConfig, PromptVariant, SourceProgram
+from .model import GenerationConfig, PromptVariant, SourceProgram, canonical_json
 from .mutation import NoMutationSite, enumerate_sites, mutate
 from .pathcrawler import CsvError, parse_test_csv, summarize
 from .prompts import TemplateError, default_template_dir, load_templates
 from .runner import (
+    STATUS_OK,
     ConfigError,
     EmptyCorpus,
     emit,
@@ -41,10 +41,6 @@ from .runner import (
 EXIT_OK = 0
 EXIT_FINDINGS = 1
 EXIT_CONFIG = 2
-
-
-def _print_json(data: object) -> None:
-    print(json.dumps(data, sort_keys=True, indent=2, ensure_ascii=False))
 
 
 def _read_file(path: str) -> str:
@@ -85,7 +81,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
             print(f"warning [{program}/{variant}]: {warning}", file=sys.stderr)
 
     failures = report.failures
-    ok = sum(1 for r in report.results if r.status == "ok")
+    ok = sum(1 for r in report.results if r.status == STATUS_OK)
     print(
         f"{len(report.results)} results ({ok} ok), "
         f"{len(report.skips)} skipped cells, failures: {failures or 'none'}"
@@ -98,40 +94,36 @@ def _cmd_parse_tests(args: argparse.Namespace) -> int:
     suite = parse_test_csv(_read_file(args.file))
     data = suite.to_dict()
     data["summary"] = summarize(suite).to_dict()
-    _print_json(data)
+    sys.stdout.write(canonical_json(data))
     return EXIT_OK
 
 
 def _cmd_parse_eva(args: argparse.Namespace) -> int:
-    _print_json(parse_eva_report(_read_file(args.file)).to_dict())
+    sys.stdout.write(canonical_json(parse_eva_report(_read_file(args.file)).to_dict()))
     return EXIT_OK
 
 
 def _cmd_mutate(args: argparse.Namespace) -> int:
     program = SourceProgram(name=Path(args.file).stem, source=_read_file(args.file))
     if args.list_sites:
-        sites = enumerate_sites(program)
-        _print_json(
-            [
-                {
-                    "operator": s.operator.value,
-                    "line": s.line,
-                    "token": s.token,
-                    "replacement": s.replacement,
-                    "single_token": s.single_token,
-                }
-                for s in sites
-            ]
-        )
+        sites = [
+            {
+                "operator": s.operator.value,
+                "line": s.line,
+                "token": s.token,
+                "replacement": s.replacement,
+                "single_token": s.single_token,
+            }
+            for s in enumerate_sites(program)
+        ]
+        sys.stdout.write(canonical_json(sites))
         return EXIT_OK
     mutant, record = mutate(program, args.seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = f"{program.name}.mut{record.mutation_id}"
     (out_dir / f"{stem}.c").write_text(mutant.source, encoding="utf-8")
-    (out_dir / f"{stem}.json").write_text(
-        json.dumps(record.to_dict(), sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    (out_dir / f"{stem}.json").write_text(canonical_json(record.to_dict()), encoding="utf-8")
     print(f"wrote {out_dir / (stem + '.c')}")
     return EXIT_OK
 
@@ -156,13 +148,13 @@ def _cmd_count(args: argparse.Namespace) -> int:
         for keyword, count in histogram_to_dict(histogram).items():
             print(f"{keyword},{count}")
     else:
-        _print_json(histogram_to_dict(histogram))
+        sys.stdout.write(canonical_json(histogram_to_dict(histogram)))
     return EXIT_OK
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
     issues = lint_code(_split_if_response(_read_file(args.file)))
-    _print_json([i.to_dict() for i in issues])
+    sys.stdout.write(canonical_json([i.to_dict() for i in issues]))
     return EXIT_FINDINGS if issues else EXIT_OK
 
 

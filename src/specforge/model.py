@@ -20,17 +20,26 @@ of functions instead.
 Decoding ignores unknown keys. A missing key takes the field default, or
 ``None`` when the field is optional and has none. A value that does not fit
 its field, and a check the record itself makes, raise :class:`CodecError`.
+
+:func:`canonical_json` is the one writer of these encodings as text: every
+report file and every JSON printout of the command line goes through it.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import json
 import typing
 from dataclasses import MISSING, dataclass, field
 from enum import Enum
 from operator import attrgetter
 from typing import Any, Callable, TypeVar
+
+
+def canonical_json(data: Any) -> str:
+    """``data`` as JSON text: sorted keys, indent 2, non-ASCII kept, final newline."""
+    return json.dumps(data, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 
 class CodecError(ValueError):

@@ -2,10 +2,11 @@
 
 Templates are plain-text data files, one per variant, with placeholder slots
 ``{program}``, ``{csv}``, ``{eva}`` plus two few-shot snippet slots
-``{valid_assigns}``/``{invalid_assigns}`` filled from companion files at load
-time. Substitution is purely textual and single-pass (no format-string
-machinery — C code is full of braces), so a built prompt contains the program,
-its context and the snippets byte-for-byte, even when they hold slot-like text.
+``{valid_assigns}``/``{invalid_assigns}`` whose text is read from companion
+files at load time. Every slot, snippets included, is filled at build time in
+one textual pass (no format-string machinery — C code is full of braces) that
+never rescans inserted text, so a built prompt contains the program, its
+context and the snippets byte-for-byte, even when they hold slot-like text.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ class PlaceholderMismatch(TemplateError):
 
 
 class MissingContext(TemplateError):
-    def __init__(self, variant: PromptVariant, needed: str):
-        super().__init__(f"{variant} prompt requires {needed}")
+    def __init__(self, variant: PromptVariant, reason: str):
+        super().__init__(reason)
         self.variant = variant
 
 
@@ -67,17 +68,15 @@ _PLACEHOLDER_RE = re.compile(r"\{[a-z_]+\}")
 
 @dataclass(frozen=True)
 class PromptTemplate(Record):
-    """A loaded template: snippet slots already filled, context slots still open.
+    """A loaded template: its validated raw body, every slot still open.
 
-    ``snippet_spans`` are the ``(start, end)`` offsets of the snippet text in
-    ``body``. Slot-like text there is literal: ``build_prompt`` leaves it be.
+    ``snippets`` maps each snippet slot in ``body`` to its text;
+    ``build_prompt`` fills them in the same pass as the other slots.
     """
 
     variant: PromptVariant
     body: str
-    snippet_spans: tuple[tuple[int, int], ...] | None = field(
-        default=None, metadata={"omit_if_none": True}
-    )
+    snippets: dict[str, str] | None = field(default=None, metadata={"omit_if_none": True})
 
 
 @dataclass(frozen=True)
@@ -114,32 +113,12 @@ def _validate(variant: PromptVariant, body: str) -> None:
             raise PlaceholderMismatch(variant, found, "slot not allowed in this template")
 
 
-def _fill_snippets(
-    raw: str, snippets: dict[str, str]
-) -> tuple[str, tuple[tuple[int, int], ...]]:
-    """``raw`` with its snippet slots filled in one pass, and where the snippets landed."""
-    spans: list[tuple[int, int]] = []
-    growth = 0  # how much longer the filled text is than the raw text so far
-
-    def fill(match: re.Match[str]) -> str:
-        nonlocal growth
-        text = snippets.get(match.group())
-        if text is None:
-            return match.group()  # a context slot, filled by build_prompt
-        start = match.start() + growth
-        spans.append((start, start + len(text)))
-        growth += len(text) - len(match.group())
-        return text
-
-    return _PLACEHOLDER_RE.sub(fill, raw), tuple(spans)
-
-
 def load_templates(directory: Path | str) -> dict[PromptVariant, PromptTemplate]:
     """Read and validate one template per variant from ``directory``.
 
-    Snippet slots are filled from ``snippets/valid_assigns.c`` and
-    ``snippets/invalid_assigns.c`` next to the templates, in one pass, and
-    their text stays literal. Raises MissingTemplate / PlaceholderMismatch.
+    Snippet texts are read from ``snippets/valid_assigns.c`` and
+    ``snippets/invalid_assigns.c`` next to the templates, for the slots the
+    template holds. Raises MissingTemplate / PlaceholderMismatch.
     """
     directory = Path(directory)
     templates: dict[PromptVariant, PromptTemplate] = {}
@@ -159,11 +138,21 @@ def load_templates(directory: Path | str) -> dict[PromptVariant, PromptTemplate]
                     variant, slot, f"snippet file {snippet_path} is missing"
                 )
             snippets[slot] = snippet_path.read_text(encoding="utf-8").rstrip("\n")
-        body, spans = _fill_snippets(raw, snippets)
         templates[variant] = PromptTemplate(
-            variant=variant, body=body, snippet_spans=spans or None
+            variant=variant, body=raw, snippets=snippets or None
         )
     return templates
+
+
+def missing_context(
+    variant: PromptVariant, suite: TestSuite | None, report: EvaReport | None
+) -> str | None:
+    """Why a ``variant`` prompt cannot be built from this context; None when it can."""
+    if variant is PromptVariant.PATHCRAWLER and suite is None:
+        return "no test suite for this program"
+    if variant is PromptVariant.EVA and report is None:
+        return "no value-analysis report for this program"
+    return None
 
 
 def build_prompt(
@@ -172,38 +161,36 @@ def build_prompt(
     suite: TestSuite | None = None,
     report: EvaReport | None = None,
 ) -> BuiltPrompt:
-    """Substitute the program and its context into the template's slots.
+    """Substitute the program, its context and the snippets into the template's slots.
 
-    The Pathcrawler variant requires ``suite``, the Eva variant ``report``;
-    raises MissingContext otherwise, and UnresolvedPlaceholder for a slot the
+    Raises MissingContext, with the reason ``missing_context`` gives, when the
+    variant's context is absent, and UnresolvedPlaceholder for a slot the
     variant does not fill, which only a hand-built template can hold. A suite
     whose cases all have empty outputs attaches a state-mutation warning.
     """
+    reason = missing_context(template.variant, suite, report)
+    if reason:
+        raise MissingContext(template.variant, reason)
     warnings: tuple[str, ...] = ()
     if template.variant is PromptVariant.PATHCRAWLER:
-        if suite is None:
-            raise MissingContext(template.variant, "a parsed test suite")
         context = render_csv(suite)
         if not summarize(suite).has_output:
             warnings = (STATE_MUTATION_WARNING,)
     elif template.variant is PromptVariant.EVA:
-        if report is None:
-            raise MissingContext(template.variant, "a parsed value-analysis report")
         context = report.raw
     else:
         context = ""
 
+    values = dict(template.snippets or {})
+    values["{program}"] = program.source
     slot = _CONTEXT_SLOT[template.variant]
-    literal = template.snippet_spans or ()
+    if slot:
+        values[slot] = context
 
     def fill(match: re.Match[str]) -> str:
-        if any(match.start() < end and start < match.end() for start, end in literal):
-            return match.group()
-        if match.group() == "{program}":
-            return program.source
-        if match.group() == slot:
-            return context
-        raise UnresolvedPlaceholder(match.group())
+        if match.group() not in values:
+            raise UnresolvedPlaceholder(match.group())
+        return values[match.group()]
 
     text = _PLACEHOLDER_RE.sub(fill, template.body)  # inserted text is not rescanned
 

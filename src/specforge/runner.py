@@ -55,10 +55,11 @@ from .model import (
     PromptVariant,
     Record,
     SourceProgram,
+    canonical_json,
     kind_sort_key,
 )
 from .pathcrawler import CsvError, TestSuite, parse_test_csv
-from .prompts import BuiltPrompt, PromptTemplate, build_prompt
+from .prompts import BuiltPrompt, PromptTemplate, build_prompt, missing_context
 
 STATUS_OK = "ok"
 STATUS_NO_CODE_FENCE = "no_code_fence"
@@ -119,9 +120,10 @@ class CorpusLoad:
     digest: str  # content hash over every corpus file read
 
 
-def _stderr_tail(stderr: str) -> str:
+def _stderr_tail(stderr: bytes) -> str:
     """``": "`` and the last non-blank lines of a hook's stderr, bounded; "" if none."""
-    lines = [line.strip() for line in stderr.splitlines() if line.strip()]
+    text = stderr.decode("utf-8", errors="replace")
+    lines = [line.strip() for line in text.splitlines() if line.strip()]
     tail = " | ".join(lines[-HOOK_STDERR_LINES:])[-HOOK_STDERR_CHARS:]
     return f": {tail}" if tail else ""
 
@@ -131,7 +133,8 @@ def _run_hook(
 ) -> str | None:
     """Run ``command`` on a temporary copy of ``program``, its path appended quoted.
 
-    Returns the hook's stdout, or None after adding its load error to ``errors``.
+    Returns the hook's stdout, or None after adding its load error to ``errors``:
+    the hook failed, timed out, or printed text that is not UTF-8.
     """
     with tempfile.NamedTemporaryFile(
         "w", suffix=".c", prefix=f"{program.name}-", delete=False
@@ -143,7 +146,6 @@ def _run_hook(
             shell=True,
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
-            text=True,
             start_new_session=True,
         ) as proc:
             try:
@@ -159,7 +161,13 @@ def _run_hook(
     if proc.returncode != 0:
         errors.append(f"{which} hook failed (exit {proc.returncode})" + _stderr_tail(stderr))
         return None
-    return stdout
+    try:
+        text = stdout.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        errors.append(f"{which} hook output is not UTF-8: {exc}")
+        return None
+    # universal newlines, as ``read_text`` gives a context file
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _parse_context(
@@ -380,15 +388,6 @@ class ExperimentReport(Record):
         }
 
 
-def _missing_context(entry: CorpusEntry, variant: PromptVariant) -> str | None:
-    """Why ``entry`` cannot be prompted with ``variant``; None when it can."""
-    if variant is PromptVariant.PATHCRAWLER and entry.suite is None:
-        return "no test suite for this program"
-    if variant is PromptVariant.EVA and entry.report is None:
-        return "no value-analysis report for this program"
-    return None
-
-
 def _analyze(
     entry: CorpusEntry,
     prompt: BuiltPrompt,
@@ -522,7 +521,7 @@ def run(
     skips: list[tuple[str, str, str]] = []
     for entry in entries:
         for variant in variants:
-            reason = _missing_context(entry, variant)
+            reason = missing_context(variant, entry.suite, entry.report)
             if reason:
                 skips.append((entry.program.name, variant.value, reason))
                 continue
@@ -561,10 +560,6 @@ def run(
     )
 
 
-def _canonical_json(data: Any) -> str:
-    return json.dumps(data, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
-
-
 def emit(
     report: ExperimentReport, directory: Path | str, normalize: str = "totals"
 ) -> list[Path]:
@@ -581,7 +576,7 @@ def emit(
     written: list[Path] = []
 
     report_path = directory / "report.json"
-    report_path.write_text(_canonical_json(report.to_dict()), encoding="utf-8")
+    report_path.write_text(canonical_json(report.to_dict()), encoding="utf-8")
     written.append(report_path)
 
     aggregates = report.aggregate_histograms

@@ -10,10 +10,15 @@ from pathlib import Path
 
 import pytest
 
-from conftest import ADPCM_CSV, CORPUS_DIR, FIXTURES_DIR, REPO_ROOT, src_env
+from conftest import ADPCM_CSV, CORPUS_DIR, DATA_DIR, FIXTURES_DIR, REPO_ROOT, src_env
+from specforge.analyzer import count_by_kind, lint, parse_annotations
 from specforge.cli import main
+from specforge.eva import parse_eva_report
 from specforge.gateway import BackendError, LiveBackend
-from specforge.runner import load_corpus
+from specforge.model import SourceProgram, canonical_json
+from specforge.mutation import mutate
+from specforge.pathcrawler import parse_test_csv, summarize
+from specforge.runner import histogram_to_dict, load_corpus
 
 
 def test_parse_tests_outputs_json(tmp_path, capsys):
@@ -116,6 +121,41 @@ def test_lint_findings_exit_one(tmp_path, capsys):
     assert main(["lint", str(path)]) == 1
     issues = json.loads(capsys.readouterr().out)
     assert issues[0]["rule"] == "variant_before_assigns"
+
+
+def test_json_outputs_are_canonical_json_of_their_data(tmp_path, capsys):
+    tests_csv = tmp_path / "tests.csv"
+    tests_csv.write_text(ADPCM_CSV)
+    suite = parse_test_csv(ADPCM_CSV)
+    eva_path = CORPUS_DIR / "labels_tritype" / "eva.txt"
+    report = parse_eva_report(eva_path.read_text(encoding="utf-8"))
+    annotated = tmp_path / "annotated.c"
+    code = (DATA_DIR / "bsearch_annotated.c").read_text(encoding="utf-8") + (
+        "int g(int n) {\n  int i = 0;\n"
+        "  /*@ loop variant n - i;\n    @ loop assigns i; */\n"
+        "  while (i < n) { i = i + 1; }\n  return i;\n}\n"
+    )
+    annotated.write_text(code, encoding="utf-8")
+    expected = [
+        (
+            ["parse-tests", str(tests_csv)],
+            {**suite.to_dict(), "summary": summarize(suite).to_dict()},
+        ),
+        (["parse-eva", str(eva_path)], report.to_dict()),
+        (["count", str(annotated)], histogram_to_dict(count_by_kind(parse_annotations(code)))),
+        (["lint", str(annotated)], [i.to_dict() for i in lint(code)]),
+    ]
+    assert expected[-1][1]  # the lint finds something
+    for argv, data in expected:
+        main(argv)
+        assert capsys.readouterr().out == canonical_json(data), argv[0]
+
+    source = CORPUS_DIR / "tritype" / "program.c"
+    assert main(["mutate", str(source), "--seed", "5", "--out", str(tmp_path)]) == 0
+    program = SourceProgram(name="program", source=source.read_text(encoding="utf-8"))
+    _, record = mutate(program, 5)
+    (written,) = tmp_path.glob("*.mut*.json")
+    assert written.read_text(encoding="utf-8") == canonical_json(record.to_dict())
 
 
 def test_generate_replay_end_to_end(tmp_path, capsys):

@@ -32,6 +32,7 @@ from specforge.model import (
     Origin,
     PromptVariant,
     SourceProgram,
+    canonical_json,
 )
 from specforge.mutation import MutationOperator, MutationRecord
 from specforge.pathcrawler import TestCase, TestSuite, TestSuiteSummary
@@ -44,7 +45,6 @@ from specforge.runner import (
     ExperimentReport,
     GenerationResult,
     RobustnessRow,
-    _canonical_json,
     histogram_from_dict,
     histogram_to_dict,
     load_report,
@@ -202,7 +202,7 @@ def test_golden_encodings_are_unchanged():
     instances = golden_instances()
     assert sorted(instances) == sorted(GOLDEN)
     for name, value in instances.items():
-        assert _canonical_json(_encode(value)) == _canonical_json(GOLDEN[name]), name
+        assert canonical_json(_encode(value)) == canonical_json(GOLDEN[name]), name
 
 
 def test_golden_encodings_round_trip():

@@ -35,7 +35,7 @@ def test_load_templates_all_variants(templates):
     for variant, template in templates.items():
         assert "{program}" in template.body
         assert "START OF INPUT" in template.body
-        assert "{valid_assigns}" not in template.body  # snippets are filled at load
+        assert "{valid_assigns}" in template.snippets  # snippets live in template.snippets
         assert "my family will disown me" in template.body
     assert "{csv}" in templates[PromptVariant.PATHCRAWLER].body
     assert "{eva}" in templates[PromptVariant.EVA].body
@@ -94,6 +94,16 @@ def test_slot_text_in_snippet_files_stays_literal(tmp_path):
     assert "/* see {program} and {invalid_assigns} */" in prompt.text
     assert prompt.text.count(invalid) == 1
     assert PromptTemplate.from_dict(template.to_dict()) == template
+
+
+def test_slot_formed_across_the_snippet_boundary_stays_literal(tmp_path):
+    shutil.copytree(TEMPLATES_DIR, tmp_path, dirs_exist_ok=True)
+    baseline = tmp_path / "baseline.txt"
+    baseline.write_text(baseline.read_text().replace("{valid_assigns}", "{{valid_assigns}"))
+    (tmp_path / "snippets" / "valid_assigns.c").write_text("program} stays text\n")
+    prompt = build_prompt(load_templates(tmp_path)[PromptVariant.BASELINE], PROGRAM)
+    assert prompt.text.count(PROGRAM.source) == 1
+    assert "{program} stays text" in prompt.text
 
 
 def test_build_baseline_contains_program_in_fence(templates):

@@ -13,6 +13,7 @@ import pytest
 from conftest import ADPCM_CSV, CORPUS_DIR, FIXTURES_DIR
 from specforge.gateway import BackendError, ReplayBackend
 from specforge.model import GenerationConfig, Origin, PromptVariant
+from specforge.prompts import MissingContext, build_prompt
 from specforge.runner import (
     STATUS_BACKEND_FAILED,
     STATUS_NO_CODE_FENCE,
@@ -198,6 +199,37 @@ def test_load_corpus_tests_hook_skips_a_valid_suite(tmp_path):
     assert Path(ran).name.startswith("bare-")
 
 
+def _eva_hook(tmp_path, script: str) -> str:
+    hook = tmp_path / "eva_hook.sh"
+    hook.write_text("#!/bin/sh\n" + script)
+    hook.chmod(0o755)
+    return str(hook)
+
+
+def test_load_corpus_non_utf8_hook_stdout_is_a_load_error(tmp_path):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    _program(corpus, "p")
+    _program(corpus, "q")
+    hook = _eva_hook(tmp_path, "printf '\\377'\n")
+    entries = load_corpus(corpus, eva_hook=hook).entries
+    assert [e.program.name for e in entries] == ["p", "q"]
+    for entry in entries:
+        assert entry.report is None
+        (error,) = entry.load_errors
+        assert error.startswith("eva hook output is not UTF-8: 'utf-8' codec can't decode")
+
+
+def test_load_corpus_non_utf8_hook_stderr_is_kept_in_the_failure(tmp_path):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    _program(corpus, "p")
+    hook = _eva_hook(tmp_path, "printf 'bad \\377 byte\\n' >&2\nexit 3\n")
+    (entry,) = load_corpus(corpus, eva_hook=hook).entries
+    assert entry.report is None
+    assert entry.load_errors == ("eva hook failed (exit 3): bad \ufffd byte",)
+
+
 def test_corpus_digest_tracks_content(tmp_path):
     program = tmp_path / "p"
     program.mkdir()
@@ -219,6 +251,23 @@ def test_full_replay_run_shape(full_report, corpus_load_module):
         (1 if e.suite is None else 0) + (1 if e.report is None else 0) for e in entries
     )
     assert len(full_report.skips) == expected_skips
+
+
+def test_every_skip_is_the_reason_build_prompt_refuses(
+    full_report, corpus_load_module, templates_module
+):
+    entries = {e.program.name: e for e in corpus_load_module.entries}
+    assert full_report.skips
+    for program, variant, reason in full_report.skips:
+        entry = entries[program]
+        with pytest.raises(MissingContext) as exc:
+            build_prompt(
+                templates_module[PromptVariant(variant)],
+                entry.program,
+                suite=entry.suite,
+                report=entry.report,
+            )
+        assert str(exc.value) == reason
 
 
 def test_aggregate_equals_sum_of_ok_histograms(full_report):
