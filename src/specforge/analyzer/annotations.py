@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from ..model import ASSIGNS, BEHAVIOR, KNOWN_KINDS, LOOP_ASSIGNS, AnnotationKind, Record
-from .lexer import Token, TokenKind, tokenize
+from .lexer import ComparableStream, Token, TokenKind, tokenize, walk_tokens
 
 
 class NoCodeFence(ValueError):
@@ -219,35 +219,38 @@ class AnnotationBlock:
 
 @dataclass(frozen=True)
 class AnalyzedCode:
-    """One source text scanned once: its tokens (comments included) and ACSL blocks.
+    """One source text scanned once and its tokens walked once.
 
-    The census, lint and preservation check all accept this value in place
-    of the text, so a reply analyzed for all three is tokenized once.
+    Each consumer reads what it needs from here, so a reply analyzed for the
+    census, lint and preservation is tokenized once and walked once:
+
+    - ``blocks`` (the ACSL comments and their clauses): the census, and lint's
+      loop and contract rules;
+    - ``tokens`` (comments included): lint's parameter lists,
+      ``strip_annotations``, and the preservation check's rare re-scan;
+    - ``file_scope`` (``walk_tokens``'s file-scope names): lint's
+      out-of-scope rule;
+    - ``comparable`` (the non-comment tokens' compare texts and lines): the
+      preservation check.
     """
 
     code: str
     tokens: list[Token]
     blocks: list[AnnotationBlock]
+    comparable: ComparableStream
+    file_scope: frozenset[str]
 
 
 def parse_blocks(code: str) -> AnalyzedCode:
-    """Tokenize ``code`` once and parse its annotation blocks.
+    """Tokenize ``code`` once, walk its tokens once, and parse its annotation blocks.
 
     Raises TokenizeError when ``code`` does not scan.
     """
     tokens = tokenize(code)
+    comparable, file_scope, acsl = walk_tokens(tokens)
     blocks: list[AnnotationBlock] = []
-    depth = 0
-    for idx, token in enumerate(tokens):
-        if token.kind is TokenKind.PUNCT:
-            if token.text == "{":
-                depth += 1
-            elif token.text == "}":
-                depth = max(0, depth - 1)
-            continue
-        if not token.is_acsl:
-            continue
-
+    for idx, depth in acsl:
+        token = tokens[idx]
         clauses = _scan_clauses(_comment_body(token), token.line)
         if not clauses:
             continue
@@ -268,15 +271,14 @@ def parse_blocks(code: str) -> AnalyzedCode:
 
         # In a contract, clauses after a behavior header belong to its body.
         annotations: list[Annotation] = []
-        behavior = None
+        enclosing = placement
         for kind, text, line, behavior_name in clauses:
-            enclosing = placement
-            if placement is FUNCTION_CONTRACT:
-                if behavior_name is not None:
-                    behavior = behavior_name
-                elif behavior is not None:
-                    enclosing = Enclosing("behavior_body", behavior)
-            annotations.append(Annotation(kind, text, block_style, line, enclosing))
+            header = behavior_name is not None and placement is FUNCTION_CONTRACT
+            annotations.append(
+                Annotation(kind, text, block_style, line, placement if header else enclosing)
+            )
+            if header:
+                enclosing = Enclosing("behavior_body", behavior_name)
         blocks.append(
             AnnotationBlock(
                 annotations=tuple(annotations),
@@ -286,7 +288,7 @@ def parse_blocks(code: str) -> AnalyzedCode:
                 is_function_contract=placement is FUNCTION_CONTRACT,
             )
         )
-    return AnalyzedCode(code=code, tokens=tokens, blocks=blocks)
+    return AnalyzedCode(code, tokens, blocks, comparable, file_scope)
 
 
 def parse_annotations(code: str | AnalyzedCode) -> list[Annotation]:

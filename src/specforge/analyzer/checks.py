@@ -133,8 +133,9 @@ def check_code_preserved(
     ``max_diff_runs`` mismatching token runs, line numbers taken from the
     original source where possible. ``original`` may be the program's
     precomputed stream (``load_corpus`` stores one per entry) and
-    ``annotated_code`` the reply's ``parse_blocks`` result, so nothing is
-    scanned twice.
+    ``annotated_code`` the reply's ``parse_blocks`` result, whose
+    ``comparable`` stream the walk over its tokens already collected, so
+    nothing is scanned or walked twice.
 
     The reply's own non-comment tokens are compared directly: removing a
     comment leaves whitespace, which changes no other token. The one
@@ -147,7 +148,7 @@ def check_code_preserved(
         original = ComparableStream.of(tokenize(original.source))
     if isinstance(annotated_code, str):
         annotated_code = parse_blocks(annotated_code)
-    modified = ComparableStream.of(annotated_code.tokens)
+    modified = annotated_code.comparable
     if "#" in modified.texts and any(
         t.kind is TokenKind.PUNCT and t.text == "#" for t in annotated_code.tokens
     ):
@@ -194,7 +195,6 @@ class LintIssue(Record):
 
 
 _IDENT_RE = re.compile(r"[A-Za-z_]\w*")
-_DEFINE_RE = re.compile(r"#\s*define\s+(\w+)")
 
 
 def _split_targets(clause_text: str) -> list[str]:
@@ -216,25 +216,6 @@ def _split_targets(clause_text: str) -> list[str]:
     if tail:
         targets.append(tail)
     return [t for t in targets if t]
-
-
-def _file_scope_names(tokens: list[Token]) -> set[str]:
-    """Identifiers visible at file scope plus #define'd names (over-approximate)."""
-    names: set[str] = set()
-    depth = 0
-    for token in tokens:
-        if token.kind is TokenKind.PUNCT:
-            if token.text == "{":
-                depth += 1
-            elif token.text == "}":
-                depth = max(0, depth - 1)
-        elif token.kind is TokenKind.PREPROC:
-            m = _DEFINE_RE.match(" ".join(token.text.split()))
-            if m:
-                names.add(m.group(1))
-        elif token.kind is TokenKind.ID and depth == 0 and token.text not in C_KEYWORDS:
-            names.add(token.text)
-    return names
 
 
 def _formals_after(tokens: list[Token], start: int) -> set[str] | None:
@@ -284,12 +265,15 @@ def lint(code: str | AnalyzedCode) -> list[LintIssue]:
       file-scope name.
     - block_style_in_body: a multi-clause ``/*@`` block annotating a non-loop
       statement inside a function body.
+
+    The file-scope names are the ones ``parse_blocks`` collected while it
+    walked the tokens (``AnalyzedCode.file_scope``); only the parameter list
+    after each contract is read from the tokens here.
     """
     if isinstance(code, str):
         code = parse_blocks(code)
     blocks, tokens = code.blocks, code.tokens
     issues: list[LintIssue] = []
-    file_scope = _file_scope_names(tokens)
 
     # variant-before-assigns, grouped by the loop each block annotates
     loop_groups: dict[int, list] = {}
@@ -317,7 +301,7 @@ def lint(code: str | AnalyzedCode) -> list[LintIssue]:
     for block in blocks:
         if block.is_function_contract:
             formals = _formals_after(tokens, block.token_index + 1)
-            visible = (formals or set()) | file_scope
+            visible = (formals or set()) | code.file_scope
             for annotation in block.annotations:
                 if annotation.kind.keyword != "assigns":
                     continue

@@ -95,13 +95,16 @@ _PUNCTUATORS = (
 # directive starts at a '#' preceded on its line by whitespace alone, so
 # ``newline`` stops right after a newline for ``preproc`` to try the next
 # line; a line whose trailing-whitespace-stripped text ends in a backslash
-# continues the directive. Newlines escaped inside literals do not count as
-# lines. ``quote`` catches literals the ``string``/``char`` forms cannot close.
+# continues the directive. Every other token takes the run of blanks before
+# it into its match, possessively, so trailing blanks at the end of the
+# input match nothing. The token itself is the one named group that matched.
+# Newlines escaped inside literals do not count as lines. ``quote`` catches
+# literals the ``string``/``char`` forms cannot close.
 _TOKEN_RE = re.compile(
-    r"(?P<preproc>^[ \t\r\v\f]*\#(?:[^\n]*\\[^\S\n]*\n)*[^\n]*)"
+    r"^[ \t\r\v\f]*(?P<preproc>\#(?:[^\n]*\\[^\S\n]*\n)*[^\n]*)"
     r"|(?P<newline>(?:[ \t\r\v\f]*\n)+)"
-    r"|(?P<space>[ \t\r\v\f]+)"
-    r"|(?P<id>[A-Za-z_$][A-Za-z0-9_$]*)"
+    r"|[ \t\r\v\f]*+(?:"
+    r"(?P<id>[A-Za-z_$][A-Za-z0-9_$]*)"
     r"|(?P<number>(?:0[xX][0-9a-fA-F]+|(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)[uUlLfF]*)"
     r"|(?P<comment>/\*)"
     r"|(?P<line_comment>//[^\n]*)"
@@ -110,19 +113,26 @@ _TOKEN_RE = re.compile(
     r"|(?P<quote>[\"'])"
     r"|(?P<punct>" + "|".join(re.escape(p) for p in _PUNCTUATORS) + ")"
     # Any other character (@, \, `, non-ASCII...) is a one-char punctuator.
-    r"|(?P<other>[\s\S])",
+    r"|(?P<other>[\s\S]))",
     re.MULTILINE,
 )
 
-_PLAIN_KINDS = {
-    "id": TokenKind.ID,
-    "punct": TokenKind.PUNCT,
-    "number": TokenKind.NUMBER,
-    "other": TokenKind.PUNCT,
-    "string": TokenKind.STRING,
-    "char": TokenKind.CHAR,
-    "line_comment": TokenKind.LINE_COMMENT,
-}
+# ``m.lastindex`` of a match, the number of its token group, indexes these:
+# the kind of a token taken as matched, else None.
+_PLAIN_KINDS: list[TokenKind | None] = [None] * (_TOKEN_RE.groups + 1)
+for _name, _kind in (
+    ("id", TokenKind.ID),
+    ("punct", TokenKind.PUNCT),
+    ("number", TokenKind.NUMBER),
+    ("other", TokenKind.PUNCT),
+    ("string", TokenKind.STRING),
+    ("char", TokenKind.CHAR),
+    ("line_comment", TokenKind.LINE_COMMENT),
+):
+    _PLAIN_KINDS[_TOKEN_RE.groupindex[_name]] = _kind
+_NEWLINE, _COMMENT, _PREPROC = (
+    _TOKEN_RE.groupindex[g] for g in ("newline", "comment", "preproc")
+)
 
 
 def tokenize(source: str) -> list[Token]:
@@ -140,28 +150,29 @@ def tokenize(source: str) -> list[Token]:
     n = len(source)
     while pos < n:
         m = match(source, pos)
-        group = m.lastgroup
-        end = m.end()
-        kind = plain_kinds.get(group)
+        if m is None:  # only blanks are left
+            break
+        group = m.lastindex
+        start, end = m.span(group)
+        kind = plain_kinds[group]
         if kind is not None:
-            append(new(Token, (kind, m.group(), line, pos, end)))
-        elif group == "newline":
-            line += source.count("\n", pos, end)
-        elif group == "comment":
-            close = source.find("*/", pos + 2)
+            append(new(Token, (kind, source[start:end], line, start, end)))
+        elif group == _NEWLINE:
+            line += source.count("\n", start, end)
+        elif group == _COMMENT:
+            close = source.find("*/", start + 2)
             if close == -1:
                 raise UnterminatedComment(line)
             end = close + 2
-            text = source[pos:end]
-            append(new(Token, (TokenKind.COMMENT, text, line, pos, end)))
+            text = source[start:end]
+            append(new(Token, (TokenKind.COMMENT, text, line, start, end)))
             line += text.count("\n")
-        elif group == "preproc":
-            start = source.index("#", pos)
+        elif group == _PREPROC:
             text = source[start:end]
             append(new(Token, (TokenKind.PREPROC, text, line, start, end)))
             line += text.count("\n")
-        elif group == "quote":
-            raise UnterminatedLiteral(line, m.group())
+        else:  # quote
+            raise UnterminatedLiteral(line, source[start])
         pos = end
     return tokens
 
@@ -193,5 +204,55 @@ class ComparableStream:
 
     @classmethod
     def of(cls, tokens: Iterable[Token]) -> "ComparableStream":
-        code = [t for t in tokens if t.kind not in _COMMENT_KINDS]
-        return cls(tuple(map(compare_text, code)), tuple(t.line for t in code))
+        """The stream of ``tokens``, by the rule ``walk_tokens`` applies."""
+        return walk_tokens(tokens)[0]
+
+
+_DEFINE_RE = re.compile(r"#\s*define\s+(\w+)")
+
+
+def walk_tokens(
+    tokens: Iterable[Token],
+) -> tuple[ComparableStream, frozenset[str], list[tuple[int, int]]]:
+    """Collect, in one pass, every per-token fact the analysis reads.
+
+    Returns ``(comparable, file_scope, acsl)``:
+
+    - ``comparable``: the ``compare_text`` and line of every token that is
+      not a comment; this is the one rule for what preservation compares;
+    - ``file_scope``: the non-keyword identifiers at brace depth 0 plus the
+      ``#define``d names, an over-approximation of the names visible at file
+      scope (a stray ``}`` never takes the depth below 0);
+    - ``acsl``: ``(index, depth)`` of each ACSL comment, its index in
+      ``tokens`` and the brace depth it sits at.
+    """
+    texts: list[str] = []
+    lines: list[int] = []
+    names: set[str] = set()
+    acsl: list[tuple[int, int]] = []
+    add_text, add_line, add_name = texts.append, lines.append, names.add
+    ident, punct, preproc = TokenKind.ID, TokenKind.PUNCT, TokenKind.PREPROC
+    keywords = C_KEYWORDS
+    depth = 0
+    for idx, token in enumerate(tokens):
+        kind, text, line, _, _ = token
+        if kind is ident:
+            if not depth and text not in keywords:
+                add_name(text)
+        elif kind is punct:
+            if text == "{":
+                depth += 1
+            elif text == "}" and depth:
+                depth -= 1
+        elif kind in _COMMENT_KINDS:
+            if token.is_acsl:
+                acsl.append((idx, depth))
+            continue
+        elif kind is preproc:
+            text = compare_text(token)
+            m = _DEFINE_RE.match(text)
+            if m:
+                add_name(m.group(1))
+        add_text(text)
+        add_line(line)
+    return ComparableStream(tuple(texts), tuple(lines)), frozenset(names), acsl

@@ -136,13 +136,12 @@ def _run_hook(
     Returns the hook's stdout, or None after adding its load error to ``errors``:
     the hook failed, timed out, or printed text that is not UTF-8.
     """
-    with tempfile.NamedTemporaryFile(
-        "w", suffix=".c", prefix=f"{program.name}-", delete=False
-    ) as tmp:
-        tmp.write(program.source)
+    fd, path = tempfile.mkstemp(suffix=".c", prefix=f"{program.name}-")
     try:
+        with os.fdopen(fd, "wb") as tmp:  # the program's own bytes, whatever the locale
+            tmp.write(program.source.encode("utf-8"))
         with subprocess.Popen(
-            f"{command} {shlex.quote(tmp.name)}",
+            f"{command} {shlex.quote(path)}",
             shell=True,
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
@@ -157,7 +156,7 @@ def _run_hook(
         errors.append(f"{which} hook timed out after {HOOK_TIMEOUT_S:g} s")
         return None
     finally:
-        Path(tmp.name).unlink(missing_ok=True)
+        Path(path).unlink(missing_ok=True)
     if proc.returncode != 0:
         errors.append(f"{which} hook failed (exit {proc.returncode})" + _stderr_tail(stderr))
         return None

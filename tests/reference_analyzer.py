@@ -2,9 +2,10 @@
 
 ``reference_tokenize`` is the original character-loop scanner,
 ``strip_and_rescan_verdict`` the original preservation check, which removes
-the ACSL comments from the reply text and scans what is left again, and
+the ACSL comments from the reply text and scans what is left again,
 ``reference_parse_blocks`` the clause scanner that tried every keyword at
-every position of an annotation body. All are kept as they were so that
+every position of an annotation body, and ``_file_scope_names`` lint's own
+walk for the names visible at file scope. All are kept as they were so that
 differential tests can compare the faster implementations in
 ``specforge.analyzer`` with them; do not optimize them.
 """
@@ -22,9 +23,11 @@ from specforge.analyzer import (
     STATEMENT,
     Annotation,
     AnnotationBlock,
+    C_KEYWORDS,
     DiffRun,
     Enclosing,
     PreservationVerdict,
+    Token,
     TokenKind,
     UnterminatedComment,
     UnterminatedLiteral,
@@ -200,6 +203,28 @@ def _comparable(source: str) -> list[tuple[str, int]]:
         for t in reference_tokenize(source)
         if t[0] not in _COMMENTS
     ]
+
+
+_DEFINE_RE = re.compile(r"#\s*define\s+(\w+)")
+
+
+def _file_scope_names(tokens: list[Token]) -> set[str]:
+    """Identifiers visible at file scope plus #define'd names (over-approximate)."""
+    names: set[str] = set()
+    depth = 0
+    for token in tokens:
+        if token.kind is TokenKind.PUNCT:
+            if token.text == "{":
+                depth += 1
+            elif token.text == "}":
+                depth = max(0, depth - 1)
+        elif token.kind is TokenKind.PREPROC:
+            m = _DEFINE_RE.match(" ".join(token.text.split()))
+            if m:
+                names.add(m.group(1))
+        elif token.kind is TokenKind.ID and depth == 0 and token.text not in C_KEYWORDS:
+            names.add(token.text)
+    return names
 
 
 def strip_and_rescan_verdict(

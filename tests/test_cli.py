@@ -456,6 +456,42 @@ def test_run_eva_hook_gets_spaced_path_as_one_argument(tmp_path):
     assert [r["status"] for r in report["results"]] == ["ok"] * 3
 
 
+def test_run_eva_hook_copies_utf8_source_under_an_ascii_locale(tmp_path):
+    source = "/* café */\nint f(int x) { return x * 2; }\n".encode("utf-8")
+    (tmp_path / "corpus" / "accent").mkdir(parents=True)
+    (tmp_path / "corpus" / "accent" / "program.c").write_bytes(source)
+    cell = tmp_path / "fixtures" / "accent" / "eva"
+    cell.mkdir(parents=True)
+    for index in range(3):
+        (cell / f"{index}.txt").write_text(_HOOKED_REPLY, encoding="utf-8")
+    seen = tmp_path / "seen.c"
+    hook = tmp_path / "fake_eva.sh"
+    hook.write_text(f'#!/bin/sh\ncp "$1" {shlex.quote(str(seen))}\n' + _EVA_ALARM)
+    hook.chmod(0o755)
+    tmpdir = tmp_path / "tmp"
+    tmpdir.mkdir()
+    env = src_env() | {
+        "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "TMPDIR": str(tmpdir)
+    }
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "specforge.cli", "generate",
+            "--corpus", str(tmp_path / "corpus"),
+            "--fixtures", str(tmp_path / "fixtures"),
+            "--variants", "eva",
+            "--run-eva", str(hook),
+            "--out", str(tmp_path / "out"),
+        ],
+        capture_output=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))
+    assert [r["status"] for r in report["results"]] == ["ok"] * 3
+    assert seen.read_bytes() == source
+    assert not list(tmpdir.glob("accent-*.c"))
+
+
 def _hook_failure(tmp_path, capsys, stderr_lines):
     """The load warning of a hook that writes ``stderr_lines`` to stderr and exits 3."""
     hook_body = "".join(f"echo '{line}' >&2\n" for line in stderr_lines) + "exit 3\n"

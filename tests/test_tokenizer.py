@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FIXTURES_DIR, oracle_tokens
-from reference_analyzer import reference_tokenize
+from reference_analyzer import _comparable, _file_scope_names, reference_tokenize
 from specforge.analyzer import (
     ComparableStream,
     Token,
@@ -14,6 +14,8 @@ from specforge.analyzer import (
     UnterminatedComment,
     UnterminatedLiteral,
     compare_text,
+    lint,
+    parse_blocks,
     split_response,
     tokenize,
 )
@@ -100,6 +102,32 @@ def test_unterminated_string_raises():
         tokenize('char *s = "oops;\n')
 
 
+_ID, _PUNCT = TokenKind.ID, TokenKind.PUNCT
+
+
+@pytest.mark.parametrize(
+    "source, expected",
+    [
+        ("a \v\f\t b", [(_ID, "a", 1, 0, 1), (_ID, "b", 1, 6, 7)]),
+        ("x;  \t", [(_ID, "x", 1, 0, 1), (_PUNCT, ";", 1, 1, 2)]),
+        ("  #define X 1\n", [(TokenKind.PREPROC, "#define X 1", 1, 2, 13)]),
+        (
+            "/* c */ # x\n",
+            [(TokenKind.COMMENT, "/* c */", 1, 0, 7), (_PUNCT, "#", 1, 8, 9), (_ID, "x", 1, 10, 11)],
+        ),
+        ("x\r\n  y", [(_ID, "x", 1, 0, 1), (_ID, "y", 2, 5, 6)]),
+    ],
+)
+def test_spans_at_blank_run_edges(source, expected):
+    assert tokenize(source) == expected
+
+
+def test_unterminated_literal_after_blanks_keeps_its_line():
+    with pytest.raises(UnterminatedLiteral) as exc:
+        tokenize("x = '")
+    assert exc.value.line == 1
+
+
 def test_spans_reconstruct_source():
     code = 'int f(int n) { return n + 1; } /* tail */\n'
     for tok in tokenize(code):
@@ -181,3 +209,38 @@ def test_tokenize_matches_reference_on_shipped_sources(corpus_load):
     for source in sources:
         got = [(t.kind, t.text, t.line, t.start, t.end) for t in tokenize(source)]
         assert got == reference_tokenize(source)
+
+
+# Whole annotations and file-scope shapes, so generated sources hold clause
+# bodies, contracts before headers, braces and #define lines.
+_ANALYSIS_FRAGMENTS = [
+    "/*@ requires x > 0;\n  assigns *p, g; */",
+    "/*@ behavior b: assumes x; assigns y; */",
+    "/*@ loop invariant 0 <= i; loop assigns i; loop variant n - i; */",
+    "//@ assigns q;\n",
+    "//@ assert x;",
+    "int f(int *p)",
+    "int g;",
+    "#define N 3\n",
+    "# define  M\t(2)\n",
+    "for",
+    "{",
+    "}",
+]
+_c_with_acsl = st.lists(
+    st.sampled_from(_FRAGMENTS + _ANALYSIS_FRAGMENTS), max_size=40
+).map("".join)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.one_of(_c_like, _c_with_acsl))
+def test_one_walk_matches_the_reference_facts(source):
+    try:
+        analyzed = parse_blocks(source)
+    except TokenizeError:
+        return
+    comparable = analyzed.comparable
+    assert list(zip(comparable.texts, comparable.lines)) == _comparable(source)
+    reference_tokens = [Token(*t) for t in reference_tokenize(source)]
+    assert analyzed.file_scope == _file_scope_names(reference_tokens)
+    assert lint(source) == lint(analyzed)
