@@ -96,14 +96,15 @@ _PUNCTUATORS = (
 # ``newline`` stops right after a newline for ``preproc`` to try the next
 # line; a line whose trailing-whitespace-stripped text ends in a backslash
 # continues the directive. Every other token takes the run of blanks before
-# it into its match, possessively, so trailing blanks at the end of the
-# input match nothing. The token itself is the one named group that matched.
+# it into its match; no token group matches a blank, so the run never gives
+# a character back to the token, and trailing blanks at the end of the input
+# match nothing. The token itself is the one named group that matched.
 # Newlines escaped inside literals do not count as lines. ``quote`` catches
 # literals the ``string``/``char`` forms cannot close.
 _TOKEN_RE = re.compile(
     r"^[ \t\r\v\f]*(?P<preproc>\#(?:[^\n]*\\[^\S\n]*\n)*[^\n]*)"
     r"|(?P<newline>(?:[ \t\r\v\f]*\n)+)"
-    r"|[ \t\r\v\f]*+(?:"
+    r"|[ \t\r\v\f]*(?:"
     r"(?P<id>[A-Za-z_$][A-Za-z0-9_$]*)"
     r"|(?P<number>(?:0[xX][0-9a-fA-F]+|(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)[uUlLfF]*)"
     r"|(?P<comment>/\*)"
@@ -112,8 +113,9 @@ _TOKEN_RE = re.compile(
     r"|(?P<char>'[^'\\\n]*(?:\\[\s\S][^'\\\n]*)*')"
     r"|(?P<quote>[\"'])"
     r"|(?P<punct>" + "|".join(re.escape(p) for p in _PUNCTUATORS) + ")"
-    # Any other character (@, \, `, non-ASCII...) is a one-char punctuator.
-    r"|(?P<other>[\s\S]))",
+    # Any other character but a blank (@, \, `, non-ASCII...) is a one-char
+    # punctuator.
+    r"|(?P<other>[^ \t\r\v\f]))",
     re.MULTILINE,
 )
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -128,6 +130,28 @@ def test_unterminated_literal_after_blanks_keeps_its_line():
     assert exc.value.line == 1
 
 
+def _opcodes(node, parser):
+    if isinstance(node, parser.SubPattern):
+        for op, av in node:
+            yield op
+            yield from _opcodes(av, parser)
+    elif isinstance(node, (tuple, list)):
+        for item in node:
+            yield from _opcodes(item, parser)
+
+
+def test_scanner_pattern_compiles_on_python_3_10():
+    # The package supports Python 3.10, whose re module rejects possessive
+    # quantifiers and atomic groups (both new in 3.11) with re.error.
+    parser = pytest.importorskip("re._parser")
+    constants = pytest.importorskip("re._constants")
+    from specforge.analyzer.lexer import _TOKEN_RE
+
+    newer = {constants.POSSESSIVE_REPEAT, constants.ATOMIC_GROUP}
+    tree = parser.parse(_TOKEN_RE.pattern, _TOKEN_RE.flags)
+    assert newer.isdisjoint(_opcodes(tree, parser))
+
+
 def test_spans_reconstruct_source():
     code = 'int f(int n) { return n + 1; } /* tail */\n'
     for tok in tokenize(code):
@@ -242,5 +266,7 @@ def test_one_walk_matches_the_reference_facts(source):
     comparable = analyzed.comparable
     assert list(zip(comparable.texts, comparable.lines)) == _comparable(source)
     reference_tokens = [Token(*t) for t in reference_tokenize(source)]
-    assert analyzed.file_scope == _file_scope_names(reference_tokens)
-    assert lint(source) == lint(analyzed)
+    reference_scope = frozenset(_file_scope_names(reference_tokens))
+    assert analyzed.file_scope == reference_scope
+    # lint of the text, against lint fed the frozen oracle's file-scope names.
+    assert lint(source) == lint(replace(analyzed, file_scope=reference_scope))
