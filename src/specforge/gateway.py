@@ -16,7 +16,7 @@ import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Protocol
+from typing import Generator, Protocol
 from urllib.parse import urlsplit
 
 from .model import GenerationConfig, Record
@@ -86,6 +86,8 @@ class CompletionResponse(Record):
     text: str
     backend_kind: str  # "live" | "replay"
     backend_detail: str  # model id for live, fixture key for replay
+    # Live: first attempt sent to reply read, so retries, their backoffs and
+    # any wait for a free slot after a backoff count. Replay: always 0.
     latency_ms: int
     request_digest: str
 
@@ -140,7 +142,8 @@ class LiveBackend:
 
     Each attempt is one ``urllib.request`` POST on a connection of its own, so
     nothing is shared between the threads of ``runner.run`` and the client
-    needs no lock. ``HTTP_PROXY``, ``HTTPS_PROXY`` and ``NO_PROXY`` are
+    needs no lock; an attempt may be resumed on another thread than its
+    first. ``HTTP_PROXY``, ``HTTPS_PROXY`` and ``NO_PROXY`` are
     honoured as by ``urllib.request.urlopen``, with the proxies read when the
     backend is built. HTTPS certificates are checked against OpenSSL's default
     CA paths, which ``SSL_CERT_FILE`` and ``SSL_CERT_DIR`` override. The HTTP
@@ -148,9 +151,13 @@ class LiveBackend:
     them.
 
     Transport failures and 5xx responses are retried with exponential backoff
-    (one sleep per retry, ``backoff_s`` long); 4xx responses fail immediately,
-    and so do 3xx responses: redirects are never followed.
-    The client does not limit concurrent use; ``runner.run`` bounds it.
+    (one wait per retry, ``backoff_s`` long); 4xx responses fail immediately,
+    and so do 3xx responses: redirects are never followed. The retry loop is
+    :meth:`attempts`, which yields each backoff instead of waiting it out.
+    :meth:`complete` sleeps through the backoffs on the calling thread;
+    ``runner.run`` parks the request instead, so a backoff holds no thread
+    and no in-flight slot. The client does not limit concurrent use;
+    ``runner.run`` bounds it.
     """
 
     def __init__(
@@ -199,6 +206,24 @@ class LiveBackend:
         self._transport_errors = (OSError, http.client.HTTPException)
 
     def complete(self, request: CompletionRequest) -> CompletionResponse:
+        """Run :meth:`attempts` to the end, sleeping out each backoff here."""
+        steps = self.attempts(request)
+        try:
+            while True:
+                time.sleep(next(steps))
+        except StopIteration as done:
+            return done.value
+
+    def attempts(
+        self, request: CompletionRequest
+    ) -> Generator[float, None, CompletionResponse]:
+        """The retry loop, one attempt per step, with the waiting left to the caller.
+
+        Each ``next`` sends one attempt. A retryable failure yields the
+        backoff in seconds to wait before the next attempt; success returns
+        the response (as ``StopIteration.value``), and a final failure raises
+        the ``GatewayError`` that :meth:`complete` raises.
+        """
         api_key = os.environ.get(self.api_key_env, "")
         if not api_key:
             raise MissingCredential(self.api_key_env)
@@ -219,7 +244,7 @@ class LiveBackend:
         last_error: tuple[int | None, str] = (None, "no attempt made")
         for attempt in range(len(self.backoff_s) + 1):
             if attempt > 0:
-                time.sleep(self.backoff_s[attempt - 1])
+                yield self.backoff_s[attempt - 1]
             try:
                 status, location, raw = self._post(url, body, headers)
             except self._transport_errors as exc:

@@ -10,17 +10,19 @@ recorded, never fatal: one bad cell removes exactly that cell.
 from __future__ import annotations
 
 import hashlib
+import heapq
 import json
 import os
 import shlex
 import signal
 import subprocess
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
+import threading
+import time
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Generator, Iterable, Iterator, Sequence
 
 from .analyzer import (
     Annotation,
@@ -488,6 +490,134 @@ def mutant_pairs(entries: Sequence[CorpusEntry]) -> list[tuple[str, str]]:
     return sorted(pairs)
 
 
+_Steps = Generator[float, None, CompletionResponse]  # a LiveBackend.attempts run
+_Reply = CompletionResponse | GatewayError
+
+
+class _Dispatch:
+    """Each request's reply, or its ``GatewayError``, in request order.
+
+    ``max_workers`` threads each loop: take a job, send one attempt, then
+    deliver the reply or park the request. A backend with ``attempts`` (see
+    ``LiveBackend``) yields a backoff after a retryable failure; the request
+    is parked in a heap until then, holding no thread, and its worker takes
+    the next job. A parked request whose time has come goes before a new
+    one. A backend without ``attempts`` is one ``complete`` call per request.
+
+    Leaving the ``with`` block stops new attempts and drops parked retries,
+    then joins the workers once their attempts on the wire are done. Any
+    exception but ``GatewayError`` from the backend stops the workers too and
+    is raised to the caller.
+    """
+
+    def __init__(
+        self, backend: CompletionBackend, requests: Sequence[CompletionRequest], max_workers: int
+    ):
+        self._complete = backend.complete
+        self._attempts: Callable[[CompletionRequest], _Steps] | None = getattr(
+            backend, "attempts", None
+        )
+        self._requests = requests
+        self._workers = min(max_workers, len(requests))
+        self._threads: list[threading.Thread] = []
+        self._lock = threading.Lock()
+        self._work = threading.Condition(self._lock)  # idle workers wait here
+        self._done = threading.Condition(self._lock)  # the caller waits here
+        self._parked: list[tuple[float, int, _Steps]] = []  # (resume time, index, steps)
+        self._replies: dict[int, _Reply] = {}
+        self._sent = 0  # requests taken for their first attempt
+        self._stopped = False
+        self._error: BaseException | None = None
+
+    def __enter__(self) -> Iterator[_Reply]:
+        try:
+            for n in range(self._workers):
+                thread = threading.Thread(
+                    target=self._worker, name=f"specforge-request-{n}", daemon=True
+                )
+                thread.start()
+                self._threads.append(thread)
+        except BaseException:
+            self.__exit__()
+            raise
+        return self._in_order()
+
+    def __exit__(self, *exc_info: object) -> None:
+        with self._lock:
+            self._stop()
+        for thread in self._threads:
+            thread.join()
+
+    def _stop(self) -> None:
+        """Under the lock: no new attempts, and every waiter wakes."""
+        self._stopped = True
+        self._parked.clear()
+        self._work.notify_all()
+        self._done.notify_all()
+
+    def _in_order(self) -> Iterator[_Reply]:
+        for index in range(len(self._requests)):
+            with self._lock:
+                while index not in self._replies:
+                    if self._error is not None:
+                        raise self._error
+                    self._done.wait()
+                reply = self._replies.pop(index)
+            yield reply
+
+    def _take(self) -> tuple[int, _Steps | None] | None:
+        """Under the lock: a due retry, else a new request, else wait; None once stopped."""
+        while not self._stopped:
+            wait = None
+            if self._parked:
+                wait = self._parked[0][0] - time.monotonic()
+                if wait <= 0:
+                    _, index, steps = heapq.heappop(self._parked)
+                    return index, steps
+            if self._sent < len(self._requests):
+                self._sent += 1
+                return self._sent - 1, None
+            # A request parked later has its own worker come back for it.
+            self._work.wait(wait)
+        return None
+
+    def _worker(self) -> None:
+        while True:
+            with self._lock:
+                job = self._take()
+            if job is None:
+                return
+            index, steps = job
+            try:
+                if self._attempts is None:
+                    reply: _Reply = self._complete(self._requests[index])
+                else:
+                    if steps is None:
+                        steps = self._attempts(self._requests[index])
+                    try:
+                        delay = next(steps)
+                    except StopIteration as finished:
+                        reply = finished.value
+                    else:
+                        with self._lock:
+                            if not self._stopped:
+                                heapq.heappush(
+                                    self._parked, (time.monotonic() + delay, index, steps)
+                                )
+                        continue
+            except GatewayError as exc:
+                reply = exc
+            except BaseException as exc:
+                with self._lock:
+                    if self._error is None:
+                        self._error = exc
+                    self._stop()
+                return
+            with self._lock:
+                self._replies[index] = reply
+                self._done.notify()
+
+
 def run(
     corpus: CorpusLoad | Sequence[CorpusEntry],
     variants: Sequence[PromptVariant],
@@ -500,9 +630,15 @@ def run(
 
     Variants whose required context is absent for a program are skipped and
     recorded; per-cell failures become result statuses. Robustness rows are
-    computed for every corpus mutant whose parent is present. At most
-    ``max_workers`` backend requests are in flight; replies are analyzed on
-    the calling thread, in order, while later requests are still pending.
+    computed for every corpus mutant whose parent is present.
+
+    At most ``max_workers`` backend attempts are on the wire, each on one of
+    ``max_workers`` worker threads. A live request backing off between
+    attempts holds neither: it waits in a heap, and is resent no sooner than
+    its backoff, before any new cell once its time has come. Replies are
+    analyzed on the calling thread, in order, while later requests are still
+    pending. Leaving early, by an exception or Ctrl-C, sends no new attempt
+    and drops waiting retries; attempts on the wire finish first.
     """
     if isinstance(corpus, CorpusLoad):
         entries: Sequence[CorpusEntry] = corpus.entries
@@ -529,15 +665,11 @@ def run(
             )
             cells.extend((entry, prompt, i) for i in range(config.samples_per_program))
 
-    def complete(cell: tuple[CorpusEntry, BuiltPrompt, int]) -> CompletionResponse | GatewayError:
-        request = CompletionRequest(prompt=cell[1], config=config, sample_index=cell[2])
-        try:
-            return backend.complete(request)
-        except GatewayError as exc:
-            return exc
-
-    with ThreadPoolExecutor(max_workers=max(1, max_workers)) as pool:
-        replies = pool.map(complete, cells)
+    requests = [
+        CompletionRequest(prompt=prompt, config=config, sample_index=sample)
+        for _, prompt, sample in cells
+    ]
+    with _Dispatch(backend, requests, max(1, max_workers)) as replies:
         results = [_analyze(*cell, reply) for cell, reply in zip(cells, replies)]
     results.sort(key=lambda r: (r.program_name, r.variant.value, r.sample_index))
 

@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import os
 import re
+import threading
 from pathlib import Path
+from typing import Any, Callable
 
 import pytest
 
@@ -19,6 +21,30 @@ def src_env() -> dict[str, str]:
     env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
     return env
 DATA_DIR = Path(__file__).resolve().parent / "data"
+
+
+def within(timeout_s: float, fn: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
+    """``fn(*args, **kwargs)`` on a thread of its own; fail if it outlives ``timeout_s``.
+
+    A deadlock then fails its test instead of hanging the suite. The result
+    is returned and an exception re-raised, as from a direct call.
+    """
+    outcome: dict[str, Any] = {}
+
+    def target() -> None:
+        try:
+            outcome["value"] = fn(*args, **kwargs)
+        except BaseException as exc:  # re-raised on the test's thread
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(timeout_s)
+    if thread.is_alive():
+        pytest.fail(f"{getattr(fn, '__name__', fn)} still running after {timeout_s} s")
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["value"]
 
 # Recorded sample inputs used across suites. The ADPCM test CSV: four input
 # columns, three cases, outputs 0/0/1, every verdict "unknown".

@@ -8,6 +8,8 @@ from conftest import FIXTURES_DIR, oracle_tokens
 from reference_analyzer import reference_parse_blocks
 from specforge import model
 from specforge.analyzer import (
+    Annotation,
+    Enclosing,
     NoCodeFence,
     TokenizeError,
     count_by_kind,
@@ -176,6 +178,29 @@ def test_empty_census_is_all_zero():
     histogram = count_by_kind([])
     assert set(histogram) == set(model.KNOWN_KINDS)
     assert all(v == 0 for v in histogram.values())
+
+
+_KINDS = st.one_of(
+    st.sampled_from(model.KNOWN_KINDS),
+    st.sampled_from(["terminates", "decreases", "exits", "allocates"]).map(
+        model.AnnotationKind.other
+    ),
+)
+
+
+@given(st.lists(_KINDS, max_size=40))
+def test_census_matches_one_lookup_per_clause(kinds):
+    annotations = [
+        Annotation(
+            kind=kind, clause_text="x", block_style=True, line=1,
+            enclosing=Enclosing("statement"),
+        )
+        for kind in kinds
+    ]
+    expected = {kind: 0 for kind in model.KNOWN_KINDS}
+    for kind in kinds:
+        expected[kind] = expected.get(kind, 0) + 1
+    assert list(count_by_kind(annotations).items()) == list(expected.items())
 
 
 def test_merge_loop_assigns_option(bsearch_annotated):

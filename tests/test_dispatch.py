@@ -1,0 +1,182 @@
+"""How ``run`` schedules backend requests: retries wait in a heap, not in a thread.
+
+Every ``run`` here goes through ``conftest.within``, so a deadlocked
+dispatcher fails its test instead of hanging the suite.
+"""
+
+from __future__ import annotations
+
+import json
+import threading
+import time
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+import pytest
+
+from conftest import FIXTURES_DIR, within
+from specforge.gateway import LiveBackend, ReplayBackend
+from specforge.model import GenerationConfig, PromptVariant
+from specforge.runner import STATUS_OK, run
+
+TIMEOUT_S = 30.0
+REPLY = "```c\nint f(void) { return 0; }\n```"
+
+
+def _workers() -> list[threading.Thread]:
+    return [t for t in threading.enumerate() if t.name.startswith("specforge-request-")]
+
+
+class _Clocked(BaseHTTPRequestHandler):
+    """Answers 503 to the first ``fail_first`` requests and 200 after; logs each one.
+
+    Each request is held ``hold_s`` before its reply. ``inflight`` drops
+    before the reply is written, so a client's next request never overlaps
+    its last one in ``peak``. ``most_workers`` is the most ``run`` worker
+    threads seen alive while a request was held.
+    """
+
+    fail_first = 0
+    hold_s = 0.0
+    lock = threading.Lock()
+    log: list[tuple[float, str, int]] = []  # (arrival, prompt text, status)
+    inflight = 0
+    peak = 0
+    most_workers = 0
+
+    def do_POST(self):  # noqa: N802 (http.server API)
+        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        cls = _Clocked
+        with cls.lock:
+            status = 503 if len(cls.log) < cls.fail_first else 200
+            cls.log.append((time.monotonic(), body["messages"][0]["content"], status))
+            cls.inflight += 1
+            cls.peak = max(cls.peak, cls.inflight)
+            cls.most_workers = max(cls.most_workers, len(_workers()))
+        time.sleep(cls.hold_s)
+        with cls.lock:
+            cls.inflight -= 1
+        reply = {"choices": [{"message": {"content": REPLY}}]} if status == 200 else {}
+        payload = json.dumps(reply).encode("utf-8")
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(payload)))
+        self.end_headers()
+        self.wfile.write(payload)
+
+    def log_message(self, *args):  # silence test output
+        pass
+
+
+@pytest.fixture()
+def clocked_server(monkeypatch):
+    monkeypatch.setenv("SPECFORGE_API_KEY", "test-key")
+    _Clocked.fail_first, _Clocked.hold_s = 0, 0.0
+    _Clocked.log, _Clocked.inflight, _Clocked.peak, _Clocked.most_workers = [], 0, 0, 0
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _Clocked)
+    server.daemon_threads = True
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    )
+    thread.start()
+    yield f"http://127.0.0.1:{server.server_port}"
+    server.shutdown()
+    server.server_close()
+
+
+def _entries(corpus_load, *names):
+    return [e for e in corpus_load.entries if e.program.name in names]
+
+
+def test_backoff_holds_no_slot(clocked_server, corpus_load, templates):
+    _Clocked.fail_first = 1
+    backend = LiveBackend(clocked_server, backoff_s=(0.5,))
+    report = within(
+        TIMEOUT_S, run, _entries(corpus_load, "binary_search", "tritype"),
+        [PromptVariant.BASELINE], GenerationConfig(), backend, templates, max_workers=1,
+    )
+    assert [r.status for r in report.results] == [STATUS_OK] * 6
+    log = _Clocked.log
+    assert [status for _, _, status in log] == [503] + [200] * 6
+    failed_at, first_prompt, _ = log[0]
+    # The five other cells go out while the first one backs off; its retry comes last.
+    assert all(arrival < failed_at + 0.5 for arrival, _, _ in log[1:6])
+    assert log[6][1] == first_prompt
+    assert log[6][0] >= failed_at + 0.5
+    retried = [r for r in report.results if r.response.latency_ms >= 500]
+    assert [(r.program_name, r.sample_index) for r in retried] == [("binary_search", 0)]
+
+
+def test_due_retry_goes_before_new_cells(clocked_server, corpus_load, templates):
+    _Clocked.fail_first, _Clocked.hold_s = 1, 0.05
+    backend = LiveBackend(clocked_server, backoff_s=(0.01,))
+    report = within(
+        TIMEOUT_S, run, _entries(corpus_load, "binary_search", "tritype", "alias5", "apache"),
+        [PromptVariant.BASELINE], GenerationConfig(samples_per_program=1), backend,
+        templates, max_workers=1,
+    )
+    assert [r.status for r in report.results] == [STATUS_OK] * 4
+    prompts = [prompt for _, prompt, _ in _Clocked.log]
+    # The retry comes due while the second cell is on the wire, so it is sent third.
+    assert prompts[2] == prompts[0]
+    assert len(set(prompts)) == 4
+
+
+def test_in_flight_bound_holds_while_retries_are_parked(clocked_server, corpus_load, templates):
+    _Clocked.fail_first, _Clocked.hold_s = 3, 0.02
+    backend = LiveBackend(clocked_server, backoff_s=(0.05,))
+    report = within(
+        TIMEOUT_S, run, _entries(corpus_load, "binary_search", "tritype"),
+        [PromptVariant.BASELINE], GenerationConfig(samples_per_program=6), backend,
+        templates, max_workers=2,
+    )
+    assert [r.status for r in report.results] == [STATUS_OK] * 12
+    assert [status for _, _, status in _Clocked.log].count(503) == 3
+    assert len(_Clocked.log) == 15
+    assert _Clocked.peak == 2
+    assert _Clocked.most_workers == 2
+    assert _workers() == []
+
+
+def test_foreign_exception_propagates_without_a_hang(corpus_load, templates):
+    replay = ReplayBackend(FIXTURES_DIR)
+
+    class Broken:
+        def complete(self, request):
+            if request.key == "tritype/baseline/1":
+                raise ValueError("not a gateway failure")
+            return replay.complete(request)
+
+    threads_before = threading.active_count()
+    with pytest.raises(ValueError, match="not a gateway failure"):
+        within(
+            TIMEOUT_S, run, corpus_load, list(PromptVariant), GenerationConfig(), Broken(),
+            templates, max_workers=2,
+        )
+    assert threading.active_count() == threads_before
+
+
+def test_leaving_run_early_stops_sending(monkeypatch, corpus_load, templates):
+    import specforge.runner
+
+    replay = ReplayBackend(FIXTURES_DIR)
+    sent: list[str] = []
+
+    class Slow:
+        def complete(self, request):
+            sent.append(request.key)
+            time.sleep(0.01)
+            return replay.complete(request)
+
+    def broken_analysis(*args):
+        raise RuntimeError("analysis bug")
+
+    monkeypatch.setattr(specforge.runner, "_analyze", broken_analysis)
+    threads_before = threading.active_count()
+    with pytest.raises(RuntimeError, match="analysis bug"):
+        within(
+            TIMEOUT_S, run, corpus_load, list(PromptVariant), GenerationConfig(), Slow(),
+            templates, max_workers=2,
+        )
+    assert len(sent) <= 2 * 2
+    assert _workers() == []
+    assert threading.active_count() == threads_before

@@ -1,4 +1,5 @@
-"""What a replay run loads: no HTTP stack, since only the live backend needs one."""
+"""What a replay run loads: no HTTP stack, since only the live backend needs one,
+and no thread pool or logging, since ``run`` starts its own worker threads."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ import sys
 from conftest import CORPUS_DIR, FIXTURES_DIR, src_env
 
 HTTP_MODULES = ("requests", "urllib3", "urllib.request", "http.client")
+POOL_MODULES = ("concurrent.futures", "logging")
 
 _REPLAY_RUN = """
 import contextlib, io, sys
@@ -39,3 +41,17 @@ def test_replay_generate_loads_no_http_stack(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["0"]
     assert (tmp_path / "out" / "report.json").is_file()
+
+
+def test_replay_generate_loads_no_thread_pool_or_logging(tmp_path):
+    script = _REPLAY_RUN.format(
+        modules=POOL_MODULES,
+        corpus=str(CORPUS_DIR),
+        fixtures=str(FIXTURES_DIR),
+        out=str(tmp_path / "out"),
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=src_env(), timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0"]
