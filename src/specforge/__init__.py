@@ -6,17 +6,4 @@ completions through a replayable gateway, then extracts, classifies, counts,
 lints, and robustness-tests the resulting annotations.
 """
 
-from . import analyzer, eva, gateway, model, mutation, pathcrawler, prompts, runner
-
-__all__ = [
-    "analyzer",
-    "eva",
-    "gateway",
-    "model",
-    "mutation",
-    "pathcrawler",
-    "prompts",
-    "runner",
-]
-
 __version__ = "0.1.0"

@@ -8,7 +8,7 @@ from difflib import SequenceMatcher
 from enum import Enum
 from typing import Sequence
 
-from ..model import Record, SourceProgram
+from ..model import ASSIGNS, LOOP_ASSIGNS, LOOP_VARIANT, Record, SourceProgram
 from .annotations import AnalyzedCode, parse_blocks, strip_annotations
 from .lexer import C_KEYWORDS, ComparableStream, Token, TokenKind, tokenize
 
@@ -282,11 +282,11 @@ def lint(code: str | AnalyzedCode) -> list[LintIssue]:
             loop_groups.setdefault(block.loop_key, []).extend(block.annotations)
     for annotations in loop_groups.values():
         variant_at = next(
-            (i for i, a in enumerate(annotations) if a.kind.keyword == "loop variant"),
+            (i for i, a in enumerate(annotations) if a.kind.keyword == LOOP_VARIANT.keyword),
             None,
         )
         assigns_at = next(
-            (i for i, a in enumerate(annotations) if a.kind.keyword == "loop assigns"),
+            (i for i, a in enumerate(annotations) if a.kind.keyword == LOOP_ASSIGNS.keyword),
             None,
         )
         if variant_at is not None and assigns_at is not None and variant_at < assigns_at:
@@ -303,7 +303,7 @@ def lint(code: str | AnalyzedCode) -> list[LintIssue]:
             formals = _formals_after(tokens, block.token_index + 1)
             visible = (formals or set()) | code.file_scope
             for annotation in block.annotations:
-                if annotation.kind.keyword != "assigns":
+                if annotation.kind.keyword != ASSIGNS.keyword:
                     continue
                 for target in _split_targets(annotation.clause_text):
                     base = target.lstrip("*(").strip()

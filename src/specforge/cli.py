@@ -23,14 +23,15 @@ from .analyzer import (
 )
 from .eva import parse_eva_report
 from .gateway import DEFAULT_API_KEY_ENV, LiveBackend, ReplayBackend
-from .model import GenerationConfig, PromptVariant, SourceProgram, canonical_json
+from .model import GenerationConfig, PromptVariant, SourceProgram, canonical_json, csv_text
 from .mutation import NoMutationSite, enumerate_sites, mutate
 from .pathcrawler import CsvError, parse_test_csv, summarize
 from .prompts import TemplateError, default_template_dir, load_templates
 from .runner import (
+    DEFAULT_MAX_WORKERS,
+    NORMALIZE_MODES,
     STATUS_OK,
     ConfigError,
-    EmptyCorpus,
     emit,
     histogram_to_dict,
     load_corpus,
@@ -118,6 +119,8 @@ def _cmd_mutate(args: argparse.Namespace) -> int:
         ]
         sys.stdout.write(canonical_json(sites))
         return EXIT_OK
+    if args.seed is None:
+        raise ConfigError("--seed is required to draw a mutant")
     mutant, record = mutate(program, args.seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -130,12 +133,10 @@ def _cmd_mutate(args: argparse.Namespace) -> int:
 
 def _split_if_response(text: str) -> str:
     """Accept either bare C or a full model response with a code fence."""
-    if "```" in text:
-        try:
-            return split_response(text).code
-        except NoCodeFence:
-            pass
-    return text
+    try:
+        return split_response(text).code
+    except NoCodeFence:
+        return text
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
@@ -144,9 +145,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
     if args.merge_loop_assigns:
         histogram = merge_loop_assigns(histogram)
     if args.csv:
-        print("kind,count")
-        for keyword, count in histogram_to_dict(histogram).items():
-            print(f"{keyword},{count}")
+        sys.stdout.write(csv_text([("kind", "count"), *histogram_to_dict(histogram).items()]))
     else:
         sys.stdout.write(canonical_json(histogram_to_dict(histogram)))
     return EXIT_OK
@@ -174,25 +173,26 @@ def build_parser() -> argparse.ArgumentParser:
         description="Generate and analyze ACSL annotations for C programs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    defaults = GenerationConfig()
 
     gen = sub.add_parser("generate", help="run the corpus x variants x samples study")
     gen.add_argument("--corpus", required=True, help="corpus directory")
     gen.add_argument(
         "--variants",
-        default="baseline,pathcrawler,eva",
-        help="comma-separated prompt variants",
+        default=",".join(v.value for v in PromptVariant),
+        help="comma-separated prompt variants, each at most once",
     )
     gen.add_argument("--backend", choices=("replay", "live"), default="replay")
     gen.add_argument("--out", required=True, help="output directory")
-    gen.add_argument("--samples", type=int, default=3)
-    gen.add_argument("--temperature", type=float, default=0.7)
+    gen.add_argument("--samples", type=int, default=defaults.samples_per_program)
+    gen.add_argument("--temperature", type=float, default=defaults.temperature)
     gen.add_argument("--fixtures", default="fixtures", help="replay fixture directory")
     gen.add_argument("--templates", default=None, help="prompt template directory")
-    gen.add_argument("--model", default="gpt-4-0125-preview")
+    gen.add_argument("--model", default=defaults.model_id)
     gen.add_argument("--base-url", default=None, help="chat-completion endpoint base URL")
     gen.add_argument("--api-key-env", default=DEFAULT_API_KEY_ENV)
-    gen.add_argument("--max-inflight", type=int, default=4)
-    gen.add_argument("--normalize", choices=("totals", "per-sample"), default="totals")
+    gen.add_argument("--max-inflight", type=int, default=DEFAULT_MAX_WORKERS)
+    gen.add_argument("--normalize", choices=NORMALIZE_MODES, default=NORMALIZE_MODES[0])
     gen.add_argument(
         "--run-pathcrawler",
         default=None,
@@ -217,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     mu = sub.add_parser("mutate", help="write a seeded single-token mutant")
     mu.add_argument("file")
-    mu.add_argument("--seed", type=int, required=True)
+    mu.add_argument("--seed", type=int, help="required unless --list-sites")
     mu.add_argument("--out", default=".")
     mu.add_argument(
         "--list-sites", action="store_true", help="print mutation sites instead"
@@ -241,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     re = sub.add_parser("report", help="re-emit artifacts from a saved report.json")
     re.add_argument("--in", dest="infile", required=True)
     re.add_argument("--out", required=True)
-    re.add_argument("--normalize", choices=("totals", "per-sample"), default="totals")
+    re.add_argument("--normalize", choices=NORMALIZE_MODES, default=NORMALIZE_MODES[0])
     re.set_defaults(func=_cmd_report)
 
     return parser
@@ -255,7 +255,7 @@ def main(argv: list[str] | None = None) -> int:
     except (CsvError, NoMutationSite, TokenizeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FINDINGS
-    except (ConfigError, EmptyCorpus, TemplateError, ValueError, OSError) as exc:
+    except (ConfigError, TemplateError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Generator, Protocol
 from urllib.parse import urlsplit
 
-from .model import GenerationConfig, Record
+from .model import GenerationConfig, Record, canonical_json
 from .prompts import BuiltPrompt
 
 DEFAULT_API_KEY_ENV = "SPECFORGE_API_KEY"
@@ -317,7 +317,5 @@ def record_fixture(
         "temperature": request.config.temperature,
         "latency_ms": response.latency_ms,
     }
-    meta_path.write_text(
-        json.dumps(metadata, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    meta_path.write_text(canonical_json(metadata), encoding="utf-8")
     return text_path

@@ -23,6 +23,8 @@ its field, and a check the record itself makes, raise :class:`CodecError`.
 
 :func:`canonical_json` is the one writer of these encodings as text: every
 report file and every JSON printout of the command line goes through it.
+:func:`csv_text` is the one CSV writer, for the report tables and
+``count --csv``.
 """
 
 from __future__ import annotations
@@ -34,12 +36,29 @@ import typing
 from dataclasses import MISSING, dataclass, field
 from enum import Enum
 from operator import attrgetter
-from typing import Any, Callable, TypeVar
+from typing import Any, Callable, Iterable, TypeVar
 
 
 def canonical_json(data: Any) -> str:
     """``data`` as JSON text: sorted keys, indent 2, non-ASCII kept, final newline."""
     return json.dumps(data, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+
+
+def csv_text(rows: Iterable[Iterable[object]]) -> str:
+    """``rows`` as CSV text, each field ``str``-ed and each row ended by ``\\n``.
+
+    A field holding ``,``, ``"``, ``\\n`` or ``\\r`` is quoted with its ``"``
+    doubled (RFC 4180), so ``csv.reader`` reads every row of two or more
+    fields back intact.
+    """
+    return "".join(",".join(map(_csv_field, row)) + "\n" for row in rows)
+
+
+def _csv_field(value: object) -> str:
+    text = str(value)
+    if any(c in text for c in ',"\n\r'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 class CodecError(ValueError):

@@ -66,8 +66,14 @@ class MutationRecord(Record):
             raise ValueError("mutation must change the token")
 
 
-_RELATIONAL_FLIPS = {"<": "<=", "<=": "<", ">": ">=", ">=": ">"}
-_ARITHMETIC_SWAPS = {"+": "-", "-": "+"}
+_OPERATOR_SWAPS = {  # token -> (operator, replacement)
+    "<": (MutationOperator.RELATIONAL_FLIP, "<="),
+    "<=": (MutationOperator.RELATIONAL_FLIP, "<"),
+    ">": (MutationOperator.RELATIONAL_FLIP, ">="),
+    ">=": (MutationOperator.RELATIONAL_FLIP, ">"),
+    "+": (MutationOperator.ARITHMETIC_OPERATOR_SWAP, "-"),
+    "-": (MutationOperator.ARITHMETIC_OPERATOR_SWAP, "+"),
+}
 _CONDITION_HEADS = frozenset(("if", "while", "for"))
 
 
@@ -79,12 +85,9 @@ def _condition_token_indices(tokens: list[Token]) -> set[int]:
     while i < n:
         t = tokens[i]
         if t.kind is TokenKind.ID and t.text in _CONDITION_HEADS:
-            j = i + 1
-            while j < n and tokens[j].is_comment:
-                j += 1
-            if j < n and tokens[j].text == "(":
+            if i + 1 < n and tokens[i + 1].text == "(":  # ``tokens`` holds no comments
                 depth = 0
-                k = j
+                k = i + 1
                 while k < n:
                     if tokens[k].text == "(":
                         depth += 1
@@ -96,10 +99,7 @@ def _condition_token_indices(tokens: list[Token]) -> set[int]:
                     k += 1
                 i = k
         i += 1
-    inside_only = {
-        idx for idx in inside if tokens[idx].text not in ("(", ")")
-    }
-    return inside_only
+    return {idx for idx in inside if tokens[idx].text not in ("(", ")")}
 
 
 def _identifier_sites(tokens: list[Token]) -> list[MutationSite]:
@@ -146,26 +146,15 @@ def _identifier_sites(tokens: list[Token]) -> list[MutationSite]:
 def _operator_sites(tokens: list[Token]) -> list[MutationSite]:
     sites: list[MutationSite] = []
     for t in tokens:
-        if t.kind is not TokenKind.PUNCT:
-            continue
-        if t.text in _RELATIONAL_FLIPS:
+        if t.kind is TokenKind.PUNCT and t.text in _OPERATOR_SWAPS:
+            operator, replacement = _OPERATOR_SWAPS[t.text]
             sites.append(
                 MutationSite(
-                    operator=MutationOperator.RELATIONAL_FLIP,
+                    operator=operator,
                     line=t.line,
                     token=t.text,
-                    replacement=_RELATIONAL_FLIPS[t.text],
-                    edits=((t.start, t.end, _RELATIONAL_FLIPS[t.text]),),
-                )
-            )
-        elif t.text in _ARITHMETIC_SWAPS:
-            sites.append(
-                MutationSite(
-                    operator=MutationOperator.ARITHMETIC_OPERATOR_SWAP,
-                    line=t.line,
-                    token=t.text,
-                    replacement=_ARITHMETIC_SWAPS[t.text],
-                    edits=((t.start, t.end, _ARITHMETIC_SWAPS[t.text]),),
+                    replacement=replacement,
+                    edits=((t.start, t.end, replacement),),
                 )
             )
     return sites

@@ -52,15 +52,19 @@ class TestSuite(Record):
     def input_columns(self) -> tuple[str, ...]:
         return self.columns[:-2]
 
+    @property
+    def has_output(self) -> bool:
+        """False iff every case's output field is empty.
+
+        That is the machine-visible signature of a void/state-mutating
+        function under test; an empty suite has no output by convention.
+        """
+        return any(case.output != "" for case in self.cases)
+
 
 @dataclass(frozen=True)
 class TestSuiteSummary(Record):
-    """Shape of a suite at a glance; feeds warnings and reports.
-
-    ``has_output`` is false iff every case's output field is empty, the
-    machine-visible signature of a void/state-mutating function under test
-    (an empty suite counts as has_output = false by convention).
-    """
+    """Shape of a suite at a glance; feeds warnings and reports."""
 
     __test__ = False  # domain class, not a pytest suite
 
@@ -91,8 +95,6 @@ def parse_test_csv(raw: str) -> TestSuite:
     lines = raw.split("\n")
     if lines and lines[-1] == "":
         lines.pop()  # trailing newline, not an empty row
-    if not lines:
-        raise MalformedHeader("no header line")
 
     columns = _split_fields(lines[0], None)
     if len(columns) < 2 or columns[-2:] != ["output", "verdict"]:
@@ -124,18 +126,15 @@ def summarize(suite: TestSuite) -> TestSuiteSummary:
     """Exact counts and value sets over a parsed suite."""
     per_input: dict[str, set[str]] = {col: set() for col in suite.input_columns}
     verdicts: set[str] = set()
-    any_output = False
     for case in suite.cases:
         for name, value in case.inputs:
             per_input[name].add(value)
         verdicts.add(case.verdict)
-        if case.output != "":
-            any_output = True
     return TestSuiteSummary(
         case_count=len(suite.cases),
         input_columns=suite.input_columns,
         distinct_verdicts=frozenset(verdicts),
-        has_output=any_output,
+        has_output=suite.has_output,
         distinct_values_per_input={
             col: frozenset(values) for col, values in per_input.items()
         },

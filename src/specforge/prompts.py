@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .eva import EvaReport
 from .model import PromptVariant, Record, SourceProgram
-from .pathcrawler import TestSuite, render_csv, summarize
+from .pathcrawler import TestSuite, render_csv
 
 
 class TemplateError(ValueError):
@@ -174,7 +174,7 @@ def build_prompt(
     warnings: tuple[str, ...] = ()
     if template.variant is PromptVariant.PATHCRAWLER:
         context = render_csv(suite)
-        if not summarize(suite).has_output:
+        if not suite.has_output:
             warnings = (STATE_MUTATION_WARNING,)
     elif template.variant is PromptVariant.EVA:
         context = report.raw

@@ -19,6 +19,7 @@ import subprocess
 import tempfile
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
@@ -58,6 +59,7 @@ from .model import (
     Record,
     SourceProgram,
     canonical_json,
+    csv_text,
     kind_sort_key,
 )
 from .pathcrawler import CsvError, TestSuite, parse_test_csv
@@ -68,6 +70,9 @@ STATUS_NO_CODE_FENCE = "no_code_fence"
 STATUS_PARSE_FAILED = "parse_failed"
 STATUS_BACKEND_FAILED = "backend_failed"
 
+DEFAULT_MAX_WORKERS = 4  # backend attempts on the wire at once
+NORMALIZE_MODES = ("totals", "per-sample")  # histogram.csv: sum over samples, or mean per ok one
+
 HOOK_TIMEOUT_S = 600.0  # seconds per tests_hook / eva_hook invocation
 HOOK_STDERR_LINES, HOOK_STDERR_CHARS = 3, 500  # stderr kept in a hook's load error
 
@@ -77,13 +82,8 @@ REPLAY_PROVENANCE_NOTE = (
 )
 
 
-class EmptyCorpus(ValueError):
-    def __init__(self, directory: Path):
-        super().__init__(f"no corpus entries under {directory}")
-
-
 class ConfigError(RuntimeError):
-    """The run cannot start: no backend, no templates, or bad options."""
+    """The run cannot start: no corpus, no backend, no templates, or bad options."""
 
 
 @dataclass(frozen=True)
@@ -120,6 +120,11 @@ class CorpusLoad:
     entries: tuple[CorpusEntry, ...]
     skipped: tuple[tuple[str, str], ...]  # (directory name, reason)
     digest: str  # content hash over every corpus file read
+
+
+def _unsafe_name(name: str) -> bool:
+    """True for a program name that is not one path component (see ``emit``)."""
+    return name in ("", ".", "..") or any(c in name for c in "/\\\0")
 
 
 def _stderr_tail(stderr: bytes) -> str:
@@ -193,7 +198,7 @@ def load_corpus(
     absent; a program that cannot be read, is empty, or does not tokenize
     skips the whole entry with a reason. Where no test suite (report) parsed,
     ``tests_hook`` (``eva_hook``) runs on the program and its stdout is parsed
-    instead, outside the digest. Raises EmptyCorpus when nothing loads.
+    instead, outside the digest. Raises ConfigError when nothing loads.
     """
     directory = Path(directory)
     entries: list[CorpusEntry] = []
@@ -207,6 +212,9 @@ def load_corpus(
     )
     for subdir in candidates:
         name = subdir.name
+        if _unsafe_name(name):
+            skipped.append((name, "directory name is not a usable program name"))
+            continue
         errors: list[str] = []
         texts: dict[str, str] = {}
         for filename in ("program.c", "meta.json", "tests.csv", "eva.txt"):
@@ -276,7 +284,7 @@ def load_corpus(
         )
 
     if not entries:
-        raise EmptyCorpus(directory)
+        raise ConfigError(f"no corpus entries under {directory}")
     return CorpusLoad(
         entries=tuple(entries), skipped=tuple(skipped), digest=hasher.hexdigest()
     )
@@ -319,6 +327,8 @@ class GenerationResult(Record):
     prompt_warnings: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
+        if _unsafe_name(self.program_name):  # emit writes generated/<program_name>/
+            raise ValueError(f"program name {self.program_name!r} is not one path component")
         if self.status == STATUS_OK and (
             self.histogram is None or self.preservation is None
         ):
@@ -373,11 +383,7 @@ class ExperimentReport(Record):
 
     @property
     def failures(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for result in self.results:
-            if result.status != STATUS_OK:
-                counts[result.status] = counts.get(result.status, 0) + 1
-        return counts
+        return dict(Counter(r.status for r in self.results if r.status != STATUS_OK))
 
     def to_dict(self) -> dict[str, Any]:
         """The codec's encoding plus the per-variant totals and failure counts."""
@@ -624,13 +630,14 @@ def run(
     config: GenerationConfig,
     backend: CompletionBackend,
     templates: dict[PromptVariant, PromptTemplate],
-    max_workers: int = 4,
+    max_workers: int = DEFAULT_MAX_WORKERS,
 ) -> ExperimentReport:
     """Generate and analyze every program x variant x sample cell.
 
-    Variants whose required context is absent for a program are skipped and
-    recorded; per-cell failures become result statuses. Robustness rows are
-    computed for every corpus mutant whose parent is present.
+    ``variants`` must be non-empty and name each variant once. Variants
+    whose required context is absent for a program are skipped and recorded;
+    per-cell failures become result statuses. Robustness rows are computed
+    for every corpus mutant whose parent is present.
 
     At most ``max_workers`` backend attempts are on the wire, each on one of
     ``max_workers`` worker threads. A live request backing off between
@@ -648,6 +655,9 @@ def run(
         digest = ""
     if not entries:
         raise ConfigError("empty corpus")
+    if not variants or len(set(variants)) != len(variants):
+        names = [v.value for v in variants]
+        raise ConfigError(f"prompt variants must be one or more, none twice; got {names}")
     missing = [v for v in variants if v not in templates]
     if missing:
         raise ConfigError(f"no template loaded for variants: {missing}")
@@ -692,67 +702,62 @@ def run(
 
 
 def emit(
-    report: ExperimentReport, directory: Path | str, normalize: str = "totals"
+    report: ExperimentReport, directory: Path | str, normalize: str = NORMALIZE_MODES[0]
 ) -> list[Path]:
     """Write report.json, histogram.csv, robustness.csv, and generated sources.
 
-    ``normalize`` is "totals" (sum over samples) or "per-sample" (mean per
-    successful sample). Emission is deterministic: the same report always
-    produces byte-identical files.
+    ``normalize`` is one of ``NORMALIZE_MODES``: totals (sum over samples) or
+    per-sample (mean per successful sample). Emission is deterministic: the
+    same report always produces byte-identical files.
     """
-    if normalize not in ("totals", "per-sample"):
-        raise ConfigError(f"normalize must be 'totals' or 'per-sample', got {normalize!r}")
+    if normalize not in NORMALIZE_MODES:
+        modes = " or ".join(map(repr, NORMALIZE_MODES))
+        raise ConfigError(f"normalize must be {modes}, got {normalize!r}")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
 
-    report_path = directory / "report.json"
-    report_path.write_text(canonical_json(report.to_dict()), encoding="utf-8")
-    written.append(report_path)
+    def write(path: Path, text: str) -> None:
+        path.write_text(text, encoding="utf-8")
+        written.append(path)
+
+    write(directory / "report.json", canonical_json(report.to_dict()))
 
     aggregates = report.aggregate_histograms
-    ok_counts: dict[PromptVariant, int] = {}
-    for result in report.results:
-        if result.status == STATUS_OK:
-            ok_counts[result.variant] = ok_counts.get(result.variant, 0) + 1
+    ok_counts = Counter(r.variant for r in report.results if r.status == STATUS_OK)
     kinds = sorted(
         {kind for histogram in aggregates.values() for kind, n in histogram.items() if n},
         key=kind_sort_key,
     )
-    variant_order = list(PromptVariant)
-    lines = ["kind," + ",".join(f"{v.value}_count" for v in variant_order)]
+    rows: list[list[object]] = [["kind", *(f"{v.value}_count" for v in PromptVariant)]]
     for kind in kinds:
-        row = [kind.keyword]
-        for variant in variant_order:
+        row: list[object] = [kind.keyword]
+        for variant in PromptVariant:
             count = aggregates.get(variant, {}).get(kind, 0)
-            if normalize == "per-sample":
+            if normalize == NORMALIZE_MODES[1]:
                 ok = ok_counts.get(variant, 0)
                 row.append(f"{count / ok:.4f}" if ok else "0")
             else:
-                row.append(str(count))
-        lines.append(",".join(row))
-    histogram_path = directory / "histogram.csv"
-    histogram_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    written.append(histogram_path)
+                row.append(count)
+        rows.append(row)
+    write(directory / "histogram.csv", csv_text(rows))
 
-    rob_lines = ["parent,mutant,variant,mean_similarity,pairs_compared"]
+    robustness_rows: list[tuple[object, ...]] = [
+        ("parent", "mutant", "variant", "mean_similarity", "pairs_compared")
+    ]
     for row in report.robustness:
         value = "" if row.mean_similarity is None else f"{row.mean_similarity:.6f}"
-        rob_lines.append(
-            f"{row.parent},{row.mutant},{row.variant.value},{value},{row.pairs_compared}"
+        robustness_rows.append(
+            (row.parent, row.mutant, row.variant.value, value, row.pairs_compared)
         )
-    robustness_path = directory / "robustness.csv"
-    robustness_path.write_text("\n".join(rob_lines) + "\n", encoding="utf-8")
-    written.append(robustness_path)
+    write(directory / "robustness.csv", csv_text(robustness_rows))
 
     for result in report.results:
         if result.status != STATUS_OK or result.split is None:
             continue
         out = directory / "generated" / result.program_name / result.variant.value
         out.mkdir(parents=True, exist_ok=True)
-        path = out / f"{result.sample_index}.c"
-        path.write_text(result.split.code + "\n", encoding="utf-8")
-        written.append(path)
+        write(out / f"{result.sample_index}.c", result.split.code + "\n")
 
     return written
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import shlex
 import shutil
@@ -67,6 +68,21 @@ def test_mutate_list_sites(capsys):
     assert any(s["operator"] == "variable_substitution" for s in sites)
 
 
+def test_mutate_list_sites_needs_no_seed(capsys):
+    source = str(CORPUS_DIR / "tritype" / "program.c")
+    assert main(["mutate", source, "--seed", "5", "--list-sites"]) == 0
+    seeded = capsys.readouterr().out
+    assert main(["mutate", source, "--list-sites"]) == 0
+    assert capsys.readouterr().out == seeded
+
+
+def test_mutate_without_seed_exits_two(tmp_path, capsys):
+    source = str(CORPUS_DIR / "tritype" / "program.c")
+    assert main(["mutate", source, "--out", str(tmp_path / "out")]) == 2
+    assert "error: --seed is required" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_mutate_no_sites_exits_one(tmp_path, capsys):
     path = tmp_path / "flat.c"
     path.write_text("int f(void) { return 0; }\n")
@@ -96,6 +112,23 @@ def test_count_csv_flag(capsys):
     lines = capsys.readouterr().out.strip().split("\n")
     assert lines[0] == "kind,count"
     assert "requires,1" in lines
+
+
+# ``count --csv`` over every shipped reply, recorded before one writer
+# replaced the hand-joined rows.
+COUNT_CSV_SHA256 = {
+    (): "f67731d109b412da23acd25e34b44a97e618a383147d4cfc18e0b0ed145b844f",
+    ("--merge-loop-assigns",): "6043e8028e04baddcc6937f1bba7fd792a15274e548cdebdac840bcc74f2981f",
+}
+
+
+@pytest.mark.parametrize("flags", sorted(COUNT_CSV_SHA256))
+def test_count_csv_shipped_replies_digest(capsys, flags):
+    digest = hashlib.sha256()
+    for reply in sorted(FIXTURES_DIR.glob("*/*/0.txt")):
+        assert main(["count", "--csv", *flags, str(reply)]) == 0
+        digest.update(capsys.readouterr().out.encode("utf-8"))
+    assert digest.hexdigest() == COUNT_CSV_SHA256[flags]
 
 
 def test_lint_clean_exits_zero(capsys):
@@ -215,6 +248,14 @@ def test_generate_bad_corpus_exits_two(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("variants", ["", "baseline,baseline"])
+def test_generate_empty_or_repeated_variants_exits_two(tmp_path, capsys, variants):
+    argv = ["generate", "--corpus", str(CORPUS_DIR), "--fixtures", str(FIXTURES_DIR)]
+    assert main([*argv, "--variants", variants, "--out", str(tmp_path / "out")]) == 2
+    assert "prompt variants" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_generate_live_without_base_url_exits_two(tmp_path, capsys):
     code = main(
         [
@@ -233,11 +274,11 @@ def test_generate_live_without_base_url_exits_two(tmp_path, capsys):
 def test_generate_live_refuses_schemeless_base_url(tmp_path, capsys, monkeypatch):
     sent = []
 
-    def complete(self, request):
-        sent.append(request.key)
+    def post(self, url, body, headers):
+        sent.append(url)
         raise BackendError(None, "no request may be sent")
 
-    monkeypatch.setattr(LiveBackend, "complete", complete)
+    monkeypatch.setattr(LiveBackend, "_post", post)
     monkeypatch.setenv("SPECFORGE_API_KEY", "test-key")
     hook_ran = tmp_path / "hook_ran"
     code = main(
@@ -282,6 +323,22 @@ def test_report_reemit_fixed_point(tmp_path):
     assert main(["report", "--in", str(first / "report.json"), "--out", str(second)]) == 0
     for name in ("report.json", "histogram.csv", "robustness.csv"):
         assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
+def test_report_writes_nothing_outside_out(tmp_path, capsys):
+    first = tmp_path / "first"
+    argv = ["generate", "--corpus", str(CORPUS_DIR), "--fixtures", str(FIXTURES_DIR)]
+    assert main([*argv, "--out", str(first)]) == 0
+    data = json.loads((first / "report.json").read_text())
+    data["results"][0]["program_name"] = "../../escaped"
+    evil = tmp_path / "evil.json"
+    evil.write_text(json.dumps(data))
+    box = tmp_path / "box"
+    box.mkdir()
+    capsys.readouterr()
+    assert main(["report", "--in", str(evil), "--out", str(box / "out")]) == 2
+    assert "error: cannot load report: " in capsys.readouterr().err
+    assert not list(box.iterdir())
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 """What a replay run loads: no HTTP stack, since only the live backend needs one,
-and no thread pool or logging, since ``run`` starts its own worker threads."""
+and no thread pool or logging, since ``run`` starts its own worker threads.
+What the analyzer loads: not the runner, the gateway or ``subprocess``."""
 
 from __future__ import annotations
 
@@ -55,3 +56,13 @@ def test_replay_generate_loads_no_thread_pool_or_logging(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["0"]
+
+
+def test_analyzer_import_loads_no_runner_or_gateway():
+    modules = ("specforge.runner", "specforge.gateway", "subprocess")
+    script = f"import sys, specforge.analyzer; print(*[m for m in {modules!r} if m in sys.modules])"
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=src_env(), timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []

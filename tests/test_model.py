@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import csv
+import io
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -11,6 +14,7 @@ from specforge.model import (
     Origin,
     PromptVariant,
     SourceProgram,
+    csv_text,
     kind_sort_key,
 )
 
@@ -107,3 +111,19 @@ def test_generation_config_json_round_trip(temperature, samples, max_tokens):
         max_output_tokens=max_tokens,
     )
     assert GenerationConfig.from_dict(config.to_dict()) == config
+
+
+_CSV_ROWS = st.lists(
+    st.lists(st.text(alphabet=',"\n\r ab', max_size=6), min_size=2, max_size=4), max_size=4
+)
+
+
+@given(_CSV_ROWS)
+def test_csv_text_round_trips_through_csv_reader(rows):
+    assert list(csv.reader(io.StringIO(csv_text(rows), newline=""))) == rows
+
+
+def test_csv_text_quotes_only_fields_that_need_it():
+    assert csv_text([("kind", 3), ("a,b", 'say "hi"'), ("x\ry", "")]) == (
+        'kind,3\n"a,b","say ""hi"""\n"x\ry",\n'
+    )

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import dataclasses
 import hashlib
 import json
@@ -11,15 +12,15 @@ from pathlib import Path
 import pytest
 
 from conftest import ADPCM_CSV, CORPUS_DIR, FIXTURES_DIR
+from specforge.analyzer import PreservationVerdict
 from specforge.gateway import BackendError, ReplayBackend
-from specforge.model import GenerationConfig, Origin, PromptVariant
+from specforge.model import AnnotationKind, GenerationConfig, Origin, PromptVariant
 from specforge.prompts import MissingContext, build_prompt
 from specforge.runner import (
     STATUS_BACKEND_FAILED,
     STATUS_NO_CODE_FENCE,
     STATUS_OK,
     ConfigError,
-    EmptyCorpus,
     ExperimentReport,
     GenerationResult,
     emit,
@@ -84,7 +85,7 @@ def test_load_corpus_reads_meta(corpus_load_module):
 
 
 def test_load_corpus_empty_directory(tmp_path):
-    with pytest.raises(EmptyCorpus):
+    with pytest.raises(ConfigError, match="no corpus entries under"):
         load_corpus(tmp_path)
 
 
@@ -362,9 +363,90 @@ def test_variant_subset_runs_only_requested(
     assert len(report.results) == eva_capable * 3
 
 
+@pytest.mark.parametrize("variants", [[], [PromptVariant.BASELINE, PromptVariant.BASELINE]])
+def test_config_error_on_empty_or_repeated_variants(
+    corpus_load_module, templates_module, replay_backend, variants
+):
+    with pytest.raises(ConfigError, match="prompt variants"):
+        run(corpus_load_module, variants, CONFIG, replay_backend, templates_module)
+
+
 def test_config_error_on_missing_templates(corpus_load_module, replay_backend):
     with pytest.raises(ConfigError):
         run(corpus_load_module, ALL_VARIANTS, CONFIG, replay_backend, templates={})
+
+
+@pytest.mark.parametrize("name", ["", ".", "..", "../../escaped", "a/b", "a\\b", "a\0b"])
+def test_result_rejects_a_program_name_that_is_not_one_path_component(name):
+    with pytest.raises(ValueError, match="not one path component"):
+        GenerationResult(
+            program_name=name,
+            variant=PromptVariant.BASELINE,
+            sample_index=0,
+            status=STATUS_BACKEND_FAILED,
+        )
+
+
+def test_load_corpus_skips_a_directory_name_with_a_backslash(tmp_path):
+    shutil.copytree(CORPUS_DIR / "tritype", tmp_path / "tritype")
+    shutil.copytree(CORPUS_DIR / "tritype", tmp_path / "tri\\type")
+    corpus = load_corpus(tmp_path)
+    assert [e.program.name for e in corpus.entries] == ["tritype"]
+    assert [name for name, _ in corpus.skipped] == ["tri\\type"]
+
+
+def _read_csv(path: Path) -> list[list[str]]:
+    with path.open(encoding="utf-8", newline="") as f:
+        return list(csv.reader(f))
+
+
+_AWKWARD_NAMES = ["tri,type", 'tri"type', "tri\ntype", "tri\rtype", 'a,"\r\n"b']
+
+
+@pytest.mark.parametrize("name", _AWKWARD_NAMES)
+def test_study_csvs_read_back_with_an_awkward_program_name(tmp_path, templates_module, name):
+    corpus, fixtures = tmp_path / "corpus", tmp_path / "fixtures"
+    for shipped, renamed in (("tritype", name), ("tritype_mutated", name + "_mutated")):
+        shutil.copytree(CORPUS_DIR / shipped, corpus / renamed)
+        shutil.copytree(FIXTURES_DIR / shipped, fixtures / renamed)
+    meta = corpus / (name + "_mutated") / "meta.json"
+    parent = '"parent_name": '
+    meta.write_text(meta.read_text().replace(parent + '"tritype"', parent + json.dumps(name)))
+    report = run(
+        load_corpus(corpus), ALL_VARIANTS, CONFIG, ReplayBackend(fixtures), templates_module
+    )
+    emit(report, tmp_path / "out")
+    rows = _read_csv(tmp_path / "out" / "robustness.csv")
+    assert rows[0] == ["parent", "mutant", "variant", "mean_similarity", "pairs_compared"]
+    assert [row[:3] for row in rows[1:]] == [
+        [name, name + "_mutated", variant] for variant in ("baseline", "eva", "pathcrawler")
+    ]
+    assert [row[4] for row in rows[1:]] == ["3", "0", "0"]
+
+
+@pytest.mark.parametrize("keyword", _AWKWARD_NAMES)
+def test_histogram_csv_reads_back_with_an_awkward_clause_kind(tmp_path, keyword):
+    result = GenerationResult(
+        program_name="p",
+        variant=PromptVariant.BASELINE,
+        sample_index=0,
+        status=STATUS_OK,
+        histogram={AnnotationKind.other(keyword): 2},
+        preservation=PreservationVerdict(preserved=True, diff=()),
+    )
+    report = ExperimentReport(
+        config=CONFIG,
+        corpus_digest="",
+        backend_kind="test",
+        results=(result,),
+        skips=(),
+        robustness=(),
+    )
+    emit(report, tmp_path)
+    assert _read_csv(tmp_path / "histogram.csv") == [
+        ["kind", "baseline_count", "pathcrawler_count", "eva_count"],
+        [keyword, "2", "0", "0"],
+    ]
 
 
 def test_result_requires_analysis_when_ok():
@@ -497,6 +579,21 @@ def test_emit_shipped_study_report_digest(full_report, tmp_path):
     emit(full_report, tmp_path)
     digest = hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest()
     assert digest == SHIPPED_REPORT_SHA256
+
+
+# The shipped study's CSVs, recorded before one writer replaced the hand-joined rows.
+SHIPPED_CSV_SHA256 = {
+    ("totals", "histogram.csv"): "0df7da1dad95acee5c53403d6d8d9c0581d17a4560b5cb1336d9d249fb7be506",
+    ("per-sample", "histogram.csv"): "847b33edd9564010ddc00ba729f33865fd2c3363fbd8c4dd0901749488014995",
+    ("totals", "robustness.csv"): "94d8dc4267843bd8bff1fd94c2537385d6e714f5aa25a3380dd82a4b1c7404dc",
+}
+
+
+@pytest.mark.parametrize("normalize, name", sorted(SHIPPED_CSV_SHA256))
+def test_emit_shipped_study_csv_digests(full_report, tmp_path, normalize, name):
+    emit(full_report, tmp_path, normalize=normalize)
+    digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+    assert digest == SHIPPED_CSV_SHA256[normalize, name]
 
 
 def test_report_load_emit_fixed_point(full_report, tmp_path):
