@@ -23,7 +23,7 @@ class NoCodeFence(ValueError):
     """The response contains no fenced code block at all."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class SplitResponse(Record):
     """An LLM reply split into reasoning prose and the annotated-program fence."""
 
@@ -72,7 +72,7 @@ def split_response(response_text: str) -> SplitResponse:
     return SplitResponse(reasoning=reasoning, code=code)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Enclosing(Record):
     """Where a clause sits: function contract, loop, statement, or behavior body."""
 
@@ -91,7 +91,7 @@ LOOP_ANNOTATION = Enclosing("loop")
 STATEMENT = Enclosing("statement")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Annotation(Record):
     """One classified ACSL clause."""
 

@@ -13,7 +13,7 @@ from .annotations import AnalyzedCode, parse_blocks, strip_annotations
 from .lexer import C_KEYWORDS, ComparableStream, Token, TokenKind, tokenize
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class DiffRun(Record):
     """One mismatching token run between original and annotated-then-stripped code."""
 
@@ -22,7 +22,7 @@ class DiffRun(Record):
     modified: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class PreservationVerdict(Record):
     preserved: bool
     diff: tuple[DiffRun, ...]
@@ -187,7 +187,7 @@ class LintRule(str, Enum):
     BLOCK_STYLE_IN_BODY = "block_style_in_body"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class LintIssue(Record):
     rule: LintRule
     line: int

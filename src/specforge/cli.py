@@ -23,8 +23,14 @@ from .analyzer import (
 )
 from .eva import parse_eva_report
 from .gateway import DEFAULT_API_KEY_ENV, LiveBackend, ReplayBackend
-from .model import GenerationConfig, PromptVariant, SourceProgram, canonical_json, csv_text
-from .mutation import NoMutationSite, enumerate_sites, mutate
+from .model import (
+    GenerationConfig,
+    NoMutationSite,
+    PromptVariant,
+    SourceProgram,
+    canonical_json,
+    csv_text,
+)
 from .pathcrawler import CsvError, parse_test_csv, summarize
 from .prompts import TemplateError, default_template_dir, load_templates
 from .runner import (
@@ -105,6 +111,8 @@ def _cmd_parse_eva(args: argparse.Namespace) -> int:
 
 
 def _cmd_mutate(args: argparse.Namespace) -> int:
+    from .mutation import enumerate_sites, mutate  # only this command needs it
+
     program = SourceProgram(name=Path(args.file).stem, source=_read_file(args.file))
     if args.list_sites:
         sites = [

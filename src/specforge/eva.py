@@ -31,7 +31,7 @@ _KNOWN_KINDS = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class EvaAlarm(Record):
     """One alarm: a possible runtime error and the assertion excluding it."""
 
@@ -42,7 +42,7 @@ class EvaAlarm(Record):
     assertion: str  # expression text after "assert", without the trailing ";"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class ValueDomain(Record):
     """A variable and its verbatim domain text, e.g. ``{1; 2; 3; 4}``."""
 
@@ -50,7 +50,7 @@ class ValueDomain(Record):
     domain: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class EvaReport(Record):
     alarms: tuple[EvaAlarm, ...]
     domains: tuple[ValueDomain, ...]
@@ -59,7 +59,7 @@ class EvaReport(Record):
     raw: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Discrepancy(Record):
     """Summary line and parsed alarms disagree."""
 

@@ -81,7 +81,7 @@ def request_digest(prompt_text: str, temperature: float, sample_index: int) -> s
     return hashlib.sha256(payload).hexdigest()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class CompletionResponse(Record):
     text: str
     backend_kind: str  # "live" | "replay"

@@ -65,11 +65,25 @@ class CodecError(ValueError):
     """A JSON value does not fit the record field it is decoded into."""
 
 
+class NoMutationSite(ValueError):
+    """The program offers no site that a single-token mutation can hit.
+
+    Raised by ``mutation``, which re-exports it; it lives here so that
+    ``cli.main`` maps it to an exit code without importing ``mutation``.
+    """
+
+
 _R = TypeVar("_R", bound="Record")
 
 
 class Record:
-    """Base of the frozen dataclasses with a canonical JSON encoding."""
+    """Base of the frozen dataclasses with a canonical JSON encoding.
+
+    A record is declared ``@dataclass(frozen=True, eq=False, repr=False)`` and
+    takes ``__repr__``, ``__eq__`` and ``__hash__`` from here. They give the
+    text and the field comparison that ``dataclass`` would generate, but they
+    are written once instead of compiled for every class when it is created.
+    """
 
     def to_dict(self) -> dict[str, Any]:
         return _plan(type(self))[0](self)
@@ -77,6 +91,40 @@ class Record:
     @classmethod
     def from_dict(cls: type[_R], d: Any) -> _R:
         return _plan(cls)[1](d)
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{n}={getattr(self, n)!r}" for n in _layout(self.__class__)[0])
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            compared = _layout(self.__class__)[1]
+            return compared(self) == compared(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(_layout(self.__class__)[2](self))
+
+
+_Values = Callable[[Any], tuple]
+
+
+def _values(names: tuple[str, ...]) -> _Values:
+    """A function from a record to the tuple of its ``names`` attributes."""
+    if len(names) > 1:
+        return attrgetter(*names)
+    return lambda obj: tuple(getattr(obj, n) for n in names)
+
+
+@functools.cache
+def _layout(cls: type) -> tuple[tuple[str, ...], _Values, _Values]:
+    """A record class's (repr names, compared values, hashed values), as ``dataclass`` has them."""
+    fs = dataclasses.fields(cls)
+    return (
+        tuple(f.name for f in fs if f.repr),
+        _values(tuple(f.name for f in fs if f.compare)),
+        _values(tuple(f.name for f in fs if (f.compare if f.hash is None else f.hash))),
+    )
 
 
 def _check(kinds: tuple[type, ...], what: str, value: Any) -> Any:
@@ -203,7 +251,7 @@ class PromptVariant(str, Enum):
             ) from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Origin(Record):
     """Provenance of a program: written by hand, or derived from a parent by one mutation."""
 
@@ -228,7 +276,7 @@ class Origin(Record):
         return cls(kind="mutant", parent_name=parent_name, mutation_id=mutation_id)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class SourceProgram(Record):
     """One C source unit plus metadata.
 
@@ -249,7 +297,10 @@ class SourceProgram(Record):
             raise ValueError("program source must be non-empty")
 
 
-@dataclass(frozen=True)
+# The one record that keeps the generated ``__eq__`` and ``__hash__``: the
+# census hashes a kind per clause, and the generated methods are about twice
+# as fast as the shared ones in ``Record``.
+@dataclass(frozen=True, repr=False)
 class AnnotationKind(Record):
     """Classification of one ACSL clause by its keyword.
 
@@ -306,7 +357,7 @@ def kind_sort_key(kind: AnnotationKind) -> tuple[int, str]:
     return (_KIND_ORDER.get(kind.keyword, len(KNOWN_KINDS)), kind.keyword)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class GenerationConfig(Record):
     """Sampling configuration for annotation generation."""
 

@@ -19,11 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .analyzer.lexer import C_KEYWORDS, Token, TokenKind, tokenize
-from .model import Origin, Record, SourceProgram
-
-
-class NoMutationSite(ValueError):
-    """The program offers no site that a single-token mutation can hit."""
+from .model import NoMutationSite, Origin, Record, SourceProgram  # NoMutationSite re-exported
 
 
 class MutationOperator(str, Enum):
@@ -52,7 +48,7 @@ class MutationSite:
         return len(self.edits) == 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class MutationRecord(Record):
     mutation_id: str
     operator: MutationOperator

@@ -29,7 +29,7 @@ class RowArity(CsvError):
         self.row_index = row_index
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class TestCase(Record):
     """One test case: named input values, an output (possibly empty), a verdict."""
 
@@ -40,7 +40,7 @@ class TestCase(Record):
     verdict: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class TestSuite(Record):
     __test__ = False  # domain class, not a pytest suite
 
@@ -62,7 +62,7 @@ class TestSuite(Record):
         return any(case.output != "" for case in self.cases)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class TestSuiteSummary(Record):
     """Shape of a suite at a glance; feeds warnings and reports."""
 

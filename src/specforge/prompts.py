@@ -14,7 +14,6 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass, field
-from importlib import resources
 from pathlib import Path
 
 from .eva import EvaReport
@@ -66,7 +65,7 @@ _CONTEXT_SLOT = {
 _PLACEHOLDER_RE = re.compile(r"\{[a-z_]+\}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class PromptTemplate(Record):
     """A loaded template: its validated raw body, every slot still open.
 
@@ -79,7 +78,7 @@ class PromptTemplate(Record):
     snippets: dict[str, str] | None = field(default=None, metadata={"omit_if_none": True})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class BuiltPrompt(Record):
     """A fully substituted prompt ready for the gateway."""
 
@@ -91,8 +90,8 @@ class BuiltPrompt(Record):
 
 
 def default_template_dir() -> Path:
-    """The template directory shipped inside the package."""
-    return Path(resources.files("specforge") / "templates")  # type: ignore[arg-type]
+    """The template directory shipped inside the package, beside this module."""
+    return Path(__file__).parent / "templates"
 
 
 def _validate(variant: PromptVariant, body: str) -> None:

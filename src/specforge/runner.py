@@ -13,10 +13,6 @@ import hashlib
 import heapq
 import json
 import os
-import shlex
-import signal
-import subprocess
-import tempfile
 import threading
 import time
 from collections import Counter
@@ -103,7 +99,7 @@ class CorpusEntry:
     tags: tuple[tuple[str, str], ...] = ()  # free-form meta.json entries (clarity, ...)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class _Meta(Record):
     """The ``meta.json`` keys the runner reads; every other key becomes a tag."""
 
@@ -143,6 +139,12 @@ def _run_hook(
     Returns the hook's stdout, or None after adding its load error to ``errors``:
     the hook failed, timed out, or printed text that is not UTF-8.
     """
+    # imported here: a run with no hook, and every other command, never loads them
+    import shlex
+    import signal
+    import subprocess
+    import tempfile
+
     fd, path = tempfile.mkstemp(suffix=".c", prefix=f"{program.name}-")
     try:
         with os.fdopen(fd, "wb") as tmp:  # the program's own bytes, whatever the locale
@@ -307,7 +309,7 @@ def histogram_from_dict(d: dict[str, int]) -> dict[AnnotationKind, int]:
     }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class GenerationResult(Record):
     """Everything learned from one program x variant x sample cell."""
 
@@ -345,7 +347,7 @@ def sum_histograms(
     return total
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class RobustnessRow(Record):
     """Mean spec similarity between a parent's and a mutant's sampled specs.
 
@@ -360,7 +362,7 @@ class RobustnessRow(Record):
     pairs_compared: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class ExperimentReport(Record):
     config: GenerationConfig
     corpus_digest: str
@@ -752,11 +754,14 @@ def emit(
         )
     write(directory / "robustness.csv", csv_text(robustness_rows))
 
+    made: set[Path] = set()  # each sample directory is created once, not once per sample
     for result in report.results:
         if result.status != STATUS_OK or result.split is None:
             continue
         out = directory / "generated" / result.program_name / result.variant.value
-        out.mkdir(parents=True, exist_ok=True)
+        if out not in made:
+            out.mkdir(parents=True, exist_ok=True)
+            made.add(out)
         write(out / f"{result.sample_index}.c", result.split.code + "\n")
 
     return written

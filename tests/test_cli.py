@@ -89,6 +89,23 @@ def test_mutate_no_sites_exits_one(tmp_path, capsys):
     assert main(["mutate", str(path), "--seed", "1", "--out", str(tmp_path)]) == 1
 
 
+def test_mutate_without_a_site_prints_one_error_line(tmp_path):
+    # a fresh interpreter: there only the handler imports ``mutation``
+    path = tmp_path / "nosite.c"
+    path.write_text("void f(void) { }\n")
+    command = ["mutate", str(path), "--seed", "1", "--out", str(tmp_path / "out")]
+    proc = subprocess.run(
+        [sys.executable, "-m", "specforge.cli", *command],
+        capture_output=True,
+        text=True,
+        env=src_env(),
+        timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == "error: no single-token mutation site in 'nosite'\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_count_histogram(capsys, tmp_path):
     from conftest import DATA_DIR
 

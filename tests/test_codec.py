@@ -10,6 +10,8 @@ the dataclass codec in ``specforge.model`` and is kept in
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import json
 import os
 import subprocess
@@ -21,7 +23,7 @@ from conftest import DATA_DIR, REPO_ROOT
 from specforge.analyzer import Annotation
 from specforge.analyzer.annotations import Enclosing, SplitResponse
 from specforge.analyzer.checks import DiffRun, LintIssue, LintRule, PreservationVerdict
-from specforge.eva import AlarmKind, EvaAlarm, EvaReport, ValueDomain
+from specforge.eva import AlarmKind, Discrepancy, EvaAlarm, EvaReport, ValueDomain
 from specforge.gateway import CompletionResponse
 from specforge.model import (
     ENSURES,
@@ -31,6 +33,7 @@ from specforge.model import (
     GenerationConfig,
     Origin,
     PromptVariant,
+    Record,
     SourceProgram,
     canonical_json,
 )
@@ -45,6 +48,7 @@ from specforge.runner import (
     ExperimentReport,
     GenerationResult,
     RobustnessRow,
+    _Meta,
     histogram_from_dict,
     histogram_to_dict,
     load_report,
@@ -301,3 +305,110 @@ def test_importing_the_package_builds_no_codec_plan():
         check=True,
     )
     assert out.stdout.strip() == "0"
+
+
+# Record semantics: ``Record`` supplies ``__repr__``/``__eq__``/``__hash__``
+# in place of the dataclass-generated methods, with the same results.
+
+
+def _all_records() -> set[type]:
+    """Every ``Record`` subclass; this module imports each module that declares one."""
+    found, todo = set(), [Record]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            found.add(sub)
+            todo.append(sub)
+    return found
+
+
+def _record_samples() -> dict[type, Record]:
+    """One instance of every record class: the golden instances and what they nest."""
+    samples: dict[type, Record] = {}
+    todo: list[object] = [
+        *golden_instances().values(),
+        _Meta(entry_function="f", provenance="handcrafted"),
+        Discrepancy(expected=3, parsed=2),
+    ]
+    while todo:
+        value = todo.pop()
+        if isinstance(value, Record):
+            samples.setdefault(type(value), value)
+            todo.extend(getattr(value, f.name) for f in dataclasses.fields(value))
+        elif isinstance(value, dict):
+            todo.extend([*value, *value.values()])
+        elif isinstance(value, (tuple, frozenset)):
+            todo.extend(value)
+    return samples
+
+
+def test_every_record_has_a_sample():
+    assert set(_record_samples()) == _all_records()
+
+
+def _hash_or_error(value: object) -> object:
+    try:
+        return hash(value)
+    except TypeError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("value", _record_samples().values(), ids=lambda v: type(v).__name__)
+def test_record_round_trip_is_equal_and_hashes_alike(value):
+    back = type(value).from_dict(value.to_dict())
+    assert back == value and not back != value
+    assert _hash_or_error(back) == _hash_or_error(value)
+
+
+class _Unequal:
+    def __eq__(self, other: object) -> bool:
+        return False
+
+
+@pytest.mark.parametrize("value", _record_samples().values(), ids=lambda v: type(v).__name__)
+def test_changing_one_field_makes_records_unequal(value):
+    assert copy.copy(value) == value
+    for f in dataclasses.fields(value):
+        changed = copy.copy(value)
+        object.__setattr__(changed, f.name, _Unequal())
+        assert changed != value and value != changed, f.name
+
+
+@pytest.mark.parametrize("value", _record_samples().values(), ids=lambda v: type(v).__name__)
+def test_record_eq_against_another_type_is_not_implemented(value):
+    assert value.__eq__(value.to_dict()) is NotImplemented
+    assert value.__eq__(object()) is NotImplemented
+    other = Origin.original() if not isinstance(value, Origin) else REQUIRES
+    assert value.__eq__(other) is NotImplemented
+    assert value != other
+
+
+# The dataclass-generated ``repr`` text, as the records printed it before
+# they took ``__repr__`` from ``Record``.
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        (REQUIRES, "AnnotationKind(keyword='requires', known=True)"),
+        (LEMMA, "AnnotationKind(keyword='lemma', known=False)"),
+        (Origin.original(), "Origin(kind='original', parent_name=None, mutation_id=None)"),
+        (
+            Origin.mutant("tritype", "relational_flip@12"),
+            "Origin(kind='mutant', parent_name='tritype', mutation_id='relational_flip@12')",
+        ),
+        (
+            SourceProgram("f", "int f(void) { return 0; }\n", "f", Origin.mutant("tritype", "m1")),
+            "SourceProgram(name='f', source='int f(void) { return 0; }\\n', entry_function='f', "
+            "origin=Origin(kind='mutant', parent_name='tritype', mutation_id='m1'))",
+        ),
+        (
+            SourceProgram("g", "x"),
+            "SourceProgram(name='g', source='x', entry_function=None, "
+            "origin=Origin(kind='original', parent_name=None, mutation_id=None))",
+        ),
+        (Enclosing("function_contract"), "Enclosing(context='function_contract', behavior=None)"),
+        (Enclosing("behavior_body", "neg"), "Enclosing(context='behavior_body', behavior='neg')"),
+        (DiffRun(5, "<", "<="), "DiffRun(line=5, original='<', modified='<=')"),
+        (DiffRun(12, "", "x ;"), "DiffRun(line=12, original='', modified='x ;')"),
+    ],
+)
+def test_record_repr_is_the_dataclass_text(value, text):
+    assert repr(value) == text
