@@ -1,4 +1,4 @@
-"""Parse a structural-test CSV, summarize it, and render it back.
+"""Parse a structural-test CSV and summarize it.
 
 The test-case CSVs pair input columns with an output and a verdict per case.
 Suites whose cases all have empty outputs belong to void functions that
@@ -7,7 +7,7 @@ mutate state instead of returning values; the summary flags those.
 
 from pathlib import Path
 
-from specforge.pathcrawler import parse_test_csv, render_csv, summarize
+from specforge.pathcrawler import parse_test_csv, summarize
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -24,8 +24,10 @@ print(f"has_output: {summary.has_output}")
 for column, values in sorted(summary.distinct_values_per_input.items()):
     print(f"  {column} takes values {sorted(values)}")
 
-assert render_csv(suite) == raw
-print("\nrender(parse(raw)) is byte-identical to the input.")
+assert [case.output for case in suite.cases] == ["0", "0", "1"]
+assert suite.cases[1].inputs[1] == ("input_valeur", "-91")
+assert suite.raw == raw
+print("\nfields parsed as listed; prompts embed suite.raw, the input byte for byte.")
 
 print("\n--- a state-mutating suite (all outputs empty) ---")
 apache = parse_test_csv((CORPUS / "apache" / "tests.csv").read_text(encoding="utf-8"))

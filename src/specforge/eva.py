@@ -59,14 +59,6 @@ class EvaReport(Record):
     raw: str
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class Discrepancy(Record):
-    """Summary line and parsed alarms disagree."""
-
-    expected: int
-    parsed: int
-
-
 _ALARM_MARKER = "[eva:alarm]"
 _LOCATION_RE = re.compile(r"(?P<file>[^\s:][^:]*):(?P<line>\d+):")
 _ASSERT_RE = re.compile(r"\bassert\b\s*(?P<assertion>[^;]+);?")
@@ -167,11 +159,3 @@ def parse_eva_report(raw: str) -> EvaReport:
         raw=raw,
     )
 
-
-def consistency_check(report: EvaReport) -> list[Discrepancy]:
-    """Empty iff the summary alarm count (when present) matches the parsed alarms."""
-    if report.summary_alarm_count is None:
-        return []
-    if report.summary_alarm_count == len(report.alarms):
-        return []
-    return [Discrepancy(expected=report.summary_alarm_count, parsed=len(report.alarms))]

@@ -4,8 +4,8 @@ The live backend speaks the generic chat-completion JSON wire protocol
 (message list in, choice list out) against any compatible ``base_url``, so no
 provider is hard-coded. The replay backend serves recorded fixtures keyed by
 program x variant x sample index, which makes every downstream pipeline step
-reproducible and testable offline. ``record_fixture`` turns live responses
-into replay fixtures.
+reproducible and testable offline. It refuses a fixture whose sidecar names
+another request.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Generator, Protocol
 from urllib.parse import urlsplit
 
-from .model import GenerationConfig, Record, canonical_json
+from .model import GenerationConfig, Record
 from .prompts import BuiltPrompt
 
 DEFAULT_API_KEY_ENV = "SPECFORGE_API_KEY"
@@ -38,6 +38,11 @@ class MissingFixture(GatewayError):
     def __init__(self, key: str, path: Path):
         super().__init__(f"no fixture for {key} (looked at {path})")
         self.key = key
+
+
+class StaleFixture(GatewayError):
+    def __init__(self, key: str, recorded: str, requested: str):
+        super().__init__(f"stale fixture for {key}: sidecar {recorded}, request {requested}")
 
 
 class BackendError(GatewayError):
@@ -112,20 +117,25 @@ class ReplayBackend:
     """Deterministic completions from recorded fixture files.
 
     Fixture layout: ``<dir>/<program>/<variant>/<sample>.txt`` with an
-    optional ``.json`` sidecar of request metadata.
+    optional ``.json`` sidecar whose ``request_digest`` must be the request's.
     """
 
     def __init__(self, directory: Path | str):
         self.directory = Path(directory)
 
     def complete(self, request: CompletionRequest) -> CompletionResponse:
-        text_path, _ = fixture_paths(self.directory, request.key)
+        text_path, meta_path = fixture_paths(self.directory, request.key)
         if not text_path.is_file():
             raise MissingFixture(request.key, text_path)
         try:
             text = text_path.read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
-            raise GatewayError(f"cannot read fixture {text_path}: {exc}") from exc
+            if meta_path.is_file():
+                recorded = json.loads(meta_path.read_text(encoding="utf-8"))["request_digest"]
+                if recorded != request.digest:
+                    raise StaleFixture(request.key, recorded, request.digest)
+        except (OSError, ValueError, LookupError, TypeError, RecursionError) as exc:
+            reason = f"{type(exc).__name__}: {exc}"
+            raise GatewayError(f"cannot read fixture {request.key}: {reason}") from exc
         if not text:
             raise EmptyResponse(request.key)
         return CompletionResponse(
@@ -289,33 +299,3 @@ class LiveBackend:
         with self._opener.open(request, timeout=self.timeout_s) as reply:
             return reply.status, reply.headers.get("Location"), reply.read()
 
-
-def record_fixture(
-    request: CompletionRequest,
-    response: CompletionResponse,
-    directory: Path | str,
-    force: bool = False,
-) -> Path:
-    """Persist a live response so a later replay returns byte-identical text.
-
-    Refuses to overwrite an existing fixture unless ``force``; returns the
-    text file path.
-    """
-    if response.backend_kind != "live":
-        raise ValueError("only live responses are recorded as fixtures")
-    text_path, meta_path = fixture_paths(directory, request.key)
-    if text_path.exists() and not force:
-        raise FileExistsError(f"fixture already recorded at {text_path}")
-    text_path.parent.mkdir(parents=True, exist_ok=True)
-    text_path.write_text(response.text, encoding="utf-8")
-    metadata = {
-        "program_name": request.prompt.program_name,
-        "variant": request.prompt.variant.value,
-        "sample_index": request.sample_index,
-        "request_digest": response.request_digest,
-        "model_id": request.config.model_id,
-        "temperature": request.config.temperature,
-        "latency_ms": response.latency_ms,
-    }
-    meta_path.write_text(canonical_json(metadata), encoding="utf-8")
-    return text_path

@@ -1,4 +1,4 @@
-"""Parse, summarize, and re-render Pathcrawler structural-test CSV files.
+"""Parse and summarize Pathcrawler structural-test CSV files.
 
 The format is the bare comma-separated text Pathcrawler emits: a header of
 ``input_*`` columns terminated by ``output,verdict``, then one row per test
@@ -140,20 +140,3 @@ def summarize(suite: TestSuite) -> TestSuiteSummary:
         },
     )
 
-
-def render_csv(suite: TestSuite) -> str:
-    """Comma-joined text form of a suite, as embedded in prompts.
-
-    For suites parsed from unquoted text this is byte-identical to the
-    original input (a trailing newline is reproduced when the original
-    had one).
-    """
-    lines = [",".join(suite.columns)]
-    for case in suite.cases:
-        lines.append(
-            ",".join([value for _, value in case.inputs] + [case.output, case.verdict])
-        )
-    text = "\n".join(lines)
-    if suite.raw.endswith("\n"):
-        text += "\n"
-    return text

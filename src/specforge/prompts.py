@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .eva import EvaReport
 from .model import PromptVariant, Record, SourceProgram
-from .pathcrawler import TestSuite, render_csv
+from .pathcrawler import TestSuite
 
 
 class TemplateError(ValueError):
@@ -172,7 +172,7 @@ def build_prompt(
         raise MissingContext(template.variant, reason)
     warnings: tuple[str, ...] = ()
     if template.variant is PromptVariant.PATHCRAWLER:
-        context = render_csv(suite)
+        context = suite.raw
         if not suite.has_output:
             warnings = (STATE_MUTATION_WARNING,)
     elif template.variant is PromptVariant.EVA:

@@ -272,6 +272,10 @@ def load_corpus(
                     parsed = _parse_context(parse, stdout, f"{which} hook", errors)
             context.append(parsed)
         suite, report = context
+        if report is not None and report.summary_alarm_count not in (None, len(report.alarms)):
+            label = "eva.txt" if "eva.txt" in texts else "eva hook"  # eva.txt always parses
+            counts = f"{report.summary_alarm_count} alarms, {len(report.alarms)} parsed"
+            errors.append(f"{label}: summary counts {counts}")
 
         entries.append(
             CorpusEntry(

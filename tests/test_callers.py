@@ -1,0 +1,55 @@
+"""Every public top-level name of the package has a caller in the package or
+the benchmark harness: a function, class or constant that only tests, demos or
+the README use is dead weight, so it goes."""
+
+from __future__ import annotations
+
+import ast
+
+from conftest import REPO_ROOT
+
+PACKAGE = REPO_ROOT / "src" / "specforge"
+CALLERS = (PACKAGE, REPO_ROOT / "perfbench")
+
+
+def _defined(tree: ast.Module) -> list[str]:
+    """Public names bound at module top level by ``def``, ``class`` or assignment."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, ast.Assign):
+            names += [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.append(node.target.id)
+    return [name for name in names if not name.startswith("_")]
+
+
+def _referenced(tree: ast.Module, reexports: bool) -> set[str]:
+    """Names read, attributes taken, and (unless ``reexports``) names imported."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and not reexports:
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_every_public_package_name_has_a_caller():
+    defined: dict[str, str] = {}
+    referenced: set[str] = set()
+    paths = sorted(path for root in CALLERS for path in root.rglob("*.py"))
+    assert len(paths) > 10
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        if path.is_relative_to(PACKAGE):
+            for name in _defined(tree):
+                defined.setdefault(name, str(path.relative_to(REPO_ROOT)))
+        # an __init__ that re-exports a name would count as its caller
+        referenced |= _referenced(tree, reexports=path.name == "__init__.py")
+    assert "load_corpus" in defined
+    unused = sorted(f"{where}: {name}" for name, where in defined.items() if name not in referenced)
+    assert unused == []

@@ -23,7 +23,7 @@ from conftest import DATA_DIR, REPO_ROOT
 from specforge.analyzer import Annotation
 from specforge.analyzer.annotations import Enclosing, SplitResponse
 from specforge.analyzer.checks import DiffRun, LintIssue, LintRule, PreservationVerdict
-from specforge.eva import AlarmKind, Discrepancy, EvaAlarm, EvaReport, ValueDomain
+from specforge.eva import AlarmKind, EvaAlarm, EvaReport, ValueDomain
 from specforge.gateway import CompletionResponse
 from specforge.model import (
     ENSURES,
@@ -327,7 +327,6 @@ def _record_samples() -> dict[type, Record]:
     todo: list[object] = [
         *golden_instances().values(),
         _Meta(entry_function="f", provenance="handcrafted"),
-        Discrepancy(expected=3, parsed=2),
     ]
     while todo:
         value = todo.pop()

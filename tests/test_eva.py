@@ -1,13 +1,7 @@
 from __future__ import annotations
 
 from conftest import ALIAS5_EVA_EXCERPT
-from specforge.eva import (
-    AlarmKind,
-    Discrepancy,
-    EvaReport,
-    consistency_check,
-    parse_eva_report,
-)
+from specforge.eva import AlarmKind, EvaReport, parse_eva_report
 
 
 def test_parse_alias5_excerpt():
@@ -31,7 +25,6 @@ def test_parse_full_report(labels_tritype_eva_report):
     assert domains["__retres"] == "{1; 2; 3; 4}"
     assert report.summary_alarm_count == 6
     assert report.warnings_kernel == 2
-    assert consistency_check(report) == []
 
 
 def test_parse_empty_string():
@@ -72,21 +65,6 @@ def test_kernel_warning_lines_do_not_count_as_alarms():
     report = parse_eva_report(ALIAS5_EVA_EXCERPT)
     assert "all target addresses were invalid" not in [a.kind_text for a in report.alarms]
     assert len(report.alarms) == 5
-
-
-def test_consistency_check_flags_count_mismatch():
-    raw = (
-        "[eva:alarm] a.c:1: Warning:\n  signed overflow. assert x <= 10;\n"
-        "  6 alarms generated by the analysis:\n"
-    )
-    report = parse_eva_report(raw)
-    issues = consistency_check(report)
-    assert issues == [Discrepancy(expected=6, parsed=1)]
-
-
-def test_consistency_check_vacuous_without_summary():
-    report = parse_eva_report("[eva] nothing to see\n")
-    assert consistency_check(report) == []
 
 
 def test_parse_idempotent_on_raw(labels_tritype_eva_report):

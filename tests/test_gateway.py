@@ -16,8 +16,8 @@ from specforge.gateway import (
     MissingCredential,
     MissingFixture,
     ReplayBackend,
+    StaleFixture,
     fixture_paths,
-    record_fixture,
     request_digest,
 )
 from specforge.model import GenerationConfig, PromptVariant
@@ -139,6 +139,47 @@ def test_replay_undecodable_fixture_is_a_gateway_error(tmp_path):
     with pytest.raises(GatewayError) as exc:
         ReplayBackend(tmp_path).complete(_request())
     assert "cannot read fixture" in str(exc.value)
+
+
+def _fixture_with_sidecar(tmp_path, sidecar: bytes) -> ReplayBackend:
+    text_path, meta_path = fixture_paths(tmp_path, "binary_search/baseline/0")
+    text_path.parent.mkdir(parents=True)
+    text_path.write_text("the recorded response", encoding="utf-8")
+    meta_path.write_bytes(sidecar)
+    return ReplayBackend(tmp_path)
+
+
+def test_replay_serves_a_fixture_whose_sidecar_names_the_request(tmp_path):
+    request = _request()
+    backend = _fixture_with_sidecar(
+        tmp_path, json.dumps({"request_digest": request.digest, "sample_index": 0}).encode()
+    )
+    assert backend.complete(request).text == "the recorded response"
+
+
+@pytest.mark.parametrize(
+    "recorded",
+    [request_digest("annotate that", 0.7, 0), request_digest("annotate this", 0.2, 0)],
+    ids=["other-prompt", "other-temperature"],
+)
+def test_replay_refuses_a_fixture_recorded_for_another_request(tmp_path, recorded):
+    backend = _fixture_with_sidecar(tmp_path, json.dumps({"request_digest": recorded}).encode())
+    request = _request()
+    with pytest.raises(StaleFixture) as exc:
+        backend.complete(request)
+    assert isinstance(exc.value, GatewayError)
+    assert recorded in str(exc.value) and request.digest in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "sidecar",
+    [b"", b"{not json", b"[]", b'"digest"', b"{}", b'{"request_digest": "\xff"}', b"[" * 10**5],
+)
+def test_replay_malformed_sidecar_is_a_gateway_error(tmp_path, sidecar):
+    backend = _fixture_with_sidecar(tmp_path, sidecar)
+    with pytest.raises(GatewayError) as exc:
+        backend.complete(_request())
+    assert str(exc.value).startswith("cannot read fixture binary_search/baseline/0: ")
 
 
 def test_live_success(script_server, credentials):
@@ -350,82 +391,6 @@ def test_live_custom_credential_env(script_server, monkeypatch):
     _Script.script = [(200, _ok_body("hello"))]
     backend = LiveBackend(base_url=base_url, api_key_env="MY_GATEWAY_KEY")
     assert backend.complete(_request()).text == "hello"
-
-
-def test_record_then_replay_round_trip(tmp_path):
-    request = _request()
-    live_response = CompletionResponse(
-        text="recorded output",
-        backend_kind="live",
-        backend_detail="some-model",
-        latency_ms=12,
-        request_digest=request.digest,
-    )
-    record_fixture(request, live_response, tmp_path)
-    replayed = ReplayBackend(tmp_path).complete(request)
-    assert replayed.text == live_response.text
-    _, meta_path = fixture_paths(tmp_path, request.key)
-    metadata = json.loads(meta_path.read_text())
-    assert metadata["request_digest"] == request.digest
-    assert metadata["sample_index"] == 0
-
-
-def test_record_distinct_samples_get_distinct_keys(tmp_path):
-    for index in (0, 1):
-        request = _request(sample_index=index)
-        record_fixture(
-            request,
-            CompletionResponse(
-                text=f"sample {index}",
-                backend_kind="live",
-                backend_detail="m",
-                latency_ms=1,
-                request_digest=request.digest,
-            ),
-            tmp_path,
-        )
-    assert ReplayBackend(tmp_path).complete(_request(0)).text == "sample 0"
-    assert ReplayBackend(tmp_path).complete(_request(1)).text == "sample 1"
-
-
-def test_record_refuses_overwrite_without_force(tmp_path):
-    request = _request()
-    response = CompletionResponse(
-        text="v1",
-        backend_kind="live",
-        backend_detail="m",
-        latency_ms=1,
-        request_digest=request.digest,
-    )
-    record_fixture(request, response, tmp_path)
-    with pytest.raises(FileExistsError):
-        record_fixture(request, response, tmp_path)
-    record_fixture(
-        request,
-        CompletionResponse(
-            text="v2",
-            backend_kind="live",
-            backend_detail="m",
-            latency_ms=1,
-            request_digest=request.digest,
-        ),
-        tmp_path,
-        force=True,
-    )
-    assert ReplayBackend(tmp_path).complete(request).text == "v2"
-
-
-def test_record_rejects_replay_responses(tmp_path):
-    request = _request()
-    replay_response = CompletionResponse(
-        text="x",
-        backend_kind="replay",
-        backend_detail="k",
-        latency_ms=0,
-        request_digest=request.digest,
-    )
-    with pytest.raises(ValueError):
-        record_fixture(request, replay_response, tmp_path)
 
 
 def test_concurrent_replay_requests_are_independent(tmp_path):

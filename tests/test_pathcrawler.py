@@ -10,7 +10,6 @@ from specforge.pathcrawler import (
     RowArity,
     TestSuite,
     parse_test_csv,
-    render_csv,
     summarize,
 )
 
@@ -94,24 +93,50 @@ def test_summarize_empty_suite_has_no_output_by_convention():
     assert summary.has_output is False
 
 
+def _fields(case):
+    return [value for _, value in case.inputs] + [case.output, case.verdict]
+
+
 def test_render_round_trip_adpcm():
-    assert render_csv(parse_test_csv(ADPCM_CSV)) == ADPCM_CSV
+    suite = parse_test_csv(ADPCM_CSV)
+    assert suite.raw == ADPCM_CSV
+    assert suite.columns == (
+        "input_n", "input_valeur", "input_t[0]", "input_t[1]", "output", "verdict"
+    )
+    assert [_fields(case) for case in suite.cases] == [
+        ["2", "0", "-37", "0", "0", "unknown"],
+        ["2", "-91", "0", "62", "0", "unknown"],
+        ["2", "0", "0", "12", "1", "unknown"],
+    ]
 
 
 def test_render_header_only():
-    assert render_csv(parse_test_csv("input_a,output,verdict")) == "input_a,output,verdict"
+    suite = parse_test_csv("input_a,output,verdict")
+    assert suite.raw == "input_a,output,verdict"
+    assert suite.columns == ("input_a", "output", "verdict")
+    assert suite.cases == ()
 
 
 def test_render_preserves_adjacent_commas():
     raw = "input_a,output,verdict\n0,,unknown\n"
-    assert render_csv(parse_test_csv(raw)) == raw
-    assert ",,unknown" in render_csv(parse_test_csv(raw))
+    suite = parse_test_csv(raw)
+    assert suite.raw == raw
+    (case,) = suite.cases
+    assert case.inputs == (("input_a", "0"),)
+    assert case.output == ""
+    assert case.verdict == "unknown"
 
 
 def test_round_trip_on_every_shipped_fixture_csv():
-    for csv_path in sorted(CORPUS_DIR.glob("*/tests.csv")):
+    csv_paths = sorted(CORPUS_DIR.glob("*/tests.csv"))
+    assert csv_paths
+    for csv_path in csv_paths:
         raw = csv_path.read_text(encoding="utf-8")
-        assert render_csv(parse_test_csv(raw)) == raw, csv_path
+        suite = parse_test_csv(raw)
+        assert suite.raw == raw, csv_path
+        header, *rows = [line.split(",") for line in raw.splitlines()]
+        assert list(suite.columns) == header, csv_path
+        assert [_fields(case) for case in suite.cases] == rows, csv_path
 
 
 def test_case_count_equals_non_header_lines():
@@ -145,12 +170,13 @@ _field = st.text(
 def test_round_trip_property(columns, rows, data):
     header = [f"input_c{i}" for i in range(columns)] + ["output", "verdict"]
     n_rows = data.draw(st.integers(min_value=0, max_value=6))
-    lines = [",".join(header)]
-    for _ in range(n_rows):
-        lines.append(
-            ",".join(data.draw(_field) for _ in range(len(header)))
-        )
-    raw = "\n".join(lines) + "\n"
+    drawn = [[data.draw(_field) for _ in header] for _ in range(n_rows)]
+    raw = "\n".join(",".join(line) for line in [header, *drawn]) + "\n"
     suite = parse_test_csv(raw)
-    assert render_csv(suite) == raw
+    assert suite.raw == raw
+    assert list(suite.columns) == header
+    assert [_fields(case) for case in suite.cases] == drawn
+    assert [case.inputs for case in suite.cases] == [
+        tuple(zip(header[:-2], row[:-2])) for row in drawn
+    ]
     assert summarize(suite).case_count == n_rows

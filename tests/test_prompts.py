@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import ADPCM_CSV, TEMPLATES_DIR
 from specforge.eva import EvaReport, parse_eva_report
 from specforge.model import PromptVariant, SourceProgram
-from specforge.pathcrawler import parse_test_csv, render_csv
+from specforge.pathcrawler import parse_test_csv
 from specforge.prompts import (
     STATE_MUTATION_WARNING,
     BuiltPrompt,
@@ -118,7 +118,7 @@ def test_build_baseline_contains_program_in_fence(templates):
 def test_build_pathcrawler_embeds_rendered_csv(templates):
     suite = parse_test_csv(ADPCM_CSV)
     prompt = build_prompt(templates[PromptVariant.PATHCRAWLER], PROGRAM, suite=suite)
-    assert render_csv(suite) in prompt.text
+    assert suite.raw in prompt.text
     assert "PathCrawler Output:" in prompt.text
     assert prompt.context_digest != ""
 

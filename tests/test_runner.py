@@ -11,11 +11,12 @@ from pathlib import Path
 
 import pytest
 
-from conftest import ADPCM_CSV, CORPUS_DIR, FIXTURES_DIR
+from conftest import ADPCM_CSV, ALIAS5_EVA_EXCERPT, CORPUS_DIR, FIXTURES_DIR, TEMPLATES_DIR
 from specforge.analyzer import PreservationVerdict
 from specforge.gateway import BackendError, ReplayBackend
 from specforge.model import AnnotationKind, GenerationConfig, Origin, PromptVariant
-from specforge.prompts import MissingContext, build_prompt
+from specforge.cli import main
+from specforge.prompts import MissingContext, build_prompt, load_templates
 from specforge.runner import (
     STATUS_BACKEND_FAILED,
     STATUS_NO_CODE_FENCE,
@@ -231,6 +232,56 @@ def test_load_corpus_non_utf8_hook_stderr_is_kept_in_the_failure(tmp_path):
     assert entry.load_errors == ("eva hook failed (exit 3): bad \ufffd byte",)
 
 
+MISCOUNTED_EVA = ALIAS5_EVA_EXCERPT + "  6 alarms generated by the analysis:\n"  # lists 5
+
+
+def test_load_corpus_eva_summary_miscount_is_a_load_error(tmp_path):
+    (_program(tmp_path, "p") / "eva.txt").write_text(MISCOUNTED_EVA)
+    (entry,) = load_corpus(tmp_path).entries
+    assert len(entry.report.alarms) == 5 and entry.report.summary_alarm_count == 6
+    assert entry.load_errors == ("eva.txt: summary counts 6 alarms, 5 parsed",)
+
+
+def test_load_corpus_eva_hook_summary_miscount_names_the_hook(tmp_path):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    _program(corpus, "p")
+    hook = _eva_hook(tmp_path, f"cat <<'EOF'\n{MISCOUNTED_EVA}EOF\n")
+    (entry,) = load_corpus(corpus, eva_hook=hook).entries
+    assert entry.report is not None
+    assert entry.load_errors == ("eva hook: summary counts 6 alarms, 5 parsed",)
+
+
+def test_load_corpus_eva_report_without_summary_is_no_load_error(tmp_path):
+    (_program(tmp_path, "p") / "eva.txt").write_text(ALIAS5_EVA_EXCERPT)
+    (entry,) = load_corpus(tmp_path).entries
+    assert entry.report.summary_alarm_count is None
+    assert entry.load_errors == ()
+
+
+def test_shipped_corpus_has_no_load_errors(corpus_load_module):
+    assert [e.load_errors for e in corpus_load_module.entries if e.load_errors] == []
+
+
+def test_generate_prints_an_eva_summary_miscount_as_a_load_warning(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (_program(corpus, "p") / "eva.txt").write_text(MISCOUNTED_EVA)
+    cell = tmp_path / "fixtures" / "p" / "baseline"
+    cell.mkdir(parents=True)
+    for index in range(3):
+        (cell / f"{index}.txt").write_text("```c\nint f(void) { return 0; }\n```\n")
+    code = main(
+        [
+            "generate", "--corpus", str(corpus), "--fixtures", str(tmp_path / "fixtures"),
+            "--variants", "baseline", "--out", str(tmp_path / "out"),
+        ]
+    )
+    assert code == 0
+    warnings = [line for line in capsys.readouterr().err.splitlines() if "load warning" in line]
+    assert warnings == ["load warning [p]: eva.txt: summary counts 6 alarms, 5 parsed"]
+
+
 def test_corpus_digest_tracks_content(tmp_path):
     program = tmp_path / "p"
     program.mkdir()
@@ -350,6 +401,46 @@ def test_undecodable_fixture_isolated_to_one_cell(
     (only,) = [r for r in report.results if r.status != STATUS_OK]
     assert (only.program_name, only.variant.value, only.sample_index) == ("adpcm", "baseline", 1)
     assert only.status == STATUS_BACKEND_FAILED
+
+
+def test_stale_fixtures_fail_every_cell_of_a_changed_template(
+    tmp_path, corpus_load_module, replay_backend
+):
+    templates = tmp_path / "templates"
+    shutil.copytree(TEMPLATES_DIR, templates)
+    baseline = templates / "baseline.txt"
+    text = baseline.read_text(encoding="utf-8")
+    assert "family" in text
+    baseline.write_text(text.replace("family", "friends", 1), encoding="utf-8")
+    report = run(
+        corpus_load_module, ALL_VARIANTS, CONFIG, replay_backend, load_templates(templates)
+    )
+    by_variant = {
+        variant: [r for r in report.results if r.variant is variant] for variant in ALL_VARIANTS
+    }
+    assert len(by_variant[PromptVariant.BASELINE]) == 3 * len(corpus_load_module.entries)
+    for result in by_variant[PromptVariant.BASELINE]:
+        assert result.status == STATUS_BACKEND_FAILED
+        assert result.status_reason.startswith(
+            f"stale fixture for {result.program_name}/baseline/{result.sample_index}: "
+        )
+    others = [r for v in ALL_VARIANTS if v is not PromptVariant.BASELINE for r in by_variant[v]]
+    assert others and all(r.status == STATUS_OK for r in others)
+
+
+def test_malformed_sidecar_isolated_to_one_cell(
+    tmp_path, corpus_load_module, templates_module
+):
+    partial = tmp_path / "fixtures"
+    shutil.copytree(FIXTURES_DIR, partial)
+    (partial / "adpcm" / "baseline" / "1.json").write_text("{not json")
+    report = run(
+        corpus_load_module, ALL_VARIANTS, CONFIG, ReplayBackend(partial), templates_module
+    )
+    (only,) = [r for r in report.results if r.status != STATUS_OK]
+    assert (only.program_name, only.variant.value, only.sample_index) == ("adpcm", "baseline", 1)
+    assert only.status == STATUS_BACKEND_FAILED
+    assert only.status_reason.startswith("cannot read fixture adpcm/baseline/1: ")
 
 
 def test_variant_subset_runs_only_requested(
