@@ -2,19 +2,24 @@
 
 The reply format is reasoning prose plus a fenced program; every clause in an
 annotation comment is classified by keyword (requires, ensures, assigns, loop
-invariant, ...), and structural rules are linted.
+invariant, ...), and structural rules are linted. The reply's code is scanned
+once by ``parse_blocks``, and the census, lint and preservation check all read
+that one result.
 """
 
 from pathlib import Path
 
 from specforge.analyzer import (
+    ComparableStream,
     check_code_preserved,
     count_by_kind,
     lint,
     parse_annotations,
+    parse_blocks,
     split_response,
+    tokenize,
 )
-from specforge.runner import histogram_to_dict, load_corpus
+from specforge.runner import histogram_to_dict
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -25,7 +30,8 @@ split = split_response(reply)
 print("--- reasoning ---")
 print(split.reasoning)
 
-annotations = parse_annotations(split.code)
+analyzed = parse_blocks(split.code)
+annotations = parse_annotations(analyzed)
 print("\n--- clauses ---")
 for a in annotations:
     print(f"  line {a.line:>2}  {a.kind.keyword:15s} {a.clause_text[:50]}")
@@ -35,10 +41,9 @@ for keyword, count in histogram_to_dict(count_by_kind(annotations)).items():
     if count:
         print(f"  {keyword:15s} {count}")
 
-issues = lint(split.code)
+issues = lint(analyzed)
 print("\nlint:", "clean" if not issues else issues)
 
-corpus = load_corpus(ROOT / "corpus")
-program = next(e.program for e in corpus.entries if e.program.name == "binary_search")
-verdict = check_code_preserved(program, split.code)
+source = (ROOT / "corpus" / "binary_search" / "program.c").read_text(encoding="utf-8")
+verdict = check_code_preserved(ComparableStream.of(tokenize(source)), analyzed)
 print(f"code preserved against the original source: {verdict.preserved}")

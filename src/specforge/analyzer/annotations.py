@@ -322,16 +322,13 @@ def merge_loop_assigns(
     return merged
 
 
-def strip_annotations(code: str | AnalyzedCode) -> str:
+def strip_annotations(code: AnalyzedCode) -> str:
     """Remove all ACSL comments, preserving every other token in order.
 
     Newlines inside removed blocks are kept so remaining tokens stay on their
     original lines; code with no annotations comes back byte-identical.
     """
-    if isinstance(code, AnalyzedCode):
-        source, tokens = code.code, code.tokens
-    else:
-        source, tokens = code, tokenize(code)
+    source, tokens = code.code, code.tokens
     spans = [(t.start, t.end, t.text) for t in tokens if t.is_acsl]
     if not spans:
         return source

@@ -8,7 +8,7 @@ from difflib import SequenceMatcher
 from enum import Enum
 from typing import Sequence
 
-from ..model import ASSIGNS, LOOP_ASSIGNS, LOOP_VARIANT, Record, SourceProgram
+from ..model import ASSIGNS, LOOP_ASSIGNS, LOOP_VARIANT, Record
 from .annotations import AnalyzedCode, parse_blocks, strip_annotations
 from .lexer import C_KEYWORDS, ComparableStream, Token, TokenKind, tokenize
 
@@ -123,19 +123,16 @@ def _opcodes(a: Sequence[str], b: Sequence[str]) -> list[_Opcode]:
 
 
 def check_code_preserved(
-    original: SourceProgram | ComparableStream,
-    annotated_code: str | AnalyzedCode,
-    max_diff_runs: int = 10,
+    original: ComparableStream, annotated_code: AnalyzedCode, max_diff_runs: int = 10
 ) -> PreservationVerdict:
     """True iff stripping annotations from ``annotated_code`` leaves the original tokens.
 
     Whitespace and comments never count; the diff localizes up to
     ``max_diff_runs`` mismatching token runs, line numbers taken from the
-    original source where possible. ``original`` may be the program's
-    precomputed stream (``load_corpus`` stores one per entry) and
-    ``annotated_code`` the reply's ``parse_blocks`` result, whose
-    ``comparable`` stream the walk over its tokens already collected, so
-    nothing is scanned or walked twice.
+    original source where possible. ``original`` is the program's stream
+    (``load_corpus`` stores one per entry) and ``annotated_code`` the reply's
+    ``parse_blocks`` result, whose ``comparable`` stream the walk over its
+    tokens already collected, so nothing is scanned or walked twice.
 
     The reply's own non-comment tokens are compared directly: removing a
     comment leaves whitespace, which changes no other token. The one
@@ -144,10 +141,6 @@ def check_code_preserved(
     directive. Only a reply holding a punctuator ``#`` is therefore stripped
     and scanned again.
     """
-    if isinstance(original, SourceProgram):
-        original = ComparableStream.of(tokenize(original.source))
-    if isinstance(annotated_code, str):
-        annotated_code = parse_blocks(annotated_code)
     modified = annotated_code.comparable
     if "#" in modified.texts and any(
         t.kind is TokenKind.PUNCT and t.text == "#" for t in annotated_code.tokens

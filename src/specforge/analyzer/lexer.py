@@ -17,21 +17,10 @@ from typing import Iterable, NamedTuple
 
 
 class TokenizeError(Exception):
-    """Base class for scanner failures."""
+    """An unterminated comment or literal; the message names its line."""
 
     def __init__(self, message: str, line: int):
         super().__init__(f"line {line}: {message}")
-        self.line = line
-
-
-class UnterminatedComment(TokenizeError):
-    def __init__(self, line: int):
-        super().__init__("unterminated block comment", line)
-
-
-class UnterminatedLiteral(TokenizeError):
-    def __init__(self, line: int, quote: str):
-        super().__init__(f"unterminated {quote} literal", line)
 
 
 class TokenKind(Enum):
@@ -140,7 +129,8 @@ _NEWLINE, _COMMENT, _PREPROC = (
 def tokenize(source: str) -> list[Token]:
     """Scan ``source`` into tokens, comments included.
 
-    Raises UnterminatedComment / UnterminatedLiteral; everything else scans.
+    Raises TokenizeError for an unterminated comment or literal; everything
+    else scans.
     """
     tokens: list[Token] = []
     append = tokens.append
@@ -164,7 +154,7 @@ def tokenize(source: str) -> list[Token]:
         elif group == _COMMENT:
             close = source.find("*/", start + 2)
             if close == -1:
-                raise UnterminatedComment(line)
+                raise TokenizeError("unterminated block comment", line)
             end = close + 2
             text = source[start:end]
             append(new(Token, (TokenKind.COMMENT, text, line, start, end)))
@@ -174,7 +164,7 @@ def tokenize(source: str) -> list[Token]:
             append(new(Token, (TokenKind.PREPROC, text, line, start, end)))
             line += text.count("\n")
         else:  # quote
-            raise UnterminatedLiteral(line, source[start])
+            raise TokenizeError(f"unterminated {source[start]} literal", line)
         pos = end
     return tokens
 

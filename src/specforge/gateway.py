@@ -29,26 +29,9 @@ class GatewayError(RuntimeError):
     """Base class for completion failures."""
 
 
-class MissingCredential(GatewayError):
-    def __init__(self, env_name: str):
-        super().__init__(f"no API credential: environment variable {env_name} is unset")
-
-
-class MissingFixture(GatewayError):
-    def __init__(self, key: str, path: Path):
-        super().__init__(f"no fixture for {key} (looked at {path})")
-        self.key = key
-
-
-class StaleFixture(GatewayError):
-    def __init__(self, key: str, recorded: str, requested: str):
-        super().__init__(f"stale fixture for {key}: sidecar {recorded}, request {requested}")
-
-
 class BackendError(GatewayError):
     def __init__(self, status: int | None, message: str):
         super().__init__(f"backend error (status={status}): {message}")
-        self.status = status
 
 
 class EmptyResponse(GatewayError):
@@ -126,13 +109,16 @@ class ReplayBackend:
     def complete(self, request: CompletionRequest) -> CompletionResponse:
         text_path, meta_path = fixture_paths(self.directory, request.key)
         if not text_path.is_file():
-            raise MissingFixture(request.key, text_path)
+            raise GatewayError(f"no fixture for {request.key} (looked at {text_path})")
         try:
             text = text_path.read_text(encoding="utf-8")
             if meta_path.is_file():
                 recorded = json.loads(meta_path.read_text(encoding="utf-8"))["request_digest"]
                 if recorded != request.digest:
-                    raise StaleFixture(request.key, recorded, request.digest)
+                    raise GatewayError(
+                        f"stale fixture for {request.key}: "
+                        f"sidecar {recorded}, request {request.digest}"
+                    )
         except (OSError, ValueError, LookupError, TypeError, RecursionError) as exc:
             reason = f"{type(exc).__name__}: {exc}"
             raise GatewayError(f"cannot read fixture {request.key}: {reason}") from exc
@@ -236,7 +222,9 @@ class LiveBackend:
         """
         api_key = os.environ.get(self.api_key_env, "")
         if not api_key:
-            raise MissingCredential(self.api_key_env)
+            raise GatewayError(
+                f"no API credential: environment variable {self.api_key_env} is unset"
+            )
         payload = {
             "model": request.config.model_id,
             "messages": [{"role": "user", "content": request.prompt.text}],
@@ -270,6 +258,8 @@ class LiveBackend:
                 continue
             try:
                 text = json.loads(raw)["choices"][0]["message"]["content"]
+                if isinstance(text, str):  # a lone surrogate ("\ud83d") fails here, not in emit
+                    text.encode("utf-8")
             except (ValueError, KeyError, IndexError, TypeError) as exc:
                 raise BackendError(
                     status, f"malformed completion payload: {exc}"

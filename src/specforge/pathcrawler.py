@@ -26,7 +26,6 @@ class MalformedHeader(CsvError):
 class RowArity(CsvError):
     def __init__(self, row_index: int, detail: str):
         super().__init__(f"row {row_index}: {detail}")
-        self.row_index = row_index
 
 
 @dataclass(frozen=True, eq=False, repr=False)

@@ -25,29 +25,9 @@ class TemplateError(ValueError):
     """Base class for template loading/instantiation failures."""
 
 
-class MissingTemplate(TemplateError):
-    def __init__(self, variant: PromptVariant, path: Path):
-        super().__init__(f"no template file for variant {variant} at {path}")
-        self.variant = variant
-
-
 class PlaceholderMismatch(TemplateError):
     def __init__(self, variant: PromptVariant, placeholder: str, detail: str):
         super().__init__(f"{variant} template, {placeholder}: {detail}")
-        self.variant = variant
-        self.placeholder = placeholder
-
-
-class MissingContext(TemplateError):
-    def __init__(self, variant: PromptVariant, reason: str):
-        super().__init__(reason)
-        self.variant = variant
-
-
-class UnresolvedPlaceholder(TemplateError):
-    def __init__(self, name: str):
-        super().__init__(f"placeholder {name} is not filled by this variant")
-        self.name = name
 
 
 STATE_MUTATION_WARNING = (
@@ -117,14 +97,15 @@ def load_templates(directory: Path | str) -> dict[PromptVariant, PromptTemplate]
 
     Snippet texts are read from ``snippets/valid_assigns.c`` and
     ``snippets/invalid_assigns.c`` next to the templates, for the slots the
-    template holds. Raises MissingTemplate / PlaceholderMismatch.
+    template holds. Raises TemplateError for a missing template file, and
+    PlaceholderMismatch for a slot or snippet file that does not fit.
     """
     directory = Path(directory)
     templates: dict[PromptVariant, PromptTemplate] = {}
     for variant in PromptVariant:
         path = directory / f"{variant.value}.txt"
         if not path.is_file():
-            raise MissingTemplate(variant, path)
+            raise TemplateError(f"no template file for variant {variant} at {path}")
         raw = path.read_text(encoding="utf-8")
         _validate(variant, raw)
         snippets: dict[str, str] = {}
@@ -162,14 +143,14 @@ def build_prompt(
 ) -> BuiltPrompt:
     """Substitute the program, its context and the snippets into the template's slots.
 
-    Raises MissingContext, with the reason ``missing_context`` gives, when the
-    variant's context is absent, and UnresolvedPlaceholder for a slot the
-    variant does not fill, which only a hand-built template can hold. A suite
-    whose cases all have empty outputs attaches a state-mutation warning.
+    Raises TemplateError, with the reason ``missing_context`` gives, when the
+    variant's context is absent, and for a slot the variant does not fill,
+    which only a hand-built template can hold. A suite whose cases all have
+    empty outputs attaches a state-mutation warning.
     """
     reason = missing_context(template.variant, suite, report)
     if reason:
-        raise MissingContext(template.variant, reason)
+        raise TemplateError(reason)
     warnings: tuple[str, ...] = ()
     if template.variant is PromptVariant.PATHCRAWLER:
         context = suite.raw
@@ -188,7 +169,7 @@ def build_prompt(
 
     def fill(match: re.Match[str]) -> str:
         if match.group() not in values:
-            raise UnresolvedPlaceholder(match.group())
+            raise TemplateError(f"placeholder {match.group()} is not filled by this variant")
         return values[match.group()]
 
     text = _PLACEHOLDER_RE.sub(fill, template.body)  # inserted text is not rescanned

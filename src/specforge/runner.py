@@ -640,10 +640,11 @@ def run(
 ) -> ExperimentReport:
     """Generate and analyze every program x variant x sample cell.
 
-    ``variants`` must be non-empty and name each variant once. Variants
-    whose required context is absent for a program are skipped and recorded;
-    per-cell failures become result statuses. Robustness rows are computed
-    for every corpus mutant whose parent is present.
+    ``variants`` must be non-empty and name each variant once, and
+    ``max_workers`` must be at least 1. Variants whose required context is
+    absent for a program are skipped and recorded; per-cell failures become
+    result statuses. Robustness rows are computed for every corpus mutant
+    whose parent is present.
 
     At most ``max_workers`` backend attempts are on the wire, each on one of
     ``max_workers`` worker threads. A live request backing off between
@@ -661,6 +662,8 @@ def run(
         digest = ""
     if not entries:
         raise ConfigError("empty corpus")
+    if max_workers < 1:
+        raise ConfigError(f"max in-flight requests must be at least 1, got {max_workers}")
     if not variants or len(set(variants)) != len(variants):
         names = [v.value for v in variants]
         raise ConfigError(f"prompt variants must be one or more, none twice; got {names}")
@@ -685,7 +688,7 @@ def run(
         CompletionRequest(prompt=prompt, config=config, sample_index=sample)
         for _, prompt, sample in cells
     ]
-    with _Dispatch(backend, requests, max(1, max_workers)) as replies:
+    with _Dispatch(backend, requests, max_workers) as replies:
         results = [_analyze(*cell, reply) for cell, reply in zip(cells, replies)]
     results.sort(key=lambda r: (r.program_name, r.variant.value, r.sample_index))
 

@@ -125,3 +125,13 @@ def oracle_tokens(code: str) -> list[str]:
     no_block = re.sub(r"/\*.*?\*/", " ", code, flags=re.S)
     no_comments = re.sub(r"//[^\n]*", " ", no_block)
     return _ORACLE_TOKEN_RE.findall(no_comments)
+
+
+def preservation(original: str, reply: str, max_diff_runs: int = 10):
+    """``check_code_preserved`` of two texts, on the inputs the runner gives it:
+    the original's comparable stream and the reply's ``parse_blocks`` result."""
+    from specforge.analyzer import ComparableStream, check_code_preserved, parse_blocks, tokenize
+
+    return check_code_preserved(
+        ComparableStream.of(tokenize(original)), parse_blocks(reply), max_diff_runs
+    )

@@ -29,8 +29,7 @@ from specforge.analyzer import (
     PreservationVerdict,
     Token,
     TokenKind,
-    UnterminatedComment,
-    UnterminatedLiteral,
+    TokenizeError,
     tokenize,
 )
 from specforge.model import (
@@ -90,7 +89,7 @@ def reference_tokenize(source: str) -> list[RefToken]:
         if ch == "/" and source.startswith("/*", pos):
             close = source.find("*/", pos + 2)
             if close == -1:
-                raise UnterminatedComment(start_line)
+                raise TokenizeError("unterminated block comment", start_line)
             end = close + 2
             text = source[start:end]
             line += text.count("\n")
@@ -139,10 +138,10 @@ def reference_tokenize(source: str) -> list[RefToken]:
                     pos += 1
                     break
                 if c == "\n":
-                    raise UnterminatedLiteral(start_line, ch)
+                    raise TokenizeError(f"unterminated {ch} literal", start_line)
                 pos += 1
             else:
-                raise UnterminatedLiteral(start_line, ch)
+                raise TokenizeError(f"unterminated {ch} literal", start_line)
             kind = TokenKind.CHAR if ch == "'" else TokenKind.STRING
             tokens.append((kind, source[start:pos], start_line, start, pos))
             continue

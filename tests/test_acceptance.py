@@ -23,6 +23,7 @@ from specforge.analyzer import (
     count_by_kind,
     lint,
     parse_annotations,
+    parse_blocks,
     split_response,
     strip_annotations,
     tokenize,
@@ -95,22 +96,22 @@ def test_criterion_3_annotation_census(bsearch_annotated, bsearch_annotated_verb
 def test_criterion_4_preservation(
     bsearch_annotated, bsearch_annotated_verbose, corpus_load
 ):
-    stripped_a = strip_annotations(bsearch_annotated)
-    stripped_b = strip_annotations(bsearch_annotated_verbose)
+    stripped_a = strip_annotations(parse_blocks(bsearch_annotated))
+    stripped_b = strip_annotations(parse_blocks(bsearch_annotated_verbose))
     assert oracle_tokens(stripped_a) == oracle_tokens(stripped_b)
 
-    programs = {e.program.name: e.program for e in corpus_load.entries}
+    entries = {e.program.name: e for e in corpus_load.entries}
     pair_count = 0
     for text_path in sorted(FIXTURES_DIR.rglob("*.txt")):
-        program = programs[text_path.parts[-3]]
+        original = entries[text_path.parts[-3]].comparable
         split = split_response(text_path.read_text(encoding="utf-8"))
-        assert check_code_preserved(program, split.code).preserved, text_path
+        assert check_code_preserved(original, parse_blocks(split.code)).preserved, text_path
         pair_count += 1
     assert pair_count >= 24
 
-    mutated = programs["tritype_mutated"]
+    mutated = entries["tritype_mutated"].program
     repaired = mutated.source.replace("(i+k <= i)", "(j+k <= i)")
-    verdict = check_code_preserved(mutated, repaired)
+    verdict = check_code_preserved(entries["tritype_mutated"].comparable, parse_blocks(repaired))
     assert not verdict.preserved
     site_line = next(
         i

@@ -220,7 +220,7 @@ def test_source_order_preserved(bsearch_annotated):
 # ------------------------------------------------------------ strip_annotations
 
 def test_strip_removes_all_annotation_markers(bsearch_annotated):
-    stripped = strip_annotations(bsearch_annotated)
+    stripped = strip_annotations(parse_blocks(bsearch_annotated))
     assert "/*@" not in stripped
     assert "//@" not in stripped
     assert parse_annotations(stripped) == []
@@ -228,19 +228,19 @@ def test_strip_removes_all_annotation_markers(bsearch_annotated):
 
 def test_strip_is_identity_without_annotations():
     code = "int f(void) { /* plain comment */ return 0; } // tail\n"
-    assert strip_annotations(code) == code
+    assert strip_annotations(parse_blocks(code)) == code
 
 
 def test_strip_keeps_non_annotation_comments():
     code = "/* keep */ /*@ requires x; */ int x; // keep too\n"
-    stripped = strip_annotations(code)
+    stripped = strip_annotations(parse_blocks(code))
     assert "/* keep */" in stripped
     assert "// keep too" in stripped
 
 
 def test_strip_preserves_token_stream(bsearch_annotated, corpus_load):
     programs = {e.program.name: e.program.source for e in corpus_load.entries}
-    assert oracle_tokens(strip_annotations(bsearch_annotated)) == oracle_tokens(
+    assert oracle_tokens(strip_annotations(parse_blocks(bsearch_annotated))) == oracle_tokens(
         programs["binary_search"]
     )
 
@@ -249,12 +249,12 @@ def test_strip_then_parse_is_empty(bsearch_annotated_verbose, corpus_load):
     for code in [bsearch_annotated_verbose] + [
         e.program.source for e in corpus_load.entries
     ]:
-        assert parse_annotations(strip_annotations(code)) == []
+        assert parse_annotations(strip_annotations(parse_blocks(code))) == []
 
 
 def test_strip_preserves_line_numbers():
     code = "/*@ requires x;\n  @ ensures y;\n*/\nint f(int x) { return x; }\n"
-    stripped = strip_annotations(code)
+    stripped = strip_annotations(parse_blocks(code))
     assert stripped.count("\n") == code.count("\n")
     assert stripped.split("\n")[3].startswith("int f")
 
@@ -278,7 +278,7 @@ def test_strip_preserves_line_numbers():
 )
 def test_strip_parse_coherence_property(pieces):
     code = "\n".join(pieces) + "\n"
-    stripped = strip_annotations(code)
+    stripped = strip_annotations(parse_blocks(code))
     assert parse_annotations(stripped) == []
     acsl_free = [t for t in oracle_tokens(code)]
     # the oracle is comment-blind, so stripped and original agree token-wise

@@ -1,10 +1,12 @@
 """Every public top-level name of the package has a caller in the package or
 the benchmark harness: a function, class or constant that only tests, demos or
-the README use is dead weight, so it goes."""
+the README use is dead weight, so it goes. The same holds for an error class
+that no caller tells apart from its base."""
 
 from __future__ import annotations
 
 import ast
+from collections import Counter
 
 from conftest import REPO_ROOT
 
@@ -53,3 +55,35 @@ def test_every_public_package_name_has_a_caller():
     assert "load_corpus" in defined
     unused = sorted(f"{where}: {name}" for name, where in defined.items() if name not in referenced)
     assert unused == []
+
+
+ERROR_ROOTS = frozenset({"Exception", "ValueError", "RuntimeError"})
+
+
+def test_every_package_error_class_is_told_apart_or_shared():
+    """An error class earns its place when the package catches it by name, or
+    when it states one message format for two or more raise sites; otherwise
+    its module's base error carries the message as well."""
+    bases: dict[str, list[str]] = {}
+    caught: set[str] = set()
+    raised: Counter[str] = Counter()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                bases[node.name] = [b.id for b in node.bases if isinstance(b, ast.Name)]
+            elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+                types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                caught.update(t.id for t in types if isinstance(t, ast.Name))
+            elif isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised[exc.id] += 1
+
+    def is_error(name: str) -> bool:
+        return any(base in ERROR_ROOTS or is_error(base) for base in bases.get(name, ()))
+
+    errors = sorted(name for name in bases if is_error(name))
+    assert {"GatewayError", "TokenizeError", "TemplateError"} <= set(errors)
+    lone = [name for name in errors if name not in caught and raised[name] < 2]
+    assert lone == []

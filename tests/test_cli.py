@@ -6,7 +6,9 @@ import shlex
 import shutil
 import subprocess
 import sys
+import threading
 import time
+from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
 import pytest
@@ -340,6 +342,119 @@ def test_report_reemit_fixed_point(tmp_path):
     assert main(["report", "--in", str(first / "report.json"), "--out", str(second)]) == 0
     for name in ("report.json", "histogram.csv", "robustness.csv"):
         assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
+_PLUS_ONE = "int f(int x) { return x + 1; }\n"
+_CLEAN_REPLY = (
+    "```c\n/*@ requires x < 2147483647;\n    ensures \\result == x + 1; */\n" + _PLUS_ONE + "```\n"
+)
+
+
+def _plus_one_corpus(tmp_path: Path) -> Path:
+    corpus = tmp_path / "corpus"
+    (corpus / "f").mkdir(parents=True)
+    (corpus / "f" / "program.c").write_text(_PLUS_ONE, encoding="utf-8")
+    return corpus
+
+
+def _tree(directory: Path) -> dict[str, bytes]:
+    return {
+        str(p.relative_to(directory)): p.read_bytes() for p in directory.rglob("*") if p.is_file()
+    }
+
+
+def test_report_reemit_fixed_point_over_every_failure_status(tmp_path, capsys):
+    corpus = _plus_one_corpus(tmp_path)
+    cell = tmp_path / "fixtures" / "f" / "baseline"
+    cell.mkdir(parents=True)
+    replies = {
+        0: "I would rather not write any code.\n",
+        1: "```c\n/*@ requires x < 2147483647;\n" + _PLUS_ONE + "```\n",
+        # 2 has no fixture
+        3: "```c\n/*@ assigns g; */\n" + _PLUS_ONE.replace("x + 1", "x - 1") + "```\n",
+        4: _CLEAN_REPLY,
+    }
+    for sample, text in replies.items():
+        (cell / f"{sample}.txt").write_text(text, encoding="utf-8")
+    first, second = tmp_path / "first", tmp_path / "second"
+    argv = ["generate", "--corpus", str(corpus), "--fixtures", str(tmp_path / "fixtures")]
+    assert main([*argv, "--variants", "baseline", "--samples", "5", "--out", str(first)]) == 1
+    assert main(["report", "--in", str(first / "report.json"), "--out", str(second)]) == 0
+
+    results = json.loads((first / "report.json").read_text(encoding="utf-8"))["results"]
+    assert [r["status"] for r in results] == [
+        "no_code_fence", "parse_failed", "backend_failed", "ok", "ok"
+    ]
+    unpreserved = results[3]
+    assert unpreserved["preservation"] == {
+        "preserved": False,
+        "diff": [{"line": 1, "original": "+", "modified": "-"}],
+    }
+    assert [issue["rule"] for issue in unpreserved["lint_issues"]] == ["assigns_out_of_scope"]
+    assert results[4]["preservation"]["preserved"] and results[4]["lint_issues"] == []
+    written = _tree(first)
+    assert {"report.json", "histogram.csv", "robustness.csv"} <= set(written)
+    assert any(name.startswith("generated/") for name in written)
+    assert written == _tree(second)
+
+
+class _Replies(BaseHTTPRequestHandler):
+    """Answers each chat-completion POST with the next of ``contents``."""
+
+    contents: list[str] = []
+
+    def do_POST(self):  # noqa: N802 (http.server API)
+        self.rfile.read(int(self.headers["Content-Length"]))
+        choice = {"message": {"content": _Replies.contents.pop(0)}}
+        payload = json.dumps({"choices": [choice]}).encode("ascii")
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(payload)))
+        self.end_headers()
+        self.wfile.write(payload)
+
+    def log_message(self, *args):
+        pass
+
+
+def test_generate_live_reply_with_a_lone_surrogate_fails_only_its_cell(
+    tmp_path, capsys, monkeypatch
+):
+    monkeypatch.setenv("SPECFORGE_API_KEY", "test-key")
+    corpus = _plus_one_corpus(tmp_path)
+    # an ASCII-escaping server that cut an emoji after its first half sends \ud83d
+    _Replies.contents = [_CLEAN_REPLY, _CLEAN_REPLY.replace("*/", "\ud83d */", 1)]
+    server = HTTPServer(("127.0.0.1", 0), _Replies)
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    )
+    thread.start()
+    try:
+        code = main(
+            [
+                "generate", "--corpus", str(corpus), "--backend", "live",
+                "--base-url", f"http://127.0.0.1:{server.server_port}",
+                "--variants", "baseline", "--samples", "2", "--out", str(tmp_path / "out"),
+            ]
+        )
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert code == 1
+    assert _Replies.contents == []
+    report = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))
+    assert sorted(r["status"] for r in report["results"]) == ["backend_failed", "ok"]
+    (failed,) = [r for r in report["results"] if r["status"] == "backend_failed"]
+    assert "malformed completion payload: 'utf-8' codec" in failed["status_reason"]
+
+
+@pytest.mark.parametrize("max_inflight", ["0", "-3"])
+def test_generate_max_inflight_below_one_exits_two(tmp_path, capsys, max_inflight):
+    argv = ["generate", "--corpus", str(CORPUS_DIR), "--fixtures", str(FIXTURES_DIR)]
+    code = main([*argv, "--max-inflight", max_inflight, "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: max in-flight requests must be at least 1, got {max_inflight}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_report_writes_nothing_outside_out(tmp_path, capsys):

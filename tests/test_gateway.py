@@ -13,10 +13,7 @@ from specforge.gateway import (
     EmptyResponse,
     GatewayError,
     LiveBackend,
-    MissingCredential,
-    MissingFixture,
     ReplayBackend,
-    StaleFixture,
     fixture_paths,
     request_digest,
 )
@@ -120,7 +117,7 @@ def test_replay_serves_fixture(tmp_path):
 
 
 def test_replay_missing_fixture(tmp_path):
-    with pytest.raises(MissingFixture):
+    with pytest.raises(GatewayError, match=r"^no fixture for binary_search/baseline/0 \(looked"):
         ReplayBackend(tmp_path).complete(_request())
 
 
@@ -165,10 +162,12 @@ def test_replay_serves_a_fixture_whose_sidecar_names_the_request(tmp_path):
 def test_replay_refuses_a_fixture_recorded_for_another_request(tmp_path, recorded):
     backend = _fixture_with_sidecar(tmp_path, json.dumps({"request_digest": recorded}).encode())
     request = _request()
-    with pytest.raises(StaleFixture) as exc:
+    with pytest.raises(GatewayError) as exc:
         backend.complete(request)
-    assert isinstance(exc.value, GatewayError)
-    assert recorded in str(exc.value) and request.digest in str(exc.value)
+    assert str(exc.value) == (
+        f"stale fixture for binary_search/baseline/0: sidecar {recorded}, "
+        f"request {request.digest}"
+    )
 
 
 @pytest.mark.parametrize(
@@ -209,7 +208,7 @@ def test_live_gives_up_after_bounded_retries(script_server, credentials):
     backend = LiveBackend(base_url=base_url, backoff_s=(0.0, 0.0, 0.0))
     with pytest.raises(BackendError) as exc:
         backend.complete(_request())
-    assert exc.value.status == 500
+    assert str(exc.value).startswith("backend error (status=500): ")
     assert len(_Script.requests_seen) == 4  # initial attempt + three retries
 
 
@@ -219,7 +218,7 @@ def test_live_4xx_fails_immediately(script_server, credentials):
     backend = LiveBackend(base_url=base_url, backoff_s=(0.0, 0.0, 0.0))
     with pytest.raises(BackendError) as exc:
         backend.complete(_request())
-    assert exc.value.status == 401
+    assert str(exc.value).startswith("backend error (status=401): ")
     assert len(_Script.requests_seen) == 1
 
 
@@ -236,7 +235,7 @@ def test_live_non_json_200_fails_without_retry(script_server, credentials):
     backend = LiveBackend(base_url=base_url, backoff_s=(0.0, 0.0, 0.0))
     with pytest.raises(BackendError) as exc:
         backend.complete(_request())
-    assert exc.value.status == 200
+    assert str(exc.value).startswith("backend error (status=200): ")
     assert "malformed completion payload" in str(exc.value)
     assert len(_Script.requests_seen) == 1
 
@@ -248,8 +247,22 @@ def test_live_non_string_content_is_malformed(script_server, credentials, conten
     backend = LiveBackend(base_url=base_url, backoff_s=(0.0, 0.0, 0.0))
     with pytest.raises(BackendError) as exc:
         backend.complete(_request())
-    assert exc.value.status == 200
+    assert str(exc.value).startswith("backend error (status=200): ")
     assert "malformed completion payload" in str(exc.value)
+    assert len(_Script.requests_seen) == 1
+
+
+def test_live_content_with_a_lone_surrogate_is_malformed(script_server, credentials):
+    _, base_url = script_server
+    body = _ok_body("/*@ assigns \\nothing; */ \ud83d")  # an emoji cut after its first half
+    assert "\\ud83d" in body
+    _Script.script = [(200, body)]
+    backend = LiveBackend(base_url=base_url, backoff_s=(0.0, 0.0, 0.0))
+    with pytest.raises(BackendError) as exc:
+        backend.complete(_request())
+    assert str(exc.value).startswith(
+        "backend error (status=200): malformed completion payload: 'utf-8' codec can't encode"
+    )
     assert len(_Script.requests_seen) == 1
 
 
@@ -261,7 +274,7 @@ def test_live_dropped_connection_is_retried_as_transport_failure(
     backend = LiveBackend(base_url=base_url, backoff_s=(0.0, 0.0))
     with pytest.raises(BackendError) as exc:
         backend.complete(_request())
-    assert exc.value.status is None
+    assert str(exc.value).startswith("backend error (status=None): ")
     assert "retries exhausted: transport failure" in str(exc.value)
     assert len(_Script.requests_seen) == 3
 
@@ -277,7 +290,7 @@ def test_live_non_utf8_error_body_is_bounded(script_server, credentials):
     backend = LiveBackend(base_url=base_url, backoff_s=(0.0,))
     with pytest.raises(BackendError) as exc:
         backend.complete(_request())
-    assert exc.value.status == 503
+    assert str(exc.value).startswith("backend error (status=503): ")
     body = str(exc.value).split("retries exhausted: ", 1)[1]
     assert 0 < len(body) <= 500
     assert set(body) == {"\ufffd"}
@@ -323,7 +336,7 @@ def test_live_redirect_is_refused_and_sends_no_credential(
     finally:
         sink.shutdown()
         sink.server_close()
-    assert exc.value.status == status
+    assert str(exc.value).startswith(f"backend error (status={status}): ")
     assert "not followed" in str(exc.value) and target in str(exc.value)
     assert len(_Script.requests_seen) == 1
     assert _Sink.headers_seen == []  # neither the request nor its Authorization
@@ -380,7 +393,10 @@ def test_live_accepts_http_base_url(base_url):
 def test_live_missing_credential(monkeypatch):
     monkeypatch.delenv("SPECFORGE_API_KEY", raising=False)
     backend = LiveBackend(base_url="http://127.0.0.1:9")
-    with pytest.raises(MissingCredential):
+    with pytest.raises(
+        GatewayError,
+        match=r"^no API credential: environment variable SPECFORGE_API_KEY is unset$",
+    ):
         backend.complete(_request())
 
 

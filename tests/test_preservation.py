@@ -7,16 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FIXTURES_DIR, oracle_tokens
+from conftest import FIXTURES_DIR, oracle_tokens, preservation
 from reference_analyzer import strip_and_rescan_verdict
 from specforge.analyzer import (
-    ComparableStream,
     DiffRun,
     TokenizeError,
     check_code_preserved,
+    parse_blocks,
     split_response,
     strip_annotations,
-    tokenize,
 )
 from specforge.analyzer import checks
 from specforge.model import SourceProgram
@@ -24,32 +23,34 @@ from specforge.model import SourceProgram
 
 def test_identical_source_is_preserved(corpus_load):
     for entry in corpus_load.entries:
-        verdict = check_code_preserved(entry.program, entry.program.source)
+        verdict = check_code_preserved(entry.comparable, parse_blocks(entry.program.source))
         assert verdict.preserved
         assert verdict.diff == ()
 
 
 def test_annotated_output_preserves_code(bsearch_annotated, corpus_load):
-    programs = {e.program.name: e.program for e in corpus_load.entries}
-    verdict = check_code_preserved(programs["binary_search"], bsearch_annotated)
+    entries = {e.program.name: e for e in corpus_load.entries}
+    verdict = check_code_preserved(
+        entries["binary_search"].comparable, parse_blocks(bsearch_annotated)
+    )
     assert verdict.preserved
 
 
 def test_both_recorded_listings_strip_to_same_tokens(
     bsearch_annotated, bsearch_annotated_verbose
 ):
-    a = oracle_tokens(strip_annotations(bsearch_annotated))
-    b = oracle_tokens(strip_annotations(bsearch_annotated_verbose))
+    a = oracle_tokens(strip_annotations(parse_blocks(bsearch_annotated)))
+    b = oracle_tokens(strip_annotations(parse_blocks(bsearch_annotated_verbose)))
     assert a == b
 
 
 def test_every_recorded_fixture_preserves_its_program(corpus_load):
-    programs = {e.program.name: e.program for e in corpus_load.entries}
+    entries = {e.program.name: e for e in corpus_load.entries}
     checked = 0
     for text_path in sorted(FIXTURES_DIR.rglob("*.txt")):
         program_name = text_path.parts[-3]
         split = split_response(text_path.read_text(encoding="utf-8"))
-        verdict = check_code_preserved(programs[program_name], split.code)
+        verdict = check_code_preserved(entries[program_name].comparable, parse_blocks(split.code))
         assert verdict.preserved, (text_path, verdict.diff[:3])
         checked += 1
     assert checked >= 24  # at least 8 programs x 3 samples
@@ -61,7 +62,7 @@ def test_silent_repair_detected(corpus_load):
     # a response whose code quietly "fixes" the mutated disjunct
     repaired = mutated.source.replace("(i+k <= i)", "(j+k <= i)")
     assert repaired != mutated.source
-    verdict = check_code_preserved(mutated, repaired)
+    verdict = preservation(mutated.source, repaired)
     assert not verdict.preserved
     assert verdict.diff
     first = verdict.diff[0]
@@ -79,13 +80,13 @@ def test_silent_repair_detected(corpus_load):
 def test_whitespace_and_comment_changes_do_not_count():
     program = SourceProgram(name="p", source="int f(int n) {\n  return n + 1;\n}\n")
     reformatted = "/* header */\nint f(int n) { return n + 1; }  // tail\n"
-    assert check_code_preserved(program, reformatted).preserved
+    assert preservation(program.source, reformatted).preserved
 
 
 def test_dropped_statement_detected():
     program = SourceProgram(name="p", source="int f(int n) { n = n + 1; return n; }\n")
     truncated = "int f(int n) { return n; }\n"
-    verdict = check_code_preserved(program, truncated)
+    verdict = preservation(program.source, truncated)
     assert not verdict.preserved
     assert any("n = n + 1" in run.original.replace(" ", " ") for run in verdict.diff)
 
@@ -95,7 +96,7 @@ def test_diff_run_limit_respected():
         name="p", source="".join(f"int v{i} = {i};\n" for i in range(40))
     )
     modified = "".join(f"int v{i} = {i + 1};\n" for i in range(40))
-    verdict = check_code_preserved(original, modified, max_diff_runs=10)
+    verdict = preservation(original.source, modified, max_diff_runs=10)
     assert not verdict.preserved
     assert len(verdict.diff) == 10
 
@@ -105,9 +106,7 @@ def test_preservation_verdict_json_round_trip(corpus_load):
 
     programs = {e.program.name: e.program for e in corpus_load.entries}
     mutated = programs["tritype_mutated"]
-    verdict = check_code_preserved(
-        mutated, mutated.source.replace("(i+k <= i)", "(j+k <= i)")
-    )
+    verdict = preservation(mutated.source, mutated.source.replace("(i+k <= i)", "(j+k <= i)"))
     assert PreservationVerdict.from_dict(verdict.to_dict()) == verdict
 
 
@@ -126,7 +125,7 @@ HASH_BODY = "#define N 3\nint f(void) { return N; }\n"
     ],
 )
 def test_directive_after_comment_verdicts(reply, preserved):
-    verdict = check_code_preserved(HASH_PARENT, reply)
+    verdict = preservation(HASH_PARENT.source, reply)
     assert verdict.preserved is preserved
     assert verdict == strip_and_rescan_verdict(HASH_PARENT.source, reply)
 
@@ -173,15 +172,14 @@ def _outcome(check, *args):
     try:
         return check(*args)
     except TokenizeError as exc:
-        return type(exc), exc.line
+        return str(exc)
 
 
 @settings(max_examples=400, deadline=None)
 @given(_replies())
 def test_verdict_equals_strip_and_rescan(case):
     parent, reply = case
-    program = SourceProgram(name="p", source=parent)
-    assert _outcome(check_code_preserved, program, reply) == _outcome(
+    assert _outcome(preservation, parent, reply) == _outcome(
         strip_and_rescan_verdict, parent, reply
     )
 
@@ -221,9 +219,7 @@ def test_edited_window_opcodes_equal_full_matcher(pair):
     a, b = pair
     assert checks._opcodes(a, b) == _full_opcodes(a, b)
     original, reply = "\n".join(a), "\n".join(b)
-    verdict = check_code_preserved(
-        ComparableStream.of(tokenize(original)), reply, max_diff_runs=100
-    )
+    verdict = preservation(original, reply, max_diff_runs=100)
     assert verdict == strip_and_rescan_verdict(original, reply, max_diff_runs=100)
 
 
@@ -268,7 +264,7 @@ def test_edit_near_end_of_long_program_diffs_a_small_window(matcher_windows):
     source = "int f(void) {\n" + "\n".join(lines) + "\n}\n"
     lines[793] = lines[793].replace("+", "-")  # source line 795
     edited = "int f(void) {\n" + "\n".join(lines) + "\n}\n"
-    verdict = check_code_preserved(SourceProgram(name="p", source=source), edited)
+    verdict = preservation(source, edited)
     assert verdict.diff == (DiffRun(line=795, original="+", modified="-"),)
     (window,) = matcher_windows
     assert max(map(len, window)) <= 3

@@ -13,11 +13,9 @@ from specforge.pathcrawler import parse_test_csv
 from specforge.prompts import (
     STATE_MUTATION_WARNING,
     BuiltPrompt,
-    MissingContext,
-    MissingTemplate,
     PlaceholderMismatch,
     PromptTemplate,
-    UnresolvedPlaceholder,
+    TemplateError,
     build_prompt,
     default_template_dir,
     load_templates,
@@ -50,9 +48,8 @@ def test_default_template_dir_loads():
 def test_missing_template_file(tmp_path):
     (tmp_path / "baseline.txt").write_text("x {program} START OF INPUT")
     (tmp_path / "pathcrawler.txt").write_text("x {program} {csv} START OF INPUT")
-    with pytest.raises(MissingTemplate) as exc:
+    with pytest.raises(TemplateError, match=r"^no template file for variant eva at "):
         load_templates(tmp_path)
-    assert exc.value.variant is PromptVariant.EVA
 
 
 def test_stray_placeholder_rejected(tmp_path):
@@ -61,8 +58,7 @@ def test_stray_placeholder_rejected(tmp_path):
     (tmp_path / "eva.txt").write_text("{program} {eva} START OF INPUT")
     with pytest.raises(PlaceholderMismatch) as exc:
         load_templates(tmp_path)
-    assert exc.value.variant is PromptVariant.BASELINE
-    assert exc.value.placeholder == "{csv}"
+    assert str(exc.value) == "baseline template, {csv}: slot not allowed in this template"
 
 
 def test_missing_required_slot_rejected(tmp_path):
@@ -71,7 +67,7 @@ def test_missing_required_slot_rejected(tmp_path):
     (tmp_path / "eva.txt").write_text("{program} {eva} START OF INPUT")
     with pytest.raises(PlaceholderMismatch) as exc:
         load_templates(tmp_path)
-    assert exc.value.placeholder == "{csv}"
+    assert str(exc.value) == "pathcrawler template, {csv}: required slot is missing"
 
 
 def test_missing_snippet_file_rejected(tmp_path):
@@ -80,7 +76,7 @@ def test_missing_snippet_file_rejected(tmp_path):
     (tmp_path / "eva.txt").write_text("{program} {eva} START OF INPUT")
     with pytest.raises(PlaceholderMismatch) as exc:
         load_templates(tmp_path)
-    assert exc.value.placeholder == "{valid_assigns}"
+    assert str(exc.value).startswith("baseline template, {valid_assigns}: snippet file ")
 
 
 def test_slot_text_in_snippet_files_stays_literal(tmp_path):
@@ -131,9 +127,9 @@ def test_build_eva_embeds_raw_report(templates, labels_tritype_eva_report):
 
 
 def test_missing_context_raises(templates):
-    with pytest.raises(MissingContext):
+    with pytest.raises(TemplateError, match=r"^no test suite for this program$"):
         build_prompt(templates[PromptVariant.PATHCRAWLER], PROGRAM)
-    with pytest.raises(MissingContext):
+    with pytest.raises(TemplateError, match=r"^no value-analysis report for this program$"):
         build_prompt(templates[PromptVariant.EVA], PROGRAM)
 
 
@@ -168,7 +164,7 @@ def test_program_smuggling_slots_appears_verbatim(templates, labels_tritype_eva_
 
 def test_unfilled_slot_of_hand_built_template_raises():
     template = PromptTemplate(variant=PromptVariant.BASELINE, body="{program}\n{eva}\n")
-    with pytest.raises(UnresolvedPlaceholder):
+    with pytest.raises(TemplateError, match=r"^placeholder \{eva\} is not filled by this variant$"):
         build_prompt(template, PROGRAM)
 
 

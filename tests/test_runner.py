@@ -16,7 +16,7 @@ from specforge.analyzer import PreservationVerdict
 from specforge.gateway import BackendError, ReplayBackend
 from specforge.model import AnnotationKind, GenerationConfig, Origin, PromptVariant
 from specforge.cli import main
-from specforge.prompts import MissingContext, build_prompt, load_templates
+from specforge.prompts import TemplateError, build_prompt, load_templates
 from specforge.runner import (
     STATUS_BACKEND_FAILED,
     STATUS_NO_CODE_FENCE,
@@ -312,7 +312,7 @@ def test_every_skip_is_the_reason_build_prompt_refuses(
     assert full_report.skips
     for program, variant, reason in full_report.skips:
         entry = entries[program]
-        with pytest.raises(MissingContext) as exc:
+        with pytest.raises(TemplateError) as exc:
             build_prompt(
                 templates_module[PromptVariant(variant)],
                 entry.program,
@@ -460,6 +460,18 @@ def test_config_error_on_empty_or_repeated_variants(
 ):
     with pytest.raises(ConfigError, match="prompt variants"):
         run(corpus_load_module, variants, CONFIG, replay_backend, templates_module)
+
+
+@pytest.mark.parametrize("max_workers", [0, -3])
+def test_config_error_on_fewer_than_one_worker(
+    corpus_load_module, templates_module, replay_backend, max_workers
+):
+    expected = f"^max in-flight requests must be at least 1, got {max_workers}$"
+    with pytest.raises(ConfigError, match=expected):
+        run(
+            corpus_load_module, ALL_VARIANTS, CONFIG, replay_backend, templates_module,
+            max_workers=max_workers,
+        )
 
 
 def test_config_error_on_missing_templates(corpus_load_module, replay_backend):
