@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from ..model import ASSIGNS, BEHAVIOR, KNOWN_KINDS, LOOP_ASSIGNS, AnnotationKind, Record
-from .lexer import ComparableStream, Token, TokenKind, tokenize, walk_tokens
+from .lexer import ComparableStream, Token, tokenize, walk_tokens
 
 
 class NoCodeFence(ValueError):
@@ -164,15 +164,6 @@ def _normalize_line(raw_line: str) -> str:
     return text
 
 
-def _comment_body(token: Token) -> str:
-    """An annotation comment's content, each line normalized, lines kept."""
-    if token.kind is TokenKind.COMMENT:
-        inner = token.text[3:-2]  # strip '/*@' and '*/'
-    else:
-        inner = token.text[3:]  # strip '//@'
-    return "\n".join(map(_normalize_line, inner.split("\n")))
-
-
 # (kind, clause text, line, behavior name); the name is set iff the clause is
 # a behavior header.
 _Clause = tuple[AnnotationKind, str, int, str | None]
@@ -242,48 +233,81 @@ class AnalyzedCode:
     file_scope: frozenset[str]
 
 
-def parse_blocks(code: str) -> AnalyzedCode:
+# What decides a block's clauses and their enclosings: the comment's text, its
+# first line, whether the next code token heads a loop, and whether the comment
+# sits at brace depth 0.
+_BlockKey = tuple[str, int, bool, bool]
+# The block's clauses (empty when it has none) and its placement.
+_ParsedBlock = tuple[tuple[Annotation, ...], Enclosing]
+
+
+def _parse_block(text: str, line: int, heads_loop: bool, at_file_scope: bool) -> _ParsedBlock:
+    """The clauses of the ACSL comment ``text`` starting on ``line``, and its placement."""
+    block_style = text.startswith("/*")
+    inner = text[3:-2] if block_style else text[3:]  # strip '/*@' and '*/', or '//@'
+    clauses = _scan_clauses("\n".join(map(_normalize_line, inner.split("\n"))), line)
+
+    if heads_loop or any(c[0].keyword.startswith("loop ") for c in clauses):
+        placement = LOOP_ANNOTATION
+    elif at_file_scope:
+        placement = FUNCTION_CONTRACT
+    else:
+        placement = STATEMENT
+
+    # In a contract, clauses after a behavior header belong to its body.
+    annotations: list[Annotation] = []
+    enclosing = placement
+    for kind, clause_text, clause_line, behavior_name in clauses:
+        header = behavior_name is not None and placement is FUNCTION_CONTRACT
+        annotations.append(
+            Annotation(
+                kind, clause_text, block_style, clause_line, placement if header else enclosing
+            )
+        )
+        if header:
+            enclosing = Enclosing("behavior_body", behavior_name)
+    return tuple(annotations), placement
+
+
+def parse_blocks(
+    code: str, parsed: dict[_BlockKey, _ParsedBlock] | None = None
+) -> AnalyzedCode:
     """Tokenize ``code`` once, walk its tokens once, and parse its annotation blocks.
 
-    Raises TokenizeError when ``code`` does not scan.
+    ``parsed``, a dict the caller passes to every reply of one run, maps each
+    ACSL comment's key (its text, its first line, whether the next code token
+    heads a loop, whether it sits at brace depth 0) to its clauses and
+    placement, which depend on nothing else. A comment already in ``parsed``
+    is not parsed again; only its ``token_index`` and ``loop_key`` come from
+    this ``code``. The dict holds every distinct comment it has seen, so keep
+    it no longer than one run. Raises TokenizeError when ``code`` does not
+    scan.
     """
+    if parsed is None:
+        parsed = {}
     tokens = tokenize(code)
     comparable, file_scope, acsl = walk_tokens(tokens)
     blocks: list[AnnotationBlock] = []
     for idx, depth in acsl:
-        token = tokens[idx]
-        clauses = _scan_clauses(_comment_body(token), token.line)
-        if not clauses:
-            continue
-
         next_code = idx + 1  # index of the first non-comment token after the block
         while next_code < len(tokens) and tokens[next_code].is_comment:
             next_code += 1
         heads_loop = next_code < len(tokens) and tokens[next_code].text in _LOOP_HEADS
-        has_loop_clause = any(c[0].keyword.startswith("loop ") for c in clauses)
-        block_style = token.kind is TokenKind.COMMENT
-
-        if heads_loop or has_loop_clause:
-            placement, loop_key = LOOP_ANNOTATION, next_code if heads_loop else idx
-        elif depth == 0:
-            placement, loop_key = FUNCTION_CONTRACT, None
-        else:
-            placement, loop_key = STATEMENT, None
-
-        # In a contract, clauses after a behavior header belong to its body.
-        annotations: list[Annotation] = []
-        enclosing = placement
-        for kind, text, line, behavior_name in clauses:
-            header = behavior_name is not None and placement is FUNCTION_CONTRACT
-            annotations.append(
-                Annotation(kind, text, block_style, line, placement if header else enclosing)
-            )
-            if header:
-                enclosing = Enclosing("behavior_body", behavior_name)
+        token = tokens[idx]
+        key = (token.text, token.line, heads_loop, depth == 0)
+        block = parsed.get(key)
+        if block is None:
+            block = parsed[key] = _parse_block(*key)
+        annotations, placement = block
+        if not annotations:
+            continue
+        loop_key = None
+        if placement is LOOP_ANNOTATION:
+            loop_key = next_code if heads_loop else idx
         blocks.append(
             AnnotationBlock(
-                annotations=tuple(annotations),
-                block_style=block_style,
+                annotations=annotations,
+                block_style=annotations[0].block_style,
                 token_index=idx,
                 loop_key=loop_key,
                 is_function_contract=placement is FUNCTION_CONTRACT,

@@ -38,6 +38,7 @@ from .runner import (
     NORMALIZE_MODES,
     STATUS_OK,
     ConfigError,
+    check_run_config,
     emit,
     histogram_to_dict,
     load_corpus,
@@ -72,7 +73,12 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         backend = LiveBackend(base_url=args.base_url, api_key_env=args.api_key_env)
 
     templates = load_templates(args.templates or default_template_dir())
-    corpus = load_corpus(args.corpus, tests_hook=args.run_pathcrawler, eva_hook=args.run_eva)
+    check_run_config(variants, templates, args.max_inflight)  # before any hook runs
+    corpus = load_corpus(
+        args.corpus,
+        tests_hook=args.run_pathcrawler if PromptVariant.PATHCRAWLER in variants else None,
+        eva_hook=args.run_eva if PromptVariant.EVA in variants else None,
+    )
     report = run(corpus, variants, config, backend, templates, max_workers=args.max_inflight)
     emit(report, args.out, normalize=args.normalize)
 
@@ -205,13 +211,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--run-pathcrawler",
         default=None,
         metavar="CMD",
-        help="command producing test CSV on stdout for programs lacking tests.csv",
+        help="command producing test CSV on stdout for programs lacking tests.csv "
+        "(run only when the pathcrawler variant is requested)",
     )
     gen.add_argument(
         "--run-eva",
         default=None,
         metavar="CMD",
-        help="command producing a value-analysis report on stdout for programs lacking eva.txt",
+        help="command producing a value-analysis report on stdout for programs lacking eva.txt "
+        "(run only when the eva variant is requested)",
     )
     gen.set_defaults(func=_cmd_generate)
 

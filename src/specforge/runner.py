@@ -406,8 +406,12 @@ def _analyze(
     prompt: BuiltPrompt,
     sample_index: int,
     response: CompletionResponse | GatewayError,
+    parsed: dict,
 ) -> GenerationResult:
-    """Turn one backend reply, or its failure, into the cell's result."""
+    """Turn one backend reply, or its failure, into the cell's result.
+
+    ``parsed`` is the run's block-parse dict (see ``parse_blocks``).
+    """
     base: dict[str, Any] = dict(
         program_name=entry.program.name,
         variant=prompt.variant,
@@ -428,7 +432,7 @@ def _analyze(
         )
 
     try:
-        analyzed = parse_blocks(split.code)  # the reply's only scan
+        analyzed = parse_blocks(split.code, parsed)  # the reply's only scan
         annotations = tuple(parse_annotations(analyzed))
         histogram = count_by_kind(annotations)
         lint_issues = tuple(lint_code(analyzed))
@@ -630,6 +634,27 @@ class _Dispatch:
                 self._done.notify()
 
 
+def check_run_config(
+    variants: Sequence[PromptVariant],
+    templates: dict[PromptVariant, PromptTemplate],
+    max_workers: int,
+) -> None:
+    """Raise ConfigError unless ``run`` can start with these options.
+
+    ``variants`` must be non-empty, name each variant once, and each have a
+    template; ``max_workers`` must be at least 1. The CLI calls this before
+    loading the corpus, so a refused run has run no hook.
+    """
+    if max_workers < 1:
+        raise ConfigError(f"max in-flight requests must be at least 1, got {max_workers}")
+    if not variants or len(set(variants)) != len(variants):
+        names = [v.value for v in variants]
+        raise ConfigError(f"prompt variants must be one or more, none twice; got {names}")
+    missing = [v for v in variants if v not in templates]
+    if missing:
+        raise ConfigError(f"no template loaded for variants: {missing}")
+
+
 def run(
     corpus: CorpusLoad | Sequence[CorpusEntry],
     variants: Sequence[PromptVariant],
@@ -640,11 +665,16 @@ def run(
 ) -> ExperimentReport:
     """Generate and analyze every program x variant x sample cell.
 
-    ``variants`` must be non-empty and name each variant once, and
-    ``max_workers`` must be at least 1. Variants whose required context is
-    absent for a program are skipped and recorded; per-cell failures become
-    result statuses. Robustness rows are computed for every corpus mutant
-    whose parent is present.
+    The options must pass ``check_run_config``. Variants whose required
+    context is absent for a program are skipped and recorded; per-cell
+    failures become result statuses. Robustness rows are computed for every
+    corpus mutant whose parent is present.
+
+    The replies share one block-parse dict for the length of this call (see
+    ``parse_blocks``): an ACSL comment that recurs with the same text, first
+    line, loop-head and brace-depth-0 facts, as samples of one prompt or of
+    a program and its mutant often do, is parsed once per call. The dict is
+    dropped when the call returns, so no parse outlives it.
 
     At most ``max_workers`` backend attempts are on the wire, each on one of
     ``max_workers`` worker threads. A live request backing off between
@@ -662,14 +692,7 @@ def run(
         digest = ""
     if not entries:
         raise ConfigError("empty corpus")
-    if max_workers < 1:
-        raise ConfigError(f"max in-flight requests must be at least 1, got {max_workers}")
-    if not variants or len(set(variants)) != len(variants):
-        names = [v.value for v in variants]
-        raise ConfigError(f"prompt variants must be one or more, none twice; got {names}")
-    missing = [v for v in variants if v not in templates]
-    if missing:
-        raise ConfigError(f"no template loaded for variants: {missing}")
+    check_run_config(variants, templates, max_workers)
 
     cells: list[tuple[CorpusEntry, BuiltPrompt, int]] = []
     skips: list[tuple[str, str, str]] = []
@@ -688,8 +711,9 @@ def run(
         CompletionRequest(prompt=prompt, config=config, sample_index=sample)
         for _, prompt, sample in cells
     ]
+    parsed: dict = {}  # block parses shared by this run's replies, and by no other run
     with _Dispatch(backend, requests, max_workers) as replies:
-        results = [_analyze(*cell, reply) for cell, reply in zip(cells, replies)]
+        results = [_analyze(*cell, reply, parsed) for cell, reply in zip(cells, replies)]
     results.sort(key=lambda r: (r.program_name, r.variant.value, r.sample_index))
 
     rows = _robustness_rows(results, mutant_pairs(entries), variants)

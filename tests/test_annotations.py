@@ -336,7 +336,7 @@ def _blocks_or_error(parse, code):
     try:
         return parse(code)
     except TokenizeError as exc:
-        return type(exc), exc.line
+        return str(exc)
 
 
 @settings(max_examples=400, deadline=None)
@@ -370,3 +370,62 @@ def test_parse_blocks_matches_reference_on_pinned_bodies(body):
         parsed = parse_blocks(code)
         assert parsed.blocks == reference_parse_blocks(code)
         assert parse_annotations(parsed)
+
+
+# ------------------------------------------------ block parses shared across replies
+
+# Lines before the shared comment: their braces set its depth; some add an
+# ACSL comment of their own.
+_LINES_BEFORE = [
+    "", "{", "}", "int f(int n) {", "x = 1;", "/* { */", "//@ assert x;", "/*@ ghost int g; */",
+]
+# What follows the shared comment: a loop head, a statement, a declaration,
+# a plain comment and then one of those, or nothing.
+_AFTER_BLOCK = [
+    "for (;;) x--;", "while (x) x--;", "do x--; while (x);", "x = 1;", "int f(int n);",
+    "/* c */ for (;;) ;", "// c\nx = 1;", "", "}",
+]
+
+
+@st.composite
+def _replies_sharing_a_block(draw):
+    """Replies holding one ACSL comment, the same text on the same line, placed variously."""
+    body = draw(_acsl_body())
+    block = draw(st.sampled_from(["/*@" + body + "*/ ", "//@" + body.replace("\n", " ") + "\n"]))
+    lines_before = draw(st.integers(0, 3))
+    replies = []
+    for _ in range(draw(st.integers(2, 5))):
+        before = [draw(st.sampled_from(_LINES_BEFORE)) for _ in range(lines_before)]
+        after = draw(st.sampled_from(_AFTER_BLOCK))
+        replies.append("".join(f"{line}\n" for line in before) + block + after)
+    return replies
+
+
+@settings(max_examples=300, deadline=None)
+@given(_replies_sharing_a_block())
+def test_parse_blocks_with_a_shared_dict_equals_parsing_each_reply_alone(replies):
+    parsed: dict = {}
+    shared = [_blocks_or_error(lambda c: parse_blocks(c, parsed).blocks, r) for r in replies]
+    assert shared == [_blocks_or_error(lambda c: parse_blocks(c).blocks, r) for r in replies]
+
+
+_SHARED = "/*@ assert x >= 0; */"  # line 2 of each reply below
+_SHARED_IN = {
+    "loop": "int f(int x) {\n" + _SHARED + "\nfor (;;) x--;\n}\n",
+    "statement": "int f(int x) {\n" + _SHARED + "\nx--;\n}\n",
+    "function_contract": "int g;\n" + _SHARED + "\nint f(int x);\n",
+}
+
+
+@pytest.mark.parametrize("first", sorted(_SHARED_IN))
+def test_a_shared_block_parse_keeps_loop_head_and_file_scope_apart(first):
+    # before a loop head or a statement inside a body, and at file scope
+    parsed: dict = {}
+    order = [first, *(context for context in sorted(_SHARED_IN) if context != first)]
+    for context in order:
+        (block,) = parse_blocks(_SHARED_IN[context], parsed).blocks
+        assert [block] == parse_blocks(_SHARED_IN[context]).blocks
+        (annotation,) = block.annotations
+        assert (annotation.enclosing.context, annotation.line) == (context, 2)
+        assert (block.loop_key is None) == (context != "loop")
+        assert block.is_function_contract == (context == "function_contract")

@@ -457,6 +457,42 @@ def test_generate_max_inflight_below_one_exits_two(tmp_path, capsys, max_infligh
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "variants, max_inflight, code, hooks_run",
+    [
+        ("baseline", "2", 0, []),
+        ("baseline,eva", "2", 0, ["eva"]),
+        ("pathcrawler", "2", 0, ["tests"]),
+        ("eva", "0", 2, []),
+        ("", "2", 2, []),
+        ("eva,eva", "2", 2, []),
+    ],
+)
+def test_generate_runs_hooks_only_for_requested_variants_after_the_config_check(
+    tmp_path, capsys, variants, max_inflight, code, hooks_run
+):
+    corpus = _plus_one_corpus(tmp_path)
+    for variant in ("baseline", "eva"):
+        cell = tmp_path / "fixtures" / "f" / variant
+        cell.mkdir(parents=True)
+        for sample in range(3):
+            (cell / f"{sample}.txt").write_text(_CLEAN_REPLY, encoding="utf-8")
+    marker = {which: tmp_path / f"{which}_hook_ran" for which in ("tests", "eva")}
+    # the eva hook prints a report with one alarm; the tests hook prints nothing
+    eva_hook = f"touch {shlex.quote(str(marker['eva']))} && " + "; ".join(
+        ["echo '[eva:alarm] f.c:1: Warning:'", "echo '  signed overflow. assert x + 1 <= 2;'"]
+    ) + " #"
+    argv = [
+        "generate", "--corpus", str(corpus), "--fixtures", str(tmp_path / "fixtures"),
+        "--run-pathcrawler", f"touch {shlex.quote(str(marker['tests']))}",
+        "--run-eva", eva_hook,
+        "--variants", variants, "--max-inflight", max_inflight, "--out", str(tmp_path / "out"),
+    ]
+    assert main(argv) == code
+    assert sorted(which for which, path in marker.items() if path.exists()) == hooks_run
+    assert (tmp_path / "out").exists() == (code != 2)
+
+
 def test_report_writes_nothing_outside_out(tmp_path, capsys):
     first = tmp_path / "first"
     argv = ["generate", "--corpus", str(CORPUS_DIR), "--fixtures", str(FIXTURES_DIR)]
@@ -582,6 +618,45 @@ def test_generate_skips_only_an_empty_program(tmp_path, capsys):
     assert "skipped corpus entry blank: program.c is empty" in capsys.readouterr().err
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert {r["program_name"] for r in report["results"]} == {"tritype"}
+
+
+def test_generate_and_report_over_load_side_skips(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    for name in ("tritype", "tritype_mutated"):
+        shutil.copytree(CORPUS_DIR / name, corpus / name)
+    (corpus / "garbled").mkdir()
+    (corpus / "garbled" / "program.c").write_text('int f(void) { return "never closed; }\n')
+    shutil.copytree(CORPUS_DIR / "tritype", corpus / "badmeta")
+    (corpus / "badmeta" / "meta.json").write_text('{"entry_function": "tritype",')
+    first, second = tmp_path / "first", tmp_path / "second"
+    argv = ["generate", "--corpus", str(corpus), "--fixtures", str(FIXTURES_DIR)]
+    assert main([*argv, "--out", str(first)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if line.startswith(("skipped", "load warning"))] == [
+        'skipped corpus entry garbled: program.c does not tokenize: line 1: unterminated " literal',
+        "load warning [badmeta]: meta.json: Expecting property name enclosed in double quotes: "
+        "line 1 column 30 (char 29)",
+    ]
+    assert main(["report", "--in", str(first / "report.json"), "--out", str(second)]) == 0
+
+    report = json.loads((first / "report.json").read_text(encoding="utf-8"))
+    statuses = {}
+    for r in report["results"]:
+        key = (r["program_name"], r["variant"], r["status"])
+        statuses[key] = statuses.get(key, 0) + 1
+    assert statuses == {
+        ("badmeta", "baseline", "backend_failed"): 3,  # no fixtures under its name
+        ("badmeta", "eva", "backend_failed"): 3,
+        ("tritype", "baseline", "ok"): 3,
+        ("tritype", "eva", "ok"): 3,
+        ("tritype_mutated", "baseline", "ok"): 3,
+    }
+    assert report["failures"] == {"backend_failed": 6}
+    assert {program for program, _, _ in report["skips"]} == {
+        "badmeta", "tritype", "tritype_mutated"
+    }
+    assert "garbled" not in {r["program_name"] for r in report["results"]}
+    assert _tree(first) == _tree(second)
 
 
 _HOOKED_REPLY = (

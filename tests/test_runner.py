@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from conftest import ADPCM_CSV, ALIAS5_EVA_EXCERPT, CORPUS_DIR, FIXTURES_DIR, TEMPLATES_DIR
-from specforge.analyzer import PreservationVerdict
+from specforge.analyzer import PreservationVerdict, tokenize
 from specforge.gateway import BackendError, ReplayBackend
 from specforge.model import AnnotationKind, GenerationConfig, Origin, PromptVariant
 from specforge.cli import main
@@ -809,6 +809,32 @@ def test_each_reply_is_tokenized_once(
     assert [r.status for r in report.results] == [STATUS_OK] * 3
     assert sorted(scanned) == sorted(replies)
     assert entry.program.source not in scanned
+
+
+def test_block_parses_are_shared_within_a_run_and_never_across_runs(
+    monkeypatch, corpus_load_module, templates_module, replay_backend
+):
+    import specforge.analyzer.annotations as annotations
+
+    scan = annotations._scan_clauses
+    scans: list[str] = []
+
+    def counting_scan(body, first_line):
+        scans.append(body)
+        return scan(body, first_line)
+
+    monkeypatch.setattr(annotations, "_scan_clauses", counting_scan)
+    per_run = []
+    for _ in range(2):
+        before = len(scans)
+        report = run(corpus_load_module, ALL_VARIANTS, CONFIG, replay_backend, templates_module)
+        per_run.append(len(scans) - before)
+    comments = sum(
+        1 for r in report.results if r.status == STATUS_OK
+        for token in tokenize(r.split.code) if token.is_acsl
+    )
+    assert per_run[0] == per_run[1]  # the second run reuses nothing from the first
+    assert 0 < per_run[0] < comments  # comments repeated within a run are scanned once
 
 
 # ------------------------------------------------------------------ concurrency
