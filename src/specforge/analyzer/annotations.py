@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from ..model import ASSIGNS, BEHAVIOR, KNOWN_KINDS, LOOP_ASSIGNS, AnnotationKind, Record
-from .lexer import ComparableStream, Token, tokenize, walk_tokens
+from .lexer import ComparableStream, SeenLine, Token, tokenize, tokenize_reusing, walk_tokens
 
 
 class NoCodeFence(ValueError):
@@ -31,6 +31,24 @@ class SplitResponse(Record):
     code: str
 
 
+# A fence line: a line whose text, leading whitespace stripped, starts with ```.
+_FENCE_RE = re.compile(r"^[^\S\n]*```", re.MULTILINE)
+
+
+def _next_fence(text: str, pos: int) -> re.Match[str] | None:
+    """The first fence line at or after ``pos``, matched from its line start.
+
+    ``str.find`` skips to each ```; the pattern then checks that only
+    whitespace precedes it on its line.
+    """
+    while (i := text.find("```", pos)) != -1:
+        m = _FENCE_RE.match(text, text.rfind("\n", 0, i) + 1)
+        if m is not None:
+            return m
+        pos = i + 3
+    return None
+
+
 def split_response(response_text: str) -> SplitResponse:
     """Select the annotated program fence; everything outside fences is reasoning.
 
@@ -39,24 +57,30 @@ def split_response(response_text: str) -> SplitResponse:
     occurrence (models often finish with a consolidated program). Raises
     NoCodeFence when the reply has no fence at all.
     """
+    text = response_text
     fences: list[tuple[str, str]] = []  # (tag, content)
-    reasoning_lines: list[str] = []
-    lines = response_text.split("\n")
-    i = 0
-    while i < len(lines):
-        stripped = lines[i].strip()
-        if stripped.startswith("```"):
-            tag = stripped[3:].strip().lower()
-            j = i + 1
-            content: list[str] = []
-            while j < len(lines) and not lines[j].strip().startswith("```"):
-                content.append(lines[j])
-                j += 1
-            fences.append((tag, "\n".join(content)))
-            i = j + 1  # past the closing fence; an unclosed fence runs to EOF
-        else:
-            reasoning_lines.append(lines[i])
-            i += 1
+    reasoning: list[str] = []  # each run of lines outside fences
+    pos = 0  # start of the next line outside a fence; -1 once no line is left
+    while pos >= 0:
+        opening = _next_fence(text, pos)
+        if opening is None:
+            reasoning.append(text[pos:])
+            break
+        if opening.start() > pos:
+            reasoning.append(text[pos : opening.start() - 1])
+        eol = text.find("\n", opening.end())
+        if eol == -1:  # the last line opens a fence with nothing in it
+            fences.append((text[opening.end() :].strip().lower(), ""))
+            break
+        tag = text[opening.end() : eol].strip().lower()
+        closing = _next_fence(text, eol + 1)
+        if closing is None:  # an unclosed fence runs to the end
+            fences.append((tag, text[eol + 1 :]))
+            break
+        fences.append((tag, text[eol + 1 : closing.start() - 1]))
+        pos = text.find("\n", closing.end())
+        if pos >= 0:
+            pos += 1
 
     if not fences:
         raise NoCodeFence("response contains no fenced code block")
@@ -67,9 +91,7 @@ def split_response(response_text: str) -> SplitResponse:
     if not candidates:
         candidates = list(enumerate(fences))
     _, (_, code) = max(candidates, key=lambda pair: (len(pair[1][1]), pair[0]))
-
-    reasoning = "\n".join(reasoning_lines).strip()
-    return SplitResponse(reasoning=reasoning, code=code)
+    return SplitResponse(reasoning="\n".join(reasoning).strip(), code=code)
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -239,6 +261,8 @@ class AnalyzedCode:
 _BlockKey = tuple[str, int, bool, bool]
 # The block's clauses (empty when it has none) and its placement.
 _ParsedBlock = tuple[tuple[Annotation, ...], Enclosing]
+# A run's memo: block keys map to parsed blocks, and "lines" to scanned lines.
+_RunMemo = dict[_BlockKey | str, _ParsedBlock | dict[str, SeenLine]]
 
 
 def _parse_block(text: str, line: int, heads_loop: bool, at_file_scope: bool) -> _ParsedBlock:
@@ -269,9 +293,7 @@ def _parse_block(text: str, line: int, heads_loop: bool, at_file_scope: bool) ->
     return tuple(annotations), placement
 
 
-def parse_blocks(
-    code: str, parsed: dict[_BlockKey, _ParsedBlock] | None = None
-) -> AnalyzedCode:
+def parse_blocks(code: str, parsed: _RunMemo | None = None) -> AnalyzedCode:
     """Tokenize ``code`` once, walk its tokens once, and parse its annotation blocks.
 
     ``parsed``, a dict the caller passes to every reply of one run, maps each
@@ -279,13 +301,17 @@ def parse_blocks(
     heads a loop, whether it sits at brace depth 0) to its clauses and
     placement, which depend on nothing else. A comment already in ``parsed``
     is not parsed again; only its ``token_index`` and ``loop_key`` come from
-    this ``code``. The dict holds every distinct comment it has seen, so keep
-    it no longer than one run. Raises TokenizeError when ``code`` does not
-    scan.
+    this ``code``. Under the key ``"lines"`` it also holds the scanned lines
+    ``tokenize_reusing`` shares among the replies, so a line that an earlier
+    reply already held is not scanned again. The dict holds every distinct
+    comment and line it has seen, so keep it no longer than one run. Raises
+    TokenizeError when ``code`` does not scan.
     """
     if parsed is None:
         parsed = {}
-    tokens = tokenize(code)
+        tokens = tokenize(code)
+    else:
+        tokens = tokenize_reusing(code, parsed.setdefault("lines", {}))
     comparable, file_scope, acsl = walk_tokens(tokens)
     blocks: list[AnnotationBlock] = []
     for idx, depth in acsl:

@@ -132,40 +132,89 @@ def tokenize(source: str) -> list[Token]:
     Raises TokenizeError for an unterminated comment or literal; everything
     else scans.
     """
+    return _scan(source, None)
+
+
+# A scanned line's tokens and the offset of its end (its newline, or the end
+# of the source).
+SeenLine = tuple[list[Token], int]
+
+
+def tokenize_reusing(source: str, seen: dict[str, SeenLine]) -> list[Token]:
+    """``tokenize(source)``, taking the tokens of lines already in ``seen``.
+
+    ``seen`` maps a line's text (up to, not including, its newline) to the
+    tokens an earlier scan found on it. A line that starts outside any
+    comment, directive or literal and is in ``seen`` is not scanned again:
+    its tokens are copied, moved to this line's number and offset. Such a
+    line that is not in ``seen`` is scanned and added to it, unless a
+    comment, directive or literal runs on past its end. The result, and any
+    TokenizeError, equal ``tokenize(source)``'s. ``seen`` holds every
+    distinct line it has been given, so share it only among sources scanned
+    together.
+    """
+    return _scan(source, seen)
+
+
+def _scan(source: str, seen: dict[str, SeenLine] | None) -> list[Token]:
     tokens: list[Token] = []
     append = tokens.append
     new = tuple.__new__  # builds a Token without the Python-level __new__ call
     match = _TOKEN_RE.match
+    find = source.find
     plain_kinds = _PLAIN_KINDS
     pos = 0
     line = 1
     n = len(source)
-    while pos < n:
-        m = match(source, pos)
-        if m is None:  # only blanks are left
-            break
-        group = m.lastindex
-        start, end = m.span(group)
-        kind = plain_kinds[group]
-        if kind is not None:
-            append(new(Token, (kind, source[start:end], line, start, end)))
-        elif group == _NEWLINE:
-            line += source.count("\n", start, end)
-        elif group == _COMMENT:
-            close = source.find("*/", start + 2)
-            if close == -1:
-                raise TokenizeError("unterminated block comment", line)
-            end = close + 2
-            text = source[start:end]
-            append(new(Token, (TokenKind.COMMENT, text, line, start, end)))
-            line += text.count("\n")
-        elif group == _PREPROC:
-            text = source[start:end]
-            append(new(Token, (TokenKind.PREPROC, text, line, start, end)))
-            line += text.count("\n")
-        else:  # quote
-            raise TokenizeError(f"unterminated {source[start]} literal", line)
-        pos = end
+    reuse = seen is not None
+    first = -1  # index of the first token of the line being recorded, or -1
+    while pos < n:  # at a line start outside comments, directives and literals
+        if reuse:
+            eol = find("\n", pos)
+            if eol == -1:
+                eol = n
+            key = source[pos:eol]
+            if key in seen:
+                old, old_eol = seen[key]
+                shift = eol - old_eol
+                for kind, text, _, start, end in old:
+                    append(new(Token, (kind, text, line, start + shift, end + shift)))
+                pos = eol
+            else:
+                first = len(tokens)
+        while pos < n:
+            m = match(source, pos)
+            if m is None:  # only blanks are left
+                return tokens
+            group = m.lastindex
+            start, end = m.span(group)
+            kind = plain_kinds[group]
+            if kind is not None:
+                append(new(Token, (kind, source[start:end], line, start, end)))
+            elif group == _NEWLINE:
+                if first >= 0:
+                    if start <= eol:  # no comment, directive or literal ran on past it
+                        seen[key] = (tokens[first:], eol)
+                    first = -1
+                line += 1 if end - start == 1 else source.count("\n", start, end)
+                if reuse:
+                    pos = end
+                    break
+            elif group == _COMMENT:
+                close = find("*/", start + 2)
+                if close == -1:
+                    raise TokenizeError("unterminated block comment", line)
+                end = close + 2
+                text = source[start:end]
+                append(new(Token, (TokenKind.COMMENT, text, line, start, end)))
+                line += text.count("\n")
+            elif group == _PREPROC:
+                text = source[start:end]
+                append(new(Token, (TokenKind.PREPROC, text, line, start, end)))
+                line += text.count("\n")
+            else:  # quote
+                raise TokenizeError(f"unterminated {source[start]} literal", line)
+            pos = end
     return tokens
 
 

@@ -673,8 +673,10 @@ def run(
     The replies share one block-parse dict for the length of this call (see
     ``parse_blocks``): an ACSL comment that recurs with the same text, first
     line, loop-head and brace-depth-0 facts, as samples of one prompt or of
-    a program and its mutant often do, is parsed once per call. The dict is
-    dropped when the call returns, so no parse outlives it.
+    a program and its mutant often do, is parsed once per call. The same
+    dict holds the lines the replies' scans have seen, so a line of C that
+    an earlier reply already held is not scanned again. The dict is dropped
+    when the call returns, so no parse or line outlives it.
 
     At most ``max_workers`` backend attempts are on the wire, each on one of
     ``max_workers`` worker threads. A live request backing off between
@@ -711,7 +713,7 @@ def run(
         CompletionRequest(prompt=prompt, config=config, sample_index=sample)
         for _, prompt, sample in cells
     ]
-    parsed: dict = {}  # block parses shared by this run's replies, and by no other run
+    parsed: dict = {}  # block parses and scanned lines shared by this run's replies only
     with _Dispatch(backend, requests, max_workers) as replies:
         results = [_analyze(*cell, reply, parsed) for cell, reply in zip(cells, replies)]
     results.sort(key=lambda r: (r.program_name, r.variant.value, r.sample_index))

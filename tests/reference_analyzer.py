@@ -1,6 +1,7 @@
 """Frozen reference implementations the analyzer is checked against.
 
 ``reference_tokenize`` is the original character-loop scanner,
+``reference_split_response`` the original line-by-line fence splitter,
 ``strip_and_rescan_verdict`` the original preservation check, which removes
 the ACSL comments from the reply text and scans what is left again,
 ``reference_parse_blocks`` the clause scanner that tried every keyword at
@@ -26,7 +27,9 @@ from specforge.analyzer import (
     C_KEYWORDS,
     DiffRun,
     Enclosing,
+    NoCodeFence,
     PreservationVerdict,
+    SplitResponse,
     Token,
     TokenKind,
     TokenizeError,
@@ -61,6 +64,47 @@ _PUNCTUATORS = (
     "+", "-", "*", "/", "%", "<", ">", "=", "!", "&", "|", "^", "~",
     "?", ":", ";", ",", ".", "(", ")", "[", "]", "{", "}",
 )
+
+
+def reference_split_response(response_text: str) -> SplitResponse:
+    """The original splitter: strips every line to find the fences.
+
+    Preference order: the longest ``c``-tagged fence, then the longest
+    untagged fence, then the longest fence of any tag; ties go to the last
+    occurrence (models often finish with a consolidated program). Raises
+    NoCodeFence when the reply has no fence at all.
+    """
+    fences: list[tuple[str, str]] = []  # (tag, content)
+    reasoning_lines: list[str] = []
+    lines = response_text.split("\n")
+    i = 0
+    while i < len(lines):
+        stripped = lines[i].strip()
+        if stripped.startswith("```"):
+            tag = stripped[3:].strip().lower()
+            j = i + 1
+            content: list[str] = []
+            while j < len(lines) and not lines[j].strip().startswith("```"):
+                content.append(lines[j])
+                j += 1
+            fences.append((tag, "\n".join(content)))
+            i = j + 1  # past the closing fence; an unclosed fence runs to EOF
+        else:
+            reasoning_lines.append(lines[i])
+            i += 1
+
+    if not fences:
+        raise NoCodeFence("response contains no fenced code block")
+
+    candidates = [(idx, f) for idx, f in enumerate(fences) if f[0] == "c"]
+    if not candidates:
+        candidates = [(idx, f) for idx, f in enumerate(fences) if f[0] == ""]
+    if not candidates:
+        candidates = list(enumerate(fences))
+    _, (_, code) = max(candidates, key=lambda pair: (len(pair[1][1]), pair[0]))
+
+    reasoning = "\n".join(reasoning_lines).strip()
+    return SplitResponse(reasoning=reasoning, code=code)
 
 
 def reference_tokenize(source: str) -> list[RefToken]:

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FIXTURES_DIR, oracle_tokens
-from reference_analyzer import reference_parse_blocks
+from reference_analyzer import reference_parse_blocks, reference_split_response
 from specforge import model
 from specforge.analyzer import (
     Annotation,
@@ -64,6 +64,34 @@ def test_split_unclosed_fence_runs_to_end():
 def test_split_no_fence_raises():
     with pytest.raises(NoCodeFence):
         split_response("no code here at all")
+
+
+# Fence lines with and without tags and leading blanks, Unicode blanks that
+# ``str.strip`` removes, line ends of every kind, and near-fences.
+_REPLY_FRAGMENTS = [
+    "```", "```c", "```C ", "``` c\r", "```python", "  ```", "\t```c", "\u3000```",
+    "\x1c```", "``", "`", "c", " ", "\t", "\r", "\n", "\n", "\r\n", "\x85", "\u2028",
+    "int x;", "prose", "\n```c\nint a;\n```\n", "\n```\n",
+]
+
+
+@settings(max_examples=1500, deadline=None)
+@given(st.lists(st.sampled_from(_REPLY_FRAGMENTS), max_size=30).map("".join))
+def test_split_matches_reference_splitter(response):
+    try:
+        expected = reference_split_response(response)
+    except NoCodeFence:
+        with pytest.raises(NoCodeFence):
+            split_response(response)
+        return
+    got = split_response(response)
+    assert (got.code, got.reasoning) == (expected.code, expected.reasoning)
+
+
+def test_split_matches_reference_on_fixture_replies():
+    for path in sorted(FIXTURES_DIR.rglob("*.txt")):
+        text = path.read_text(encoding="utf-8")
+        assert split_response(text) == reference_split_response(text), path.name
 
 
 # ------------------------------------------------------------ parse_annotations

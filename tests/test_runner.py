@@ -13,7 +13,7 @@ import pytest
 
 from conftest import ADPCM_CSV, ALIAS5_EVA_EXCERPT, CORPUS_DIR, FIXTURES_DIR, TEMPLATES_DIR
 from specforge.analyzer import PreservationVerdict, tokenize
-from specforge.gateway import BackendError, ReplayBackend
+from specforge.gateway import BackendError, CompletionResponse, ReplayBackend
 from specforge.model import AnnotationKind, GenerationConfig, Origin, PromptVariant
 from specforge.cli import main
 from specforge.prompts import TemplateError, build_prompt, load_templates
@@ -784,12 +784,18 @@ def test_each_reply_is_tokenized_once(
     import specforge.runner
 
     from specforge.analyzer import tokenize
+    from specforge.analyzer.lexer import tokenize_reusing
 
-    scanned: list[str] = []
+    scanned: list[str] = []  # by the run's line-reusing scan
+    rescanned: list[str] = []  # by a plain tokenize
 
     def counting_tokenize(source):
-        scanned.append(source)
+        rescanned.append(source)
         return tokenize(source)
+
+    def counting_tokenize_reusing(source, seen):
+        scanned.append(source)
+        return tokenize_reusing(source, seen)
 
     for module in (
         specforge.analyzer.annotations,
@@ -799,6 +805,7 @@ def test_each_reply_is_tokenized_once(
         specforge.mutation,
     ):
         monkeypatch.setattr(module, "tokenize", counting_tokenize)
+        monkeypatch.setattr(module, "tokenize_reusing", counting_tokenize_reusing, raising=False)
 
     entry = next(e for e in corpus_load_module.entries if e.program.name == "binary_search")
     report = run(
@@ -808,7 +815,7 @@ def test_each_reply_is_tokenized_once(
     replies = [r.split.code for r in report.results]
     assert [r.status for r in report.results] == [STATUS_OK] * 3
     assert sorted(scanned) == sorted(replies)
-    assert entry.program.source not in scanned
+    assert rescanned == []  # neither a reply nor the program is scanned again
 
 
 def test_block_parses_are_shared_within_a_run_and_never_across_runs(
@@ -835,6 +842,118 @@ def test_block_parses_are_shared_within_a_run_and_never_across_runs(
     )
     assert per_run[0] == per_run[1]  # the second run reuses nothing from the first
     assert 0 < per_run[0] < comments  # comments repeated within a run are scanned once
+
+
+# Model text that looks like our syntax: template placeholders, and braces
+# left open inside strings, plain comments and ACSL comments. Lines the first
+# reply holds as code recur inside comments and a continued directive.
+_ADVERSARIAL_PROGRAM = """int f(int x) {
+  const char *s = "{program} }";
+  if (x > 0) {
+    return 1;
+  }
+  return 0;
+}
+#define BODY { \\
+  return 0;
+"""
+_ADVERSARIAL_REPLIES = [
+    """I kept {program} and {variant} as they were; a stray } here.
+```c
+/*@ requires x >= 0;
+  @ assigns \\nothing; // { left open
+  @ ensures \\result == 0 || \\result == 1;
+*/
+int f(int x) {
+  const char *s = "{program} }";
+  //@ assert x >= 0; }
+  if (x > 0) {
+    return 1;
+  }
+  return 0;
+}
+/* an earlier draft {
+  if (x > 0) {
+    return 1;
+  }
+*/
+#define BODY { \\
+  return 0;
+```
+""",
+    """{program}
+```c
+/*@ requires x >= 0;
+  if (x > 0) {
+    return 1;
+  }
+*/
+int f(int x) {
+  const char *s = "{program} {";
+  if (x > 0) {
+    return 1;
+  }
+  return 0; /* } */
+}
+#define BODY { \\
+  return 0;
+```
+""",
+]
+
+
+class _ScriptedBackend:
+    """Answers sample ``i`` with the ``i``-th of ``replies``."""
+
+    def __init__(self, replies):
+        self.replies = replies
+
+    def complete(self, request):
+        return CompletionResponse(
+            text=self.replies[request.sample_index],
+            backend_kind="replay",
+            backend_detail="scripted",
+            latency_ms=0,
+            request_digest=request.digest,
+        )
+
+
+def test_replies_that_look_like_our_syntax(monkeypatch, tmp_path, templates_module):
+    import specforge.analyzer.annotations as annotations
+
+    _program(tmp_path, "adversarial", _ADVERSARIAL_PROGRAM)
+    corpus = load_corpus(tmp_path)
+    backend = _ScriptedBackend(_ADVERSARIAL_REPLIES)
+    config = GenerationConfig(samples_per_program=2)
+
+    scan = annotations.tokenize_reusing
+    seen_lines: dict = {}
+
+    def keeping_seen(source, seen):
+        seen_lines.update(seen)  # the lines known before this reply's scan
+        return scan(source, seen)
+
+    monkeypatch.setattr(annotations, "tokenize_reusing", keeping_seen)
+    report = run(corpus, [PromptVariant.BASELINE], config, backend, templates_module)
+    # the second reply was scanned with the first one's code lines at hand
+    assert {"int f(int x) {", "  if (x > 0) {", "    return 1;", "  }"} <= seen_lines.keys()
+
+    cells = [
+        (
+            r.status,
+            {kind.keyword: n for kind, n in r.histogram.items() if n},
+            r.preservation.preserved,
+        )
+        for r in report.results
+    ]
+    assert cells == [
+        (STATUS_OK, {"requires": 1, "assigns": 1, "ensures": 1, "assert": 1}, True),
+        (STATUS_OK, {"requires": 1}, False),
+    ]
+
+    monkeypatch.setattr(annotations, "tokenize_reusing", lambda source, seen: tokenize(source))
+    without_memo = run(corpus, [PromptVariant.BASELINE], config, backend, templates_module)
+    assert report.to_dict() == without_memo.to_dict()
 
 
 # ------------------------------------------------------------------ concurrency

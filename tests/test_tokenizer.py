@@ -19,6 +19,7 @@ from specforge.analyzer import (
     split_response,
     tokenize,
 )
+from specforge.analyzer.lexer import tokenize_reusing
 
 
 def kinds(code):
@@ -217,6 +218,56 @@ def test_tokenize_matches_reference_scanner(source):
         return
     got = [(t.kind, t.text, t.line, t.start, t.end) for t in tokenize(source)]
     assert got == expected
+
+
+# Whole lines that recur across sources: code, a CRLF line, the halves of a
+# block comment, a continued directive and a continued string and char.
+_SHARED_LINES = [
+    "}", "x = 1;", "x = 1;\r", "  }  ", "/* open {", "} close */",
+    "#define A \\", '"a\\', 'b"', "'\\", "'",
+]
+
+
+@st.composite
+def _sources_sharing_lines(draw):
+    made = st.lists(st.sampled_from(_FRAGMENTS), max_size=8).map("".join)
+    lines = st.sampled_from(draw(st.lists(made, min_size=1, max_size=6)) + _SHARED_LINES)
+    source = st.lists(lines, max_size=12).map("\n".join)
+    return draw(st.lists(source, min_size=2, max_size=5))
+
+
+@settings(max_examples=1500, deadline=None)
+@given(_sources_sharing_lines())
+def test_tokenize_reusing_matches_reference_scanner(sources):
+    seen: dict = {}
+    for source in sources:
+        try:
+            expected = reference_tokenize(source)
+        except TokenizeError as exc:
+            with pytest.raises(TokenizeError) as raised:
+                tokenize_reusing(source, seen)
+            assert str(raised.value) == str(exc)
+            continue
+        got = [(t.kind, t.text, t.line, t.start, t.end) for t in tokenize_reusing(source, seen)]
+        assert got == expected
+
+
+@pytest.mark.parametrize(
+    "later",
+    [
+        "/*\n}\nx = 1;\n*/ y;\n",
+        "/*@ requires p;\nx = 1;\n}\n*/\n",
+        "#define M \\\nx = 1; \\\nx = 1;\n",
+        's = "a\\\nx = 1; \\\n";\n',
+    ],
+    ids=["comment", "acsl", "directive", "literal"],
+)
+def test_a_line_seen_as_code_is_not_reused_inside_a_comment_directive_or_literal(later):
+    seen: dict = {}
+    tokenize_reusing("x = 1;\n}\nx = 1; \\\n", seen)
+    assert {"x = 1;", "}", "x = 1; \\"} <= seen.keys()
+    assert tokenize_reusing(later, seen) == tokenize(later)
+    assert not any(t.text in ("x", "}") for t in tokenize(later))
 
 
 def test_tokenize_matches_reference_on_shipped_sources(corpus_load):
