@@ -130,9 +130,10 @@ def tokenize(source: str) -> list[Token]:
     """Scan ``source`` into tokens, comments included.
 
     Raises TokenizeError for an unterminated comment or literal; everything
-    else scans.
+    else scans. A line that recurs in ``source`` is scanned once (see
+    ``tokenize_reusing``, here with a fresh memo).
     """
-    return _scan(source, None)
+    return _scan(source, {})
 
 
 # A scanned line's tokens and the offset of its end (its newline, or the end
@@ -156,7 +157,7 @@ def tokenize_reusing(source: str, seen: dict[str, SeenLine]) -> list[Token]:
     return _scan(source, seen)
 
 
-def _scan(source: str, seen: dict[str, SeenLine] | None) -> list[Token]:
+def _scan(source: str, seen: dict[str, SeenLine]) -> list[Token]:
     tokens: list[Token] = []
     append = tokens.append
     new = tuple.__new__  # builds a Token without the Python-level __new__ call
@@ -166,22 +167,20 @@ def _scan(source: str, seen: dict[str, SeenLine] | None) -> list[Token]:
     pos = 0
     line = 1
     n = len(source)
-    reuse = seen is not None
     first = -1  # index of the first token of the line being recorded, or -1
     while pos < n:  # at a line start outside comments, directives and literals
-        if reuse:
-            eol = find("\n", pos)
-            if eol == -1:
-                eol = n
-            key = source[pos:eol]
-            if key in seen:
-                old, old_eol = seen[key]
-                shift = eol - old_eol
-                for kind, text, _, start, end in old:
-                    append(new(Token, (kind, text, line, start + shift, end + shift)))
-                pos = eol
-            else:
-                first = len(tokens)
+        eol = find("\n", pos)
+        if eol == -1:
+            eol = n
+        key = source[pos:eol]
+        if key in seen:
+            old, old_eol = seen[key]
+            shift = eol - old_eol
+            for kind, text, _, start, end in old:
+                append(new(Token, (kind, text, line, start + shift, end + shift)))
+            pos = eol
+        else:
+            first = len(tokens)
         while pos < n:
             m = match(source, pos)
             if m is None:  # only blanks are left
@@ -197,9 +196,8 @@ def _scan(source: str, seen: dict[str, SeenLine] | None) -> list[Token]:
                         seen[key] = (tokens[first:], eol)
                     first = -1
                 line += 1 if end - start == 1 else source.count("\n", start, end)
-                if reuse:
-                    pos = end
-                    break
+                pos = end
+                break
             elif group == _COMMENT:
                 close = find("*/", start + 2)
                 if close == -1:

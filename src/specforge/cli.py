@@ -174,7 +174,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     try:
         report = load_report(args.infile)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ConfigError(f"cannot load report: {exc}") from exc
     emit(report, args.out, normalize=args.normalize)
     print(f"report re-emitted under {args.out}")

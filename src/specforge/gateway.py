@@ -87,7 +87,15 @@ class CompletionResponse(Record):
 
 
 class CompletionBackend(Protocol):
-    def complete(self, request: CompletionRequest) -> CompletionResponse: ...
+    """What ``runner.run`` drives, with the contract of ``LiveBackend.attempts``.
+
+    ``run`` calls ``attempts`` under a lock, so it must be a generator: no
+    work before the first ``next``.
+    """
+
+    def attempts(
+        self, request: CompletionRequest
+    ) -> Generator[float, None, CompletionResponse]: ...
 
 
 def fixture_paths(directory: Path | str, key: str) -> tuple[Path, Path]:
@@ -105,6 +113,13 @@ class ReplayBackend:
 
     def __init__(self, directory: Path | str):
         self.directory = Path(directory)
+
+    def attempts(
+        self, request: CompletionRequest
+    ) -> Generator[float, None, CompletionResponse]:
+        """One step and no backoff; ``complete`` is looked up as the step runs."""
+        yield from ()
+        return self.complete(request)
 
     def complete(self, request: CompletionRequest) -> CompletionResponse:
         text_path, meta_path = fixture_paths(self.directory, request.key)
@@ -260,7 +275,7 @@ class LiveBackend:
                 text = json.loads(raw)["choices"][0]["message"]["content"]
                 if isinstance(text, str):  # a lone surrogate ("\ud83d") fails here, not in emit
                     text.encode("utf-8")
-            except (ValueError, KeyError, IndexError, TypeError) as exc:
+            except (ValueError, KeyError, IndexError, TypeError, RecursionError) as exc:
                 raise BackendError(
                     status, f"malformed completion payload: {exc}"
                 ) from exc

@@ -44,6 +44,7 @@ from .gateway import (
     CompletionRequest,
     CompletionResponse,
     GatewayError,
+    ReplayBackend,
 )
 from .model import (
     KNOWN_KINDS,
@@ -251,7 +252,7 @@ def load_corpus(
                 tags = tuple(
                     sorted((str(k), str(v)) for k, v in raw.items() if k not in _META_KEYS)
                 )
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:
                 errors.append(f"meta.json: {exc}")
         program = SourceProgram(
             name=name, source=source, entry_function=meta.entry_function, origin=meta.origin
@@ -506,7 +507,7 @@ def mutant_pairs(entries: Sequence[CorpusEntry]) -> list[tuple[str, str]]:
     return sorted(pairs)
 
 
-_Steps = Generator[float, None, CompletionResponse]  # a LiveBackend.attempts run
+_Steps = Generator[float, None, CompletionResponse]  # one request's ``attempts``
 _Reply = CompletionResponse | GatewayError
 
 
@@ -514,11 +515,11 @@ class _Dispatch:
     """Each request's reply, or its ``GatewayError``, in request order.
 
     ``max_workers`` threads each loop: take a job, send one attempt, then
-    deliver the reply or park the request. A backend with ``attempts`` (see
-    ``LiveBackend``) yields a backoff after a retryable failure; the request
-    is parked in a heap until then, holding no thread, and its worker takes
-    the next job. A parked request whose time has come goes before a new
-    one. A backend without ``attempts`` is one ``complete`` call per request.
+    deliver the reply or park the request. A job is a request's ``attempts``
+    generator (see ``CompletionBackend``); after a retryable failure it
+    yields a backoff, and the request is parked in a heap until then,
+    holding no thread, while its worker takes the next job. A parked request
+    whose time has come goes before a new one.
 
     Leaving the ``with`` block stops new attempts and drops parked retries,
     then joins the workers once their attempts on the wire are done. Any
@@ -529,10 +530,7 @@ class _Dispatch:
     def __init__(
         self, backend: CompletionBackend, requests: Sequence[CompletionRequest], max_workers: int
     ):
-        self._complete = backend.complete
-        self._attempts: Callable[[CompletionRequest], _Steps] | None = getattr(
-            backend, "attempts", None
-        )
+        self._attempts = backend.attempts
         self._requests = requests
         self._workers = min(max_workers, len(requests))
         self._threads: list[threading.Thread] = []
@@ -581,7 +579,7 @@ class _Dispatch:
                 reply = self._replies.pop(index)
             yield reply
 
-    def _take(self) -> tuple[int, _Steps | None] | None:
+    def _take(self) -> tuple[int, _Steps] | None:
         """Under the lock: a due retry, else a new request, else wait; None once stopped."""
         while not self._stopped:
             wait = None
@@ -591,8 +589,9 @@ class _Dispatch:
                     _, index, steps = heapq.heappop(self._parked)
                     return index, steps
             if self._sent < len(self._requests):
+                index = self._sent
                 self._sent += 1
-                return self._sent - 1, None
+                return index, self._attempts(self._requests[index])
             # A request parked later has its own worker come back for it.
             self._work.wait(wait)
         return None
@@ -605,22 +604,9 @@ class _Dispatch:
                 return
             index, steps = job
             try:
-                if self._attempts is None:
-                    reply: _Reply = self._complete(self._requests[index])
-                else:
-                    if steps is None:
-                        steps = self._attempts(self._requests[index])
-                    try:
-                        delay = next(steps)
-                    except StopIteration as finished:
-                        reply = finished.value
-                    else:
-                        with self._lock:
-                            if not self._stopped:
-                                heapq.heappush(
-                                    self._parked, (time.monotonic() + delay, index, steps)
-                                )
-                        continue
+                delay = next(steps)
+            except StopIteration as finished:
+                reply: _Reply = finished.value
             except GatewayError as exc:
                 reply = exc
             except BaseException as exc:
@@ -629,6 +615,11 @@ class _Dispatch:
                         self._error = exc
                     self._stop()
                 return
+            else:
+                with self._lock:
+                    if not self._stopped:
+                        heapq.heappush(self._parked, (time.monotonic() + delay, index, steps))
+                continue
             with self._lock:
                 self._replies[index] = reply
                 self._done.notify()
@@ -719,16 +710,15 @@ def run(
     results.sort(key=lambda r: (r.program_name, r.variant.value, r.sample_index))
 
     rows = _robustness_rows(results, mutant_pairs(entries), variants)
-    backend_kind = type(backend).__name__
     notes = []
-    if "replay" in backend_kind.lower():
+    if isinstance(backend, ReplayBackend):
         notes.append(REPLAY_PROVENANCE_NOTE)
     provenances = sorted({e.provenance for e in entries})
     notes.append("corpus provenance: " + ", ".join(provenances))
     return ExperimentReport(
         config=config,
         corpus_digest=digest,
-        backend_kind=backend_kind,
+        backend_kind=type(backend).__name__,
         results=tuple(results),
         skips=tuple(skips),
         robustness=tuple(rows),

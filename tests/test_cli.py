@@ -539,6 +539,17 @@ def test_report_malformed_report_exits_two(tmp_path, capsys, shape):
     assert "error: cannot load report: " in capsys.readouterr().err
 
 
+_NESTED = "[" * 100_000 + "]" * 100_000
+
+
+def test_report_nested_too_deep_exits_two(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    path.write_text(_NESTED)
+    assert main(["report", "--in", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot load report: maximum recursion")
+    assert not (tmp_path / "out").exists()
+
+
 def test_report_top_level_list_exits_two(tmp_path, capsys):
     path = tmp_path / "report.json"
     path.write_text("[]")
@@ -657,6 +668,52 @@ def test_generate_and_report_over_load_side_skips(tmp_path, capsys):
     }
     assert "garbled" not in {r["program_name"] for r in report["results"]}
     assert _tree(first) == _tree(second)
+
+
+def test_generate_warns_on_a_meta_json_nested_too_deep(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(CORPUS_DIR / "tritype", corpus / "tritype")
+    (corpus / "tritype" / "meta.json").write_text(_NESTED)
+    argv = ["generate", "--corpus", str(corpus), "--fixtures", str(FIXTURES_DIR)]
+    assert main([*argv, "--variants", "baseline", "--out", str(tmp_path / "out")]) == 0
+    err = capsys.readouterr().err.splitlines()
+    (warning,) = [line for line in err if line.startswith("load warning")]
+    assert warning.startswith("load warning [tritype]: meta.json: maximum recursion depth")
+
+
+def test_generate_and_report_over_stale_and_malformed_sidecars(tmp_path, capsys):
+    fixtures = tmp_path / "fixtures"
+    shutil.copytree(FIXTURES_DIR, fixtures)
+    stale = fixtures / "tritype" / "baseline" / "0.json"
+    malformed = fixtures / "alias5" / "eva" / "2.json"
+    digest = json.loads(stale.read_text())["request_digest"]
+    stale.write_text(json.dumps({"request_digest": "0" + digest}))
+    malformed.write_text('{"request_digest": ')
+    shipped, first, second = tmp_path / "shipped", tmp_path / "first", tmp_path / "second"
+    argv = ["generate", "--corpus", str(CORPUS_DIR)]
+    assert main([*argv, "--fixtures", str(FIXTURES_DIR), "--out", str(shipped)]) == 0
+    assert main([*argv, "--fixtures", str(fixtures), "--out", str(first)]) == 1
+    assert main(["report", "--in", str(first / "report.json"), "--out", str(second)]) == 0
+    assert _tree(first) == _tree(second)
+
+    def cells(directory):
+        report = json.loads((directory / "report.json").read_text(encoding="utf-8"))
+        results = report["results"]
+        return report["failures"], {
+            f"{r['program_name']}/{r['variant']}/{r['sample_index']}": r for r in results
+        }
+
+    (_, want), (failures, got) = cells(shipped), cells(first)
+    assert failures == {"backend_failed": 2}
+    failed = {key: got.pop(key) for key in ("tritype/baseline/0", "alias5/eva/2")}
+    assert [r["status"] for r in failed.values()] == ["backend_failed"] * 2
+    assert failed["tritype/baseline/0"]["status_reason"] == (
+        f"stale fixture for tritype/baseline/0: sidecar 0{digest}, request {digest}"
+    )
+    assert failed["alias5/eva/2"]["status_reason"].startswith(
+        "cannot read fixture alias5/eva/2: JSONDecodeError: "
+    )
+    assert got == {key: r for key, r in want.items() if key not in failed}
 
 
 _HOOKED_REPLY = (

@@ -7,6 +7,7 @@ dispatcher fails its test instead of hanging the suite.
 from __future__ import annotations
 
 import json
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -16,10 +17,11 @@ import pytest
 from conftest import FIXTURES_DIR, within
 from specforge.gateway import LiveBackend, ReplayBackend
 from specforge.model import GenerationConfig, PromptVariant
-from specforge.runner import STATUS_OK, run
+from specforge.runner import STATUS_BACKEND_FAILED, STATUS_OK, run
 
 TIMEOUT_S = 30.0
 REPLY = "```c\nint f(void) { return 0; }\n```"
+NESTED = b"[" * 100_000 + b"]" * 100_000
 
 
 def _workers() -> list[threading.Thread]:
@@ -29,6 +31,9 @@ def _workers() -> list[threading.Thread]:
 class _Clocked(BaseHTTPRequestHandler):
     """Answers 503 to the first ``fail_first`` requests and 200 after; logs each one.
 
+    The first ``nested_first`` replies carry a body nested too deeply for
+    ``json.loads`` in place of a completion.
+
     Each request is held ``hold_s`` before its reply. ``inflight`` drops
     before the reply is written, so a client's next request never overlaps
     its last one in ``peak``. ``most_workers`` is the most ``run`` worker
@@ -36,6 +41,7 @@ class _Clocked(BaseHTTPRequestHandler):
     """
 
     fail_first = 0
+    nested_first = 0
     hold_s = 0.0
     lock = threading.Lock()
     log: list[tuple[float, str, int]] = []  # (arrival, prompt text, status)
@@ -48,6 +54,7 @@ class _Clocked(BaseHTTPRequestHandler):
         cls = _Clocked
         with cls.lock:
             status = 503 if len(cls.log) < cls.fail_first else 200
+            nested = len(cls.log) < cls.nested_first
             cls.log.append((time.monotonic(), body["messages"][0]["content"], status))
             cls.inflight += 1
             cls.peak = max(cls.peak, cls.inflight)
@@ -56,7 +63,7 @@ class _Clocked(BaseHTTPRequestHandler):
         with cls.lock:
             cls.inflight -= 1
         reply = {"choices": [{"message": {"content": REPLY}}]} if status == 200 else {}
-        payload = json.dumps(reply).encode("utf-8")
+        payload = NESTED if nested else json.dumps(reply).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
@@ -70,7 +77,7 @@ class _Clocked(BaseHTTPRequestHandler):
 @pytest.fixture()
 def clocked_server(monkeypatch):
     monkeypatch.setenv("SPECFORGE_API_KEY", "test-key")
-    _Clocked.fail_first, _Clocked.hold_s = 0, 0.0
+    _Clocked.fail_first, _Clocked.nested_first, _Clocked.hold_s = 0, 0, 0.0
     _Clocked.log, _Clocked.inflight, _Clocked.peak, _Clocked.most_workers = [], 0, 0, 0
     server = ThreadingHTTPServer(("127.0.0.1", 0), _Clocked)
     server.daemon_threads = True
@@ -121,6 +128,45 @@ def test_due_retry_goes_before_new_cells(clocked_server, corpus_load, templates)
     assert len(set(prompts)) == 4
 
 
+def test_a_reply_nested_too_deep_fails_only_its_cell(clocked_server, corpus_load, templates):
+    _Clocked.nested_first = 1
+    backend = LiveBackend(clocked_server, backoff_s=())
+    report = within(
+        TIMEOUT_S, run, _entries(corpus_load, "tritype"), [PromptVariant.BASELINE],
+        GenerationConfig(), backend, templates, max_workers=1,
+    )
+    assert [r.status for r in report.results] == [STATUS_BACKEND_FAILED] + [STATUS_OK] * 2
+    assert "(status=200): malformed completion payload: " in report.results[0].status_reason
+
+
+def test_a_backend_with_only_attempts_runs_like_replay(corpus_load, templates):
+    replay = ReplayBackend(FIXTURES_DIR)
+    resumed: list[str] = []
+
+    class OneBackoff:
+        def attempts(self, request):
+            yield 0.0
+            resumed.append(request.key)
+            return replay.complete(request)
+
+    variants, config = list(PromptVariant), GenerationConfig()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # more thread switches inside the dispatcher's critical steps
+    try:
+        got = within(
+            TIMEOUT_S, run, corpus_load, variants, config, OneBackoff(), templates, max_workers=8
+        )
+    finally:
+        sys.setswitchinterval(interval)
+    want = run(corpus_load, variants, config, replay, templates)
+    assert [r.to_dict() for r in got.results] == [r.to_dict() for r in want.results]
+    # every cell was parked once, after its one backoff, and then resumed
+    assert sorted(resumed) == sorted(
+        f"{r.program_name}/{r.variant.value}/{r.sample_index}" for r in want.results
+    )
+    assert _workers() == []
+
+
 def test_in_flight_bound_holds_while_retries_are_parked(clocked_server, corpus_load, templates):
     _Clocked.fail_first, _Clocked.hold_s = 3, 0.02
     backend = LiveBackend(clocked_server, backoff_s=(0.05,))
@@ -138,18 +184,16 @@ def test_in_flight_bound_holds_while_retries_are_parked(clocked_server, corpus_l
 
 
 def test_foreign_exception_propagates_without_a_hang(corpus_load, templates):
-    replay = ReplayBackend(FIXTURES_DIR)
-
-    class Broken:
+    class Broken(ReplayBackend):
         def complete(self, request):
             if request.key == "tritype/baseline/1":
                 raise ValueError("not a gateway failure")
-            return replay.complete(request)
+            return super().complete(request)
 
     threads_before = threading.active_count()
     with pytest.raises(ValueError, match="not a gateway failure"):
         within(
-            TIMEOUT_S, run, corpus_load, list(PromptVariant), GenerationConfig(), Broken(),
+            TIMEOUT_S, run, corpus_load, list(PromptVariant), GenerationConfig(), Broken(FIXTURES_DIR),
             templates, max_workers=2,
         )
     assert threading.active_count() == threads_before
@@ -158,14 +202,13 @@ def test_foreign_exception_propagates_without_a_hang(corpus_load, templates):
 def test_leaving_run_early_stops_sending(monkeypatch, corpus_load, templates):
     import specforge.runner
 
-    replay = ReplayBackend(FIXTURES_DIR)
     sent: list[str] = []
 
-    class Slow:
+    class Slow(ReplayBackend):
         def complete(self, request):
             sent.append(request.key)
             time.sleep(0.01)
-            return replay.complete(request)
+            return super().complete(request)
 
     def broken_analysis(*args):
         raise RuntimeError("analysis bug")
@@ -174,7 +217,7 @@ def test_leaving_run_early_stops_sending(monkeypatch, corpus_load, templates):
     threads_before = threading.active_count()
     with pytest.raises(RuntimeError, match="analysis bug"):
         within(
-            TIMEOUT_S, run, corpus_load, list(PromptVariant), GenerationConfig(), Slow(),
+            TIMEOUT_S, run, corpus_load, list(PromptVariant), GenerationConfig(), Slow(FIXTURES_DIR),
             templates, max_workers=2,
         )
     assert len(sent) <= 2 * 2

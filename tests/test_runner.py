@@ -18,6 +18,7 @@ from specforge.model import AnnotationKind, GenerationConfig, Origin, PromptVari
 from specforge.cli import main
 from specforge.prompts import TemplateError, build_prompt, load_templates
 from specforge.runner import (
+    REPLAY_PROVENANCE_NOTE,
     STATUS_BACKEND_FAILED,
     STATUS_NO_CODE_FENCE,
     STATUS_OK,
@@ -902,10 +903,11 @@ int f(int x) {
 ]
 
 
-class _ScriptedBackend:
-    """Answers sample ``i`` with the ``i``-th of ``replies``."""
+class _ScriptedBackend(ReplayBackend):
+    """Answers sample ``i`` with the ``i``-th of ``replies``; reads no fixture."""
 
     def __init__(self, replies):
+        super().__init__(FIXTURES_DIR)
         self.replies = replies
 
     def complete(self, request):
@@ -958,11 +960,11 @@ def test_replies_that_look_like_our_syntax(monkeypatch, tmp_path, templates_modu
 
 # ------------------------------------------------------------------ concurrency
 
-class _BarrierBackend:
+class _BarrierBackend(ReplayBackend):
     """Replay backend whose requests wait until ``parties`` of them are in flight."""
 
     def __init__(self, parties: int):
-        self.inner = ReplayBackend(FIXTURES_DIR)
+        super().__init__(FIXTURES_DIR)
         self.barrier = threading.Barrier(parties, timeout=10)
         self.lock = threading.Lock()
         self.inflight = 0
@@ -974,7 +976,7 @@ class _BarrierBackend:
             self.peak = max(self.peak, self.inflight)
         try:
             self.barrier.wait()
-            return self.inner.complete(request)
+            return super().complete(request)
         finally:
             with self.lock:
                 self.inflight -= 1
@@ -1020,22 +1022,42 @@ def test_analysis_runs_on_the_calling_thread(
 
 
 def test_backend_error_for_one_sample_fails_exactly_that_cell(
-    corpus_load_module, templates_module, replay_backend
+    corpus_load_module, templates_module
 ):
-    class FlakyBackend:
+    class FlakyBackend(ReplayBackend):
         def complete(self, request):
             if request.key == "tritype/eva/1":
                 raise BackendError(503, "overloaded")
-            return replay_backend.complete(request)
+            return super().complete(request)
 
     report = run(
-        corpus_load_module, ALL_VARIANTS, CONFIG, FlakyBackend(), templates_module
+        corpus_load_module, ALL_VARIANTS, CONFIG, FlakyBackend(FIXTURES_DIR), templates_module
     )
     failed = [r for r in report.results if r.status != STATUS_OK]
     assert [(r.program_name, r.variant, r.sample_index, r.status) for r in failed] == [
         ("tritype", PromptVariant.EVA, 1, STATUS_BACKEND_FAILED)
     ]
     assert "overloaded" in failed[0].status_reason
+
+
+def test_replay_note_follows_the_backend_not_its_class_name(
+    corpus_load_module, templates_module, replay_backend
+):
+    class RecordedReplay:  # says replay in its name, is no ReplayBackend
+        def attempts(self, request):
+            yield from ()
+            return replay_backend.complete(request)
+
+    class Curated(ReplayBackend):
+        pass
+
+    entries = [e for e in corpus_load_module.entries if e.program.name == "tritype"]
+    variants = [PromptVariant.BASELINE]
+    named = run(entries, variants, CONFIG, RecordedReplay(), templates_module)
+    subclassed = run(entries, variants, CONFIG, Curated(FIXTURES_DIR), templates_module)
+    assert REPLAY_PROVENANCE_NOTE not in named.notes
+    assert REPLAY_PROVENANCE_NOTE in subclassed.notes
+    assert named.results == subclassed.results
 
 
 def test_prompt_built_once_per_program_and_variant(
