@@ -38,14 +38,15 @@ _FENCE_RE = re.compile(r"^[^\S\n]*```", re.MULTILINE)
 def _next_fence(text: str, pos: int) -> re.Match[str] | None:
     """The first fence line at or after ``pos``, matched from its line start.
 
-    ``str.find`` skips to each ```; the pattern then checks that only
-    whitespace precedes it on its line.
+    ``str.find`` skips to the next line holding a ```; the pattern then checks
+    that only whitespace precedes it there. A line that fails once fails for
+    every ``` on it, so the search goes on from the next line.
     """
     while (i := text.find("```", pos)) != -1:
         m = _FENCE_RE.match(text, text.rfind("\n", 0, i) + 1)
         if m is not None:
             return m
-        pos = i + 3
+        pos = text.find("\n", i) + 1 or len(text)  # no next line: nothing left
     return None
 
 
@@ -173,13 +174,16 @@ _BEHAVIOR_NAME_RE = re.compile(r"\s*([A-Za-z_]\w*)\s*:")
 _LOOP_HEADS = frozenset(("for", "while", "do"))
 
 
+# '@' and every character ``str.isspace`` accepts (a test checks the set).
+_DECORATION = (
+    "@\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004"
+    "\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000"
+)
+
+
 def _normalize_line(raw_line: str) -> str:
     """Drop '@' decoration (leading/trailing runs) and '//' end-of-line comments."""
-    text = raw_line.strip()
-    while text.startswith("@"):
-        text = text[1:].lstrip()
-    while text.endswith("@"):
-        text = text[:-1].rstrip()
+    text = raw_line.strip(_DECORATION)
     cut = text.find("//")
     if cut != -1:
         text = text[:cut].rstrip()

@@ -60,14 +60,27 @@ class EvaReport(Record):
 
 
 _ALARM_MARKER = "[eva:alarm]"
-_LOCATION_RE = re.compile(r"(?P<file>[^\s:][^:]*):(?P<line>\d+):")
+# Anchored to the start and to each ':', so a line is scanned once; a file name
+# starts at the first non-space after the anchor, where the leftmost match of
+# the unanchored pattern starts too.
+_LOCATION_RE = re.compile(r"(?:^|(?<=:))\s*(?P<file>[^\s:][^:]*):(?P<line>\d+):")
 _ASSERT_RE = re.compile(r"\bassert\b\s*(?P<assertion>[^;]+);?")
-_SUMMARY_RE = re.compile(r"(?P<count>\d+)\s+alarms?\s+generated by the analysis")
+# (?<!\d): a count starts where its digit run starts, as the leftmost match does.
+_SUMMARY_RE = re.compile(r"(?<!\d)(?P<count>\d+)\s+alarms?\s+generated by the analysis")
 _KERNEL_WARNINGS_RE = re.compile(
     r"by the Frama-C kernel:\s*\d+\s+errors?\s+(?P<warnings>\d+)\s+warnings?"
 )
 _DOMAIN_SECTION_RE = re.compile(r"Values at end of function|VALUES COMPUTED")
-_DOMAIN_LINE_RE = re.compile(r"^\s+(?P<variable>\S+) in (?P<domain>.+?)\s*$")
+# The domain runs from group "domain" to the line's end, right-stripped.
+_DOMAIN_LINE_RE = re.compile(r"\s+(?P<variable>\S+) in (?P<domain>.)")
+
+
+def _number(digits: str) -> int | None:
+    """``digits`` as an int, or None when they are more than ``int`` converts."""
+    try:
+        return int(digits)
+    except ValueError:
+        return None
 
 
 def _classify(message: str) -> tuple[AlarmKind, str, str]:
@@ -87,69 +100,41 @@ def parse_eva_report(raw: str) -> EvaReport:
     Every line starting with ``[eva:alarm]`` yields exactly one alarm; the
     alarm's kind and assertion normally arrive on the continuation line
     (``  signed overflow. assert ...;``) but are also accepted inline after
-    the location. Unparseable fragments are skipped, never fatal.
+    the location. Unparseable fragments are skipped, never fatal: a line or
+    count number too long for ``int`` reads as line 0 or no count. Each line
+    is matched in one pass, so the time is linear in the text.
     """
     alarms: list[EvaAlarm] = []
     domains: list[ValueDomain] = []
     summary_count: int | None = None
     kernel_warnings: int | None = None
 
-    lines = raw.split("\n")
     in_domains = False
-    i = 0
-    while i < len(lines):
-        line = lines[i]
-
+    lines = iter(raw.split("\n"))
+    for line in lines:
         if line.startswith(_ALARM_MARKER):
             in_domains = False
-            rest = line[len(_ALARM_MARKER):].strip()
-            loc = _LOCATION_RE.search(rest)
-            file_name = loc.group("file") if loc else ""
-            line_no = int(loc.group("line")) if loc else 0
-            after_loc = rest[loc.end():] if loc else rest
-            message = after_loc.strip()
+            message = line[len(_ALARM_MARKER):].strip()
+            file_name, line_no = "", 0
+            if loc := _LOCATION_RE.search(message):
+                file_name, line_no = loc["file"], _number(loc["line"]) or 0
+                message = message[loc.end():].strip()
             if message.lower().startswith("warning:"):
                 message = message[len("warning:"):].strip()
-            if not message and i + 1 < len(lines):
-                i += 1
-                message = lines[i].strip()
-            kind, kind_text, assertion = _classify(message)
-            alarms.append(
-                EvaAlarm(
-                    file=file_name,
-                    line=line_no,
-                    kind=kind,
-                    kind_text=kind_text,
-                    assertion=assertion,
-                )
-            )
-            i += 1
-            continue
-
-        if _DOMAIN_SECTION_RE.search(line):
+            kind, kind_text, assertion = _classify(message or next(lines, "").strip())
+            alarms.append(EvaAlarm(file_name, line_no, kind, kind_text, assertion))
+        elif _DOMAIN_SECTION_RE.search(line):
             in_domains = True
-            i += 1
-            continue
-
-        if in_domains:
-            m = _DOMAIN_LINE_RE.match(line)
-            if m:
-                domains.append(
-                    ValueDomain(variable=m.group("variable"), domain=m.group("domain"))
-                )
-                i += 1
-                continue
-            if line.startswith("["):
-                in_domains = False
-            # fall through: summary markers may follow immediately
-
-        m = _SUMMARY_RE.search(line)
-        if m:
-            summary_count = int(m.group("count"))
-        m = _KERNEL_WARNINGS_RE.search(line)
-        if m:
-            kernel_warnings = int(m.group("warnings"))
-        i += 1
+        elif in_domains and (m := _DOMAIN_LINE_RE.match(line)):
+            domain = line[m.start("domain"):].rstrip() or m["domain"]
+            domains.append(ValueDomain(m["variable"], domain))
+        else:
+            # summary markers may follow a domain section immediately
+            in_domains = in_domains and not line.startswith("[")
+            if m := _SUMMARY_RE.search(line):
+                summary_count = _number(m["count"])
+            if m := _KERNEL_WARNINGS_RE.search(line):
+                kernel_warnings = _number(m["warnings"])
 
     return EvaReport(
         alarms=tuple(alarms),
@@ -158,4 +143,3 @@ def parse_eva_report(raw: str) -> EvaReport:
         warnings_kernel=kernel_warnings,
         raw=raw,
     )
-

@@ -146,7 +146,8 @@ def _run_hook(
     import subprocess
     import tempfile
 
-    fd, path = tempfile.mkstemp(suffix=".c", prefix=f"{program.name}-")
+    # a whole name may fill the 255-byte file-name limit; 48 characters take at most 192
+    fd, path = tempfile.mkstemp(suffix=".c", prefix=f"{program.name[:48]}-")
     try:
         with os.fdopen(fd, "wb") as tmp:  # the program's own bytes, whatever the locale
             tmp.write(program.source.encode("utf-8"))

@@ -3,6 +3,7 @@ from __future__ import annotations
 import os
 import re
 import threading
+import time
 from pathlib import Path
 from typing import Any, Callable
 
@@ -26,7 +27,9 @@ DATA_DIR = Path(__file__).resolve().parent / "data"
 def within(timeout_s: float, fn: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
     """``fn(*args, **kwargs)`` on a thread of its own; fail if it outlives ``timeout_s``.
 
-    A deadlock then fails its test instead of hanging the suite. The result
+    A deadlock then fails its test instead of hanging the suite. A call that
+    holds the GIL past ``timeout_s`` (one long regex match) keeps the wait
+    from ending on time, so the elapsed time is checked as well. The result
     is returned and an exception re-raised, as from a direct call.
     """
     outcome: dict[str, Any] = {}
@@ -38,9 +41,10 @@ def within(timeout_s: float, fn: Callable[..., Any], *args: Any, **kwargs: Any) 
             outcome["error"] = exc
 
     thread = threading.Thread(target=target, daemon=True)
+    started = time.perf_counter()
     thread.start()
     thread.join(timeout_s)
-    if thread.is_alive():
+    if thread.is_alive() or time.perf_counter() - started > timeout_s:
         pytest.fail(f"{getattr(fn, '__name__', fn)} still running after {timeout_s} s")
     if "error" in outcome:
         raise outcome["error"]

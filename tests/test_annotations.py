@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FIXTURES_DIR, oracle_tokens
+from conftest import FIXTURES_DIR, oracle_tokens, within
+from reference_analyzer import _normalize_line as reference_normalize_line
 from reference_analyzer import reference_parse_blocks, reference_split_response
 from specforge import model
 from specforge.analyzer import (
@@ -19,6 +20,7 @@ from specforge.analyzer import (
     split_response,
     strip_annotations,
 )
+from specforge.analyzer.annotations import _DECORATION, _normalize_line
 
 
 # --------------------------------------------------------------- split_response
@@ -67,11 +69,12 @@ def test_split_no_fence_raises():
 
 
 # Fence lines with and without tags and leading blanks, Unicode blanks that
-# ``str.strip`` removes, line ends of every kind, and near-fences.
+# ``str.strip`` removes, line ends of every kind, near-fences, and lines of
+# many fences behind prose.
 _REPLY_FRAGMENTS = [
     "```", "```c", "```C ", "``` c\r", "```python", "  ```", "\t```c", "\u3000```",
     "\x1c```", "``", "`", "c", " ", "\t", "\r", "\n", "\n", "\r\n", "\x85", "\u2028",
-    "int x;", "prose", "\n```c\nint a;\n```\n", "\n```\n",
+    "int x;", "prose", "\n```c\nint a;\n```\n", "\n```\n", "``````", "x```",
 ]
 
 
@@ -92,6 +95,34 @@ def test_split_matches_reference_on_fixture_replies():
     for path in sorted(FIXTURES_DIR.rglob("*.txt")):
         text = path.read_text(encoding="utf-8")
         assert split_response(text) == reference_split_response(text), path.name
+
+
+def test_split_skips_a_line_of_fences_behind_prose_at_once():
+    response = " " * 32_000 + "x" + "```" * 32_000 + "\n```c\nint x;\n```\n"
+    split = within(5, split_response, response)
+    assert split.code == "int x;"
+    assert split == reference_split_response(response)
+
+
+def test_decoration_is_at_and_every_space_character():
+    spaces = {c for c in map(chr, range(0x110000)) if c.isspace()}
+    assert set(_DECORATION) == {"@"} | spaces
+
+
+# '@' runs with spaces of every kind between them, '//' comments, and text.
+_DECORATED_FRAGMENTS = ["@", "@@", " ", "\t", "\u3000", "\x85", "//", "/", "x", "x y", "@x"]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(_DECORATED_FRAGMENTS), max_size=30).map("".join))
+def test_normalize_line_matches_reference(raw_line):
+    assert _normalize_line(raw_line) == reference_normalize_line(raw_line)
+
+
+def test_a_clause_ending_in_a_long_at_run_parses_in_linear_time():
+    code = "/*@ requires x > 0" + " @" * 400_000 + " */\nint f(int x);\n"
+    (annotation,) = within(5, parse_annotations, code)
+    assert (annotation.kind.keyword, annotation.clause_text) == ("requires", "x > 0")
 
 
 # ------------------------------------------------------------ parse_annotations

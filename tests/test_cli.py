@@ -13,7 +13,9 @@ from pathlib import Path
 
 import pytest
 
-from conftest import ADPCM_CSV, CORPUS_DIR, DATA_DIR, FIXTURES_DIR, REPO_ROOT, src_env
+from conftest import (
+    ADPCM_CSV, CORPUS_DIR, DATA_DIR, FIXTURES_DIR, REPO_ROOT, TEMPLATES_DIR, src_env
+)
 from specforge.analyzer import count_by_kind, lint, parse_annotations
 from specforge.cli import main
 from specforge.eva import parse_eva_report
@@ -416,13 +418,10 @@ class _Replies(BaseHTTPRequestHandler):
         pass
 
 
-def test_generate_live_reply_with_a_lone_surrogate_fails_only_its_cell(
-    tmp_path, capsys, monkeypatch
-):
-    monkeypatch.setenv("SPECFORGE_API_KEY", "test-key")
+def _generate_live(tmp_path, contents: list[str]) -> tuple[int, dict]:
+    """Exit code and report of a live generate whose server answers ``contents`` in turn."""
     corpus = _plus_one_corpus(tmp_path)
-    # an ASCII-escaping server that cut an emoji after its first half sends \ud83d
-    _Replies.contents = [_CLEAN_REPLY, _CLEAN_REPLY.replace("*/", "\ud83d */", 1)]
+    _Replies.contents = list(contents)
     server = HTTPServer(("127.0.0.1", 0), _Replies)
     thread = threading.Thread(
         target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
@@ -433,18 +432,62 @@ def test_generate_live_reply_with_a_lone_surrogate_fails_only_its_cell(
             [
                 "generate", "--corpus", str(corpus), "--backend", "live",
                 "--base-url", f"http://127.0.0.1:{server.server_port}",
-                "--variants", "baseline", "--samples", "2", "--out", str(tmp_path / "out"),
+                "--variants", "baseline", "--samples", str(len(contents)),
+                "--out", str(tmp_path / "out"),
             ]
         )
     finally:
         server.shutdown()
         server.server_close()
-    assert code == 1
     assert _Replies.contents == []
-    report = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))
+    return code, json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))
+
+
+def test_generate_live_reply_with_a_lone_surrogate_fails_only_its_cell(
+    tmp_path, capsys, monkeypatch
+):
+    monkeypatch.setenv("SPECFORGE_API_KEY", "test-key")
+    # an ASCII-escaping server that cut an emoji after its first half sends \ud83d
+    code, report = _generate_live(
+        tmp_path, [_CLEAN_REPLY, _CLEAN_REPLY.replace("*/", "\ud83d */", 1)]
+    )
+    assert code == 1
     assert sorted(r["status"] for r in report["results"]) == ["backend_failed", "ok"]
     (failed,) = [r for r in report["results"] if r["status"] == "backend_failed"]
     assert "malformed completion payload: 'utf-8' codec" in failed["status_reason"]
+
+
+def test_generate_live_empty_reply_fails_only_its_cell(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("SPECFORGE_API_KEY", "test-key")
+    code, report = _generate_live(tmp_path, [_CLEAN_REPLY, ""])
+    assert code == 1
+    assert sorted(r["status"] for r in report["results"]) == ["backend_failed", "ok"]
+    (failed,) = [r for r in report["results"] if r["status"] == "backend_failed"]
+    # either sample may reach the server second
+    expected = f"backend returned an empty completion for f/baseline/{failed['sample_index']}"
+    assert failed["status_reason"].endswith(expected)
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("no slot here. START OF INPUT\n", "baseline template, {program}: required slot is missing"),
+        (
+            "{program}\n",
+            "baseline template, {program}: template must end with the START OF INPUT section",
+        ),
+    ],
+    ids=["no-program-slot", "no-input-section"],
+)
+def test_generate_refuses_a_template_without_its_frame(tmp_path, capsys, body, message):
+    templates = tmp_path / "templates"
+    shutil.copytree(TEMPLATES_DIR, templates)
+    (templates / "baseline.txt").write_text(body, encoding="utf-8")
+    argv = ["generate", "--corpus", str(CORPUS_DIR), "--fixtures", str(FIXTURES_DIR)]
+    code = main([*argv, "--templates", str(templates), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("max_inflight", ["0", "-3"])
@@ -537,6 +580,58 @@ def test_report_malformed_report_exits_two(tmp_path, capsys, shape):
     path.write_text(json.dumps(data))
     assert main(["report", "--in", str(path), "--out", str(tmp_path / "out")]) == 2
     assert "error: cannot load report: " in capsys.readouterr().err
+
+
+def _clean_report(tmp_path: Path) -> dict:
+    """The report.json data of one ok cell over ``_plus_one_corpus``."""
+    cell = tmp_path / "fixtures" / "f" / "baseline"
+    cell.mkdir(parents=True)
+    (cell / "0.txt").write_text(_CLEAN_REPLY, encoding="utf-8")
+    argv = [
+        "generate", "--corpus", str(_plus_one_corpus(tmp_path)),
+        "--fixtures", str(tmp_path / "fixtures"), "--variants", "baseline", "--samples", "1",
+    ]
+    assert main([*argv, "--out", str(tmp_path / "clean")]) == 0
+    return json.loads((tmp_path / "clean" / "report.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("response", "text"), "", "completion text must be non-empty"),
+        (("response", "latency_ms"), -1, "latency must be >= 0"),
+        (("annotations", 0, "kind", "keyword"), "", "annotation kind keyword must be non-empty"),
+        (("annotations", 0, "enclosing", "context"), "nowhere", "bad enclosing context 'nowhere'"),
+        (
+            ("annotations", 0, "enclosing", "behavior"),
+            "b",
+            "behavior name set iff context is behavior_body",
+        ),
+        (
+            ("preservation", "diff"),
+            [{"line": 1, "original": "+", "modified": "-"}],
+            "preserved verdict must carry an empty diff",
+        ),
+    ],
+    ids=[
+        "empty-text", "negative-latency", "empty-keyword", "bad-context", "stray-behavior",
+        "preserved-with-diff",
+    ],
+)
+def test_report_refuses_a_record_its_checks_reject(tmp_path, capsys, path, value, message):
+    data = _clean_report(tmp_path)
+    *parents, last = path
+    record = data["results"][0]
+    for step in parents:
+        record = record[step]
+    record[last] = value
+    tampered = tmp_path / "report.json"
+    tampered.write_text(json.dumps(data), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["report", "--in", str(tampered), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot load report: ") and message in err
+    assert not (tmp_path / "out").exists()
 
 
 _NESTED = "[" * 100_000 + "]" * 100_000
@@ -681,6 +776,18 @@ def test_generate_warns_on_a_meta_json_nested_too_deep(tmp_path, capsys):
     assert warning.startswith("load warning [tritype]: meta.json: maximum recursion depth")
 
 
+def test_generate_over_an_eva_txt_with_a_line_number_too_long_for_int(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(CORPUS_DIR / "tritype", corpus / "tritype")
+    (corpus / "tritype" / "eva.txt").write_text(
+        f"[eva:alarm] tritype.c:{'1' * 5000}: Warning:\n  signed overflow. assert a + b;\n"
+    )
+    argv = ["generate", "--corpus", str(corpus), "--fixtures", str(FIXTURES_DIR)]
+    assert main([*argv, "--variants", "baseline", "--out", str(tmp_path / "out")]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert [r["status"] for r in report["results"]] == ["ok"] * 3
+
+
 def test_generate_and_report_over_stale_and_malformed_sidecars(tmp_path, capsys):
     fixtures = tmp_path / "fixtures"
     shutil.copytree(FIXTURES_DIR, fixtures)
@@ -775,6 +882,15 @@ def test_run_eva_hook_gets_spaced_path_as_one_argument(tmp_path):
     hook_body = '[ "$#" -eq 1 ] && [ -f "$1" ] || exit 3\n' + _EVA_ALARM
     report = _run_eva_hook(tmp_path, ["two words"], hook_body)
     assert [r["status"] for r in report["results"]] == ["ok"] * 3
+
+
+def test_run_eva_hook_runs_for_an_entry_name_near_the_file_name_limit(tmp_path):
+    long_name = "n" * 250  # with a temporary file's random part, past 255 bytes
+    hook_body = '[ -f "$1" ] || exit 3\n' + _EVA_ALARM
+    report = _run_eva_hook(tmp_path, [long_name, "short"], hook_body)
+    assert sorted((r["program_name"], r["status"]) for r in report["results"]) == [
+        (long_name, "ok")
+    ] * 3 + [("short", "ok")] * 3
 
 
 def test_run_eva_hook_copies_utf8_source_under_an_ascii_locale(tmp_path):

@@ -1,6 +1,11 @@
 from __future__ import annotations
 
-from conftest import ALIAS5_EVA_EXCERPT
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from conftest import ALIAS5_EVA_EXCERPT, CORPUS_DIR, within
+from reference_eva import reference_parse_eva_report
 from specforge.eva import AlarmKind, EvaReport, parse_eva_report
 
 
@@ -86,3 +91,82 @@ def test_domains_stop_at_next_section():
     )
     report = parse_eva_report(raw)
     assert [d.variable for d in report.domains] == ["x"]
+
+
+# Pieces of report lines: alarm markers, locations and bare colons, digits
+# (non-ASCII ones too), domain lines, section headers, summary phrases, and
+# whitespace of every kind. A line joins a few; a report joins a few lines.
+_LINE_PIECES = [
+    "[eva:alarm]", "[eva:alarm] ", ":", "a:", "f.c:12:", " f.c:3:", "12:", "1", "\u0663",
+    "\u0661\u0662", "x", " in ", "  x in ", "{0}", "Values at end of function f:",
+    "VALUES COMPUTED", "[", "[kernel] ", " ", "  ", "\t", "\r", "\u3000", "\x85", "Warning:",
+    "WARNING: ", "signed overflow.", " assert ", "assert x;", ";", ".",
+    " alarms generated by the analysis", "1 alarm generated by the analysis",
+    "by the Frama-C kernel:", " 0 errors ", "2 warnings",
+]
+_REPORTS = st.lists(
+    st.lists(st.sampled_from(_LINE_PIECES), max_size=6).map("".join), max_size=8
+).map("\n".join)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_REPORTS)
+@example("Values at end of function f:\n  x in \t \n  y in {0} \r")  # blank or padded domain
+@example("[eva:alarm] a: f.c:3: Warning:\n  signed overflow. assert x;")  # location after a ':'
+@example("[eva:alarm] \u0663:\u0661\u0662: x")  # non-ASCII digits as a file and line
+def test_parse_matches_reference_parser(raw):
+    assert parse_eva_report(raw).to_dict() == reference_parse_eva_report(raw).to_dict()
+
+
+@pytest.mark.parametrize(
+    "path", sorted(CORPUS_DIR.glob("*/eva.txt")), ids=lambda path: path.parent.name
+)
+def test_parse_matches_reference_parser_on_shipped_reports(path):
+    raw = path.read_text(encoding="utf-8")
+    assert parse_eva_report(raw).to_dict() == reference_parse_eva_report(raw).to_dict()
+
+
+_RUN = 40_000  # characters in each long line below
+
+
+@pytest.mark.parametrize(
+    "raw, alarm_texts, domains, summary",
+    [
+        # no ':' ends a file name
+        ("[eva:alarm] " + "a" * _RUN, ["a" * _RUN], [], None),
+        # a location number with no ':' after it
+        ("[eva:alarm] a:" + "1" * _RUN, ["a:" + "1" * _RUN], [], None),
+        # a domain with a long space run inside and after it
+        (
+            "Values at end of function f:\n  x in {0" + " " * _RUN + "}" + " " * _RUN,
+            [],
+            [("x", "{0" + " " * _RUN + "}")],
+            None,
+        ),
+        # digits that never reach " alarms generated"
+        ("1" * _RUN + "\n11 alarms generated by the analysis", [], [], 11),
+    ],
+    ids=["colon-free-alarm", "unclosed-location", "domain-space-run", "digit-run"],
+)
+def test_long_lines_parse_in_linear_time(raw, alarm_texts, domains, summary):
+    report = within(5, parse_eva_report, raw)
+    assert [(a.file, a.line, a.kind_text) for a in report.alarms] == [
+        ("", 0, text) for text in alarm_texts
+    ]
+    assert [(d.variable, d.domain) for d in report.domains] == domains
+    assert report.summary_alarm_count == summary
+
+
+def test_numbers_too_long_for_int_read_as_line_0_and_no_count():
+    digits = "1" * 5000
+    raw = (
+        f"[eva:alarm] prog.c:{digits}: Warning: signed overflow. assert x < 10;\n"
+        f"[eva:summary] {digits} alarms generated by the analysis.\n"
+        f"by the Frama-C kernel: 0 errors {digits} warnings\n"
+    )
+    report = parse_eva_report(raw)
+    (alarm,) = report.alarms
+    assert (alarm.file, alarm.line, alarm.kind, alarm.assertion) == (
+        "prog.c", 0, AlarmKind.SIGNED_OVERFLOW, "x < 10"
+    )
+    assert (report.summary_alarm_count, report.warnings_kernel) == (None, None)

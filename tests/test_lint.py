@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import pytest
+
 from specforge.analyzer import LintRule, lint, parse_annotations
 
 VARIANT_FIRST_LOOP = """int f(int n) {
@@ -103,6 +105,26 @@ def test_loop_assigns_not_scope_checked():
         "}\n"
     )
     assert lint(code) == []
+
+
+@pytest.mark.parametrize(
+    "code, details",
+    [
+        # the parameter list never closes: the names up to the end still count
+        (
+            "/*@ assigns a, b; */\nint f(int a, int c\n",
+            ["assigns target 'b': 'b' is not a parameter or file-scope name"],
+        ),
+        # a target with no identifier names nothing to check
+        ("/*@ assigns 42, (*); */\nint f(int a);\n", []),
+    ],
+    ids=["unclosed-parameter-list", "target-without-identifier"],
+)
+def test_assigns_scope_on_odd_headers_and_targets(code, details):
+    issues = lint(code)
+    assert [(i.rule, i.detail) for i in issues] == [
+        (LintRule.ASSIGNS_OUT_OF_SCOPE, detail) for detail in details
+    ]
 
 
 def test_block_style_in_body_fires():

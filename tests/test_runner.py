@@ -475,6 +475,17 @@ def test_config_error_on_fewer_than_one_worker(
         )
 
 
+def test_config_error_on_an_empty_corpus(templates_module, replay_backend):
+    with pytest.raises(ConfigError, match="^empty corpus$"):
+        run([], ALL_VARIANTS, CONFIG, replay_backend, templates_module)
+
+
+def test_config_error_on_an_unknown_normalize_mode(full_report, tmp_path):
+    with pytest.raises(ConfigError, match="^normalize must be .*, got 'x'$"):
+        emit(full_report, tmp_path / "out", normalize="x")
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_error_on_missing_templates(corpus_load_module, replay_backend):
     with pytest.raises(ConfigError):
         run(corpus_load_module, ALL_VARIANTS, CONFIG, replay_backend, templates={})
