@@ -10,14 +10,13 @@ that one result.
 from pathlib import Path
 
 from specforge.analyzer import (
-    ComparableStream,
     check_code_preserved,
     count_by_kind,
     lint,
     parse_annotations,
     parse_blocks,
+    scan,
     split_response,
-    tokenize,
 )
 from specforge.runner import histogram_to_dict
 
@@ -45,5 +44,6 @@ issues = lint(analyzed)
 print("\nlint:", "clean" if not issues else issues)
 
 source = (ROOT / "corpus" / "binary_search" / "program.c").read_text(encoding="utf-8")
-verdict = check_code_preserved(ComparableStream.of(tokenize(source)), analyzed)
+comparable, _, _ = scan(source, {})  # the program's stream, as load_corpus stores it
+verdict = check_code_preserved(comparable, analyzed)
 print(f"code preserved against the original source: {verdict.preserved}")

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from ..model import ASSIGNS, BEHAVIOR, KNOWN_KINDS, LOOP_ASSIGNS, AnnotationKind, Record
-from .lexer import ComparableStream, SeenLine, Token, tokenize, tokenize_reusing, walk_tokens
+from .lexer import ComparableStream, LineFacts, scan, tokenize
 
 
 class NoCodeFence(ValueError):
@@ -223,37 +223,38 @@ def _scan_clauses(body: str, first_line: int) -> list[_Clause]:
 class AnnotationBlock:
     """One annotation comment with its parsed clauses and placement facts.
 
-    ``loop_key`` identifies the loop statement the block annotates (the token
-    index of the following ``for``/``while``/``do``) so lint can group the
-    blocks attached to the same loop; None for non-loop blocks.
+    ``code_index`` is the index in the reply's comparable texts of the first
+    code token after the comment. ``loop_key`` identifies the loop statement
+    the block annotates (the ``code_index`` of the following ``for``,
+    ``while`` or ``do``) so lint can group the blocks attached to the same
+    loop; a loop block that heads no loop gets a negative key of its own;
+    None for non-loop blocks.
     """
 
     annotations: tuple[Annotation, ...]
     block_style: bool
-    token_index: int  # index of the comment token in the full token stream
+    code_index: int
     loop_key: int | None
     is_function_contract: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AnalyzedCode:
-    """One source text scanned once and its tokens walked once.
+    """One source text scanned once, and the facts the scan collected.
 
     Each consumer reads what it needs from here, so a reply analyzed for the
-    census, lint and preservation is tokenized once and walked once:
+    census, lint and preservation is scanned once and never tokenized:
 
     - ``blocks`` (the ACSL comments and their clauses): the census, and lint's
       loop and contract rules;
-    - ``tokens`` (comments included): lint's parameter lists,
-      ``strip_annotations``, and the preservation check's rare re-scan;
-    - ``file_scope`` (``walk_tokens``'s file-scope names): lint's
-      out-of-scope rule;
     - ``comparable`` (the non-comment tokens' compare texts and lines): the
-      preservation check.
+      preservation check, and lint's parameter lists;
+    - ``file_scope`` (``scan``'s file-scope names): lint's out-of-scope rule;
+    - ``code``: ``strip_annotations``, and the preservation check's rare
+      re-scan.
     """
 
     code: str
-    tokens: list[Token]
     blocks: list[AnnotationBlock]
     comparable: ComparableStream
     file_scope: frozenset[str]
@@ -266,7 +267,7 @@ _BlockKey = tuple[str, int, bool, bool]
 # The block's clauses (empty when it has none) and its placement.
 _ParsedBlock = tuple[tuple[Annotation, ...], Enclosing]
 # A run's memo: block keys map to parsed blocks, and "lines" to scanned lines.
-_RunMemo = dict[_BlockKey | str, _ParsedBlock | dict[str, SeenLine]]
+_RunMemo = dict[_BlockKey | str, _ParsedBlock | dict[str, LineFacts]]
 
 
 def _parse_block(text: str, line: int, heads_loop: bool, at_file_scope: bool) -> _ParsedBlock:
@@ -298,33 +299,27 @@ def _parse_block(text: str, line: int, heads_loop: bool, at_file_scope: bool) ->
 
 
 def parse_blocks(code: str, parsed: _RunMemo | None = None) -> AnalyzedCode:
-    """Tokenize ``code`` once, walk its tokens once, and parse its annotation blocks.
+    """Scan ``code`` once and parse its annotation blocks.
 
     ``parsed``, a dict the caller passes to every reply of one run, maps each
     ACSL comment's key (its text, its first line, whether the next code token
     heads a loop, whether it sits at brace depth 0) to its clauses and
     placement, which depend on nothing else. A comment already in ``parsed``
-    is not parsed again; only its ``token_index`` and ``loop_key`` come from
-    this ``code``. Under the key ``"lines"`` it also holds the scanned lines
-    ``tokenize_reusing`` shares among the replies, so a line that an earlier
-    reply already held is not scanned again. The dict holds every distinct
-    comment and line it has seen, so keep it no longer than one run. Raises
-    TokenizeError when ``code`` does not scan.
+    is not parsed again; only its ``code_index`` and ``loop_key`` come from
+    this ``code``. Under the key ``"lines"`` it also holds what ``scan``
+    recorded of each line, so a line that an earlier reply already held is
+    not scanned again. The dict holds every distinct comment and line it has
+    seen, so keep it no longer than one run. Raises TokenizeError when
+    ``code`` does not scan.
     """
     if parsed is None:
         parsed = {}
-        tokens = tokenize(code)
-    else:
-        tokens = tokenize_reusing(code, parsed.setdefault("lines", {}))
-    comparable, file_scope, acsl = walk_tokens(tokens)
+    comparable, file_scope, acsl = scan(code, parsed.setdefault("lines", {}))
+    texts = comparable.texts
     blocks: list[AnnotationBlock] = []
-    for idx, depth in acsl:
-        next_code = idx + 1  # index of the first non-comment token after the block
-        while next_code < len(tokens) and tokens[next_code].is_comment:
-            next_code += 1
-        heads_loop = next_code < len(tokens) and tokens[next_code].text in _LOOP_HEADS
-        token = tokens[idx]
-        key = (token.text, token.line, heads_loop, depth == 0)
+    for ordinal, (text, line, depth, code_index) in enumerate(acsl):
+        heads_loop = code_index < len(texts) and texts[code_index] in _LOOP_HEADS
+        key = (text, line, heads_loop, depth == 0)
         block = parsed.get(key)
         if block is None:
             block = parsed[key] = _parse_block(*key)
@@ -333,17 +328,17 @@ def parse_blocks(code: str, parsed: _RunMemo | None = None) -> AnalyzedCode:
             continue
         loop_key = None
         if placement is LOOP_ANNOTATION:
-            loop_key = next_code if heads_loop else idx
+            loop_key = code_index if heads_loop else -1 - ordinal
         blocks.append(
             AnnotationBlock(
                 annotations=annotations,
                 block_style=annotations[0].block_style,
-                token_index=idx,
+                code_index=code_index,
                 loop_key=loop_key,
                 is_function_contract=placement is FUNCTION_CONTRACT,
             )
         )
-    return AnalyzedCode(code, tokens, blocks, comparable, file_scope)
+    return AnalyzedCode(code, blocks, comparable, file_scope)
 
 
 def parse_annotations(code: str | AnalyzedCode) -> list[Annotation]:
@@ -382,8 +377,8 @@ def strip_annotations(code: AnalyzedCode) -> str:
     Newlines inside removed blocks are kept so remaining tokens stay on their
     original lines; code with no annotations comes back byte-identical.
     """
-    source, tokens = code.code, code.tokens
-    spans = [(t.start, t.end, t.text) for t in tokens if t.is_acsl]
+    source = code.code
+    spans = [(t.start, t.end, t.text) for t in tokenize(source) if t.is_acsl]
     if not spans:
         return source
     out: list[str] = []

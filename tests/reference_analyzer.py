@@ -450,6 +450,16 @@ def _scan_clauses(segments: list[tuple[int, str]]) -> list[_Clause]:
 def reference_parse_blocks(code: str) -> list[AnnotationBlock]:
     """The original ``parse_blocks``: the same blocks, clauses and placement facts."""
     tokens = tokenize(code)
+    # The package reports positions in the non-comment stream: a token index
+    # maps to the number of non-comment tokens before it, and an ACSL comment
+    # that heads no loop keys its loop by its own ordinal, made negative.
+    code_index = [0]
+    for token in tokens:
+        code_index.append(code_index[-1] + (not token.is_comment))
+    acsl_ordinal = {
+        idx: ordinal
+        for ordinal, idx in enumerate(i for i, t in enumerate(tokens) if t.is_acsl)
+    }
     blocks: list[AnnotationBlock] = []
     depth = 0
     for idx, token in enumerate(tokens):
@@ -475,7 +485,7 @@ def reference_parse_blocks(code: str) -> list[AnnotationBlock]:
 
         if heads_loop or has_loop_clause:
             enclosing_for = lambda _c: LOOP_ANNOTATION  # noqa: E731
-            loop_key = next_code if heads_loop else idx
+            loop_key = code_index[next_code] if heads_loop else -1 - acsl_ordinal[idx]
             is_contract = False
         elif depth == 0:
             loop_key = None
@@ -509,7 +519,7 @@ def reference_parse_blocks(code: str) -> list[AnnotationBlock]:
             AnnotationBlock(
                 annotations=annotations,
                 block_style=block_style,
-                token_index=idx,
+                code_index=code_index[idx],
                 loop_key=loop_key,
                 is_function_contract=is_contract,
             )

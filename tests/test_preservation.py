@@ -130,6 +130,32 @@ def test_directive_after_comment_verdicts(reply, preserved):
     assert verdict == strip_and_rescan_verdict(HASH_PARENT.source, reply)
 
 
+
+@pytest.mark.parametrize(
+    "reply, tokenized",
+    [
+        (HASH_BODY, 0),
+        ("#\n" + HASH_BODY, 1),  # a lone '#' directive: no punctuator, nothing to strip
+        ("/*@ requires \\true; */ " + HASH_BODY, 2),  # and once more to strip the reply
+    ],
+)
+def test_a_reply_is_tokenized_only_to_resolve_a_lone_hash(monkeypatch, reply, tokenized):
+    import specforge.analyzer.annotations as annotations
+    import specforge.analyzer.checks as checks
+    from specforge.analyzer import tokenize
+
+    calls: list[str] = []
+
+    def counting_tokenize(source):
+        calls.append(source)
+        return tokenize(source)
+
+    monkeypatch.setattr(annotations, "tokenize", counting_tokenize)
+    monkeypatch.setattr(checks, "tokenize", counting_tokenize)
+    preservation(HASH_PARENT.source, reply)
+    assert calls == [reply] * tokenized
+
+
 _PARENTS = [
     HASH_PARENT.source,
     "#define N 3\n#include <a.h>\nint g;\nint f(int a) {\n"

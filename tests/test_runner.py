@@ -786,28 +786,25 @@ def test_report_json_round_trip(full_report):
     assert ExperimentReport.from_dict(full_report.to_dict()).to_dict() == full_report.to_dict()
 
 
-def test_each_reply_is_tokenized_once(
-    monkeypatch, corpus_load_module, templates_module, replay_backend
-):
+def test_no_reply_is_tokenized(monkeypatch, corpus_load_module, templates_module, replay_backend):
     import specforge.analyzer.annotations
     import specforge.analyzer.checks
     import specforge.analyzer.lexer
     import specforge.mutation
     import specforge.runner
 
-    from specforge.analyzer import tokenize
-    from specforge.analyzer.lexer import tokenize_reusing
+    from specforge.analyzer import scan, tokenize
 
-    scanned: list[str] = []  # by the run's line-reusing scan
-    rescanned: list[str] = []  # by a plain tokenize
+    scanned: list[str] = []  # by the run's line-memo scan
+    tokenized: list[str] = []  # into Tokens
 
     def counting_tokenize(source):
-        rescanned.append(source)
+        tokenized.append(source)
         return tokenize(source)
 
-    def counting_tokenize_reusing(source, seen):
+    def counting_scan(source, seen):
         scanned.append(source)
-        return tokenize_reusing(source, seen)
+        return scan(source, seen)
 
     for module in (
         specforge.analyzer.annotations,
@@ -817,17 +814,14 @@ def test_each_reply_is_tokenized_once(
         specforge.mutation,
     ):
         monkeypatch.setattr(module, "tokenize", counting_tokenize)
-        monkeypatch.setattr(module, "tokenize_reusing", counting_tokenize_reusing, raising=False)
+    monkeypatch.setattr(specforge.analyzer.annotations, "scan", counting_scan)
+    monkeypatch.setattr(specforge.analyzer.checks, "scan", counting_scan)
 
-    entry = next(e for e in corpus_load_module.entries if e.program.name == "binary_search")
-    report = run(
-        [entry], [PromptVariant.BASELINE], GenerationConfig(samples_per_program=3),
-        replay_backend, templates_module, max_workers=1,
-    )
-    replies = [r.split.code for r in report.results]
-    assert [r.status for r in report.results] == [STATUS_OK] * 3
-    assert sorted(scanned) == sorted(replies)
-    assert rescanned == []  # neither a reply nor the program is scanned again
+    report = run(corpus_load_module, ALL_VARIANTS, CONFIG, replay_backend, templates_module)
+    replies = [r.split.code for r in report.results if r.split is not None]
+    assert len(replies) == len(report.results) > 50
+    assert sorted(scanned) == sorted(replies)  # each reply once, the programs never
+    assert tokenized == []
 
 
 def test_block_parses_are_shared_within_a_run_and_never_across_runs(
@@ -939,14 +933,14 @@ def test_replies_that_look_like_our_syntax(monkeypatch, tmp_path, templates_modu
     backend = _ScriptedBackend(_ADVERSARIAL_REPLIES)
     config = GenerationConfig(samples_per_program=2)
 
-    scan = annotations.tokenize_reusing
+    scan = annotations.scan
     seen_lines: dict = {}
 
     def keeping_seen(source, seen):
         seen_lines.update(seen)  # the lines known before this reply's scan
         return scan(source, seen)
 
-    monkeypatch.setattr(annotations, "tokenize_reusing", keeping_seen)
+    monkeypatch.setattr(annotations, "scan", keeping_seen)
     report = run(corpus, [PromptVariant.BASELINE], config, backend, templates_module)
     # the second reply was scanned with the first one's code lines at hand
     assert {"int f(int x) {", "  if (x > 0) {", "    return 1;", "  }"} <= seen_lines.keys()
@@ -964,7 +958,7 @@ def test_replies_that_look_like_our_syntax(monkeypatch, tmp_path, templates_modu
         (STATUS_OK, {"requires": 1}, False),
     ]
 
-    monkeypatch.setattr(annotations, "tokenize_reusing", lambda source, seen: tokenize(source))
+    monkeypatch.setattr(annotations, "scan", lambda source, seen: scan(source, {}))
     without_memo = run(corpus, [PromptVariant.BASELINE], config, backend, templates_module)
     assert report.to_dict() == without_memo.to_dict()
 

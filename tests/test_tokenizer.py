@@ -9,17 +9,15 @@ from hypothesis import strategies as st
 from conftest import FIXTURES_DIR, oracle_tokens
 from reference_analyzer import _comparable, _file_scope_names, reference_tokenize
 from specforge.analyzer import (
-    ComparableStream,
     Token,
     TokenizeError,
     TokenKind,
-    compare_text,
     lint,
     parse_blocks,
+    scan,
     split_response,
     tokenize,
 )
-from specforge.analyzer.lexer import tokenize_reusing
 
 
 def kinds(code):
@@ -157,7 +155,7 @@ def test_spans_reconstruct_source():
 
 def test_code_tokens_drop_comments_only():
     code = "/*@ requires x; */ int x; // note\n"
-    assert ComparableStream.of(tokenize(code)).texts == ("int", "x", ";")
+    assert scan(code, {})[0].texts == ("int", "x", ";")
 
 
 def test_token_equals_its_plain_five_tuple():
@@ -168,9 +166,8 @@ def test_token_equals_its_plain_five_tuple():
 
 
 def test_compare_text_normalizes_preproc_whitespace():
-    a = Token(TokenKind.PREPROC, "#define   X  1", 1, 0, 14)
-    b = Token(TokenKind.PREPROC, "#define X 1", 1, 0, 11)
-    assert compare_text(a) == compare_text(b)
+    a, b = scan("#define   X  1\n", {})[0], scan("  #define X\t1 \n", {})[0]
+    assert a.texts == b.texts == ("#define X 1",)
 
 
 def test_matches_oracle_on_shipped_programs(corpus_load):
@@ -220,36 +217,82 @@ def test_tokenize_matches_reference_scanner(source):
     assert got == expected
 
 
+def _facts(scanned):
+    """What ``scan`` found, with each ACSL comment's ``code_index`` read as the
+    compare text it points at (None past the end)."""
+    comparable, file_scope, acsl = scanned
+    texts = comparable.texts
+    comments = [
+        (text, line, depth, texts[i] if i < len(texts) else None)
+        for text, line, depth, i in acsl
+    ]
+    return list(zip(texts, comparable.lines)), file_scope, comments
+
+
+def _reference_facts(source):
+    """``_facts`` of a walk over the frozen scanner's tokens."""
+    tokens = [Token(*t) for t in reference_tokenize(source)]
+    comments = []
+    depth = 0
+    for i, token in enumerate(tokens):
+        if token.is_acsl:
+            after = next((t for t in tokens[i + 1 :] if not t.is_comment), None)
+            code = None
+            if after is not None:
+                code = " ".join(after.text.split()) if after.kind is TokenKind.PREPROC else after.text
+            comments.append((token.text, token.line, depth, code))
+        elif token.kind is TokenKind.PUNCT and token.text in "{}":
+            depth = depth + 1 if token.text == "{" else max(0, depth - 1)
+    return _comparable(source), frozenset(_file_scope_names(tokens)), comments
+
+
 # Whole lines that recur across sources: code, a CRLF line, the halves of a
 # block comment, a continued directive and a continued string and char.
 _SHARED_LINES = [
     "}", "x = 1;", "x = 1;\r", "  }  ", "/* open {", "} close */",
     "#define A \\", '"a\\', 'b"', "'\\", "'",
 ]
+# Lines for the scan's memo: code that opens and closes braces (so a line
+# recurs at several depths, and a "}" can be stray at depth 0), names at and
+# below file scope, directives and a lone '#', '//@' lines, '/*@' comments
+# that span lines or close mid-line, and string and char literals.
+_SCAN_LINES = _SHARED_LINES + [
+    "{", "} else {", "} y;", "int g;", "x = y + 1;", "for (i = 0; i < n; i++) {", "do {",
+    "int f(int *p) {", "} } int h;", "#define N 3", "# define  M\t(2)", "#", "  # ", "#if X",
+    "//@ assert x;", "//@ loop invariant 0 <= i; {", "x = 1; //@ assert x == 1;", "//@",
+    "/*@ requires p;", "  @ assigns *p; */ int k(int q);", "/*@ ghost int k; */ k = 1; /*@ assert k; */ }",
+    "/*@ loop assigns i; */ /* c */ while (i) {", "{ //@ assert y;", "} /*@ assert z; */ {",
+    "/* { */ x;", "*/ y = 2;",
+    's = "a { b";', "c = '}';", "c = '\\'';",
+]
 
 
 @st.composite
 def _sources_sharing_lines(draw):
     made = st.lists(st.sampled_from(_FRAGMENTS), max_size=8).map("".join)
-    lines = st.sampled_from(draw(st.lists(made, min_size=1, max_size=6)) + _SHARED_LINES)
-    source = st.lists(lines, max_size=12).map("\n".join)
+    lines = st.sampled_from(draw(st.lists(made, min_size=1, max_size=4)) + _SCAN_LINES)
+    source = st.builds(
+        lambda body, newline: "\n".join(body) + newline,
+        st.lists(lines, max_size=12),
+        st.sampled_from(["", "\n"]),
+    )
     return draw(st.lists(source, min_size=2, max_size=5))
 
 
 @settings(max_examples=1500, deadline=None)
-@given(_sources_sharing_lines())
-def test_tokenize_reusing_matches_reference_scanner(sources):
-    seen: dict = {}
+@given(_sources_sharing_lines(), st.randoms(use_true_random=False))
+def test_scan_matches_a_walk_over_the_reference_tokens(sources, rng):
+    rng.shuffle(sources)
+    seen: dict = {}  # one memo for all of them, as a run shares it among replies
     for source in sources:
         try:
-            expected = reference_tokenize(source)
+            expected = _reference_facts(source)
         except TokenizeError as exc:
             with pytest.raises(TokenizeError) as raised:
-                tokenize_reusing(source, seen)
+                scan(source, seen)
             assert str(raised.value) == str(exc)
             continue
-        got = [(t.kind, t.text, t.line, t.start, t.end) for t in tokenize_reusing(source, seen)]
-        assert got == expected
+        assert _facts(scan(source, seen)) == expected
 
 
 @pytest.mark.parametrize(
@@ -264,10 +307,20 @@ def test_tokenize_reusing_matches_reference_scanner(sources):
 )
 def test_a_line_seen_as_code_is_not_reused_inside_a_comment_directive_or_literal(later):
     seen: dict = {}
-    tokenize_reusing("x = 1;\n}\nx = 1; \\\n", seen)
+    scan("x = 1;\n}\nx = 1; \\\n", seen)
     assert {"x = 1;", "}", "x = 1; \\"} <= seen.keys()
-    assert tokenize_reusing(later, seen) == tokenize(later)
+    assert _facts(scan(later, seen)) == _facts(scan(later, {})) == _reference_facts(later)
     assert not any(t.text in ("x", "}") for t in tokenize(later))
+
+
+def test_a_seen_line_is_scanned_again_where_its_stray_brace_would_go_below_depth_0():
+    seen: dict = {}
+    scan("{\n} g; {\n", seen)  # "} g; {" seen at depth 1, where g is at file scope
+    assert "} g; {" in seen
+    comparable, file_scope, _ = scan("} g; {\nint h;\n", seen)
+    # at depth 0 the "}" is stray: the depth stays 0, so "{" leaves h inside a body
+    assert file_scope == {"g"}
+    assert _facts((comparable, file_scope, [])) == _reference_facts("} g; {\nint h;\n")
 
 
 def test_tokenize_matches_reference_on_shipped_sources(corpus_load):
