@@ -11,12 +11,15 @@ semicolons (``\\forall integer i; ...``) do not split clauses apart.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable
+from operator import attrgetter
+from typing import Iterable, Iterator
 
 from ..model import ASSIGNS, BEHAVIOR, KNOWN_KINDS, LOOP_ASSIGNS, AnnotationKind, Record
 from .lexer import ComparableStream, LineFacts, scan, tokenize
+from .similarity import normalize_clause
 
 
 class NoCodeFence(ValueError):
@@ -172,6 +175,8 @@ _STARTER_RE = re.compile(
 
 _BEHAVIOR_NAME_RE = re.compile(r"\s*([A-Za-z_]\w*)\s*:")
 _LOOP_HEADS = frozenset(("for", "while", "do"))
+_LOOP_KEYWORDS = frozenset(kw for kw in _STARTER_KINDS if kw.startswith("loop "))
+_NO_CLAUSES: dict[AnnotationKind, int] = {kind: 0 for kind in KNOWN_KINDS}
 
 
 # '@' and every character ``str.isspace`` accepts (a test checks the set).
@@ -193,30 +198,44 @@ def _normalize_line(raw_line: str) -> str:
 # (kind, clause text, line, behavior name); the name is set iff the clause is
 # a behavior header.
 _Clause = tuple[AnnotationKind, str, int, str | None]
+_ANONYMOUS = "<anonymous>"  # the name of a behavior header without one
 
 
-def _scan_clauses(body: str, first_line: int) -> list[_Clause]:
-    """The clauses of a normalized annotation body whose first line is ``first_line``."""
-    matches = list(_STARTER_RE.finditer(body))
+def _scan_clauses(
+    body: str, line: int, pos: int, tail: dict[int, int]
+) -> tuple[list[_Clause], list[int], int | None]:
+    """The clauses of a normalized body from ``pos`` (on ``line``) on, and their matches' starts.
+
+    The scan stops at the first match starting at a key of ``tail``, and
+    returns that key's value too (None when it ran to the end of the body).
+    """
+    matches: list[re.Match[str]] = []
+    end, resumed = len(body), None
+    for m in _STARTER_RE.finditer(body, pos):
+        resumed = tail.get(m.start())
+        if resumed is not None:
+            end = m.start(1)
+            break
+        matches.append(m)
     clauses: list[_Clause] = []
-    line, counted = first_line, 0
+    counted = pos
     for i, m in enumerate(matches):
-        start, end = m.span(1)
+        start, keyword_end = m.span(1)
         keyword = m.group(1)
         kind = _STARTER_KINDS.get(keyword) or _STARTER_KINDS[" ".join(keyword.split())]
-        stop = matches[i + 1].start(1) if i + 1 < len(matches) else len(body)
-        text = body[end:stop].strip().rstrip(";").strip()
+        stop = matches[i + 1].start(1) if i + 1 < len(matches) else end
+        text = body[keyword_end:stop].strip().rstrip(";").strip()
         behavior_name = None
         if kind is BEHAVIOR:
-            name_match = _BEHAVIOR_NAME_RE.match(body, end)
+            name_match = _BEHAVIOR_NAME_RE.match(body, keyword_end)
             if name_match:
                 behavior_name = text = name_match.group(1)
             else:
-                behavior_name = text or "<anonymous>"
+                behavior_name = text or _ANONYMOUS
         line += body.count("\n", counted, start)
         counted = start
         clauses.append((kind, text, line, behavior_name))
-    return clauses
+    return clauses, [m.start() for m in matches], resumed
 
 
 @dataclass(frozen=True)
@@ -228,7 +247,8 @@ class AnnotationBlock:
     the block annotates (the ``code_index`` of the following ``for``,
     ``while`` or ``do``) so lint can group the blocks attached to the same
     loop; a loop block that heads no loop gets a negative key of its own;
-    None for non-loop blocks.
+    None for non-loop blocks. ``kind_counts`` (clauses per keyword) and
+    ``clause_keys`` (each clause's ``normalize_clause``) come with the parse.
     """
 
     annotations: tuple[Annotation, ...]
@@ -236,6 +256,8 @@ class AnnotationBlock:
     code_index: int
     loop_key: int | None
     is_function_contract: bool
+    kind_counts: dict[str, int] = field(default_factory=dict, compare=False, repr=False)
+    clause_keys: tuple[str, ...] = field(default=(), compare=False, repr=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -264,28 +286,47 @@ class AnalyzedCode:
 # first line, whether the next code token heads a loop, and whether the comment
 # sits at brace depth 0.
 _BlockKey = tuple[str, int, bool, bool]
-# The block's clauses (empty when it has none) and its placement.
-_ParsedBlock = tuple[tuple[Annotation, ...], Enclosing]
-# A run's memo: block keys map to parsed blocks, and "lines" to scanned lines.
-_RunMemo = dict[_BlockKey | str, _ParsedBlock | dict[str, LineFacts]]
+# The block's clauses (empty when it has none), placement, kind counts and keys.
+_ParsedBlock = tuple[tuple[Annotation, ...], Enclosing, dict[str, int], tuple[str, ...]]
+# The last parse at a place: its normalized body, its matches' starts, its block.
+_LastParse = tuple[str, list[int], _ParsedBlock]
+_NOTHING_PARSED: _LastParse = ("", [], ((), None, {}, ()))  # type: ignore[assignment]
+# A run's memo: block keys map to parsed blocks, "lines" to scanned lines, and
+# "places" (block keys without the text, plus the comment style) to last parses.
+_RunMemo = dict[_BlockKey | str, _ParsedBlock | dict[str, LineFacts] | dict[tuple, _LastParse]]
+_KEYWORD = attrgetter("kind.keyword")
 
 
-def _parse_block(text: str, line: int, heads_loop: bool, at_file_scope: bool) -> _ParsedBlock:
-    """The clauses of the ACSL comment ``text`` starting on ``line``, and its placement."""
-    block_style = text.startswith("/*")
-    inner = text[3:-2] if block_style else text[3:]  # strip '/*@' and '*/', or '//@'
-    clauses = _scan_clauses("\n".join(map(_normalize_line, inner.split("\n"))), line)
+def _common_prefix(a: str, b: str, limit: int) -> int:
+    """The length of the common prefix of ``a`` and ``b``, at most ``limit``, by bisection."""
+    lo, hi = 0, limit
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if a.startswith(b[lo:mid], lo):
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
 
-    if heads_loop or any(c[0].keyword.startswith("loop ") for c in clauses):
-        placement = LOOP_ANNOTATION
-    elif at_file_scope:
-        placement = FUNCTION_CONTRACT
-    else:
-        placement = STATEMENT
 
-    # In a contract, clauses after a behavior header belong to its body.
+def _common_suffix(a: str, b: str, limit: int) -> int:
+    """The length of the common suffix of ``a`` and ``b``, at most ``limit``, by bisection."""
+    lo, hi = 0, limit
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if a.endswith(b[len(b) - mid : len(b) - lo], 0, len(a) - lo):
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+def _annotate(
+    clauses: Iterable[_Clause], block_style: bool, placement: Enclosing, enclosing: Enclosing
+) -> tuple[list[Annotation], Enclosing]:
+    """``clauses`` as annotations at ``placement``, the first under ``enclosing``, and the
+    enclosing in force after them: in a contract, a behavior header opens its body."""
     annotations: list[Annotation] = []
-    enclosing = placement
     for kind, clause_text, clause_line, behavior_name in clauses:
         header = behavior_name is not None and placement is FUNCTION_CONTRACT
         annotations.append(
@@ -295,7 +336,93 @@ def _parse_block(text: str, line: int, heads_loop: bool, at_file_scope: bool) ->
         )
         if header:
             enclosing = Enclosing("behavior_body", behavior_name)
-    return tuple(annotations), placement
+    return annotations, enclosing
+
+
+def _clauses(annotations: Iterable[Annotation], line_shift: int) -> Iterator[_Clause]:
+    """The clauses ``annotations`` were made from, ``line_shift`` lines further down."""
+    for a in annotations:
+        name = (a.clause_text or _ANONYMOUS) if a.kind is BEHAVIOR else None
+        yield a.kind, a.clause_text, a.line + line_shift, name
+
+
+def _enclosing_after(
+    annotations: tuple[Annotation, ...], n: int, placement: Enclosing
+) -> Enclosing:
+    """The enclosing in force after the first ``n`` of a block's ``annotations``."""
+    if not n:
+        return placement
+    last = annotations[n - 1]
+    if last.kind is BEHAVIOR and placement is FUNCTION_CONTRACT:  # a header, as in ``_annotate``
+        return Enclosing("behavior_body", last.clause_text or _ANONYMOUS)
+    return last.enclosing
+
+
+def _parse_block(
+    text: str,
+    line: int,
+    heads_loop: bool,
+    at_file_scope: bool,
+    last: _LastParse = _NOTHING_PARSED,
+) -> _LastParse:
+    """Parse the ACSL comment ``text`` starting on ``line``; returns it as the next ``last``.
+
+    Only the window where its normalized body differs from ``last``'s, the
+    last parse at this place, is scanned. Clauses before and after it come
+    from ``last`` with their keys, and with their annotations unless the
+    placement, line count or behavior in force changed.
+    """
+    block_style = text.startswith("/*")
+    inner = text[3:-2] if block_style else text[3:]  # strip '/*@' and '*/', or '//@'
+    body = "\n".join(map(_normalize_line, inner.split("\n")))
+    old_body, old_starts, (old, old_placement, old_counts, old_keys) = last
+    limit = min(len(body), len(old_body))
+    prefix = _common_prefix(body, old_body, limit)
+    suffix = _common_suffix(body, old_body, limit - prefix)
+
+    # A match starting in the prefix ends there, and so does its clause, when
+    # two more matches start there: no match holds a ';' or ':' past its start.
+    in_prefix = bisect_left(old_starts, prefix)
+    kept = max(in_prefix - 2, 0)
+    pos = old_starts[kept] if in_prefix >= 2 else 0  # '\A' matches at 0 only
+    shift = len(body) - len(old_body)
+    first = bisect_left(old_starts, len(old_body) - suffix)
+    tail = {start + shift: j for j, start in enumerate(old_starts[first:], first)}
+    window, starts, resumed = _scan_clauses(body, line + body.count("\n", 0, pos), pos, tail)
+    if resumed is None:
+        resumed = len(old)
+
+    counts = dict(old_counts)
+    for keyword in map(_KEYWORD, old[kept:resumed]):
+        counts[keyword] -= 1
+        if not counts[keyword]:
+            del counts[keyword]
+    for clause in window:
+        counts[clause[0].keyword] = counts.get(clause[0].keyword, 0) + 1
+    if heads_loop or not _LOOP_KEYWORDS.isdisjoint(counts):
+        placement = LOOP_ANNOTATION
+    elif at_file_scope:
+        placement = FUNCTION_CONTRACT
+    else:
+        placement = STATEMENT
+
+    head, end = old[:kept], old[resumed:]
+    if placement is old_placement or not head:
+        enclosing = _enclosing_after(old, kept, placement)
+    else:
+        head, enclosing = _annotate(_clauses(head, 0), block_style, placement, placement)
+    middle, enclosing = _annotate(window, block_style, placement, enclosing)
+    line_shift = body.count("\n", prefix, len(body) - suffix)
+    line_shift -= old_body.count("\n", prefix, len(old_body) - suffix)
+    if end and (
+        placement is not old_placement
+        or line_shift
+        or enclosing != _enclosing_after(old, resumed, placement)
+    ):
+        end = _annotate(_clauses(end, line_shift), block_style, placement, enclosing)[0]
+    keys = (*old_keys[:kept], *map(normalize_clause, middle), *old_keys[resumed:])
+    starts = old_starts[:kept] + starts + [start + shift for start in old_starts[resumed:]]
+    return body, starts, ((*head, *middle, *end), placement, counts, keys)
 
 
 def parse_blocks(code: str, parsed: _RunMemo | None = None) -> AnalyzedCode:
@@ -303,18 +430,21 @@ def parse_blocks(code: str, parsed: _RunMemo | None = None) -> AnalyzedCode:
 
     ``parsed``, a dict the caller passes to every reply of one run, maps each
     ACSL comment's key (its text, its first line, whether the next code token
-    heads a loop, whether it sits at brace depth 0) to its clauses and
-    placement, which depend on nothing else. A comment already in ``parsed``
-    is not parsed again; only its ``code_index`` and ``loop_key`` come from
-    this ``code``. Under the key ``"lines"`` it also holds what ``scan``
-    recorded of each line, so a line that an earlier reply already held is
-    not scanned again. The dict holds every distinct comment and line it has
-    seen, so keep it no longer than one run. Raises TokenizeError when
-    ``code`` does not scan.
+    heads a loop, whether it sits at brace depth 0) to its clauses,
+    placement, kind counts and clause keys, which depend on nothing else. A
+    comment already in ``parsed`` is not parsed again; only its
+    ``code_index`` and ``loop_key`` come from this ``code``. Another is
+    parsed against the last parse at its place, so a near repeat, such as
+    a mutant's contract, is scanned only where it differs. Under ``"lines"``
+    ``parsed`` also holds what ``scan`` recorded of each line, so a line
+    that an earlier reply already held is not scanned again. The dict holds
+    every distinct comment and line it has seen, so keep it no longer than
+    one run. Raises TokenizeError when ``code`` does not scan.
     """
     if parsed is None:
         parsed = {}
     comparable, file_scope, acsl = scan(code, parsed.setdefault("lines", {}))
+    places = parsed.setdefault("places", {})
     texts = comparable.texts
     blocks: list[AnnotationBlock] = []
     for ordinal, (text, line, depth, code_index) in enumerate(acsl):
@@ -322,8 +452,10 @@ def parse_blocks(code: str, parsed: _RunMemo | None = None) -> AnalyzedCode:
         key = (text, line, heads_loop, depth == 0)
         block = parsed.get(key)
         if block is None:
-            block = parsed[key] = _parse_block(*key)
-        annotations, placement = block
+            place = (line, heads_loop, depth == 0, text[1])
+            places[place] = _parse_block(*key, places.get(place, _NOTHING_PARSED))
+            block = parsed[key] = places[place][2]
+        annotations, placement, kind_counts, clause_keys = block
         if not annotations:
             continue
         loop_key = None
@@ -336,6 +468,8 @@ def parse_blocks(code: str, parsed: _RunMemo | None = None) -> AnalyzedCode:
                 code_index=code_index,
                 loop_key=loop_key,
                 is_function_contract=placement is FUNCTION_CONTRACT,
+                kind_counts=kind_counts,
+                clause_keys=clause_keys,
             )
         )
     return AnalyzedCode(code, blocks, comparable, file_scope)
@@ -354,6 +488,18 @@ def count_by_kind(annotations: Iterable[Annotation]) -> dict[AnnotationKind, int
     # Counter hashes each clause's kind once; the fold below is once per kind.
     for kind, n in Counter(a.kind for a in annotations).items():
         histogram[kind] = histogram.get(kind, 0) + n
+    return histogram
+
+
+def count_blocks_by_kind(blocks: Iterable[AnnotationBlock]) -> dict[AnnotationKind, int]:
+    """``count_by_kind`` of the blocks' annotations, summed from their ``kind_counts``."""
+    counts: dict[str, int] = {}
+    for block in blocks:
+        for keyword, n in block.kind_counts.items():
+            counts[keyword] = counts.get(keyword, 0) + n
+    histogram = _NO_CLAUSES.copy()  # a copy hashes no kind again
+    for keyword, n in counts.items():
+        histogram[_STARTER_KINDS[keyword]] = n
     return histogram
 
 

@@ -8,9 +8,10 @@ clause, 0.0 means they share nothing.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterable
+from typing import TYPE_CHECKING
 
-from .annotations import Annotation
+if TYPE_CHECKING:
+    from .annotations import Annotation
 
 
 def normalize_clause(annotation: Annotation) -> str:
@@ -18,12 +19,13 @@ def normalize_clause(annotation: Annotation) -> str:
     return " ".join(f"{annotation.kind.keyword} {annotation.clause_text}".split())
 
 
-def spec_similarity(a: Iterable[Annotation], b: Iterable[Annotation]) -> float:
-    """Jaccard index over the multisets of normalized clauses; 1.0 when both empty."""
-    counts_a = Counter(normalize_clause(x) for x in a)
-    counts_b = Counter(normalize_clause(x) for x in b)
-    if not counts_a and not counts_b:
-        return 1.0
-    intersection = sum((counts_a & counts_b).values())
-    union = sum((counts_a | counts_b).values())
-    return intersection / union
+def spec_similarity(a: Counter[str], b: Counter[str]) -> float:
+    """Jaccard index of two multisets of ``normalize_clause`` keys; 1.0 when both empty.
+
+    One pass over the smaller: intersection = sum of min counts, union = |a| + |b| - it.
+    """
+    if len(a) > len(b):
+        a, b = b, a
+    intersection = sum(min(n, b[key]) for key, n in a.items() if key in b)
+    union = a.total() + b.total() - intersection
+    return intersection / union if union else 1.0

@@ -108,25 +108,27 @@ def _identifier_sites(tokens: list[Token]) -> list[MutationSite]:
         # skip call positions; ``tokens`` holds no comments
         return not (idx + 1 < len(tokens) and tokens[idx + 1].text == "(")
 
-    # Replacement pool: other identifiers on the same source line.
+    # Replacement pool: the candidate identifiers on the same source line, but
+    # the site's own text; sorted once per line that holds a site.
     by_line: dict[int, list[int]] = {}
     for idx, t in enumerate(tokens):
         if t.kind is TokenKind.ID and t.text not in C_KEYWORDS:
             by_line.setdefault(t.line, []).append(idx)
+    pools: dict[int, list[str]] = {}
 
     sites: list[MutationSite] = []
     for idx in sorted(condition_indices):
         if not is_candidate(idx):
             continue
         token = tokens[idx]
-        pool = sorted(
-            {
-                tokens[other].text
-                for other in by_line.get(token.line, [])
-                if tokens[other].text != token.text and is_candidate(other)
-            }
-        )
+        pool = pools.get(token.line)
+        if pool is None:
+            pool = pools[token.line] = sorted(
+                {tokens[other].text for other in by_line[token.line] if is_candidate(other)}
+            )
         for replacement in pool:
+            if replacement == token.text:
+                continue
             sites.append(
                 MutationSite(
                     operator=MutationOperator.VARIABLE_SUBSTITUTION,

@@ -18,6 +18,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field, fields
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 from typing import Any, Callable, Generator, Iterable, Iterator, Sequence
 
@@ -29,7 +30,7 @@ from .analyzer import (
     SplitResponse,
     TokenizeError,
     check_code_preserved,
-    count_by_kind,
+    count_blocks_by_kind,
     parse_annotations,
     parse_blocks,
     scan,
@@ -404,16 +405,22 @@ class ExperimentReport(Record):
         }
 
 
+_Cell = tuple[str, str, int]  # (program name, variant value, sample index)
+
+
 def _analyze(
     entry: CorpusEntry,
     prompt: BuiltPrompt,
     sample_index: int,
     response: CompletionResponse | GatewayError,
     parsed: dict,
+    clause_keys: dict[_Cell, list[tuple[str, ...]]],
 ) -> GenerationResult:
     """Turn one backend reply, or its failure, into the cell's result.
 
-    ``parsed`` is the run's block-parse dict (see ``parse_blocks``).
+    ``parsed`` is the run's block-parse dict (see ``parse_blocks``). An ok
+    cell's blocks' clause keys go into ``clause_keys``, for the robustness
+    rows.
     """
     base: dict[str, Any] = dict(
         program_name=entry.program.name,
@@ -437,7 +444,7 @@ def _analyze(
     try:
         analyzed = parse_blocks(split.code, parsed)  # the reply's only scan
         annotations = tuple(parse_annotations(analyzed))
-        histogram = count_by_kind(annotations)
+        histogram = count_blocks_by_kind(analyzed.blocks)
         lint_issues = tuple(lint_code(analyzed))
         preservation = check_code_preserved(entry.comparable, analyzed)
     except TokenizeError as exc:
@@ -449,6 +456,9 @@ def _analyze(
             **base,
         )
 
+    clause_keys[entry.program.name, prompt.variant.value, sample_index] = [
+        block.clause_keys for block in analyzed.blocks
+    ]
     return GenerationResult(
         status=STATUS_OK,
         response=response,
@@ -462,29 +472,25 @@ def _analyze(
 
 
 def _robustness_rows(
-    results: Sequence[GenerationResult],
+    clause_keys: dict[_Cell, list[tuple[str, ...]]],
     pairs: Sequence[tuple[str, str]],
     variants: Sequence[PromptVariant],
 ) -> list[RobustnessRow]:
-    by_cell: dict[tuple[str, str, int], GenerationResult] = {
-        (r.program_name, r.variant.value, r.sample_index): r for r in results
-    }
-    max_sample = max((r.sample_index for r in results), default=-1)
+    """One row per mutant pair and variant, from each ok cell's blocks' ``clause_keys``."""
+    samples = range(max((sample for _, _, sample in clause_keys), default=-1) + 1)
     rows = []
     for parent, mutant in pairs:
         for variant in variants:
             scores = []
-            for sample in range(max_sample + 1):
-                a = by_cell.get((parent, variant.value, sample))
-                b = by_cell.get((mutant, variant.value, sample))
-                if (
-                    a is None
-                    or b is None
-                    or a.status != STATUS_OK
-                    or b.status != STATUS_OK
-                ):
-                    continue
-                scores.append(spec_similarity(a.annotations, b.annotations))
+            for sample in samples:
+                a = clause_keys.get((parent, variant.value, sample))
+                b = clause_keys.get((mutant, variant.value, sample))
+                if a is not None and b is not None:
+                    scores.append(
+                        spec_similarity(
+                            Counter(chain.from_iterable(a)), Counter(chain.from_iterable(b))
+                        )
+                    )
             rows.append(
                 RobustnessRow(
                     parent=parent,
@@ -666,10 +672,15 @@ def run(
     The replies share one block-parse dict for the length of this call (see
     ``parse_blocks``): an ACSL comment that recurs with the same text, first
     line, loop-head and brace-depth-0 facts, as samples of one prompt or of
-    a program and its mutant often do, is parsed once per call. The same
-    dict holds the lines the replies' scans have seen, so a line of C that
-    an earlier reply already held is not scanned again. The dict is dropped
-    when the call returns, so no parse or line outlives it.
+    a program and its mutant often do, is parsed once per call, and one that
+    nearly repeats the last comment parsed at its place, as a mutant's
+    contract does its parent's, is scanned only where the two differ. Each
+    parse carries its blocks' kind counts and clause keys: a cell's
+    histogram is the sum of the counts, and its clause multiset, for the
+    robustness rows, one count over the keys it keeps. The same dict holds
+    the lines the replies' scans have seen, so a line of C that an earlier
+    reply already held is not scanned again. The dict and the kept keys are
+    dropped when the call returns, so no parse or line outlives it.
 
     At most ``max_workers`` backend attempts are on the wire, each on one of
     ``max_workers`` worker threads. A live request backing off between
@@ -707,11 +718,14 @@ def run(
         for _, prompt, sample in cells
     ]
     parsed: dict = {}  # block parses and scanned lines shared by this run's replies only
+    clause_keys: dict[_Cell, list[tuple[str, ...]]] = {}  # each ok cell's blocks' keys
     with _Dispatch(backend, requests, max_workers) as replies:
-        results = [_analyze(*cell, reply, parsed) for cell, reply in zip(cells, replies)]
+        results = [
+            _analyze(*cell, reply, parsed, clause_keys) for cell, reply in zip(cells, replies)
+        ]
     results.sort(key=lambda r: (r.program_name, r.variant.value, r.sample_index))
 
-    rows = _robustness_rows(results, mutant_pairs(entries), variants)
+    rows = _robustness_rows(clause_keys, mutant_pairs(entries), variants)
     notes = []
     if isinstance(backend, ReplayBackend):
         notes.append(REPLAY_PROVENANCE_NOTE)

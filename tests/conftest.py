@@ -8,6 +8,12 @@ from pathlib import Path
 from typing import Any, Callable
 
 import pytest
+from hypothesis import settings
+
+# CI runs with HYPOTHESIS_PROFILE=ci, so a property that fails there prints the
+# blob that ``@reproduce_failure`` replays locally.
+settings.register_profile("ci", print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 CORPUS_DIR = REPO_ROOT / "corpus"

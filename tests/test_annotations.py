@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import FIXTURES_DIR, oracle_tokens, within
@@ -13,14 +13,16 @@ from specforge.analyzer import (
     Enclosing,
     NoCodeFence,
     TokenizeError,
+    count_blocks_by_kind,
     count_by_kind,
     merge_loop_assigns,
+    normalize_clause,
     parse_annotations,
     parse_blocks,
     split_response,
     strip_annotations,
 )
-from specforge.analyzer.annotations import _DECORATION, _normalize_line
+from specforge.analyzer.annotations import _DECORATION, _normalize_line, _parse_block
 
 
 # --------------------------------------------------------------- split_response
@@ -488,3 +490,111 @@ def test_a_shared_block_parse_keeps_loop_head_and_file_scope_apart(first):
         assert (annotation.enclosing.context, annotation.line) == (context, 2)
         assert (block.loop_key is None) == (context != "loop")
         assert block.is_function_contract == (context == "function_contract")
+
+
+# ------------------------------------------- a block parsed against the last one
+
+# What an edit inserts: clause pieces, keywords, and the behavior headers and
+# loop keywords that change enclosings and placement.
+_EDIT_PIECES = st.sampled_from(
+    _BODY_PIECES + [kw + " " for kw in _KEYWORDS] + ["behavior b: ", "loop ", "\n", ""]
+)
+
+
+@st.composite
+def _edited_bodies(draw):
+    """An annotation body and the same body after one to three random edits."""
+    old = new = draw(_acsl_body())
+    for _ in range(draw(st.integers(1, 3))):
+        start = draw(st.integers(0, len(new)))
+        end = draw(st.integers(start, min(len(new), start + 8)))
+        inserted = "".join(draw(st.lists(_EDIT_PIECES, max_size=3)))
+        new = new[:start] + inserted + new[end:]
+    return old, new
+
+
+def _block_facts(parse):
+    """A ``_parse_block`` result: annotations as encoded, placement, kind counts, keys."""
+    body, starts, (annotations, placement, kind_counts, keys) = parse
+    return body, starts, [a.to_dict() for a in annotations], placement, kind_counts, keys
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    bodies=_edited_bodies(),
+    style=st.sampled_from(["/*@", "//@"]),
+    line=st.integers(1, 4),
+    heads_loop=st.booleans(),
+    at_file_scope=st.booleans(),
+)
+# no old match starts in the common prefix: the scan restarts at 0, not there
+@example(bodies=("x; requires a;", "requires x; requires a;"), style="/*@", line=1,
+         heads_loop=False, at_file_scope=True)
+# the window starts lines into the body; its first line is counted once
+@example(bodies=("requires a;\nrequires b;\nrequires c;\n ensures d;",
+                 "requires a;\nrequires b;\nrequires c;\n ensures e;"), style="/*@", line=3,
+         heads_loop=False, at_file_scope=True)
+# a loop keyword in the window turns every clause into a loop annotation
+@example(bodies=("assert x;\nassert y;\nassert z;\nassert w;",
+                 "assert x;\nassert y;\nloop invariant z;\nassert w;"), style="/*@", line=1,
+         heads_loop=False, at_file_scope=False)
+# a behavior header in the window moves the unchanged tail into its body
+@example(bodies=("requires a;\nassumes b;\nensures c;\nensures d;\nensures e;",
+                 "requires a; behavior p:\nassumes b;\nensures c;\nensures d;\nensures e;"),
+         style="/*@", line=1, heads_loop=False, at_file_scope=True)
+def test_a_block_parsed_against_the_last_equals_a_fresh_parse(
+    bodies, style, line, heads_loop, at_file_scope
+):
+    old, new = ((style + body + "*/" if style == "/*@" else style + body.replace("\n", " "))
+                for body in bodies)
+    last = _parse_block(old, line, heads_loop, at_file_scope)
+    fresh = _parse_block(new, line, heads_loop, at_file_scope)
+    windowed = _parse_block(new, line, heads_loop, at_file_scope, last)
+    assert _block_facts(windowed) == _block_facts(fresh)
+    # the keys are the one rule's, and the counts the census of the clauses
+    annotations = fresh[2][0]
+    assert fresh[2][3] == tuple(map(normalize_clause, annotations))
+    assert fresh[2][2] == {
+        kind.keyword: n for kind, n in count_by_kind(annotations).items() if n
+    }
+
+
+@st.composite
+def _replies_with_fragments(draw):
+    """Shipped replies, some with a fragment inserted, in random order."""
+    replies = []
+    for code in draw(st.lists(st.sampled_from(_SHIPPED_REPLIES), min_size=2, max_size=6)):
+        if draw(st.booleans()):
+            at = draw(st.integers(0, len(code)))
+            fragment = "".join(draw(st.lists(_EDIT_PIECES, max_size=3)))
+            code = code[:at] + fragment + code[at:]
+        replies.append(code)
+    return replies
+
+
+_SHIPPED_REPLIES = sorted(
+    {split_response(path.read_text(encoding="utf-8")).code for path in FIXTURES_DIR.rglob("*.txt")}
+)
+
+
+def _blocks_with_facts(analyzed):
+    return [(b, b.kind_counts, b.clause_keys) for b in analyzed.blocks]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_replies_with_fragments())
+def test_shipped_replies_through_one_dict_equal_each_parsed_alone(replies):
+    parsed: dict = {}
+    shared = [_blocks_or_error(lambda c: _blocks_with_facts(parse_blocks(c, parsed)), r)
+              for r in replies]
+    alone = [_blocks_or_error(lambda c: _blocks_with_facts(parse_blocks(c)), r) for r in replies]
+    assert shared == alone
+
+
+def test_count_blocks_by_kind_is_count_by_kind_of_their_annotations():
+    parsed: dict = {}
+    for code in _SHIPPED_REPLIES:
+        blocks = parse_blocks(code, parsed).blocks
+        annotations = [a for b in blocks for a in b.annotations]
+        census = count_blocks_by_kind(blocks)
+        assert list(census.items()) == list(count_by_kind(annotations).items())

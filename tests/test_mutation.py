@@ -4,13 +4,18 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import oracle_tokens
+from reference_mutation import reference_identifier_sites
+from specforge.analyzer.lexer import tokenize
 from specforge.model import SourceProgram
 from specforge.mutation import (
     MutationOperator,
     MutationRecord,
     NoMutationSite,
+    _identifier_sites,
     apply_site,
     enumerate_sites,
     mutate,
@@ -208,3 +213,18 @@ def test_enumerate_sites_unchanged_on_shipped_corpus(corpus_load):
     digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
     assert len(rows) == 523
     assert digest == "51f52cb3b2f2f3c766239a6c1c1a0daa672ebfd3552a014beb8636634101cfd0"
+
+
+# Condition headers with repeated, called and keyword identifiers on one line
+# or across lines.
+_C_PIECES = st.sampled_from([
+    "if (", "while (", "for (", "(", ")", "a", "b", "len1", "x", "a", "g(", "int ",
+    "return ", "sizeof", " < ", " + ", " == ", "; ", ", ", "[", "]", "{", "}", "\n",
+])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_C_PIECES, max_size=40).map("".join))
+def test_identifier_sites_match_reference(source):
+    tokens = [t for t in tokenize(source) if not t.is_comment]
+    assert _identifier_sites(tokens) == reference_identifier_sites(tokens)

@@ -3,16 +3,21 @@ from __future__ import annotations
 import csv
 import dataclasses
 import hashlib
+import importlib.util
 import json
 import random
 import shutil
+import sys
 import threading
 from pathlib import Path
 
 import pytest
 
-from conftest import ADPCM_CSV, ALIAS5_EVA_EXCERPT, CORPUS_DIR, FIXTURES_DIR, TEMPLATES_DIR
-from specforge.analyzer import PreservationVerdict, tokenize
+from conftest import (
+    ADPCM_CSV, ALIAS5_EVA_EXCERPT, CORPUS_DIR, FIXTURES_DIR, REPO_ROOT, TEMPLATES_DIR,
+)
+from specforge import runner
+from specforge.analyzer import PreservationVerdict, count_by_kind, parse_blocks, tokenize
 from specforge.gateway import BackendError, CompletionResponse, ReplayBackend
 from specforge.model import AnnotationKind, GenerationConfig, Origin, PromptVariant
 from specforge.cli import main
@@ -832,9 +837,9 @@ def test_block_parses_are_shared_within_a_run_and_never_across_runs(
     scan = annotations._scan_clauses
     scans: list[str] = []
 
-    def counting_scan(body, first_line):
+    def counting_scan(body, *window):
         scans.append(body)
-        return scan(body, first_line)
+        return scan(body, *window)
 
     monkeypatch.setattr(annotations, "_scan_clauses", counting_scan)
     per_run = []
@@ -848,6 +853,49 @@ def test_block_parses_are_shared_within_a_run_and_never_across_runs(
     )
     assert per_run[0] == per_run[1]  # the second run reuses nothing from the first
     assert 0 < per_run[0] < comments  # comments repeated within a run are scanned once
+
+
+def _load_synth(monkeypatch):
+    """``perfbench/synth.py`` as it ships, imported read-only."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_synth", REPO_ROOT / "perfbench" / "synth.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+def _cells(report):
+    """Each ok cell's annotations, histogram and lint issues, and the robustness rows."""
+    cells = [
+        (r.program_name, r.variant, r.sample_index, r.annotations, r.histogram, r.lint_issues)
+        for r in report.results
+        if r.status == STATUS_OK
+    ]
+    return cells, report.robustness
+
+
+@pytest.mark.parametrize("corpus", ["shipped", "synthetic seed 41"])
+def test_a_run_equals_one_that_parses_each_reply_with_a_fresh_memo(
+    monkeypatch, tmp_path, templates_module, corpus
+):
+    if corpus == "shipped":
+        entries, backend = load_corpus(CORPUS_DIR), ReplayBackend(FIXTURES_DIR)
+        variants = ALL_VARIANTS
+    else:
+        _load_synth(monkeypatch).generate(tmp_path, 41, 7)
+        entries = load_corpus(tmp_path / "corpus")
+        backend, variants = ReplayBackend(tmp_path / "fixtures"), [PromptVariant.BASELINE]
+    config = GenerationConfig(samples_per_program=3)
+    shared = run(entries, variants, config, backend, templates_module)
+    monkeypatch.setattr(runner, "parse_blocks", lambda code, parsed: parse_blocks(code))
+    alone = run(entries, variants, config, backend, templates_module)
+    assert _cells(shared) == _cells(alone)
+    assert any(row.pairs_compared for row in shared.robustness)
+    for result in shared.results:
+        if result.status == STATUS_OK:  # the census summed from blocks is count_by_kind's
+            assert result.histogram == count_by_kind(result.annotations)
 
 
 # Model text that looks like our syntax: template placeholders, and braces
