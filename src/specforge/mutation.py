@@ -6,6 +6,13 @@ or narrowing a relational operator, and flipping an additive operator. Sites
 are enumerated in source order; ``mutate`` picks one with a seeded generator,
 so the same (program bytes, seed) always reproduces the same mutant.
 
+``enumerate_sites`` and ``mutate`` share one pass over the tokens
+(``_choices``): each operator token and each condition-header name is a
+single-token choice, with one site per replacement. ``enumerate_sites``
+builds every site; ``mutate`` counts the sites, draws the k-th, and builds
+only that one, so it draws what picking from ``enumerate_sites``'
+single-token sites would.
+
 Mutants carry a contract: the parent and mutant token streams differ in
 exactly one position. A full index-pair swap edits two token positions, so
 index-swap sites are enumerated (and can be applied explicitly through
@@ -15,8 +22,11 @@ index-swap sites are enumerated (and can be applied explicitly through
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
 
 from .analyzer.lexer import C_KEYWORDS, Token, TokenKind, tokenize
 from .model import NoMutationSite, Origin, Record, SourceProgram  # NoMutationSite re-exported
@@ -73,89 +83,51 @@ _OPERATOR_SWAPS = {  # token -> (operator, replacement)
 _CONDITION_HEADS = frozenset(("if", "while", "for"))
 
 
-def _condition_token_indices(tokens: list[Token]) -> set[int]:
-    """Indices of tokens inside if/while/for parenthesized headers."""
-    inside: set[int] = set()
-    i = 0
-    n = len(tokens)
-    while i < n:
-        t = tokens[i]
-        if t.kind is TokenKind.ID and t.text in _CONDITION_HEADS:
-            if i + 1 < n and tokens[i + 1].text == "(":  # ``tokens`` holds no comments
-                depth = 0
-                k = i + 1
-                while k < n:
-                    if tokens[k].text == "(":
-                        depth += 1
-                    elif tokens[k].text == ")":
-                        depth -= 1
-                        if depth == 0:
-                            break
-                    inside.add(k)
-                    k += 1
-                i = k
-        i += 1
-    return {idx for idx in inside if tokens[idx].text not in ("(", ")")}
+def _choices(tokens: list[Token]) -> tuple[list[Token], dict[int, set[str]]]:
+    """The single-token choices among ``tokens`` (no comments), in source order,
+    and each line's candidate names.
+
+    A choice is an operator token, or a candidate name inside an ``if``,
+    ``while`` or ``for`` header. A candidate name is a non-keyword identifier
+    that no ``(`` follows (not in call position); a name's replacements are
+    the other candidate names on its line, later ones included.
+    """
+    choices: list[Token] = []
+    names: dict[int, set[str]] = defaultdict(set)
+    depth = 0  # parenthesis depth inside a condition header; 0 outside one
+    before = ""  # the last token's text
+    for t, after in zip(tokens, [other.text for other in tokens[1:]] + [""]):
+        kind, text, line, _, _ = t
+        if kind is TokenKind.ID:
+            if text not in C_KEYWORDS and after != "(":
+                names[line].add(text)
+                if depth:
+                    choices.append(t)
+        elif text == "(":
+            if depth or before in _CONDITION_HEADS:
+                depth += 1
+        elif text == ")":
+            if depth:
+                depth -= 1
+        elif text in _OPERATOR_SWAPS and kind is TokenKind.PUNCT:
+            choices.append(t)
+        before = text
+    return choices, names
 
 
-def _identifier_sites(tokens: list[Token]) -> list[MutationSite]:
-    condition_indices = _condition_token_indices(tokens)
-
-    def is_candidate(idx: int) -> bool:
-        t = tokens[idx]
-        if t.kind is not TokenKind.ID or t.text in C_KEYWORDS:
-            return False
-        # skip call positions; ``tokens`` holds no comments
-        return not (idx + 1 < len(tokens) and tokens[idx + 1].text == "(")
-
-    # Replacement pool: the candidate identifiers on the same source line, but
-    # the site's own text; sorted once per line that holds a site.
-    by_line: dict[int, list[int]] = {}
-    for idx, t in enumerate(tokens):
-        if t.kind is TokenKind.ID and t.text not in C_KEYWORDS:
-            by_line.setdefault(t.line, []).append(idx)
-    pools: dict[int, list[str]] = {}
-
-    sites: list[MutationSite] = []
-    for idx in sorted(condition_indices):
-        if not is_candidate(idx):
-            continue
-        token = tokens[idx]
-        pool = pools.get(token.line)
-        if pool is None:
-            pool = pools[token.line] = sorted(
-                {tokens[other].text for other in by_line[token.line] if is_candidate(other)}
-            )
-        for replacement in pool:
-            if replacement == token.text:
-                continue
-            sites.append(
-                MutationSite(
-                    operator=MutationOperator.VARIABLE_SUBSTITUTION,
-                    line=token.line,
-                    token=token.text,
-                    replacement=replacement,
-                    edits=((token.start, token.end, replacement),),
-                )
-            )
-    return sites
+def _replacements(token: Token, names: dict[int, set[str]]) -> list[str]:
+    """What a choice can become, in the order its sites sort."""
+    if token.kind is TokenKind.PUNCT:
+        return [_OPERATOR_SWAPS[token.text][1]]
+    return sorted(names[token.line] - {token.text})
 
 
-def _operator_sites(tokens: list[Token]) -> list[MutationSite]:
-    sites: list[MutationSite] = []
-    for t in tokens:
-        if t.kind is TokenKind.PUNCT and t.text in _OPERATOR_SWAPS:
-            operator, replacement = _OPERATOR_SWAPS[t.text]
-            sites.append(
-                MutationSite(
-                    operator=operator,
-                    line=t.line,
-                    token=t.text,
-                    replacement=replacement,
-                    edits=((t.start, t.end, replacement),),
-                )
-            )
-    return sites
+def _site(token: Token, replacement: str) -> MutationSite:
+    operator = MutationOperator.VARIABLE_SUBSTITUTION
+    if token.kind is TokenKind.PUNCT:
+        operator = _OPERATOR_SWAPS[token.text][0]
+    edits = ((token.start, token.end, replacement),)
+    return MutationSite(operator, token.line, token.text, replacement, edits)
 
 
 def _index_swap_sites(tokens: list[Token]) -> list[MutationSite]:
@@ -192,11 +164,17 @@ def _index_swap_sites(tokens: list[Token]) -> list[MutationSite]:
 
 
 def enumerate_sites(program: SourceProgram) -> list[MutationSite]:
-    """Every applicable typo site, ordered by source position."""
+    """Every applicable typo site, ordered by source position.
+
+    Each single-token choice of ``mutate``'s pass becomes one site per
+    replacement; the index-swap sites join them, and the sort puts them in
+    the order ``mutate`` counts (an index swap, never drawn, sorts before a
+    substitution at the same position).
+    """
     tokens = [t for t in tokenize(program.source) if not t.is_comment]
-    sites = (
-        _identifier_sites(tokens) + _operator_sites(tokens) + _index_swap_sites(tokens)
-    )
+    choices, names = _choices(tokens)
+    sites = [_site(t, r) for t in choices for r in _replacements(t, names)]
+    sites += _index_swap_sites(tokens)
     sites.sort(key=lambda s: (s.edits[0][0], s.operator.value, s.replacement))
     return sites
 
@@ -212,13 +190,25 @@ def apply_site(source: str, site: MutationSite) -> str:
 def mutate(program: SourceProgram, seed: int) -> tuple[SourceProgram, MutationRecord]:
     """Apply one seeded single-token typo; same (program, seed) → same mutant.
 
+    Tokenizes once and counts the single-token sites without building them:
+    an operator token is one site, a condition-header name one per other
+    candidate name on its line. The seed draws the k-th of them in
+    ``enumerate_sites``' order, the site that drawing from that list would
+    give, and only that site is built (only its name pool is sorted).
     Raises NoMutationSite when no single-token site exists.
     """
-    candidates = [s for s in enumerate_sites(program) if s.single_token]
-    if not candidates:
+    choices, names = _choices([t for t in tokenize(program.source) if not t.is_comment])
+    totals = list(
+        accumulate(
+            1 if t.kind is TokenKind.PUNCT else len(names[t.line]) - 1 for t in choices
+        )
+    )
+    if not totals or not totals[-1]:
         raise NoMutationSite(f"no single-token mutation site in {program.name!r}")
-    rng = random.Random(seed)
-    site = candidates[rng.randrange(len(candidates))]
+    k = random.Random(seed).randrange(totals[-1])
+    i = bisect_right(totals, k)
+    token = choices[i]
+    site = _site(token, _replacements(token, names)[k - (totals[i - 1] if i else 0)])
     mutation_id = f"{site.operator.value}-l{site.line}-s{seed}"
     record = MutationRecord(
         mutation_id=mutation_id,

@@ -1,16 +1,27 @@
-"""Frozen reference implementation of the identifier-substitution sites.
+"""Frozen reference implementation of the mutation sites and the seeded draw.
 
 ``reference_identifier_sites`` is the original ``mutation._identifier_sites``,
 kept as it was, with the condition-header walk it relied on, so that
 differential tests can compare the package's version with it. It re-filters
 every identifier on a line for each candidate on that line, which is
-quadratic per line. Do not optimize it.
+quadratic per line. ``reference_enumerate_sites`` and ``reference_mutate``
+are ``enumerate_sites`` and ``mutate`` as they were when ``mutate`` built
+every site and then drew one from the list. Do not optimize them.
 """
 
 from __future__ import annotations
 
-from specforge.analyzer.lexer import C_KEYWORDS, Token, TokenKind
-from specforge.mutation import MutationOperator, MutationSite
+import random
+
+from specforge.analyzer.lexer import C_KEYWORDS, Token, TokenKind, tokenize
+from specforge.model import Origin, SourceProgram
+from specforge.mutation import (
+    MutationOperator,
+    MutationRecord,
+    MutationSite,
+    NoMutationSite,
+    apply_site,
+)
 
 _CONDITION_HEADS = frozenset(("if", "while", "for"))
 
@@ -79,3 +90,102 @@ def reference_identifier_sites(tokens: list[Token]) -> list[MutationSite]:
                 )
             )
     return sites
+
+
+_OPERATOR_SWAPS = {  # token -> (operator, replacement)
+    "<": (MutationOperator.RELATIONAL_FLIP, "<="),
+    "<=": (MutationOperator.RELATIONAL_FLIP, "<"),
+    ">": (MutationOperator.RELATIONAL_FLIP, ">="),
+    ">=": (MutationOperator.RELATIONAL_FLIP, ">"),
+    "+": (MutationOperator.ARITHMETIC_OPERATOR_SWAP, "-"),
+    "-": (MutationOperator.ARITHMETIC_OPERATOR_SWAP, "+"),
+}
+
+
+def _operator_sites(tokens: list[Token]) -> list[MutationSite]:
+    sites: list[MutationSite] = []
+    for t in tokens:
+        if t.kind is TokenKind.PUNCT and t.text in _OPERATOR_SWAPS:
+            operator, replacement = _OPERATOR_SWAPS[t.text]
+            sites.append(
+                MutationSite(
+                    operator=operator,
+                    line=t.line,
+                    token=t.text,
+                    replacement=replacement,
+                    edits=((t.start, t.end, replacement),),
+                )
+            )
+    return sites
+
+
+def _index_swap_sites(tokens: list[Token]) -> list[MutationSite]:
+    """2-D accesses ``base[a][b]`` with distinct single-token indices."""
+    sites: list[MutationSite] = []
+    single = (TokenKind.ID, TokenKind.NUMBER)
+    for i in range(len(tokens) - 6):
+        window = tokens[i : i + 7]
+        if (
+            window[0].kind is TokenKind.ID
+            and window[0].text not in C_KEYWORDS
+            and window[1].text == "["
+            and window[2].kind in single
+            and window[3].text == "]"
+            and window[4].text == "["
+            and window[5].kind in single
+            and window[6].text == "]"
+            and window[2].text != window[5].text
+        ):
+            base, first, second = window[0], window[2], window[5]
+            sites.append(
+                MutationSite(
+                    operator=MutationOperator.INDEX_SWAP,
+                    line=base.line,
+                    token=f"{base.text}[{first.text}][{second.text}]",
+                    replacement=f"{base.text}[{second.text}][{first.text}]",
+                    edits=(
+                        (first.start, first.end, second.text),
+                        (second.start, second.end, first.text),
+                    ),
+                )
+            )
+    return sites
+
+
+def reference_enumerate_sites(program: SourceProgram) -> list[MutationSite]:
+    """Every applicable typo site, ordered by source position."""
+    tokens = [t for t in tokenize(program.source) if not t.is_comment]
+    sites = (
+        reference_identifier_sites(tokens)
+        + _operator_sites(tokens)
+        + _index_swap_sites(tokens)
+    )
+    sites.sort(key=lambda s: (s.edits[0][0], s.operator.value, s.replacement))
+    return sites
+
+
+def reference_mutate(
+    program: SourceProgram, seed: int
+) -> tuple[SourceProgram, MutationRecord]:
+    """Build every site, keep the single-token ones, and draw one with the seed."""
+    candidates = [s for s in reference_enumerate_sites(program) if s.single_token]
+    if not candidates:
+        raise NoMutationSite(f"no single-token mutation site in {program.name!r}")
+    rng = random.Random(seed)
+    site = candidates[rng.randrange(len(candidates))]
+    mutation_id = f"{site.operator.value}-l{site.line}-s{seed}"
+    record = MutationRecord(
+        mutation_id=mutation_id,
+        operator=site.operator,
+        line=site.line,
+        original_token=site.token,
+        mutated_token=site.replacement,
+        seed=seed,
+    )
+    mutant = SourceProgram(
+        name=f"{program.name}.mut-{mutation_id}",
+        source=apply_site(program.source, site),
+        entry_function=program.entry_function,
+        origin=Origin.mutant(parent_name=program.name, mutation_id=mutation_id),
+    )
+    return mutant, record

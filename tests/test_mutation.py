@@ -4,18 +4,21 @@ import hashlib
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import oracle_tokens
-from reference_mutation import reference_identifier_sites
+from reference_mutation import (
+    reference_enumerate_sites,
+    reference_identifier_sites,
+    reference_mutate,
+)
 from specforge.analyzer.lexer import tokenize
 from specforge.model import SourceProgram
 from specforge.mutation import (
     MutationOperator,
     MutationRecord,
     NoMutationSite,
-    _identifier_sites,
     apply_site,
     enumerate_sites,
     mutate,
@@ -224,7 +227,64 @@ _C_PIECES = st.sampled_from([
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(_C_PIECES, max_size=40).map("".join))
+@given(st.lists(_C_PIECES, min_size=1, max_size=40).map("".join))
 def test_identifier_sites_match_reference(source):
     tokens = [t for t in tokenize(source) if not t.is_comment]
-    assert _identifier_sites(tokens) == reference_identifier_sites(tokens)
+    substitutions = [
+        s
+        for s in enumerate_sites(SourceProgram(name="p", source=source))
+        if s.operator is MutationOperator.VARIABLE_SUBSTITUTION
+    ]
+    assert substitutions == reference_identifier_sites(tokens)
+
+
+def _drawn(draw, program, seed):
+    try:
+        return draw(program, seed)
+    except NoMutationSite as e:
+        return str(e)
+
+
+# The pieces above plus what the draw's pass must step over or through:
+# comments between a name or a head and its '(', heads no '(' follows,
+# strings and characters holding parentheses, directives, and headers nested
+# in headers.
+_DRAW_PIECES = st.one_of(
+    _C_PIECES,
+    st.sampled_from([
+        "/* c */", "/*@ requires a < b; */", "// if (a < b)\n", "g /* c */ (",
+        "if /* c */ (", "if ", "for ", "while ; (", "if 0 (", "\"(x + \"", "'('",
+        "#define M(a) (a < b)\n", "\n#if x > 0\n", "if (a < (b + g(x)))",
+        "while (for (a; b <= x; ))", "m[a][b]", "len1 - x", "0",
+    ]),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@example("while ; (a < b) if /* c */ (x + len1 < g /* c */ (a))\n", list(range(12)))
+@given(
+    st.lists(_DRAW_PIECES, min_size=1, max_size=40).map("".join),
+    st.lists(st.integers(min_value=0, max_value=2**64), min_size=1, max_size=8),
+)
+def test_mutate_draws_what_building_every_site_draws(source, seeds):
+    program = SourceProgram(name="p", source=source)
+    assert enumerate_sites(program) == reference_enumerate_sites(program)
+    for seed in seeds:
+        assert _drawn(mutate, program, seed) == _drawn(reference_mutate, program, seed)
+
+
+def test_mutate_unchanged_on_shipped_corpus(corpus_load):
+    # Digest of every shipped program's mutant and record for seeds 0-49,
+    # recorded from the implementation that built every site to draw one.
+    rows = []
+    for entry in corpus_load.entries:
+        for seed in range(50):
+            outcome = _drawn(mutate, entry.program, seed)
+            if isinstance(outcome, str):
+                rows.append([entry.program.name, seed, None])
+            else:
+                mutant, record = outcome
+                rows.append([entry.program.name, seed, mutant.to_dict(), record.to_dict()])
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert len(rows) == 550
+    assert digest == "dd9207b480ec895c6fc115d11a9d6ad8245675641af33cde2b4c9e739d07e95a"

@@ -36,3 +36,19 @@ def test_tracer_rebinds_every_target_and_restores_it(monkeypatch):
         tracer.uninstall()
     for owner, attr, original in saved:
         assert getattr(owner, attr) is original, attr
+
+
+def test_mutate_tokenizes_once_under_the_tracer(monkeypatch, corpus_load):
+    from specforge import mutation
+
+    program = next(e.program for e in corpus_load.entries if e.program.name == "levenshtein")
+    tracer = _load_spans(monkeypatch).Tracer()
+    try:
+        tracer.install()
+        mutation.mutate(program, 7)
+    finally:
+        tracer.uninstall()
+    assert tracer.counts[(tracer.op, "analyzer.tokenize_calls")] == 1
+    assert tracer.counts[(tracer.op, "analyzer.tokenize_bytes")] == len(
+        program.source.encode("utf-8")
+    )
