@@ -15,7 +15,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from ..model import ASSIGNS, BEHAVIOR, KNOWN_KINDS, LOOP_ASSIGNS, AnnotationKind, Record
 from .lexer import ComparableStream, LineFacts, scan, tokenize
@@ -201,29 +201,16 @@ _Clause = tuple[AnnotationKind, str, int, str | None]
 _ANONYMOUS = "<anonymous>"  # the name of a behavior header without one
 
 
-def _scan_clauses(
-    body: str, line: int, pos: int, tail: dict[int, int]
-) -> tuple[list[_Clause], list[int], int | None]:
-    """The clauses of a normalized body from ``pos`` (on ``line``) on, and their matches' starts.
-
-    The scan stops at the first match starting at a key of ``tail``, and
-    returns that key's value too (None when it ran to the end of the body).
-    """
-    matches: list[re.Match[str]] = []
-    end, resumed = len(body), None
-    for m in _STARTER_RE.finditer(body, pos):
-        resumed = tail.get(m.start())
-        if resumed is not None:
-            end = m.start(1)
-            break
-        matches.append(m)
+def _scan_clauses(body: str, line: int, pos: int) -> tuple[list[_Clause], list[int]]:
+    """The clauses of a normalized body from ``pos`` (on ``line``) on, and their matches' starts."""
+    matches = list(_STARTER_RE.finditer(body, pos))
     clauses: list[_Clause] = []
     counted = pos
     for i, m in enumerate(matches):
         start, keyword_end = m.span(1)
         keyword = m.group(1)
         kind = _STARTER_KINDS.get(keyword) or _STARTER_KINDS[" ".join(keyword.split())]
-        stop = matches[i + 1].start(1) if i + 1 < len(matches) else end
+        stop = matches[i + 1].start(1) if i + 1 < len(matches) else len(body)
         text = body[keyword_end:stop].strip().rstrip(";").strip()
         behavior_name = None
         if kind is BEHAVIOR:
@@ -235,7 +222,7 @@ def _scan_clauses(
         line += body.count("\n", counted, start)
         counted = start
         clauses.append((kind, text, line, behavior_name))
-    return clauses, [m.start() for m in matches], resumed
+    return clauses, [m.start() for m in matches]
 
 
 @dataclass(frozen=True)
@@ -309,23 +296,11 @@ def _common_prefix(a: str, b: str, limit: int) -> int:
     return lo
 
 
-def _common_suffix(a: str, b: str, limit: int) -> int:
-    """The length of the common suffix of ``a`` and ``b``, at most ``limit``, by bisection."""
-    lo, hi = 0, limit
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if a.endswith(b[len(b) - mid : len(b) - lo], 0, len(a) - lo):
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
-
-
 def _annotate(
     clauses: Iterable[_Clause], block_style: bool, placement: Enclosing, enclosing: Enclosing
-) -> tuple[list[Annotation], Enclosing]:
-    """``clauses`` as annotations at ``placement``, the first under ``enclosing``, and the
-    enclosing in force after them: in a contract, a behavior header opens its body."""
+) -> list[Annotation]:
+    """``clauses`` as annotations at ``placement``, the first under ``enclosing``: in a
+    contract, a behavior header opens its body for the clauses after it."""
     annotations: list[Annotation] = []
     for kind, clause_text, clause_line, behavior_name in clauses:
         header = behavior_name is not None and placement is FUNCTION_CONTRACT
@@ -336,14 +311,7 @@ def _annotate(
         )
         if header:
             enclosing = Enclosing("behavior_body", behavior_name)
-    return annotations, enclosing
-
-
-def _clauses(annotations: Iterable[Annotation], line_shift: int) -> Iterator[_Clause]:
-    """The clauses ``annotations`` were made from, ``line_shift`` lines further down."""
-    for a in annotations:
-        name = (a.clause_text or _ANONYMOUS) if a.kind is BEHAVIOR else None
-        yield a.kind, a.clause_text, a.line + line_shift, name
+    return annotations
 
 
 def _enclosing_after(
@@ -367,37 +335,30 @@ def _parse_block(
 ) -> _LastParse:
     """Parse the ACSL comment ``text`` starting on ``line``; returns it as the next ``last``.
 
-    Only the window where its normalized body differs from ``last``'s, the
-    last parse at this place, is scanned. Clauses before and after it come
-    from ``last`` with their keys, and with their annotations unless the
-    placement, line count or behavior in force changed.
+    Clauses that end inside the common prefix of its normalized body and
+    ``last``'s, the last parse at this place, come from ``last`` with their
+    annotations and keys; the rest of the body is scanned. A block that keeps
+    clauses but whose placement differs from ``last``'s is parsed fresh.
     """
     block_style = text.startswith("/*")
     inner = text[3:-2] if block_style else text[3:]  # strip '/*@' and '*/', or '//@'
     body = "\n".join(map(_normalize_line, inner.split("\n")))
     old_body, old_starts, (old, old_placement, old_counts, old_keys) = last
-    limit = min(len(body), len(old_body))
-    prefix = _common_prefix(body, old_body, limit)
-    suffix = _common_suffix(body, old_body, limit - prefix)
+    prefix = _common_prefix(body, old_body, min(len(body), len(old_body)))
 
     # A match starting in the prefix ends there, and so does its clause, when
     # two more matches start there: no match holds a ';' or ':' past its start.
     in_prefix = bisect_left(old_starts, prefix)
     kept = max(in_prefix - 2, 0)
     pos = old_starts[kept] if in_prefix >= 2 else 0  # '\A' matches at 0 only
-    shift = len(body) - len(old_body)
-    first = bisect_left(old_starts, len(old_body) - suffix)
-    tail = {start + shift: j for j, start in enumerate(old_starts[first:], first)}
-    window, starts, resumed = _scan_clauses(body, line + body.count("\n", 0, pos), pos, tail)
-    if resumed is None:
-        resumed = len(old)
+    scanned, starts = _scan_clauses(body, line + body.count("\n", 0, pos), pos)
 
     counts = dict(old_counts)
-    for keyword in map(_KEYWORD, old[kept:resumed]):
+    for keyword in map(_KEYWORD, old[kept:]):
         counts[keyword] -= 1
         if not counts[keyword]:
             del counts[keyword]
-    for clause in window:
+    for clause in scanned:
         counts[clause[0].keyword] = counts.get(clause[0].keyword, 0) + 1
     if heads_loop or not _LOOP_KEYWORDS.isdisjoint(counts):
         placement = LOOP_ANNOTATION
@@ -405,24 +366,13 @@ def _parse_block(
         placement = FUNCTION_CONTRACT
     else:
         placement = STATEMENT
+    if kept and placement is not old_placement:  # the kept clauses' enclosings changed
+        return _parse_block(text, line, heads_loop, at_file_scope)
 
-    head, end = old[:kept], old[resumed:]
-    if placement is old_placement or not head:
-        enclosing = _enclosing_after(old, kept, placement)
-    else:
-        head, enclosing = _annotate(_clauses(head, 0), block_style, placement, placement)
-    middle, enclosing = _annotate(window, block_style, placement, enclosing)
-    line_shift = body.count("\n", prefix, len(body) - suffix)
-    line_shift -= old_body.count("\n", prefix, len(old_body) - suffix)
-    if end and (
-        placement is not old_placement
-        or line_shift
-        or enclosing != _enclosing_after(old, resumed, placement)
-    ):
-        end = _annotate(_clauses(end, line_shift), block_style, placement, enclosing)[0]
-    keys = (*old_keys[:kept], *map(normalize_clause, middle), *old_keys[resumed:])
-    starts = old_starts[:kept] + starts + [start + shift for start in old_starts[resumed:]]
-    return body, starts, ((*head, *middle, *end), placement, counts, keys)
+    enclosing = _enclosing_after(old, kept, placement)
+    new = _annotate(scanned, block_style, placement, enclosing)
+    keys = (*old_keys[:kept], *map(normalize_clause, new))
+    return body, old_starts[:kept] + starts, ((*old[:kept], *new), placement, counts, keys)
 
 
 def parse_blocks(code: str, parsed: _RunMemo | None = None) -> AnalyzedCode:
@@ -434,8 +384,9 @@ def parse_blocks(code: str, parsed: _RunMemo | None = None) -> AnalyzedCode:
     placement, kind counts and clause keys, which depend on nothing else. A
     comment already in ``parsed`` is not parsed again; only its
     ``code_index`` and ``loop_key`` come from this ``code``. Another is
-    parsed against the last parse at its place, so a near repeat, such as
-    a mutant's contract, is scanned only where it differs. Under ``"lines"``
+    parsed against the last parse at its place: a near repeat, such as a
+    mutant's contract, keeps the clauses before the first place where the
+    two differ and is scanned from there to its end. Under ``"lines"``
     ``parsed`` also holds what ``scan`` recorded of each line, so a line
     that an earlier reply already held is not scanned again. The dict holds
     every distinct comment and line it has seen, so keep it no longer than

@@ -674,7 +674,8 @@ def run(
     line, loop-head and brace-depth-0 facts, as samples of one prompt or of
     a program and its mutant often do, is parsed once per call, and one that
     nearly repeats the last comment parsed at its place, as a mutant's
-    contract does its parent's, is scanned only where the two differ. Each
+    contract does its parent's, keeps the clauses before the first place
+    where the two differ and is scanned only from there. Each
     parse carries its blocks' kind counts and clause keys: a cell's
     histogram is the sum of the counts, and its clause multiset, for the
     robustness rows, one count over the keys it keeps. The same dict holds

@@ -538,10 +538,14 @@ def _block_facts(parse):
 @example(bodies=("assert x;\nassert y;\nassert z;\nassert w;",
                  "assert x;\nassert y;\nloop invariant z;\nassert w;"), style="/*@", line=1,
          heads_loop=False, at_file_scope=False)
-# a behavior header in the window moves the unchanged tail into its body
+# a behavior header past the common prefix puts the re-scanned tail into its body
 @example(bodies=("requires a;\nassumes b;\nensures c;\nensures d;\nensures e;",
                  "requires a; behavior p:\nassumes b;\nensures c;\nensures d;\nensures e;"),
          style="/*@", line=1, heads_loop=False, at_file_scope=True)
+# clauses are kept while the placement turns to loop: the block is parsed fresh
+@example(bodies=("assert a; assert b; assert c; assert d; assert e;",
+                 "assert a; assert b; assert c; assert d; loop invariant e;"), style="/*@",
+         line=1, heads_loop=False, at_file_scope=False)
 def test_a_block_parsed_against_the_last_equals_a_fresh_parse(
     bodies, style, line, heads_loop, at_file_scope
 ):
@@ -557,6 +561,32 @@ def test_a_block_parsed_against_the_last_equals_a_fresh_parse(
     assert fresh[2][2] == {
         kind.keyword: n for kind, n in count_by_kind(annotations).items() if n
     }
+
+
+
+def test_a_near_repeat_contract_scans_only_past_its_unchanged_prefix(monkeypatch):
+    import specforge.analyzer.annotations as annotations
+
+    requires = "".join(f"  @ requires p{i} >= 0;\n" for i in range(300))
+    parent, mutant = (
+        f"/*@\n{requires}  @ ensures \\result == {value};\n  @*/\nint f(int x);\n"
+        for value in (0, 1)
+    )
+    scan = annotations._scan_clauses
+    scanned: list[int] = []  # clauses per scan
+
+    def counting_scan(body, line, pos):
+        clauses, starts = scan(body, line, pos)
+        scanned.append(len(clauses))
+        return clauses, starts
+
+    monkeypatch.setattr(annotations, "_scan_clauses", counting_scan)
+    parsed: dict = {}
+    parse_blocks(parent, parsed)
+    assert scanned == [301]
+    near_repeat = _blocks_with_facts(parse_blocks(mutant, parsed))
+    assert len(scanned) == 2 and scanned[1] <= 3  # the kept requires are not scanned again
+    assert near_repeat == _blocks_with_facts(parse_blocks(mutant))
 
 
 @st.composite

@@ -1,7 +1,8 @@
 """Every public top-level name of the package has a caller in the package or
 the benchmark harness: a function, class or constant that only tests, demos or
-the README use is dead weight, so it goes. The same holds for an error class
-that no caller tells apart from its base."""
+the README use is dead weight, so it goes. A private top-level name is read
+somewhere in the package, so a deletion that leaves a helper behind fails. The
+same holds for an error class that no caller tells apart from its base."""
 
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ CALLERS = (PACKAGE, REPO_ROOT / "perfbench")
 
 
 def _defined(tree: ast.Module) -> list[str]:
-    """Public names bound at module top level by ``def``, ``class`` or assignment."""
+    """Names bound at module top level by ``def``, ``class`` or assignment."""
     names = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -24,7 +25,7 @@ def _defined(tree: ast.Module) -> list[str]:
             names += [t.id for t in node.targets if isinstance(t, ast.Name)]
         elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
             names.append(node.target.id)
-    return [name for name in names if not name.startswith("_")]
+    return names
 
 
 def _referenced(tree: ast.Module, reexports: bool) -> set[str]:
@@ -49,12 +50,29 @@ def test_every_public_package_name_has_a_caller():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         if path.is_relative_to(PACKAGE):
             for name in _defined(tree):
-                defined.setdefault(name, str(path.relative_to(REPO_ROOT)))
+                if not name.startswith("_"):
+                    defined.setdefault(name, str(path.relative_to(REPO_ROOT)))
         # an __init__ that re-exports a name would count as its caller
         referenced |= _referenced(tree, reexports=path.name == "__init__.py")
     assert "load_corpus" in defined
     unused = sorted(f"{where}: {name}" for name, where in defined.items() if name not in referenced)
     assert unused == []
+
+
+def test_every_private_package_name_is_read_in_the_package():
+    defined: list[str] = []
+    read: set[str] = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        where = path.relative_to(REPO_ROOT)
+        defined += [
+            f"{where}: {name}"
+            for name in _defined(tree)
+            if name.startswith("_") and not name.startswith("__")
+        ]
+        read |= _referenced(tree, reexports=True)  # an import alone is no read
+    assert any(entry.endswith(": _parse_block") for entry in defined)
+    assert [entry for entry in defined if entry.rpartition(": ")[2] not in read] == []
 
 
 ERROR_ROOTS = frozenset({"Exception", "ValueError", "RuntimeError"})

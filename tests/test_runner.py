@@ -6,22 +6,25 @@ import hashlib
 import importlib.util
 import json
 import random
+import re
 import shutil
 import sys
 import threading
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
-    ADPCM_CSV, ALIAS5_EVA_EXCERPT, CORPUS_DIR, FIXTURES_DIR, REPO_ROOT, TEMPLATES_DIR,
+    ADPCM_CSV, ALIAS5_EVA_EXCERPT, CORPUS_DIR, FIXTURES_DIR, REPO_ROOT, TEMPLATES_DIR, within,
 )
 from specforge import runner
 from specforge.analyzer import PreservationVerdict, count_by_kind, parse_blocks, tokenize
 from specforge.gateway import BackendError, CompletionResponse, ReplayBackend
 from specforge.model import AnnotationKind, GenerationConfig, Origin, PromptVariant
 from specforge.cli import main
-from specforge.prompts import TemplateError, build_prompt, load_templates
+from specforge.prompts import BuiltPrompt, TemplateError, build_prompt, load_templates
 from specforge.runner import (
     REPLAY_PROVENANCE_NOTE,
     STATUS_BACKEND_FAILED,
@@ -837,9 +840,9 @@ def test_block_parses_are_shared_within_a_run_and_never_across_runs(
     scan = annotations._scan_clauses
     scans: list[str] = []
 
-    def counting_scan(body, *window):
+    def counting_scan(body, line, pos):
         scans.append(body)
-        return scan(body, *window)
+        return scan(body, line, pos)
 
     monkeypatch.setattr(annotations, "_scan_clauses", counting_scan)
     per_run = []
@@ -896,6 +899,103 @@ def test_a_run_equals_one_that_parses_each_reply_with_a_fresh_memo(
     for result in shared.results:
         if result.status == STATUS_OK:  # the census summed from blocks is count_by_kind's
             assert result.histogram == count_by_kind(result.annotations)
+
+
+
+# A synthetic reply puts each clause on a line of its own: the line opens with
+# '/*@', '@' or '//@' and ends the clause with ';', or ':' after a behavior name.
+_SYNTH_CLAUSE_LINE = re.compile(r"^\s*(?:/\*@|@|//@)\s*(.*?)\s*[;:]\s*$")
+
+
+def test_clause_lines_are_the_reply_lines_that_hold_them(monkeypatch, tmp_path, templates_module):
+    _load_synth(monkeypatch).generate(tmp_path, 41, 7)
+    report = run(
+        load_corpus(tmp_path / "corpus"),
+        [PromptVariant.BASELINE],
+        GenerationConfig(samples_per_program=3),
+        ReplayBackend(tmp_path / "fixtures"),
+        templates_module,
+    )
+    ok = [r for r in report.results if r.status == STATUS_OK]
+    assert len(ok) == len(report.results) == 42
+    for result in ok:
+        held = [
+            (number, " ".join(m.group(1).split()))
+            for number, text in enumerate(result.split.code.split("\n"), 1)
+            if (m := _SYNTH_CLAUSE_LINE.match(text))
+        ]
+        parsed = [
+            (a.line, " ".join(f"{a.kind.keyword} {a.clause_text}".split()))
+            for a in result.annotations
+        ]
+        assert parsed == held, (result.program_name, result.sample_index)
+
+
+# ----------------------------------------------------------- whole-cell property
+
+# Reply text: fences, ACSL comment openers and closers, plain comments, ACSL
+# keywords, quotes, directives, braces and lines of the shipped programs.
+_REPLY_PIECES = [
+    "```", "```c\n", "```\n", "\n```\n", "/*@ ", "//@ ", "*/", "/* ", "// ", "\n", " ",
+    "requires ", "ensures ", "assigns ", "assert ", "behavior b: ", "assumes ",
+    "loop invariant ", "loop assigns ", "loop variant ", "x;", "i < n", ";", ":",
+    "\"", "'", "\\", "#", "#define X 1\n", "{", "}", "for (;;) ", "while (x) ",
+]
+# Whole ACSL comments, so that many replies hold clauses in spite of the rest.
+_ACSL_COMMENTS = [
+    "/*@ requires x;\n  @ ensures y; */\n", "//@ assert x;\n", "/*@ assigns \\nothing; */ ",
+    "/*@ loop invariant i < n;\n    loop assigns i; */\n", "//@ loop variant n - i;\n",
+    "/*@ behavior b:\n  @   assumes x;\n  @   ensures y;\n  @ complete behaviors; */\n",
+]
+_PROGRAM_LINES = sorted(
+    {line + "\n" for path in CORPUS_DIR.glob("*/program.c")
+     for line in path.read_text(encoding="utf-8").splitlines()}
+)
+_PIECES = st.lists(
+    st.sampled_from(_REPLY_PIECES)
+    | st.sampled_from(_ACSL_COMMENTS)
+    | st.sampled_from(_PROGRAM_LINES),
+    max_size=30,
+)
+# Most replies fence their code, as models do; the pieces around and inside
+# the fence may open, close or break it.
+_MIXED_REPLIES = st.builds(
+    lambda before, fence, code, after: (
+        "".join(before) + "\n" + fence + "".join(code) + "".join(after)
+    ),
+    st.lists(st.sampled_from(_REPLY_PIECES), max_size=4),
+    st.sampled_from(["```c\n", "```\n", ""]),
+    _PIECES,
+    st.lists(st.sampled_from(_REPLY_PIECES), max_size=4),
+)
+
+
+@pytest.fixture(scope="module")
+def shared_run_memo():
+    """One block-parse dict for every example of a property, as a run keeps one."""
+    return {}
+
+
+@settings(max_examples=200, deadline=None)
+@given(cells=st.lists(
+    st.tuples(st.integers(0, 99), st.integers(0, 2), _MIXED_REPLIES), min_size=1, max_size=4
+))
+def test_a_cell_analyzed_through_a_shared_memo_equals_one_analyzed_alone(
+    corpus_load_module, shared_run_memo, cells
+):
+    entries = corpus_load_module.entries
+    for entry_index, sample_index, text in cells:
+        entry = entries[entry_index % len(entries)]
+        prompt = BuiltPrompt(PromptVariant.BASELINE, "prompt", entry.program.name, "")
+        reply = CompletionResponse(text, "replay", "scripted", 0, "digest")
+        shared_keys: dict = {}
+        result = within(
+            10, runner._analyze, entry, prompt, sample_index, reply, shared_run_memo, shared_keys
+        )
+        alone_keys: dict = {}
+        assert result == runner._analyze(entry, prompt, sample_index, reply, {}, alone_keys)
+        assert shared_keys == alone_keys
+        assert GenerationResult.from_dict(result.to_dict()) == result
 
 
 # Model text that looks like our syntax: template placeholders, and braces
