@@ -278,22 +278,13 @@ _ParsedBlock = tuple[tuple[Annotation, ...], Enclosing, dict[str, int], tuple[st
 # The last parse at a place: its normalized body, its matches' starts, its block.
 _LastParse = tuple[str, list[int], _ParsedBlock]
 _NOTHING_PARSED: _LastParse = ("", [], ((), None, {}, ()))  # type: ignore[assignment]
-# A run's memo: block keys map to parsed blocks, "lines" to scanned lines, and
-# "places" (block keys without the text, plus the comment style) to last parses.
-_RunMemo = dict[_BlockKey | str, _ParsedBlock | dict[str, LineFacts] | dict[tuple, _LastParse]]
+# A run's memo: block keys map to parsed blocks, "lines" to ``scan``'s memo of
+# lines by text and depth, and "places" (block keys without the text, plus the
+# comment style) to last parses.
+_RunMemo = dict[
+    _BlockKey | str, _ParsedBlock | dict[tuple[str, int], LineFacts] | dict[tuple, _LastParse]
+]
 _KEYWORD = attrgetter("kind.keyword")
-
-
-def _common_prefix(a: str, b: str, limit: int) -> int:
-    """The length of the common prefix of ``a`` and ``b``, at most ``limit``, by bisection."""
-    lo, hi = 0, limit
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if a.startswith(b[lo:mid], lo):
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
 
 
 def _annotate(
@@ -314,18 +305,6 @@ def _annotate(
     return annotations
 
 
-def _enclosing_after(
-    annotations: tuple[Annotation, ...], n: int, placement: Enclosing
-) -> Enclosing:
-    """The enclosing in force after the first ``n`` of a block's ``annotations``."""
-    if not n:
-        return placement
-    last = annotations[n - 1]
-    if last.kind is BEHAVIOR and placement is FUNCTION_CONTRACT:  # a header, as in ``_annotate``
-        return Enclosing("behavior_body", last.clause_text or _ANONYMOUS)
-    return last.enclosing
-
-
 def _parse_block(
     text: str,
     line: int,
@@ -337,19 +316,24 @@ def _parse_block(
 
     Clauses that end inside the common prefix of its normalized body and
     ``last``'s, the last parse at this place, come from ``last`` with their
-    annotations and keys; the rest of the body is scanned. A block that keeps
-    clauses but whose placement differs from ``last``'s is parsed fresh.
+    annotations and keys, but never a behavior clause last; the rest of the
+    body is scanned. A block that keeps clauses but whose placement differs
+    from ``last``'s is parsed fresh.
     """
     block_style = text.startswith("/*")
     inner = text[3:-2] if block_style else text[3:]  # strip '/*@' and '*/', or '//@'
     body = "\n".join(map(_normalize_line, inner.split("\n")))
     old_body, old_starts, (old, old_placement, old_counts, old_keys) = last
-    prefix = _common_prefix(body, old_body, min(len(body), len(old_body)))
 
-    # A match starting in the prefix ends there, and so does its clause, when
-    # two more matches start there: no match holds a ';' or ':' past its start.
-    in_prefix = bisect_left(old_starts, prefix)
+    # A match starting in the common prefix ends there, and so does its clause,
+    # when two more matches start there: no match holds a ';' or ':' past its
+    # start. The starts in the prefix are the first ``in_prefix`` old ones.
+    in_prefix = bisect_left(
+        old_starts, True, key=lambda start: not body.startswith(old_body[: start + 1])
+    )
     kept = max(in_prefix - 2, 0)
+    while kept and old[kept - 1].kind is BEHAVIOR:  # a header opens a body (``_annotate``)
+        kept -= 1
     pos = old_starts[kept] if in_prefix >= 2 else 0  # '\A' matches at 0 only
     scanned, starts = _scan_clauses(body, line + body.count("\n", 0, pos), pos)
 
@@ -369,7 +353,7 @@ def _parse_block(
     if kept and placement is not old_placement:  # the kept clauses' enclosings changed
         return _parse_block(text, line, heads_loop, at_file_scope)
 
-    enclosing = _enclosing_after(old, kept, placement)
+    enclosing = old[kept - 1].enclosing if kept else placement
     new = _annotate(scanned, block_style, placement, enclosing)
     keys = (*old_keys[:kept], *map(normalize_clause, new))
     return body, old_starts[:kept] + starts, ((*old[:kept], *new), placement, counts, keys)
@@ -387,8 +371,9 @@ def parse_blocks(code: str, parsed: _RunMemo | None = None) -> AnalyzedCode:
     parsed against the last parse at its place: a near repeat, such as a
     mutant's contract, keeps the clauses before the first place where the
     two differ and is scanned from there to its end. Under ``"lines"``
-    ``parsed`` also holds what ``scan`` recorded of each line, so a line
-    that an earlier reply already held is not scanned again. The dict holds
+    ``parsed`` also holds what ``scan`` recorded of each line at the depth
+    it was reached, so a line that an earlier reply already held at that
+    depth is not scanned again. The dict holds
     every distinct comment and line it has seen, so keep it no longer than
     one run. Raises TokenizeError when ``code`` does not scan.
     """

@@ -205,17 +205,13 @@ class ComparableStream:
 # the first code token after it (the number of texts when none follows).
 AcslComment = tuple[str, int, int, int]
 
-# What a line adds to a scan, relative to the brace depth ``d`` it starts at:
-# its compare texts; its net brace change; the lowest depth its braces reach,
-# minus ``d``; the largest ``d`` at which one of its names is at file scope,
-# or -1; those names, each with that ``d``; its ``#define``d names; and each
-# ACSL comment's text, depth minus ``d``, and index among the line's texts.
+# What a line adds to a scan that reaches it at a given brace depth: its
+# compare texts; the depth after it; its names at file scope, its ``#define``d
+# names among them; and each ACSL comment's text, depth and index among the
+# line's texts.
 LineFacts = tuple[
     tuple[str, ...],
     int,
-    int,
-    int,
-    tuple[tuple[int, str], ...],
     tuple[str, ...],
     tuple[tuple[str, int, int], ...],
 ]
@@ -225,7 +221,7 @@ _DEFINE_RE = re.compile(r"#\s*define\s+(\w+)")
 
 
 def scan(
-    source: str, seen: dict[str, LineFacts]
+    source: str, seen: dict[tuple[str, int], LineFacts]
 ) -> tuple[ComparableStream, frozenset[str], list[AcslComment]]:
     """Collect, in one pass over ``source``, every fact the analysis reads.
 
@@ -241,21 +237,21 @@ def scan(
     - ``acsl``: each ACSL comment (``/*@ ...`` or ``//@ ...``) as an
       ``AcslComment``.
 
-    ``seen`` maps a line's text (up to, not including, its newline) to what
-    it adds to a scan. A line that starts outside any comment, directive or
-    literal and is in ``seen`` is not scanned again, unless a stray ``}`` on
-    it would reach below depth 0. Such a line that is not in ``seen`` is
-    scanned and added to it, unless a comment, directive or literal runs on
-    past its end. The result, and any TokenizeError, are those of a scan
-    with an empty ``seen``. ``seen`` holds every distinct line it has been
+    ``seen`` maps a line's text (up to, not including, its newline) and the
+    brace depth it starts at to what it adds to a scan. A line that starts
+    outside any comment, directive or literal and is in ``seen`` at its
+    depth is not scanned again. Such a line that is not is scanned and added
+    to it, unless a comment, directive or literal runs on past its end. The
+    result, and any TokenizeError, are those of a scan with an empty
+    ``seen``. ``seen`` holds every distinct line and depth it has been
     given, so share it only among sources scanned together.
     """
     texts: list[str] = []
     lines: list[int] = []
     names: set[str] = set()
     acsl: list[AcslComment] = []
-    add_text, add_line, add_name = texts.append, lines.append, names.add
-    add_texts, add_lines = texts.extend, lines.extend
+    add_text, add_line = texts.append, lines.append
+    add_texts, add_lines, add_names = texts.extend, lines.extend, names.update
     get = seen.get
     find = source.find
     keywords = C_KEYWORDS
@@ -267,74 +263,54 @@ def scan(
         eol = find("\n", pos)
         if eol == -1:
             eol = n
-        key = source[pos:eol]
+        key = (source[pos:eol], depth)
         facts = get(key)
-        if facts is not None and depth + facts[2] >= 0:
-            line_texts, net, _, top, line_names, defines, comments = facts
+        if facts is not None:
+            line_texts, depth, line_names, comments = facts
             if comments:
                 base = len(texts)
-                for text, rel, k in comments:
-                    acsl.append((text, line, depth + rel, base + k))
+                for text, at, k in comments:
+                    acsl.append((text, line, at, base + k))
             add_texts(line_texts)
             add_lines([line] * len(line_texts))
-            if depth <= top:
-                names.update([name for at, name in line_names if at == depth])
-            if defines:
-                names.update(defines)
-            depth += net
+            add_names(line_names)
             line += 1
             pos = eol + 1
             continue
-        # Scan the line, and past its end when a token runs on. ``rel`` is the
-        # depth relative to the line's start, never clamped.
+        # Scan the line, and past its end when a token runs on.
         base = len(texts)
-        rel = low = 0
-        scope_names: list[tuple[int, str]] = []
-        defined: list[str] = []
+        scope_names: list[str] = []
         line_comments: list[tuple[str, int, int]] = []
+        add_name = scope_names.append
         for group, text, line, start, end in _lex(source, pos, line):
             if group == _ID:
-                if text not in keywords:
-                    if not depth:
-                        add_name(text)
-                    if rel <= 0:
-                        scope_names.append((-rel, text))
+                if not depth and text not in keywords:
+                    add_name(text)
             elif group == _PUNCT:
                 if text == "{":
                     depth += 1
-                    rel += 1
-                elif text == "}":
-                    if depth:
-                        depth -= 1
-                    rel -= 1
-                    if rel < low:
-                        low = rel
+                elif text == "}" and depth:
+                    depth -= 1
             elif group == _NEWLINE:
                 if start <= eol:  # no comment, directive or literal ran on past it
                     seen[key] = (
-                        tuple(texts[base:]),
-                        rel,
-                        low,
-                        max([at for at, _ in scope_names], default=-1),
-                        tuple(scope_names),
-                        tuple(defined),
-                        tuple(line_comments),
+                        tuple(texts[base:]), depth, tuple(scope_names), tuple(line_comments)
                     )
                 pos = end
                 break
             elif group == _COMMENT or group == _LINE_COMMENT:
                 if text.startswith("@", 2):
                     acsl.append((text, line, depth, len(texts)))
-                    line_comments.append((text, rel, len(texts) - base))
+                    line_comments.append((text, depth, len(texts) - base))
                 continue
             elif group == _PREPROC:
                 text = _WS_RUN_RE.sub(" ", text.strip())
                 m = _DEFINE_RE.match(text)
                 if m:
                     add_name(m.group(1))
-                    defined.append(m.group(1))
             add_text(text)
             add_line(line)
         else:
-            break  # the source ended before another newline
+            pos = n  # the source ended before another newline
+        add_names(scope_names)
     return ComparableStream(tuple(texts), tuple(lines)), frozenset(names), acsl

@@ -39,7 +39,7 @@ class EmptyResponse(GatewayError):
         super().__init__(f"backend returned an empty completion for {key}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CompletionRequest:
     prompt: BuiltPrompt
     config: GenerationConfig

@@ -85,7 +85,7 @@ class ConfigError(RuntimeError):
     """The run cannot start: no corpus, no backend, no templates, or bad options."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CorpusEntry:
     """One program plus whatever symbolic context shipped next to it.
 
@@ -94,7 +94,7 @@ class CorpusEntry:
     """
 
     program: SourceProgram
-    comparable: ComparableStream = field(repr=False, compare=False)
+    comparable: ComparableStream = field(repr=False)
     suite: TestSuite | None = None
     report: EvaReport | None = None
     load_errors: tuple[str, ...] = ()
@@ -114,7 +114,7 @@ class _Meta(Record):
 _META_KEYS = frozenset(f.name for f in fields(_Meta))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CorpusLoad:
     entries: tuple[CorpusEntry, ...]
     skipped: tuple[tuple[str, str], ...]  # (directory name, reason)
@@ -669,19 +669,8 @@ def run(
     failures become result statuses. Robustness rows are computed for every
     corpus mutant whose parent is present.
 
-    The replies share one block-parse dict for the length of this call (see
-    ``parse_blocks``): an ACSL comment that recurs with the same text, first
-    line, loop-head and brace-depth-0 facts, as samples of one prompt or of
-    a program and its mutant often do, is parsed once per call, and one that
-    nearly repeats the last comment parsed at its place, as a mutant's
-    contract does its parent's, keeps the clauses before the first place
-    where the two differ and is scanned only from there. Each
-    parse carries its blocks' kind counts and clause keys: a cell's
-    histogram is the sum of the counts, and its clause multiset, for the
-    robustness rows, one count over the keys it keeps. The same dict holds
-    the lines the replies' scans have seen, so a line of C that an earlier
-    reply already held is not scanned again. The dict and the kept keys are
-    dropped when the call returns, so no parse or line outlives it.
+    The replies share one ``parse_blocks`` dict, made for this call and
+    dropped when it returns, so no parse or scanned line outlives it.
 
     At most ``max_workers`` backend attempts are on the wire, each on one of
     ``max_workers`` worker threads. A live request backing off between

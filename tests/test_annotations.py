@@ -546,6 +546,14 @@ def _block_facts(parse):
 @example(bodies=("assert a; assert b; assert c; assert d; assert e;",
                  "assert a; assert b; assert c; assert d; loop invariant e;"), style="/*@",
          line=1, heads_loop=False, at_file_scope=False)
+# a behavior header would be the last kept clause: the scan restarts at it
+@example(bodies=("requires a; behavior a: assumes b; ensures c;",
+                 "requires a; behavior a: assumes b; ensures x;"), style="/*@", line=1,
+         heads_loop=False, at_file_scope=True)
+# so it does at the first of two headers in a row
+@example(bodies=("requires a; behavior a: behavior b: assumes c; ensures d;",
+                 "requires a; behavior a: behavior b: assumes c; ensures x;"), style="/*@",
+         line=1, heads_loop=False, at_file_scope=True)
 def test_a_block_parsed_against_the_last_equals_a_fresh_parse(
     bodies, style, line, heads_loop, at_file_scope
 ):

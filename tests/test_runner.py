@@ -1091,7 +1091,8 @@ def test_replies_that_look_like_our_syntax(monkeypatch, tmp_path, templates_modu
     monkeypatch.setattr(annotations, "scan", keeping_seen)
     report = run(corpus, [PromptVariant.BASELINE], config, backend, templates_module)
     # the second reply was scanned with the first one's code lines at hand
-    assert {"int f(int x) {", "  if (x > 0) {", "    return 1;", "  }"} <= seen_lines.keys()
+    code_lines = {("int f(int x) {", 0), ("  if (x > 0) {", 1), ("    return 1;", 2), ("  }", 2)}
+    assert code_lines <= seen_lines.keys()
 
     cells = [
         (

@@ -308,17 +308,18 @@ def test_scan_matches_a_walk_over_the_reference_tokens(sources, rng):
 def test_a_line_seen_as_code_is_not_reused_inside_a_comment_directive_or_literal(later):
     seen: dict = {}
     scan("x = 1;\n}\nx = 1; \\\n", seen)
-    assert {"x = 1;", "}", "x = 1; \\"} <= seen.keys()
+    assert {("x = 1;", 0), ("}", 0), ("x = 1; \\", 0)} <= seen.keys()
     assert _facts(scan(later, seen)) == _facts(scan(later, {})) == _reference_facts(later)
     assert not any(t.text in ("x", "}") for t in tokenize(later))
 
 
-def test_a_seen_line_is_scanned_again_where_its_stray_brace_would_go_below_depth_0():
+def test_a_line_reached_at_two_depths_gets_one_entry_per_depth():
     seen: dict = {}
-    scan("{\n} g; {\n", seen)  # "} g; {" seen at depth 1, where g is at file scope
-    assert "} g; {" in seen
+    scan("{\n} g; {\n", seen)  # "} g; {" reached at depth 1, where g is at file scope
+    assert [key for key in seen if key[0] == "} g; {"] == [("} g; {", 1)]
     comparable, file_scope, _ = scan("} g; {\nint h;\n", seen)
     # at depth 0 the "}" is stray: the depth stays 0, so "{" leaves h inside a body
+    assert [key for key in seen if key[0] == "} g; {"] == [("} g; {", 1), ("} g; {", 0)]
     assert file_scope == {"g"}
     assert _facts((comparable, file_scope, [])) == _reference_facts("} g; {\nint h;\n")
 
