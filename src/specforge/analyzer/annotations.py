@@ -18,7 +18,7 @@ from operator import attrgetter
 from typing import Iterable
 
 from ..model import ASSIGNS, BEHAVIOR, KNOWN_KINDS, LOOP_ASSIGNS, AnnotationKind, Record
-from .lexer import ComparableStream, LineFacts, scan, tokenize
+from .lexer import ComparableStream, scan, tokenize
 from .similarity import normalize_clause
 
 
@@ -229,20 +229,21 @@ def _scan_clauses(body: str, line: int, pos: int) -> tuple[list[_Clause], list[i
 class AnnotationBlock:
     """One annotation comment with its parsed clauses and placement facts.
 
-    ``code_index`` is the index in the reply's comparable texts of the first
-    code token after the comment. ``loop_key`` identifies the loop statement
-    the block annotates (the ``code_index`` of the following ``for``,
-    ``while`` or ``do``) so lint can group the blocks attached to the same
-    loop; a loop block that heads no loop gets a negative key of its own;
-    None for non-loop blocks. ``kind_counts`` (clauses per keyword) and
+    ``placement`` is ``FUNCTION_CONTRACT``, ``LOOP_ANNOTATION`` or
+    ``STATEMENT``, the enclosing of the block's first clause. ``code_index``
+    is the index in the reply's comparable texts of the first code token
+    after the comment. ``loop_key`` identifies the loop statement the block
+    annotates (the ``code_index`` of the following ``for``, ``while`` or
+    ``do``) so lint can group the blocks attached to the same loop; a loop
+    block that heads no loop gets a negative key of its own; None for
+    non-loop blocks. ``kind_counts`` (clauses per keyword) and
     ``clause_keys`` (each clause's ``normalize_clause``) come with the parse.
     """
 
     annotations: tuple[Annotation, ...]
-    block_style: bool
     code_index: int
     loop_key: int | None
-    is_function_contract: bool
+    placement: Enclosing
     kind_counts: dict[str, int] = field(default_factory=dict, compare=False, repr=False)
     clause_keys: tuple[str, ...] = field(default=(), compare=False, repr=False)
 
@@ -259,8 +260,7 @@ class AnalyzedCode:
     - ``comparable`` (the non-comment tokens' compare texts and lines): the
       preservation check, and lint's parameter lists;
     - ``file_scope`` (``scan``'s file-scope names): lint's out-of-scope rule;
-    - ``code``: ``strip_annotations``, and the preservation check's rare
-      re-scan.
+    - ``code``: the preservation check's rare strip and re-scan.
     """
 
     code: str
@@ -269,21 +269,12 @@ class AnalyzedCode:
     file_scope: frozenset[str]
 
 
-# What decides a block's clauses and their enclosings: the comment's text, its
-# first line, whether the next code token heads a loop, and whether the comment
-# sits at brace depth 0.
-_BlockKey = tuple[str, int, bool, bool]
-# The block's clauses (empty when it has none), placement, kind counts and keys.
-_ParsedBlock = tuple[tuple[Annotation, ...], Enclosing, dict[str, int], tuple[str, ...]]
-# The last parse at a place: its normalized body, its matches' starts, its block.
-_LastParse = tuple[str, list[int], _ParsedBlock]
-_NOTHING_PARSED: _LastParse = ("", [], ((), None, {}, ()))  # type: ignore[assignment]
-# A run's memo: block keys map to parsed blocks, "lines" to ``scan``'s memo of
-# lines by text and depth, and "places" (block keys without the text, plus the
-# comment style) to last parses.
-_RunMemo = dict[
-    _BlockKey | str, _ParsedBlock | dict[tuple[str, int], LineFacts] | dict[tuple, _LastParse]
+# A parse: the normalized body, its matches' starts, the clauses (none when
+# the block has none), placement, kind counts and clause keys.
+_Parse = tuple[
+    str, list[int], tuple[Annotation, ...], Enclosing, dict[str, int], tuple[str, ...]
 ]
+_NOTHING_PARSED: _Parse = ("", [], (), None, {}, ())  # type: ignore[assignment]
 _KEYWORD = attrgetter("kind.keyword")
 
 
@@ -310,9 +301,9 @@ def _parse_block(
     line: int,
     heads_loop: bool,
     at_file_scope: bool,
-    last: _LastParse = _NOTHING_PARSED,
-) -> _LastParse:
-    """Parse the ACSL comment ``text`` starting on ``line``; returns it as the next ``last``.
+    last: _Parse = _NOTHING_PARSED,
+) -> _Parse:
+    """Parse the ACSL comment ``text`` starting on ``line`` into a ``_Parse``.
 
     Clauses that end inside the common prefix of its normalized body and
     ``last``'s, the last parse at this place, come from ``last`` with their
@@ -323,7 +314,7 @@ def _parse_block(
     block_style = text.startswith("/*")
     inner = text[3:-2] if block_style else text[3:]  # strip '/*@' and '*/', or '//@'
     body = "\n".join(map(_normalize_line, inner.split("\n")))
-    old_body, old_starts, (old, old_placement, old_counts, old_keys) = last
+    old_body, old_starts, old, old_placement, old_counts, old_keys = last
 
     # A match starting in the common prefix ends there, and so does its clause,
     # when two more matches start there: no match holds a ';' or ':' past its
@@ -356,57 +347,47 @@ def _parse_block(
     enclosing = old[kept - 1].enclosing if kept else placement
     new = _annotate(scanned, block_style, placement, enclosing)
     keys = (*old_keys[:kept], *map(normalize_clause, new))
-    return body, old_starts[:kept] + starts, ((*old[:kept], *new), placement, counts, keys)
+    return body, old_starts[:kept] + starts, (*old[:kept], *new), placement, counts, keys
 
 
-def parse_blocks(code: str, parsed: _RunMemo | None = None) -> AnalyzedCode:
+def parse_blocks(code: str, parsed: dict | None = None) -> AnalyzedCode:
     """Scan ``code`` once and parse its annotation blocks.
 
-    ``parsed``, a dict the caller passes to every reply of one run, maps each
-    ACSL comment's key (its text, its first line, whether the next code token
-    heads a loop, whether it sits at brace depth 0) to its clauses,
-    placement, kind counts and clause keys, which depend on nothing else. A
-    comment already in ``parsed`` is not parsed again; only its
-    ``code_index`` and ``loop_key`` come from this ``code``. Another is
-    parsed against the last parse at its place: a near repeat, such as a
-    mutant's contract, keeps the clauses before the first place where the
-    two differ and is scanned from there to its end. Under ``"lines"``
-    ``parsed`` also holds what ``scan`` recorded of each line at the depth
-    it was reached, so a line that an earlier reply already held at that
-    depth is not scanned again. The dict holds
-    every distinct comment and line it has seen, so keep it no longer than
-    one run. Raises TokenizeError when ``code`` does not scan.
+    ``parsed`` is a dict the caller passes to every reply of one run. Each
+    place of an ACSL comment (its first line, whether the next code token
+    heads a loop, whether it sits at brace depth 0, and its comment style)
+    maps there to a dict from each comment text seen at that place to its
+    ``_parse_block`` result, which depends on nothing else. A text already
+    there is not parsed again; only its ``code_index`` and ``loop_key`` come
+    from this ``code``. Another is parsed against the last parse made at its
+    place: a near repeat, such as a mutant's contract, keeps the clauses
+    before the first place where the two differ and is scanned from there to
+    its end. Under ``"lines"`` ``parsed`` also holds what ``scan`` recorded
+    of each line at the depth it was reached, so a line that an earlier reply
+    already held at that depth is not scanned again. The dict holds every
+    distinct comment and line it has seen, so keep it no longer than one run.
+    Raises TokenizeError when ``code`` does not scan.
     """
     if parsed is None:
         parsed = {}
     comparable, file_scope, acsl = scan(code, parsed.setdefault("lines", {}))
-    places = parsed.setdefault("places", {})
     texts = comparable.texts
     blocks: list[AnnotationBlock] = []
     for ordinal, (text, line, depth, code_index) in enumerate(acsl):
         heads_loop = code_index < len(texts) and texts[code_index] in _LOOP_HEADS
-        key = (text, line, heads_loop, depth == 0)
-        block = parsed.get(key)
-        if block is None:
-            place = (line, heads_loop, depth == 0, text[1])
-            places[place] = _parse_block(*key, places.get(place, _NOTHING_PARSED))
-            block = parsed[key] = places[place][2]
-        annotations, placement, kind_counts, clause_keys = block
+        parses = parsed.setdefault((line, heads_loop, depth == 0, text[1]), {})
+        parse = parses.get(text)
+        if parse is None:
+            last = next(reversed(parses.values()), _NOTHING_PARSED)
+            parse = parses[text] = _parse_block(text, line, heads_loop, depth == 0, last)
+        _, _, annotations, placement, kind_counts, clause_keys = parse
         if not annotations:
             continue
         loop_key = None
         if placement is LOOP_ANNOTATION:
             loop_key = code_index if heads_loop else -1 - ordinal
         blocks.append(
-            AnnotationBlock(
-                annotations=annotations,
-                block_style=annotations[0].block_style,
-                code_index=code_index,
-                loop_key=loop_key,
-                is_function_contract=placement is FUNCTION_CONTRACT,
-                kind_counts=kind_counts,
-                clause_keys=clause_keys,
-            )
+            AnnotationBlock(annotations, code_index, loop_key, placement, kind_counts, clause_keys)
         )
     return AnalyzedCode(code, blocks, comparable, file_scope)
 
@@ -453,13 +434,12 @@ def merge_loop_assigns(
     return merged
 
 
-def strip_annotations(code: AnalyzedCode) -> str:
-    """Remove all ACSL comments, preserving every other token in order.
+def strip_annotations(source: str) -> str:
+    """Remove all ACSL comments from ``source``, preserving every other token in order.
 
     Newlines inside removed blocks are kept so remaining tokens stay on their
     original lines; code with no annotations comes back byte-identical.
     """
-    source = code.code
     spans = [(t.start, t.end, t.text) for t in tokenize(source) if t.is_acsl]
     if not spans:
         return source

@@ -9,8 +9,11 @@ from enum import Enum
 from typing import Sequence
 
 from ..model import ASSIGNS, LOOP_ASSIGNS, LOOP_VARIANT, Record
-from .annotations import AnalyzedCode, parse_blocks, strip_annotations
-from .lexer import C_KEYWORDS, ComparableStream, TokenKind, scan, tokenize
+from .annotations import (
+    FUNCTION_CONTRACT, STATEMENT, AnalyzedCode, parse_blocks, strip_annotations,
+)
+from .lexer import C_KEYWORDS, ComparableStream, scan
+from .lexer import tokenize  # not called here; perfbench/spans.py counts calls through it
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -138,15 +141,12 @@ def check_code_preserved(
     comment leaves whitespace, which changes no other token. The one
     exception is a ``#`` that lexes as a punctuator because an ACSL comment
     precedes it on its line; stripped, it may start the line and lex as a
-    directive. A reply whose compare texts hold a lone ``#`` is therefore
-    tokenized, to tell a punctuator from an empty directive, and one holding
-    a punctuator ``#`` is stripped and scanned again.
+    directive. A reply whose compare texts hold a lone ``#``, a punctuator
+    or an empty directive, is therefore stripped and scanned again.
     """
     modified = annotated_code.comparable
-    if "#" in modified.texts and any(
-        t.kind is TokenKind.PUNCT and t.text == "#" for t in tokenize(annotated_code.code)
-    ):
-        modified = scan(strip_annotations(annotated_code), {})[0]
+    if "#" in modified.texts:
+        modified = scan(strip_annotations(annotated_code.code), {})[0]
     values_orig, values_mod = original.texts, modified.texts
     if values_orig == values_mod:
         return PreservationVerdict(preserved=True, diff=())
@@ -159,10 +159,8 @@ def check_code_preserved(
             line = original.lines[i1]
         elif values_orig:
             line = original.lines[-1]
-        elif j1 < len(values_mod):
-            line = modified.lines[j1]
         else:
-            line = 1
+            line = modified.lines[j1]
         runs.append(
             DiffRun(
                 line=line,
@@ -297,7 +295,7 @@ def lint(code: str | AnalyzedCode) -> list[LintIssue]:
             )
 
     for block in blocks:
-        if block.is_function_contract:
+        if block.placement is FUNCTION_CONTRACT:
             formals = _formals_after(texts, block.code_index)
             visible = (formals or set()) | code.file_scope
             for annotation in block.annotations:
@@ -323,9 +321,9 @@ def lint(code: str | AnalyzedCode) -> list[LintIssue]:
                         )
 
         if (
-            block.block_style
+            block.placement is STATEMENT
+            and block.annotations[0].block_style
             and len(block.annotations) > 1
-            and block.annotations[0].enclosing.context == "statement"
         ):
             issues.append(
                 LintIssue(

@@ -273,17 +273,13 @@ class LiveBackend:
                 continue
             try:
                 text = json.loads(raw)["choices"][0]["message"]["content"]
-                if isinstance(text, str):  # a lone surrogate ("\ud83d") fails here, not in emit
-                    text.encode("utf-8")
+                if not isinstance(text, str):
+                    raise TypeError(f"content is {type(text).__name__}")
+                text.encode("utf-8")  # a lone surrogate ("\ud83d") fails here, not in emit
             except (ValueError, KeyError, IndexError, TypeError, RecursionError) as exc:
                 raise BackendError(
                     status, f"malformed completion payload: {exc}"
                 ) from exc
-            if not isinstance(text, str):
-                raise BackendError(
-                    status,
-                    f"malformed completion payload: content is {type(text).__name__}",
-                )
             if not text:
                 raise EmptyResponse(request.key)
             latency_ms = int((time.perf_counter() - started) * 1000)

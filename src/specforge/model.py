@@ -106,29 +106,27 @@ class Record:
         return hash(_layout(self.__class__)[2](self))
 
 
-_Values = Callable[[Any], tuple]
-
-
-def _values(names: tuple[str, ...]) -> _Values:
-    """A function from a record to the tuple of its ``names`` attributes."""
-    if len(names) > 1:
-        return attrgetter(*names)
-    return lambda obj: tuple(getattr(obj, n) for n in names)
+_Values = Callable[[Any], Any]
 
 
 @functools.cache
 def _layout(cls: type) -> tuple[tuple[str, ...], _Values, _Values]:
-    """A record class's (repr names, compared values, hashed values), as ``dataclass`` has them."""
+    """A record class's (repr names, compared values, hashed values), as ``dataclass`` has them.
+
+    Given one name, ``attrgetter`` gives the bare value, which compares and
+    hashes as well as a tuple would.
+    """
     fs = dataclasses.fields(cls)
     return (
         tuple(f.name for f in fs if f.repr),
-        _values(tuple(f.name for f in fs if f.compare)),
-        _values(tuple(f.name for f in fs if (f.compare if f.hash is None else f.hash))),
+        attrgetter(*(f.name for f in fs if f.compare)),
+        attrgetter(*(f.name for f in fs if (f.compare if f.hash is None else f.hash))),
     )
 
 
 def _check(kinds: tuple[type, ...], what: str, value: Any) -> Any:
-    if not isinstance(value, kinds):
+    """``value`` if it is one of ``kinds``; a bool is no number, though it is an ``int``."""
+    if not isinstance(value, kinds) or (value.__class__ is bool and bool not in kinds):
         raise CodecError(f"expected {what}, got {type(value).__name__}")
     return value
 
@@ -208,7 +206,7 @@ def _plan(cls: type) -> tuple[Callable[[Any], dict[str, Any]], Callable[[Any], A
         kwargs = {}
         for name, plain, dec, optional, required in decoders:
             value = d.get(name, MISSING)
-            if isinstance(value, plain):  # a scalar of its field's type: nothing to convert
+            if type(value) in plain:  # a scalar of its field's type: nothing to convert
                 kwargs[name] = value
             elif value is MISSING:
                 if required and not optional:

@@ -308,7 +308,7 @@ def histogram_to_dict(histogram: dict[AnnotationKind, int]) -> dict[str, int]:
 
 
 def histogram_from_dict(d: dict[str, int]) -> dict[AnnotationKind, int]:
-    if not isinstance(d, dict) or not all(isinstance(n, int) for n in d.values()):
+    if not isinstance(d, dict) or not all(type(n) is int for n in d.values()):  # no bool
         raise CodecError("a histogram maps keywords to counts")
     by_keyword = {k.keyword: k for k in KNOWN_KINDS}
     return {
@@ -670,7 +670,8 @@ def run(
     corpus mutant whose parent is present.
 
     The replies share one ``parse_blocks`` dict, made for this call and
-    dropped when it returns, so no parse or scanned line outlives it.
+    dropped when it returns. It holds the parse of every distinct ACSL
+    comment at each place and every scanned line, and none outlives it.
 
     At most ``max_workers`` backend attempts are on the wire, each on one of
     ``max_workers`` worker threads. A live request backing off between

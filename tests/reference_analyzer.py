@@ -486,10 +486,10 @@ def reference_parse_blocks(code: str) -> list[AnnotationBlock]:
         if heads_loop or has_loop_clause:
             enclosing_for = lambda _c: LOOP_ANNOTATION  # noqa: E731
             loop_key = code_index[next_code] if heads_loop else -1 - acsl_ordinal[idx]
-            is_contract = False
+            placement = LOOP_ANNOTATION
         elif depth == 0:
             loop_key = None
-            is_contract = True
+            placement = FUNCTION_CONTRACT
             current_behavior: list[str | None] = [None]
 
             def enclosing_for(c: _Clause) -> Enclosing:
@@ -502,7 +502,7 @@ def reference_parse_blocks(code: str) -> list[AnnotationBlock]:
 
         else:
             loop_key = None
-            is_contract = False
+            placement = STATEMENT
             enclosing_for = lambda _c: STATEMENT  # noqa: E731
 
         annotations = tuple(
@@ -518,10 +518,9 @@ def reference_parse_blocks(code: str) -> list[AnnotationBlock]:
         blocks.append(
             AnnotationBlock(
                 annotations=annotations,
-                block_style=block_style,
                 code_index=code_index[idx],
                 loop_key=loop_key,
-                is_function_contract=is_contract,
+                placement=placement,
             )
         )
     return blocks

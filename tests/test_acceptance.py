@@ -96,8 +96,8 @@ def test_criterion_3_annotation_census(bsearch_annotated, bsearch_annotated_verb
 def test_criterion_4_preservation(
     bsearch_annotated, bsearch_annotated_verbose, corpus_load
 ):
-    stripped_a = strip_annotations(parse_blocks(bsearch_annotated))
-    stripped_b = strip_annotations(parse_blocks(bsearch_annotated_verbose))
+    stripped_a = strip_annotations(bsearch_annotated)
+    stripped_b = strip_annotations(bsearch_annotated_verbose)
     assert oracle_tokens(stripped_a) == oracle_tokens(stripped_b)
 
     entries = {e.program.name: e for e in corpus_load.entries}

@@ -281,7 +281,7 @@ def test_source_order_preserved(bsearch_annotated):
 # ------------------------------------------------------------ strip_annotations
 
 def test_strip_removes_all_annotation_markers(bsearch_annotated):
-    stripped = strip_annotations(parse_blocks(bsearch_annotated))
+    stripped = strip_annotations(bsearch_annotated)
     assert "/*@" not in stripped
     assert "//@" not in stripped
     assert parse_annotations(stripped) == []
@@ -289,19 +289,19 @@ def test_strip_removes_all_annotation_markers(bsearch_annotated):
 
 def test_strip_is_identity_without_annotations():
     code = "int f(void) { /* plain comment */ return 0; } // tail\n"
-    assert strip_annotations(parse_blocks(code)) == code
+    assert strip_annotations(code) == code
 
 
 def test_strip_keeps_non_annotation_comments():
     code = "/* keep */ /*@ requires x; */ int x; // keep too\n"
-    stripped = strip_annotations(parse_blocks(code))
+    stripped = strip_annotations(code)
     assert "/* keep */" in stripped
     assert "// keep too" in stripped
 
 
 def test_strip_preserves_token_stream(bsearch_annotated, corpus_load):
     programs = {e.program.name: e.program.source for e in corpus_load.entries}
-    assert oracle_tokens(strip_annotations(parse_blocks(bsearch_annotated))) == oracle_tokens(
+    assert oracle_tokens(strip_annotations(bsearch_annotated)) == oracle_tokens(
         programs["binary_search"]
     )
 
@@ -310,12 +310,12 @@ def test_strip_then_parse_is_empty(bsearch_annotated_verbose, corpus_load):
     for code in [bsearch_annotated_verbose] + [
         e.program.source for e in corpus_load.entries
     ]:
-        assert parse_annotations(strip_annotations(parse_blocks(code))) == []
+        assert parse_annotations(strip_annotations(code)) == []
 
 
 def test_strip_preserves_line_numbers():
     code = "/*@ requires x;\n  @ ensures y;\n*/\nint f(int x) { return x; }\n"
-    stripped = strip_annotations(parse_blocks(code))
+    stripped = strip_annotations(code)
     assert stripped.count("\n") == code.count("\n")
     assert stripped.split("\n")[3].startswith("int f")
 
@@ -339,7 +339,7 @@ def test_strip_preserves_line_numbers():
 )
 def test_strip_parse_coherence_property(pieces):
     code = "\n".join(pieces) + "\n"
-    stripped = strip_annotations(parse_blocks(code))
+    stripped = strip_annotations(code)
     assert parse_annotations(stripped) == []
     acsl_free = [t for t in oracle_tokens(code)]
     # the oracle is comment-blind, so stripped and original agree token-wise
@@ -489,10 +489,33 @@ def test_a_shared_block_parse_keeps_loop_head_and_file_scope_apart(first):
         (annotation,) = block.annotations
         assert (annotation.enclosing.context, annotation.line) == (context, 2)
         assert (block.loop_key is None) == (context != "loop")
-        assert block.is_function_contract == (context == "function_contract")
+        assert block.placement.context == context
 
 
 # ------------------------------------------- a block parsed against the last one
+
+def test_a_missing_text_is_parsed_against_the_last_parse_at_its_place(monkeypatch):
+    import specforge.analyzer.annotations as annotations
+
+    # texts A, B, A, C at one place: line 1, at file scope, heading no loop
+    a, b, c = (f"/*@ requires a; ensures {x}; */\nint f(int x);\n" for x in "abc")
+    alone = {code: parse_blocks(code).blocks for code in (a, b, c)}
+    calls: list[tuple[str, tuple]] = []
+    made: dict[str, tuple] = {}
+
+    def spy(text, line, heads_loop, at_file_scope, last=annotations._NOTHING_PARSED):
+        calls.append((text, last))
+        made[text] = _parse_block(text, line, heads_loop, at_file_scope, last)
+        return made[text]
+
+    monkeypatch.setattr(annotations, "_parse_block", spy)
+    parsed: dict = {}
+    for code in (a, b, a, c):
+        assert parse_blocks(code, parsed).blocks == alone[code]
+    comment = {code: code.partition("\n")[0] for code in (a, b, c)}
+    assert [text for text, _ in calls] == [comment[a], comment[b], comment[c]]  # A once
+    assert calls[2][1] is made[comment[b]]  # C against B, the last parse made there
+
 
 # What an edit inserts: clause pieces, keywords, and the behavior headers and
 # loop keywords that change enclosings and placement.
@@ -515,7 +538,7 @@ def _edited_bodies(draw):
 
 def _block_facts(parse):
     """A ``_parse_block`` result: annotations as encoded, placement, kind counts, keys."""
-    body, starts, (annotations, placement, kind_counts, keys) = parse
+    body, starts, annotations, placement, kind_counts, keys = parse
     return body, starts, [a.to_dict() for a in annotations], placement, kind_counts, keys
 
 
@@ -564,9 +587,9 @@ def test_a_block_parsed_against_the_last_equals_a_fresh_parse(
     windowed = _parse_block(new, line, heads_loop, at_file_scope, last)
     assert _block_facts(windowed) == _block_facts(fresh)
     # the keys are the one rule's, and the counts the census of the clauses
-    annotations = fresh[2][0]
-    assert fresh[2][3] == tuple(map(normalize_clause, annotations))
-    assert fresh[2][2] == {
+    _, _, annotations, _, kind_counts, keys = fresh
+    assert keys == tuple(map(normalize_clause, annotations))
+    assert kind_counts == {
         kind.keyword: n for kind, n in count_by_kind(annotations).items() if n
     }
 

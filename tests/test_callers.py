@@ -75,6 +75,41 @@ def test_every_private_package_name_is_read_in_the_package():
     assert [entry for entry in defined if entry.rpartition(": ")[2] not in read] == []
 
 
+# perfbench/spans.py counts calls through ``tokenize`` in these modules, so
+# each binds the name whether or not it calls it.
+SPAN_TOKENIZE = frozenset(
+    {"analyzer/annotations.py", "analyzer/checks.py", "analyzer/lexer.py", "runner.py",
+     "mutation.py"}
+)
+
+
+def test_every_name_a_package_module_imports_is_read_there():
+    unread = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name == "__init__.py":  # an __init__ imports to re-export
+            continue
+        where = path.relative_to(PACKAGE).as_posix()
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        imported = [
+            (alias.asname or alias.name).partition(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        ]
+        read = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        unread += [
+            f"{where}: {name}"
+            for name in imported
+            if name not in read and not (name == "tokenize" and where in SPAN_TOKENIZE)
+        ]
+    assert unread == []
+
+
 ERROR_ROOTS = frozenset({"Exception", "ValueError", "RuntimeError"})
 
 

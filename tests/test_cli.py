@@ -634,6 +634,31 @@ def test_report_refuses_a_record_its_checks_reject(tmp_path, capsys, path, value
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "path",
+    [
+        ("results", 0, "sample_index"),
+        ("config", "temperature"),
+        ("results", 0, "histogram", "requires"),
+    ],
+    ids=["int-field", "float-field", "histogram-count"],
+)
+def test_report_refuses_a_bool_for_a_number(tmp_path, capsys, path):
+    # JSON true is a Python bool, and bool subclasses int
+    data = _clean_report(tmp_path)
+    *parents, last = path
+    record = data
+    for step in parents:
+        record = record[step]
+    record[last] = True
+    tampered = tmp_path / "report.json"
+    tampered.write_text(json.dumps(data), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["report", "--in", str(tampered), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot load report: ")
+    assert not (tmp_path / "out").exists()
+
+
 _NESTED = "[" * 100_000 + "]" * 100_000
 
 

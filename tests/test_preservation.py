@@ -39,8 +39,8 @@ def test_annotated_output_preserves_code(bsearch_annotated, corpus_load):
 def test_both_recorded_listings_strip_to_same_tokens(
     bsearch_annotated, bsearch_annotated_verbose
 ):
-    a = oracle_tokens(strip_annotations(parse_blocks(bsearch_annotated)))
-    b = oracle_tokens(strip_annotations(parse_blocks(bsearch_annotated_verbose)))
+    a = oracle_tokens(strip_annotations(bsearch_annotated))
+    b = oracle_tokens(strip_annotations(bsearch_annotated_verbose))
     assert a == b
 
 
@@ -135,8 +135,8 @@ def test_directive_after_comment_verdicts(reply, preserved):
     "reply, tokenized",
     [
         (HASH_BODY, 0),
-        ("#\n" + HASH_BODY, 1),  # a lone '#' directive: no punctuator, nothing to strip
-        ("/*@ requires \\true; */ " + HASH_BODY, 2),  # and once more to strip the reply
+        ("#\n" + HASH_BODY, 1),  # a lone '#': stripped (of nothing) and scanned again
+        ("/*@ requires \\true; */ " + HASH_BODY, 1),  # a punctuator '#': the same, no probe
     ],
 )
 def test_a_reply_is_tokenized_only_to_resolve_a_lone_hash(monkeypatch, reply, tokenized):
