@@ -31,17 +31,116 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import json
 import typing
 from dataclasses import MISSING, dataclass, field
 from enum import Enum
+from json.encoder import encode_basestring as _encode_str  # C-coded, as json.dumps uses it
 from operator import attrgetter
 from typing import Any, Callable, Iterable, TypeVar
 
 
 def canonical_json(data: Any) -> str:
-    """``data`` as JSON text: sorted keys, indent 2, non-ASCII kept, final newline."""
-    return json.dumps(data, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    """``data`` as JSON text: sorted keys, indent 2, non-ASCII kept, final newline.
+
+    The text is exactly ``json.dumps(data, sort_keys=True, indent=2,
+    ensure_ascii=False) + "\\n"``, and a value that ``json.dumps`` refuses
+    raises the same ``TypeError``; only a value that contains itself differs
+    (``RecursionError`` here, ``ValueError`` there). It is written here, not
+    by ``json.dumps``, because CPython's C encoder does not indent: with
+    ``indent`` set, json runs its pure-Python encoder, one generator step per
+    token, which took twice as long as this writer on the shipped study's
+    report.json. Strings still go through json's C string encoder.
+    """
+    parts: list[str] = []
+    _write_json(data, parts.append, "\n")
+    parts.append("\n")
+    return "".join(parts)
+
+
+_INFINITY = float("inf")
+
+
+def _float_text(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value == _INFINITY:
+        return "Infinity"
+    if value == -_INFINITY:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+def _scalar_text(value: Any) -> str:
+    """A scalar of any type as json writes it: subclasses by their base, ``bool`` first."""
+    if isinstance(value, str):
+        return _encode_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float_text(value)
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
+def _key_text(key: Any) -> str:
+    """A key as json writes it before quoting: ``1`` as ``1``, ``True`` as ``true``."""
+    if isinstance(key, str):
+        return key
+    if isinstance(key, (int, float)) or key is None:
+        return _scalar_text(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+#: The writer of each exact scalar type, tried first; a subclass (a ``str``
+#: enum, an ``IntEnum``) and a container go the ``isinstance`` way.
+_SCALAR_WRITERS: dict[type, Callable[[Any], str]] = {
+    str: _encode_str,
+    int: int.__repr__,
+    bool: ("false", "true").__getitem__,
+    float: _float_text,
+    type(None): lambda _: "null",
+}
+
+
+def _write_json(value: Any, out: Callable[[str], object], newline: str) -> None:
+    """Pass ``value``'s JSON text to ``out``; ``newline`` breaks and indents its last line."""
+    inner = newline + "  "
+    if isinstance(value, dict):
+        if not value:
+            out("{}")
+            return
+        sep = "{" + inner
+        for key, item in sorted(value.items()):  # as json sorts them
+            head = f"{sep}{_encode_str(key if type(key) is str else _key_text(key))}: "
+            write = _SCALAR_WRITERS.get(type(item))
+            if write is None:
+                out(head)
+                _write_json(item, out, inner)
+            else:
+                out(head + write(item))
+            sep = "," + inner
+        out(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out("[]")
+            return
+        sep = "[" + inner
+        for item in value:
+            write = _SCALAR_WRITERS.get(type(item))
+            if write is None:
+                out(sep)
+                _write_json(item, out, inner)
+            else:
+                out(sep + write(item))
+            sep = "," + inner
+        out(newline + "]")
+    else:
+        out(_scalar_text(value))
 
 
 def csv_text(rows: Iterable[Iterable[object]]) -> str:
@@ -348,6 +447,7 @@ KNOWN_KINDS: tuple[AnnotationKind, ...] = (
 )
 
 _KIND_ORDER = {kind.keyword: i for i, kind in enumerate(KNOWN_KINDS)}
+KIND_BY_KEYWORD = {kind.keyword: kind for kind in KNOWN_KINDS}
 
 
 def kind_sort_key(kind: AnnotationKind) -> tuple[int, str]:

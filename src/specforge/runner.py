@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, fields
 from functools import cached_property
 from itertools import chain
 from pathlib import Path
-from typing import Any, Callable, Generator, Iterable, Iterator, Sequence
+from typing import Any, Callable, Container, Generator, Iterable, Iterator, Sequence
 
 from .analyzer import (
     Annotation,
@@ -49,7 +49,7 @@ from .gateway import (
     ReplayBackend,
 )
 from .model import (
-    KNOWN_KINDS,
+    KIND_BY_KEYWORD,
     AnnotationKind,
     CodecError,
     GenerationConfig,
@@ -310,9 +310,8 @@ def histogram_to_dict(histogram: dict[AnnotationKind, int]) -> dict[str, int]:
 def histogram_from_dict(d: dict[str, int]) -> dict[AnnotationKind, int]:
     if not isinstance(d, dict) or not all(type(n) is int for n in d.values()):  # no bool
         raise CodecError("a histogram maps keywords to counts")
-    by_keyword = {k.keyword: k for k in KNOWN_KINDS}
     return {
-        by_keyword.get(keyword) or AnnotationKind.other(keyword): count
+        KIND_BY_KEYWORD.get(keyword) or AnnotationKind.other(keyword): count
         for keyword, count in d.items()
     }
 
@@ -740,12 +739,20 @@ def emit(
 
     ``normalize`` is one of ``NORMALIZE_MODES``: totals (sum over samples) or
     per-sample (mean per successful sample). Emission is deterministic: the
-    same report always produces byte-identical files.
+    same report always produces byte-identical files. Before writing anything
+    it raises ``ConfigError`` if ``directory/generated`` holds a file that this
+    report would not write.
     """
     if normalize not in NORMALIZE_MODES:
         modes = " or ".join(map(repr, NORMALIZE_MODES))
         raise ConfigError(f"normalize must be {modes}, got {normalize!r}")
     directory = Path(directory)
+    sources = {  # every generated file, and so the only ones generated/ may hold
+        directory / "generated" / r.program_name / r.variant.value / f"{r.sample_index}.c": r.split
+        for r in report.results
+        if r.status == STATUS_OK and r.split is not None
+    }
+    _refuse_stale_sources(directory / "generated", sources)
     directory.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
 
@@ -785,16 +792,30 @@ def emit(
     write(directory / "robustness.csv", csv_text(robustness_rows))
 
     made: set[Path] = set()  # each sample directory is created once, not once per sample
-    for result in report.results:
-        if result.status != STATUS_OK or result.split is None:
-            continue
-        out = directory / "generated" / result.program_name / result.variant.value
-        if out not in made:
-            out.mkdir(parents=True, exist_ok=True)
-            made.add(out)
-        write(out / f"{result.sample_index}.c", result.split.code + "\n")
+    for path, split in sources.items():
+        if path.parent not in made:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            made.add(path.parent)
+        write(path, split.code + "\n")
 
     return written
+
+
+def _refuse_stale_sources(generated: Path, sources: Container[Path]) -> None:
+    """Raise ``ConfigError`` if ``generated`` holds a file not among ``sources``.
+
+    Such a file, left by an earlier report, would sit beside a report.json
+    that does not account for it. Nothing is deleted: the user's files stay.
+    """
+    if not generated.is_dir():  # the one stat on a fresh directory
+        return
+    found = (Path(root, name) for root, _, names in os.walk(generated) for name in names)
+    stale = sorted(path for path in found if path not in sources)
+    if stale:
+        raise ConfigError(
+            f"{generated} holds {len(stale)} file(s) that this report would not write, "
+            f"first {stale[0]}; write the report into an empty directory"
+        )
 
 
 def load_report(path: Path | str) -> ExperimentReport:

@@ -729,6 +729,52 @@ def test_report_load_emit_fixed_point(full_report, tmp_path):
         ).read_bytes()
 
 
+def _tree(directory):
+    return {p: p.read_bytes() for p in sorted(directory.rglob("*")) if p.is_file()}
+
+
+def test_emit_refuses_a_directory_holding_another_reports_sources(full_report, tmp_path):
+    emit(full_report, tmp_path)
+    before = _tree(tmp_path)
+    first_samples = dataclasses.replace(
+        full_report, results=tuple(r for r in full_report.results if r.sample_index == 0)
+    )
+    stale = len(full_report.results) - len(first_samples.results)
+    with pytest.raises(ConfigError) as caught:
+        emit(first_samples, tmp_path)
+    message = str(caught.value)
+    assert f"holds {stale} file(s)" in message
+    assert str(tmp_path / "generated" / "adpcm" / "baseline" / "1.c") in message
+    assert _tree(tmp_path) == before  # nothing written, nothing deleted
+
+
+def test_generate_with_fewer_samples_into_a_used_directory_exits_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    common = ["generate", "--corpus", str(CORPUS_DIR), "--fixtures", str(FIXTURES_DIR)]
+    assert main([*common, "--samples", "3", "--out", str(out)]) == 0
+    before = _tree(out)
+    capsys.readouterr()
+    assert main([*common, "--samples", "1", "--out", str(out)]) == 2
+    assert str(out / "generated" / "adpcm" / "baseline" / "1.c") in capsys.readouterr().err
+    assert _tree(out) == before
+
+
+def test_report_re_emits_into_its_own_directory(full_report, tmp_path):
+    emit(full_report, tmp_path)
+    before = _tree(tmp_path)
+    assert main(["report", "--in", str(tmp_path / "report.json"), "--out", str(tmp_path)]) == 0
+    assert _tree(tmp_path) == before
+
+
+def test_emit_into_a_fresh_directory_walks_nothing(full_report, tmp_path, monkeypatch):
+    def no_walk(*args, **kwargs):
+        raise AssertionError("a missing generated/ is walked")
+
+    monkeypatch.setattr(runner.os, "walk", no_walk)
+    emit(full_report, tmp_path / "fresh")
+    assert len(list((tmp_path / "fresh" / "generated").rglob("*.c"))) == len(full_report.results)
+
+
 def test_histogram_csv_matches_report_recomputation(full_report, tmp_path):
     emit(full_report, tmp_path)
     # independent recomputation from report.json with plain dict math
