@@ -3,15 +3,15 @@
 The reply format is reasoning prose plus a fenced program; every clause in an
 annotation comment is classified by keyword (requires, ensures, assigns, loop
 invariant, ...), and structural rules are linted. The reply's code is scanned
-once by ``parse_blocks``, and the census, lint and preservation check all read
-that one result.
+once by ``parse_blocks``, and the clause list, census, lint and preservation
+check all take that one result, as ``specforge count`` and ``lint`` do.
 """
 
 from pathlib import Path
 
 from specforge.analyzer import (
     check_code_preserved,
-    count_by_kind,
+    count_blocks_by_kind,
     lint,
     parse_annotations,
     parse_blocks,
@@ -36,7 +36,7 @@ for a in annotations:
     print(f"  line {a.line:>2}  {a.kind.keyword:15s} {a.clause_text[:50]}")
 
 print("\n--- census ---")
-for keyword, count in histogram_to_dict(count_by_kind(annotations)).items():
+for keyword, count in histogram_to_dict(count_blocks_by_kind(analyzed.blocks)).items():
     if count:
         print(f"  {keyword:15s} {count}")
 

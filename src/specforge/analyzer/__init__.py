@@ -11,7 +11,6 @@ from .annotations import (
     SplitResponse,
     STATEMENT,
     count_blocks_by_kind,
-    count_by_kind,
     merge_loop_assigns,
     parse_annotations,
     parse_blocks,
@@ -36,37 +35,3 @@ from .lexer import (
     tokenize,
 )
 from .similarity import normalize_clause, spec_similarity
-
-__all__ = [
-    "AnalyzedCode",
-    "Annotation",
-    "AnnotationBlock",
-    "C_KEYWORDS",
-    "ComparableStream",
-    "DiffRun",
-    "Enclosing",
-    "FUNCTION_CONTRACT",
-    "LOOP_ANNOTATION",
-    "LintIssue",
-    "LintRule",
-    "NoCodeFence",
-    "PreservationVerdict",
-    "SplitResponse",
-    "STATEMENT",
-    "Token",
-    "TokenKind",
-    "TokenizeError",
-    "check_code_preserved",
-    "count_blocks_by_kind",
-    "count_by_kind",
-    "lint",
-    "merge_loop_assigns",
-    "normalize_clause",
-    "parse_annotations",
-    "parse_blocks",
-    "scan",
-    "split_response",
-    "spec_similarity",
-    "strip_annotations",
-    "tokenize",
-]

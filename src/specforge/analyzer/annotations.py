@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Iterable
@@ -392,24 +391,14 @@ def parse_blocks(code: str, parsed: dict | None = None) -> AnalyzedCode:
     return AnalyzedCode(code, blocks, comparable, file_scope)
 
 
-def parse_annotations(code: str | AnalyzedCode) -> list[Annotation]:
-    """All ACSL clauses in ``code``, in source order."""
-    if isinstance(code, str):
-        code = parse_blocks(code)
+def parse_annotations(code: AnalyzedCode) -> list[Annotation]:
+    """All ACSL clauses of ``parse_blocks``' result ``code``, in source order."""
     return [a for b in code.blocks for a in b.annotations]
 
 
-def count_by_kind(annotations: Iterable[Annotation]) -> dict[AnnotationKind, int]:
-    """Histogram of clause kinds; known kinds are always present (zero allowed)."""
-    histogram: dict[AnnotationKind, int] = {kind: 0 for kind in KNOWN_KINDS}
-    # Counter hashes each clause's kind once; the fold below is once per kind.
-    for kind, n in Counter(a.kind for a in annotations).items():
-        histogram[kind] = histogram.get(kind, 0) + n
-    return histogram
-
-
 def count_blocks_by_kind(blocks: Iterable[AnnotationBlock]) -> dict[AnnotationKind, int]:
-    """``count_by_kind`` of the blocks' annotations, summed from their ``kind_counts``."""
+    """Histogram of the blocks' clause kinds, summed from their ``kind_counts``;
+    known kinds are always present (zero allowed)."""
     counts: dict[str, int] = {}
     for block in blocks:
         for keyword, n in block.kind_counts.items():

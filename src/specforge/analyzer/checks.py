@@ -9,9 +9,7 @@ from enum import Enum
 from typing import Sequence
 
 from ..model import ASSIGNS, LOOP_ASSIGNS, LOOP_VARIANT, Record
-from .annotations import (
-    FUNCTION_CONTRACT, STATEMENT, AnalyzedCode, parse_blocks, strip_annotations,
-)
+from .annotations import FUNCTION_CONTRACT, STATEMENT, AnalyzedCode, strip_annotations
 from .lexer import C_KEYWORDS, ComparableStream, scan
 from .lexer import tokenize  # not called here; perfbench/spans.py counts calls through it
 
@@ -35,6 +33,7 @@ class PreservationVerdict(Record):
             raise ValueError("preserved verdict must carry an empty diff")
 
 
+MAX_DIFF_RUNS = 10  # mismatching token runs a verdict's diff keeps, read at each call
 _Opcode = tuple[str, int, int, int, int]
 
 # Polynomial rolling hash over per-token hashes; equal hashes are only
@@ -126,12 +125,12 @@ def _opcodes(a: Sequence[str], b: Sequence[str]) -> list[_Opcode]:
 
 
 def check_code_preserved(
-    original: ComparableStream, annotated_code: AnalyzedCode, max_diff_runs: int = 10
+    original: ComparableStream, annotated_code: AnalyzedCode
 ) -> PreservationVerdict:
     """True iff stripping annotations from ``annotated_code`` leaves the original tokens.
 
     Whitespace and comments never count; the diff localizes up to
-    ``max_diff_runs`` mismatching token runs, line numbers taken from the
+    ``MAX_DIFF_RUNS`` mismatching token runs, line numbers taken from the
     original source where possible. ``original`` is the program's stream
     (``load_corpus`` stores one per entry) and ``annotated_code`` the reply's
     ``parse_blocks`` result, whose ``comparable`` stream its one scan already
@@ -168,7 +167,7 @@ def check_code_preserved(
                 modified=" ".join(values_mod[j1:j2]),
             )
         )
-        if len(runs) >= max_diff_runs:
+        if len(runs) >= MAX_DIFF_RUNS:
             break
     return PreservationVerdict(preserved=False, diff=tuple(runs))
 
@@ -251,7 +250,7 @@ def _formals_after(texts: Sequence[str], start: int) -> set[str] | None:
     return names
 
 
-def lint(code: str | AnalyzedCode) -> list[LintIssue]:
+def lint(code: AnalyzedCode) -> list[LintIssue]:
     """Structural rules over annotations; conservative, warning-grade findings.
 
     - variant_before_assigns: a loop's ``loop variant`` precedes its
@@ -266,8 +265,6 @@ def lint(code: str | AnalyzedCode) -> list[LintIssue]:
     scanned the code (``AnalyzedCode.file_scope``); only the parameter list
     after each contract is read here, from the comparable texts.
     """
-    if isinstance(code, str):
-        code = parse_blocks(code)
     blocks, texts = code.blocks, code.comparable.texts
     issues: list[LintIssue] = []
 

@@ -15,10 +15,10 @@ from pathlib import Path
 from .analyzer import (
     NoCodeFence,
     TokenizeError,
-    count_by_kind,
+    count_blocks_by_kind,
     lint as lint_code,
     merge_loop_assigns,
-    parse_annotations,
+    parse_blocks,
     split_response,
 )
 from .eva import parse_eva_report
@@ -38,6 +38,7 @@ from .runner import (
     NORMALIZE_MODES,
     STATUS_OK,
     ConfigError,
+    check_out_dir,
     check_run_config,
     emit,
     histogram_to_dict,
@@ -74,6 +75,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
     templates = load_templates(args.templates or default_template_dir())
     check_run_config(variants, templates, args.max_inflight)  # before any hook runs
+    check_out_dir(args.out, variants, config.samples_per_program)  # and any request
     corpus = load_corpus(
         args.corpus,
         tests_hook=args.run_pathcrawler if PromptVariant.PATHCRAWLER in variants else None,
@@ -154,8 +156,8 @@ def _split_if_response(text: str) -> str:
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
-    code = _split_if_response(_read_file(args.file))
-    histogram = count_by_kind(parse_annotations(code))
+    analyzed = parse_blocks(_split_if_response(_read_file(args.file)))
+    histogram = count_blocks_by_kind(analyzed.blocks)
     if args.merge_loop_assigns:
         histogram = merge_loop_assigns(histogram)
     if args.csv:
@@ -166,7 +168,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    issues = lint_code(_split_if_response(_read_file(args.file)))
+    issues = lint_code(parse_blocks(_split_if_response(_read_file(args.file))))
     sys.stdout.write(canonical_json([i.to_dict() for i in issues]))
     return EXIT_FINDINGS if issues else EXIT_OK
 

@@ -23,6 +23,10 @@ from .model import GenerationConfig, Record
 from .prompts import BuiltPrompt
 
 DEFAULT_API_KEY_ENV = "SPECFORGE_API_KEY"
+# Seconds one live POST may take, and the wait before each retry (so at most
+# len(BACKOFF_S) retries); both are read when used, not when a backend is built.
+TIMEOUT_S = 120.0
+BACKOFF_S = (1.0, 2.0, 4.0)
 
 
 class GatewayError(RuntimeError):
@@ -162,7 +166,7 @@ class LiveBackend:
     them.
 
     Transport failures and 5xx responses are retried with exponential backoff
-    (one wait per retry, ``backoff_s`` long); 4xx responses fail immediately,
+    (one wait per retry, ``BACKOFF_S`` long); 4xx responses fail immediately,
     and so do 3xx responses: redirects are never followed. The retry loop is
     :meth:`attempts`, which yields each backoff instead of waiting it out.
     :meth:`complete` sleeps through the backoffs on the calling thread;
@@ -171,13 +175,7 @@ class LiveBackend:
     ``runner.run`` bounds it.
     """
 
-    def __init__(
-        self,
-        base_url: str,
-        api_key_env: str = DEFAULT_API_KEY_ENV,
-        timeout_s: float = 120.0,
-        backoff_s: tuple[float, ...] = (1.0, 2.0, 4.0),
-    ):
+    def __init__(self, base_url: str, api_key_env: str = DEFAULT_API_KEY_ENV):
         # Checked here, because urllib would retry a bad port as a transport
         # failure, and raise on a bad scheme or a non-ASCII path in a worker thread.
         try:
@@ -200,8 +198,6 @@ class LiveBackend:
 
         self.base_url = base_url.rstrip("/")
         self.api_key_env = api_key_env
-        self.timeout_s = timeout_s
-        self.backoff_s = backoff_s
         # Proxy and HTTP(S) handlers only: with no redirect or error handler,
         # every reply comes back as it is, so a 3xx never carries the API key
         # to the host its Location names. The proxies are read here, once;
@@ -255,9 +251,9 @@ class LiveBackend:
 
         started = time.perf_counter()
         last_error: tuple[int | None, str] = (None, "no attempt made")
-        for attempt in range(len(self.backoff_s) + 1):
-            if attempt > 0:
-                yield self.backoff_s[attempt - 1]
+        for backoff in (None, *BACKOFF_S):  # no wait before the first attempt
+            if backoff is not None:
+                yield backoff
             try:
                 status, location, raw = self._post(url, body, headers)
             except self._transport_errors as exc:
@@ -297,6 +293,6 @@ class LiveBackend:
     ) -> tuple[int, str | None, bytes]:
         """(status, Location header, body) of one POST, whatever the status."""
         request = self._request_class(url, data=body, headers=headers, method="POST")
-        with self._opener.open(request, timeout=self.timeout_s) as reply:
+        with self._opener.open(request, timeout=TIMEOUT_S) as reply:
             return reply.status, reply.headers.get("Location"), reply.read()
 

@@ -13,10 +13,12 @@ import hashlib
 import heapq
 import json
 import os
+import re
+import stat
 import threading
 import time
 from collections import Counter
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 from pathlib import Path
@@ -99,19 +101,15 @@ class CorpusEntry:
     report: EvaReport | None = None
     load_errors: tuple[str, ...] = ()
     provenance: str = "unspecified"
-    tags: tuple[tuple[str, str], ...] = ()  # free-form meta.json entries (clarity, ...)
 
 
 @dataclass(frozen=True, eq=False, repr=False)
 class _Meta(Record):
-    """The ``meta.json`` keys the runner reads; every other key becomes a tag."""
+    """The ``meta.json`` keys the runner reads; it ignores every other key."""
 
     entry_function: str | None = None
     provenance: str = "unspecified"
     origin: Origin = field(default_factory=Origin.original)
-
-
-_META_KEYS = frozenset(f.name for f in fields(_Meta))
 
 
 @dataclass(frozen=True, eq=False)
@@ -247,14 +245,9 @@ def load_corpus(
             continue
 
         meta = _Meta()
-        tags: tuple[tuple[str, str], ...] = ()
         if "meta.json" in texts:
             try:
-                raw = json.loads(texts["meta.json"])
-                meta = _Meta.from_dict(raw)
-                tags = tuple(
-                    sorted((str(k), str(v)) for k, v in raw.items() if k not in _META_KEYS)
-                )
+                meta = _Meta.from_dict(json.loads(texts["meta.json"]))
             except (ValueError, RecursionError) as exc:
                 errors.append(f"meta.json: {exc}")
         program = SourceProgram(
@@ -289,7 +282,6 @@ def load_corpus(
                 report=report,
                 load_errors=tuple(errors),
                 provenance=meta.provenance,
-                tags=tags,
             )
         )
 
@@ -740,8 +732,8 @@ def emit(
     ``normalize`` is one of ``NORMALIZE_MODES``: totals (sum over samples) or
     per-sample (mean per successful sample). Emission is deterministic: the
     same report always produces byte-identical files. Before writing anything
-    it raises ``ConfigError`` if ``directory/generated`` holds a file that this
-    report would not write.
+    it raises ``ConfigError`` if ``directory`` is not a directory, or if
+    ``directory/generated`` holds a file that this report would not write.
     """
     if normalize not in NORMALIZE_MODES:
         modes = " or ".join(map(repr, NORMALIZE_MODES))
@@ -752,7 +744,7 @@ def emit(
         for r in report.results
         if r.status == STATUS_OK and r.split is not None
     }
-    _refuse_stale_sources(directory / "generated", sources)
+    _refuse_stale_sources(directory, sources)
     directory.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
 
@@ -801,14 +793,19 @@ def emit(
     return written
 
 
-def _refuse_stale_sources(generated: Path, sources: Container[Path]) -> None:
-    """Raise ``ConfigError`` if ``generated`` holds a file not among ``sources``.
+def _refuse_stale_sources(directory: Path, sources: Container[Path]) -> None:
+    """Raise ``ConfigError`` if ``directory`` exists but is not a directory, or if
+    its ``generated/`` holds a file not among ``sources``.
 
     Such a file, left by an earlier report, would sit beside a report.json
     that does not account for it. Nothing is deleted: the user's files stay.
     """
-    if not generated.is_dir():  # the one stat on a fresh directory
+    try:
+        if not stat.S_ISDIR(directory.stat().st_mode):  # the one stat on a fresh directory
+            raise ConfigError(f"output {directory} exists and is not a directory")
+    except FileNotFoundError:
         return
+    generated = directory / "generated"
     found = (Path(root, name) for root, _, names in os.walk(generated) for name in names)
     stale = sorted(path for path in found if path not in sources)
     if stale:
@@ -816,6 +813,34 @@ def _refuse_stale_sources(generated: Path, sources: Container[Path]) -> None:
             f"{generated} holds {len(stale)} file(s) that this report would not write, "
             f"first {stale[0]}; write the report into an empty directory"
         )
+
+
+_SAMPLE_FILE = re.compile(r"(0|[1-9][0-9]*)\.c")  # ``<i>.c``, as ``emit`` names a source
+
+
+class _RunSources:
+    """The files a run may write under ``generated``: ``<name>/<variant>/<i>.c``
+    for a requested variant and ``i`` below the samples per program."""
+
+    def __init__(self, generated: Path, variants: Iterable[PromptVariant], samples: int):
+        self.generated, self.samples = generated, samples
+        self.variants = {variant.value for variant in variants}
+
+    def __contains__(self, path: Path) -> bool:
+        parts = path.relative_to(self.generated).parts
+        if len(parts) != 3 or parts[1] not in self.variants:
+            return False
+        sample = _SAMPLE_FILE.fullmatch(parts[2])
+        return sample is not None and int(sample[1]) < self.samples
+
+
+def check_out_dir(
+    directory: Path | str, variants: Iterable[PromptVariant], samples: int
+) -> None:
+    """``emit``'s check of ``directory`` against every file a run could write; the CLI
+    calls it before loading the corpus, so a refusal runs no hook and sends no request."""
+    directory = Path(directory)
+    _refuse_stale_sources(directory, _RunSources(directory / "generated", variants, samples))
 
 
 def load_report(path: Path | str) -> ExperimentReport:

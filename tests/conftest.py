@@ -137,9 +137,9 @@ def oracle_tokens(code: str) -> list[str]:
     return _ORACLE_TOKEN_RE.findall(no_comments)
 
 
-def preservation(original: str, reply: str, max_diff_runs: int = 10):
+def preservation(original: str, reply: str):
     """``check_code_preserved`` of two texts, on the inputs the runner gives it:
     the original's comparable stream and the reply's ``parse_blocks`` result."""
     from specforge.analyzer import check_code_preserved, parse_blocks, scan
 
-    return check_code_preserved(scan(original, {})[0], parse_blocks(reply), max_diff_runs)
+    return check_code_preserved(scan(original, {})[0], parse_blocks(reply))

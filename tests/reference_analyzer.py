@@ -5,8 +5,9 @@
 ``strip_and_rescan_verdict`` the original preservation check, which removes
 the ACSL comments from the reply text and scans what is left again,
 ``reference_parse_blocks`` the clause scanner that tried every keyword at
-every position of an annotation body, and ``_file_scope_names`` lint's own
-walk for the names visible at file scope. All are kept as they were so that
+every position of an annotation body, ``_file_scope_names`` lint's own
+walk for the names visible at file scope, and ``count_by_kind`` the census
+counted one clause at a time. All are kept as they were so that
 differential tests can compare the faster implementations in
 ``specforge.analyzer`` with them; do not optimize them.
 """
@@ -15,8 +16,10 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from difflib import SequenceMatcher
+from typing import Iterable
 
 from specforge.analyzer import (
     FUNCTION_CONTRACT,
@@ -42,6 +45,7 @@ from specforge.model import (
     BEHAVIOR,
     ENSURES,
     GHOST,
+    KNOWN_KINDS,
     LOOP_ASSIGNS,
     LOOP_INVARIANT,
     LOOP_VARIANT,
@@ -524,3 +528,11 @@ def reference_parse_blocks(code: str) -> list[AnnotationBlock]:
             )
         )
     return blocks
+
+
+def count_by_kind(annotations: Iterable[Annotation]) -> dict[AnnotationKind, int]:
+    """Histogram of clause kinds; known kinds are always present (zero allowed)."""
+    histogram: dict[AnnotationKind, int] = {kind: 0 for kind in KNOWN_KINDS}
+    for kind, n in Counter(a.kind for a in annotations).items():
+        histogram[kind] = histogram.get(kind, 0) + n
+    return histogram

@@ -20,7 +20,7 @@ from conftest import (
 from specforge import model
 from specforge.analyzer import (
     check_code_preserved,
-    count_by_kind,
+    count_blocks_by_kind,
     lint,
     parse_annotations,
     parse_blocks,
@@ -78,7 +78,7 @@ def test_criterion_2_eva_adapter(labels_tritype_eva_report):
 
 
 def test_criterion_3_annotation_census(bsearch_annotated, bsearch_annotated_verbose):
-    histogram = count_by_kind(parse_annotations(bsearch_annotated))
+    histogram = count_blocks_by_kind(parse_blocks(bsearch_annotated).blocks)
     assert {k.keyword: v for k, v in histogram.items() if v} == {
         "requires": 1,
         "ensures": 1,
@@ -87,7 +87,7 @@ def test_criterion_3_annotation_census(bsearch_annotated, bsearch_annotated_verb
         "loop assigns": 1,
         "loop variant": 1,
     }
-    verbose = count_by_kind(parse_annotations(bsearch_annotated_verbose))
+    verbose = count_blocks_by_kind(parse_blocks(bsearch_annotated_verbose).blocks)
     assert verbose[model.ASSERT] >= 1
     assert verbose[model.ASSIGNS] >= 8
     _passed(3, "six-clause census exact; verbose listing has >=1 assert, >=8 assigns")
@@ -140,9 +140,9 @@ def test_criterion_5_lint(bsearch_annotated):
         "  return i;\n"
         "}\n"
     )
-    issues = lint(bad_loop)
+    issues = lint(parse_blocks(bad_loop))
     assert [i.rule.value for i in issues] == ["variant_before_assigns"]
-    assert lint(bsearch_annotated) == []
+    assert lint(parse_blocks(bsearch_annotated)) == []
     _passed(5, "variant-before-assigns fires exactly once; recorded listing is clean")
 
 
@@ -245,7 +245,7 @@ def test_criterion_8_robustness(corpus_load):
     recorded = (FIXTURES_DIR / "tritype_mutated" / "baseline" / "0.txt").read_text(
         encoding="utf-8"
     )
-    annotations = parse_annotations(split_response(recorded).code)
+    annotations = parse_annotations(parse_blocks(split_response(recorded).code))
     flattened = ["".join(a.clause_text.split()) for a in annotations]
     assert any(intent in clause for clause in flattened)
     assert all(mutated_token_sequence not in clause for clause in flattened)
@@ -254,7 +254,7 @@ def test_criterion_8_robustness(corpus_load):
     for text_path in sorted((FIXTURES_DIR / "tritype_mutated" / "baseline").glob("*.txt")):
         split = split_response(text_path.read_text(encoding="utf-8"))
         clauses = [
-            "".join(a.clause_text.split()) for a in parse_annotations(split.code)
+            "".join(a.clause_text.split()) for a in parse_annotations(parse_blocks(split.code))
         ]
         assert all(mutated_token_sequence not in c for c in clauses), text_path
 

@@ -6,15 +6,16 @@ from hypothesis import strategies as st
 
 from conftest import FIXTURES_DIR, oracle_tokens, within
 from reference_analyzer import _normalize_line as reference_normalize_line
-from reference_analyzer import reference_parse_blocks, reference_split_response
+from reference_analyzer import count_by_kind, reference_parse_blocks, reference_split_response
 from specforge import model
 from specforge.analyzer import (
+    STATEMENT,
     Annotation,
+    AnnotationBlock,
     Enclosing,
     NoCodeFence,
     TokenizeError,
     count_blocks_by_kind,
-    count_by_kind,
     merge_loop_assigns,
     normalize_clause,
     parse_annotations,
@@ -123,14 +124,14 @@ def test_normalize_line_matches_reference(raw_line):
 
 def test_a_clause_ending_in_a_long_at_run_parses_in_linear_time():
     code = "/*@ requires x > 0" + " @" * 400_000 + " */\nint f(int x);\n"
-    (annotation,) = within(5, parse_annotations, code)
+    (annotation,) = parse_annotations(within(5, parse_blocks, code))
     assert (annotation.kind.keyword, annotation.clause_text) == ("requires", "x > 0")
 
 
 # ------------------------------------------------------------ parse_annotations
 
 def test_six_clause_census(bsearch_annotated):
-    histogram = count_by_kind(parse_annotations(bsearch_annotated))
+    histogram = count_blocks_by_kind(parse_blocks(bsearch_annotated).blocks)
     nonzero = {k.keyword: v for k, v in histogram.items() if v}
     assert nonzero == {
         "requires": 1,
@@ -143,8 +144,9 @@ def test_six_clause_census(bsearch_annotated):
 
 
 def test_verbose_listing_census(bsearch_annotated_verbose):
-    annotations = parse_annotations(bsearch_annotated_verbose)
-    histogram = count_by_kind(annotations)
+    analyzed = parse_blocks(bsearch_annotated_verbose)
+    annotations = parse_annotations(analyzed)
+    histogram = count_blocks_by_kind(analyzed.blocks)
     assert histogram[model.ASSERT] >= 1
     assert histogram[model.ASSIGNS] >= 8
     statement_assigns = [
@@ -156,18 +158,18 @@ def test_verbose_listing_census(bsearch_annotated_verbose):
 
 
 def test_no_annotations_yields_empty_list():
-    assert parse_annotations("int f(void) { return 1; } /* plain */\n") == []
+    assert parse_annotations(parse_blocks("int f(void) { return 1; } /* plain */\n")) == []
 
 
 def test_clause_text_has_no_decoration(bsearch_annotated):
-    for annotation in parse_annotations(bsearch_annotated):
+    for annotation in parse_annotations(parse_blocks(bsearch_annotated)):
         assert "@" not in annotation.clause_text[:1]
         assert not annotation.clause_text.endswith(";")
 
 
 def test_loop_kinds_imply_loop_enclosing(bsearch_annotated, bsearch_annotated_verbose):
     for code in (bsearch_annotated, bsearch_annotated_verbose):
-        for a in parse_annotations(code):
+        for a in parse_annotations(parse_blocks(code)):
             if a.kind.keyword.startswith("loop "):
                 assert a.enclosing.context == "loop"
 
@@ -182,14 +184,15 @@ def test_behavior_header_and_nested_clauses():
         "*/\n"
         "int f(int i, int j, int k) { return 4; }\n"
     )
-    annotations = parse_annotations(code)
+    analyzed = parse_blocks(code)
+    annotations = parse_annotations(analyzed)
     by_kind = {a.kind.keyword: a for a in annotations}
     assert by_kind["behavior"].clause_text == "not_triangle"
     assert by_kind["behavior"].enclosing.context == "function_contract"
     assert by_kind["assumes"].enclosing.context == "behavior_body"
     assert by_kind["assumes"].enclosing.behavior == "not_triangle"
     assert by_kind["ensures"].enclosing.behavior == "not_triangle"
-    histogram = count_by_kind(annotations)
+    histogram = count_blocks_by_kind(analyzed.blocks)
     assert histogram[model.BEHAVIOR] == 1
     assert histogram[model.ASSUMES] == 1
     assert histogram[model.ENSURES] == 1
@@ -200,7 +203,7 @@ def test_binder_semicolon_does_not_split_clause():
         "/*@ ensures \\forall integer i; 0 <= i < n ==> \\result >= i; */\n"
         "int f(int n) { return n; }\n"
     )
-    annotations = parse_annotations(code)
+    annotations = parse_annotations(parse_blocks(code))
     assert len(annotations) == 1
     assert annotations[0].kind == model.ENSURES
     assert "\\forall integer i;" in annotations[0].clause_text
@@ -214,29 +217,29 @@ def test_unrecognized_clause_keyword_maps_to_other():
         "*/\n"
         "int f(int n) { return n; }\n"
     )
-    annotations = parse_annotations(code)
-    others = [a for a in annotations if not a.kind.known]
+    analyzed = parse_blocks(code)
+    others = [a for a in parse_annotations(analyzed) if not a.kind.known]
     assert [a.kind.keyword for a in others] == ["terminates"]
-    assert count_by_kind(annotations)[model.AnnotationKind.other("terminates")] == 1
+    assert count_blocks_by_kind(analyzed.blocks)[model.AnnotationKind.other("terminates")] == 1
 
 
 def test_census_totality(bsearch_annotated_verbose):
-    annotations = parse_annotations(bsearch_annotated_verbose)
-    histogram = count_by_kind(annotations)
-    assert sum(histogram.values()) == len(annotations)
+    analyzed = parse_blocks(bsearch_annotated_verbose)
+    histogram = count_blocks_by_kind(analyzed.blocks)
+    assert sum(histogram.values()) == len(parse_annotations(analyzed))
 
 
 def test_census_additivity(bsearch_annotated, bsearch_annotated_verbose):
-    a = parse_annotations(bsearch_annotated)
-    b = parse_annotations(bsearch_annotated_verbose)
-    combined = count_by_kind(a + b)
-    separate_a, separate_b = count_by_kind(a), count_by_kind(b)
+    a = parse_blocks(bsearch_annotated).blocks
+    b = parse_blocks(bsearch_annotated_verbose).blocks
+    combined = count_blocks_by_kind(a + b)
+    separate_a, separate_b = count_blocks_by_kind(a), count_blocks_by_kind(b)
     for kind in set(combined) | set(separate_a) | set(separate_b):
         assert combined.get(kind, 0) == separate_a.get(kind, 0) + separate_b.get(kind, 0)
 
 
 def test_empty_census_is_all_zero():
-    histogram = count_by_kind([])
+    histogram = count_blocks_by_kind([])
     assert set(histogram) == set(model.KNOWN_KINDS)
     assert all(v == 0 for v in histogram.values())
 
@@ -262,10 +265,13 @@ def test_census_matches_one_lookup_per_clause(kinds):
     for kind in kinds:
         expected[kind] = expected.get(kind, 0) + 1
     assert list(count_by_kind(annotations).items()) == list(expected.items())
+    # the package's census, one block per clause, gives the oracle's histogram
+    blocks = [AnnotationBlock((a,), 0, None, STATEMENT, {a.kind.keyword: 1}) for a in annotations]
+    assert list(count_blocks_by_kind(blocks).items()) == list(expected.items())
 
 
 def test_merge_loop_assigns_option(bsearch_annotated):
-    histogram = count_by_kind(parse_annotations(bsearch_annotated))
+    histogram = count_blocks_by_kind(parse_blocks(bsearch_annotated).blocks)
     merged = merge_loop_assigns(histogram)
     assert model.LOOP_ASSIGNS not in merged
     assert merged[model.ASSIGNS] == histogram[model.ASSIGNS] + histogram[model.LOOP_ASSIGNS]
@@ -274,7 +280,7 @@ def test_merge_loop_assigns_option(bsearch_annotated):
 
 
 def test_source_order_preserved(bsearch_annotated):
-    lines = [a.line for a in parse_annotations(bsearch_annotated)]
+    lines = [a.line for a in parse_annotations(parse_blocks(bsearch_annotated))]
     assert lines == sorted(lines)
 
 
@@ -284,7 +290,7 @@ def test_strip_removes_all_annotation_markers(bsearch_annotated):
     stripped = strip_annotations(bsearch_annotated)
     assert "/*@" not in stripped
     assert "//@" not in stripped
-    assert parse_annotations(stripped) == []
+    assert parse_annotations(parse_blocks(stripped)) == []
 
 
 def test_strip_is_identity_without_annotations():
@@ -310,7 +316,7 @@ def test_strip_then_parse_is_empty(bsearch_annotated_verbose, corpus_load):
     for code in [bsearch_annotated_verbose] + [
         e.program.source for e in corpus_load.entries
     ]:
-        assert parse_annotations(strip_annotations(code)) == []
+        assert parse_annotations(parse_blocks(strip_annotations(code))) == []
 
 
 def test_strip_preserves_line_numbers():
@@ -340,7 +346,7 @@ def test_strip_preserves_line_numbers():
 def test_strip_parse_coherence_property(pieces):
     code = "\n".join(pieces) + "\n"
     stripped = strip_annotations(code)
-    assert parse_annotations(stripped) == []
+    assert parse_annotations(parse_blocks(stripped)) == []
     acsl_free = [t for t in oracle_tokens(code)]
     # the oracle is comment-blind, so stripped and original agree token-wise
     assert oracle_tokens(stripped) == acsl_free

@@ -2,7 +2,8 @@
 the benchmark harness: a function, class or constant that only tests, demos or
 the README use is dead weight, so it goes. A private top-level name is read
 somewhere in the package, so a deletion that leaves a helper behind fails. The
-same holds for an error class that no caller tells apart from its base."""
+same holds for an error class that no caller tells apart from its base, and
+for a defaulted parameter that no caller in the package or the harness passes."""
 
 from __future__ import annotations
 
@@ -140,3 +141,86 @@ def test_every_package_error_class_is_told_apart_or_shared():
     assert {"GatewayError", "TokenizeError", "TemplateError"} <= set(errors)
     lone = [name for name in errors if name not in caught and raised[name] < 2]
     assert lone == []
+
+
+def _defaulted(fn: ast.FunctionDef, bound: int) -> list[tuple[str, int | None]]:
+    """(name, position after the ``bound`` leading self/cls) of each defaulted parameter;
+    a keyword-only one has no position."""
+    positional = [*fn.args.posonlyargs, *fn.args.args]
+    first = len(positional) - len(fn.args.defaults)
+    found: list[tuple[str, int | None]] = [
+        (arg.arg, at - bound) for at, arg in enumerate(positional) if at >= first
+    ]
+    found += [
+        (arg.arg, None)
+        for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+        if default is not None
+    ]
+    return found
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(
+        isinstance(d, ast.Name) and d.id == "dataclass"
+        or isinstance(d, ast.Call) and isinstance(d.func, ast.Name) and d.func.id == "dataclass"
+        for d in node.decorator_list
+    )
+
+
+def test_every_defaulted_parameter_is_passed_by_a_package_caller():
+    """A default that only tests override is a knob the program never turns: it
+    becomes a module constant, read at call time. The rule covers public
+    functions, public methods and ``__init__``s of classes that are not
+    dataclasses (a dataclass field is a record's field, not a knob)."""
+    params = []  # (where, callee name as called, parameter, position or None)
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        where = path.relative_to(PACKAGE).as_posix()
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                params += [(where, node.name, *p) for p in _defaulted(node, 0)]
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for method in node.body:
+                if not isinstance(method, ast.FunctionDef):
+                    continue
+                static = any(
+                    isinstance(d, ast.Name) and d.id == "staticmethod"
+                    for d in method.decorator_list
+                )
+                if method.name == "__init__" and not _is_dataclass(node):
+                    params += [(where, node.name, *p) for p in _defaulted(method, 1)]
+                elif not method.name.startswith("_"):
+                    bound = 0 if static else 1
+                    params += [(where, method.name, *p) for p in _defaulted(method, bound)]
+    assert ("runner.py", "run", "max_workers", 5) in params
+
+    calls: dict[str, list[ast.Call]] = {}  # by the callee's name, import aliases undone
+    for path in sorted(path for root in CALLERS for path in root.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        aliases = {
+            alias.asname: alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+            if alias.asname
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                calls.setdefault(aliases.get(name, name), []).append(node)
+
+    def passed(call: ast.Call, parameter: str, position: int | None) -> bool:
+        if any(k.arg in (parameter, None) for k in call.keywords):  # None: a **mapping
+            return True
+        if any(isinstance(arg, ast.Starred) for arg in call.args):
+            return True
+        return position is not None and len(call.args) > position
+
+    never = [
+        f"{where}: {name}({parameter})"
+        for where, name, parameter, position in params
+        if not any(passed(call, parameter, position) for call in calls.get(name, ()))
+    ]
+    assert never == []

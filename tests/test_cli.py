@@ -16,14 +16,15 @@ import pytest
 from conftest import (
     ADPCM_CSV, CORPUS_DIR, DATA_DIR, FIXTURES_DIR, REPO_ROOT, TEMPLATES_DIR, src_env
 )
-from specforge.analyzer import count_by_kind, lint, parse_annotations
+from reference_analyzer import count_by_kind
+from specforge.analyzer import lint, parse_annotations, parse_blocks
 from specforge.cli import main
 from specforge.eva import parse_eva_report
-from specforge.gateway import BackendError, LiveBackend
-from specforge.model import SourceProgram, canonical_json
+from specforge.gateway import BackendError, LiveBackend, ReplayBackend
+from specforge.model import GenerationConfig, PromptVariant, SourceProgram, canonical_json
 from specforge.mutation import mutate
 from specforge.pathcrawler import parse_test_csv, summarize
-from specforge.runner import histogram_to_dict, load_corpus
+from specforge.runner import STATUS_OK, histogram_to_dict, load_corpus, run
 
 
 def test_parse_tests_outputs_json(tmp_path, capsys):
@@ -152,6 +153,25 @@ def test_count_csv_shipped_replies_digest(capsys, flags):
     assert digest.hexdigest() == COUNT_CSV_SHA256[flags]
 
 
+def test_count_and_lint_print_what_generate_reports_for_each_shipped_reply(
+    capsys, corpus_load, templates
+):
+    # the command parses one file alone; the study parsed the reply among the run's others
+    report = run(
+        corpus_load, list(PromptVariant), GenerationConfig(), ReplayBackend(FIXTURES_DIR), templates
+    )
+    cells = {(r.program_name, r.variant.value, r.sample_index): r for r in report.results}
+    replies = sorted(FIXTURES_DIR.glob("*/*/*.txt"))
+    assert len(replies) == len(cells) == 57
+    for reply in replies:
+        cell = cells[reply.parent.parent.name, reply.parent.name, int(reply.stem)]
+        assert cell.status == STATUS_OK
+        assert main(["count", str(reply)]) == 0
+        assert capsys.readouterr().out == canonical_json(histogram_to_dict(cell.histogram))
+        assert main(["lint", str(reply)]) == (1 if cell.lint_issues else 0)
+        assert capsys.readouterr().out == canonical_json([i.to_dict() for i in cell.lint_issues])
+
+
 def test_lint_clean_exits_zero(capsys):
     from conftest import DATA_DIR
 
@@ -196,8 +216,11 @@ def test_json_outputs_are_canonical_json_of_their_data(tmp_path, capsys):
             {**suite.to_dict(), "summary": summarize(suite).to_dict()},
         ),
         (["parse-eva", str(eva_path)], report.to_dict()),
-        (["count", str(annotated)], histogram_to_dict(count_by_kind(parse_annotations(code)))),
-        (["lint", str(annotated)], [i.to_dict() for i in lint(code)]),
+        (
+            ["count", str(annotated)],
+            histogram_to_dict(count_by_kind(parse_annotations(parse_blocks(code)))),
+        ),
+        (["lint", str(annotated)], [i.to_dict() for i in lint(parse_blocks(code))]),
     ]
     assert expected[-1][1]  # the lint finds something
     for argv, data in expected:

@@ -15,6 +15,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 from conftest import FIXTURES_DIR, within
+from specforge import gateway
 from specforge.gateway import LiveBackend, ReplayBackend
 from specforge.model import GenerationConfig, PromptVariant
 from specforge.runner import STATUS_BACKEND_FAILED, STATUS_OK, run
@@ -94,9 +95,10 @@ def _entries(corpus_load, *names):
     return [e for e in corpus_load.entries if e.program.name in names]
 
 
-def test_backoff_holds_no_slot(clocked_server, corpus_load, templates):
+def test_backoff_holds_no_slot(clocked_server, corpus_load, templates, monkeypatch):
     _Clocked.fail_first = 1
-    backend = LiveBackend(clocked_server, backoff_s=(0.5,))
+    monkeypatch.setattr(gateway, "BACKOFF_S", (0.5,))
+    backend = LiveBackend(clocked_server)
     report = within(
         TIMEOUT_S, run, _entries(corpus_load, "binary_search", "tritype"),
         [PromptVariant.BASELINE], GenerationConfig(), backend, templates, max_workers=1,
@@ -113,9 +115,10 @@ def test_backoff_holds_no_slot(clocked_server, corpus_load, templates):
     assert [(r.program_name, r.sample_index) for r in retried] == [("binary_search", 0)]
 
 
-def test_due_retry_goes_before_new_cells(clocked_server, corpus_load, templates):
+def test_due_retry_goes_before_new_cells(clocked_server, corpus_load, templates, monkeypatch):
     _Clocked.fail_first, _Clocked.hold_s = 1, 0.05
-    backend = LiveBackend(clocked_server, backoff_s=(0.01,))
+    monkeypatch.setattr(gateway, "BACKOFF_S", (0.01,))
+    backend = LiveBackend(clocked_server)
     report = within(
         TIMEOUT_S, run, _entries(corpus_load, "binary_search", "tritype", "alias5", "apache"),
         [PromptVariant.BASELINE], GenerationConfig(samples_per_program=1), backend,
@@ -128,9 +131,12 @@ def test_due_retry_goes_before_new_cells(clocked_server, corpus_load, templates)
     assert len(set(prompts)) == 4
 
 
-def test_a_reply_nested_too_deep_fails_only_its_cell(clocked_server, corpus_load, templates):
+def test_a_reply_nested_too_deep_fails_only_its_cell(
+    clocked_server, corpus_load, templates, monkeypatch
+):
     _Clocked.nested_first = 1
-    backend = LiveBackend(clocked_server, backoff_s=())
+    monkeypatch.setattr(gateway, "BACKOFF_S", ())
+    backend = LiveBackend(clocked_server)
     report = within(
         TIMEOUT_S, run, _entries(corpus_load, "tritype"), [PromptVariant.BASELINE],
         GenerationConfig(), backend, templates, max_workers=1,
@@ -167,9 +173,12 @@ def test_a_backend_with_only_attempts_runs_like_replay(corpus_load, templates):
     assert _workers() == []
 
 
-def test_in_flight_bound_holds_while_retries_are_parked(clocked_server, corpus_load, templates):
+def test_in_flight_bound_holds_while_retries_are_parked(
+    clocked_server, corpus_load, templates, monkeypatch
+):
     _Clocked.fail_first, _Clocked.hold_s = 3, 0.02
-    backend = LiveBackend(clocked_server, backoff_s=(0.05,))
+    monkeypatch.setattr(gateway, "BACKOFF_S", (0.05,))
+    backend = LiveBackend(clocked_server)
     report = within(
         TIMEOUT_S, run, _entries(corpus_load, "binary_search", "tritype"),
         [PromptVariant.BASELINE], GenerationConfig(samples_per_program=6), backend,

@@ -6,6 +6,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
+from specforge import gateway
 from specforge.gateway import (
     BackendError,
     CompletionRequest,
@@ -19,6 +20,20 @@ from specforge.gateway import (
 )
 from specforge.model import GenerationConfig, PromptVariant
 from specforge.prompts import BuiltPrompt
+
+
+DEFAULT_RETRY_SCHEDULE = (gateway.TIMEOUT_S, gateway.BACKOFF_S)
+
+
+@pytest.fixture(autouse=True)
+def _no_backoff(monkeypatch):
+    """The default three retries, each sent at once."""
+    monkeypatch.setattr(gateway, "BACKOFF_S", (0.0, 0.0, 0.0))
+
+
+def _retries(monkeypatch, backoff_s: tuple[float, ...], timeout_s: float = gateway.TIMEOUT_S):
+    monkeypatch.setattr(gateway, "BACKOFF_S", backoff_s)
+    monkeypatch.setattr(gateway, "TIMEOUT_S", timeout_s)
 
 
 def _request(sample_index: int = 0, text: str = "annotate this") -> CompletionRequest:
@@ -184,7 +199,7 @@ def test_replay_malformed_sidecar_is_a_gateway_error(tmp_path, sidecar):
 def test_live_success(script_server, credentials):
     _, base_url = script_server
     _Script.script = [(200, _ok_body("generated annotations"))]
-    backend = LiveBackend(base_url=base_url, backoff_s=(0.0,))
+    backend = LiveBackend(base_url=base_url)
     response = backend.complete(_request())
     assert response.text == "generated annotations"
     assert response.backend_kind == "live"
@@ -197,7 +212,7 @@ def test_live_success(script_server, credentials):
 def test_live_retries_5xx_then_succeeds(script_server, credentials):
     _, base_url = script_server
     _Script.script = [(500, "boom"), (503, "busy"), (200, _ok_body("ok now"))]
-    backend = LiveBackend(base_url=base_url, backoff_s=(0.0, 0.0, 0.0))
+    backend = LiveBackend(base_url=base_url)
     assert backend.complete(_request()).text == "ok now"
     assert len(_Script.requests_seen) == 3
 
@@ -205,25 +220,41 @@ def test_live_retries_5xx_then_succeeds(script_server, credentials):
 def test_live_gives_up_after_bounded_retries(script_server, credentials):
     _, base_url = script_server
     _Script.script = [(500, "a"), (500, "b"), (500, "c"), (500, "d"), (500, "e")]
-    backend = LiveBackend(base_url=base_url, backoff_s=(0.0, 0.0, 0.0))
+    backend = LiveBackend(base_url=base_url)
     with pytest.raises(BackendError) as exc:
         backend.complete(_request())
     assert str(exc.value).startswith("backend error (status=500): ")
     assert len(_Script.requests_seen) == 4  # initial attempt + three retries
 
 
+def test_live_retry_schedule_defaults():
+    # 120 s per POST, then waits of 1, 2 and 4 s before the three retries
+    assert DEFAULT_RETRY_SCHEDULE == (120.0, (1.0, 2.0, 4.0))
+
+
+def test_live_reads_the_retry_schedule_when_it_sends(script_server, credentials, monkeypatch):
+    _, base_url = script_server
+    backend = LiveBackend(base_url=base_url)  # built while three retries are set
+    _retries(monkeypatch, (0.0,))
+    _Script.script = [(500, "a"), (500, "b"), (500, "c")]
+    with pytest.raises(BackendError, match="retries exhausted"):
+        backend.complete(_request())
+    assert len(_Script.requests_seen) == 2  # initial attempt + one retry
+
+
 def test_live_4xx_fails_immediately(script_server, credentials):
     _, base_url = script_server
     _Script.script = [(401, "unauthorized")]
-    backend = LiveBackend(base_url=base_url, backoff_s=(0.0, 0.0, 0.0))
+    backend = LiveBackend(base_url=base_url)
     with pytest.raises(BackendError) as exc:
         backend.complete(_request())
     assert str(exc.value).startswith("backend error (status=401): ")
     assert len(_Script.requests_seen) == 1
 
 
-def test_live_transport_error_retries_and_fails(credentials):
-    backend = LiveBackend(base_url="http://127.0.0.1:9", backoff_s=(0.0,), timeout_s=0.2)
+def test_live_transport_error_retries_and_fails(credentials, monkeypatch):
+    _retries(monkeypatch, (0.0,), timeout_s=0.2)
+    backend = LiveBackend(base_url="http://127.0.0.1:9")
     with pytest.raises(BackendError) as exc:
         backend.complete(_request())
     assert "transport" in str(exc.value)
@@ -232,7 +263,7 @@ def test_live_transport_error_retries_and_fails(credentials):
 def test_live_non_json_200_fails_without_retry(script_server, credentials):
     _, base_url = script_server
     _Script.script = [(200, "<html>not json</html>")]
-    backend = LiveBackend(base_url=base_url, backoff_s=(0.0, 0.0, 0.0))
+    backend = LiveBackend(base_url=base_url)
     with pytest.raises(BackendError) as exc:
         backend.complete(_request())
     assert str(exc.value).startswith("backend error (status=200): ")
@@ -244,7 +275,7 @@ def test_live_non_json_200_fails_without_retry(script_server, credentials):
 def test_live_non_string_content_is_malformed(script_server, credentials, content):
     _, base_url = script_server
     _Script.script = [(200, json.dumps({"choices": [{"message": {"content": content}}]}))]
-    backend = LiveBackend(base_url=base_url, backoff_s=(0.0, 0.0, 0.0))
+    backend = LiveBackend(base_url=base_url)
     with pytest.raises(BackendError) as exc:
         backend.complete(_request())
     assert str(exc.value).startswith("backend error (status=200): ")
@@ -257,7 +288,7 @@ def test_live_content_with_a_lone_surrogate_is_malformed(script_server, credenti
     body = _ok_body("/*@ assigns \\nothing; */ \ud83d")  # an emoji cut after its first half
     assert "\\ud83d" in body
     _Script.script = [(200, body)]
-    backend = LiveBackend(base_url=base_url, backoff_s=(0.0, 0.0, 0.0))
+    backend = LiveBackend(base_url=base_url)
     with pytest.raises(BackendError) as exc:
         backend.complete(_request())
     assert str(exc.value).startswith(
@@ -267,11 +298,12 @@ def test_live_content_with_a_lone_surrogate_is_malformed(script_server, credenti
 
 
 def test_live_dropped_connection_is_retried_as_transport_failure(
-    script_server, credentials
+    script_server, credentials, monkeypatch
 ):
     _, base_url = script_server
     _Script.script = [(None, ""), (None, b"garbage\r\n\r\n"), (None, "")]
-    backend = LiveBackend(base_url=base_url, backoff_s=(0.0, 0.0))
+    _retries(monkeypatch, (0.0, 0.0))
+    backend = LiveBackend(base_url=base_url)
     with pytest.raises(BackendError) as exc:
         backend.complete(_request())
     assert str(exc.value).startswith("backend error (status=None): ")
@@ -284,10 +316,11 @@ def test_live_dropped_connection_is_retried_as_transport_failure(
     assert len(_Script.requests_seen) == 2
 
 
-def test_live_non_utf8_error_body_is_bounded(script_server, credentials):
+def test_live_non_utf8_error_body_is_bounded(script_server, credentials, monkeypatch):
     _, base_url = script_server
     _Script.script = [(503, b"\xff\xfe" * 1024)] * 2
-    backend = LiveBackend(base_url=base_url, backoff_s=(0.0,))
+    _retries(monkeypatch, (0.0,))
+    backend = LiveBackend(base_url=base_url)
     with pytest.raises(BackendError) as exc:
         backend.complete(_request())
     assert str(exc.value).startswith("backend error (status=503): ")
@@ -330,7 +363,7 @@ def test_live_redirect_is_refused_and_sends_no_credential(
     try:
         target = f"http://127.0.0.1:{sink.server_port}/chat/completions"
         _Script.script = [(status, "moved", {"Location": target})]
-        backend = LiveBackend(base_url=base_url, backoff_s=(0.0, 0.0, 0.0))
+        backend = LiveBackend(base_url=base_url)
         with pytest.raises(BackendError) as exc:
             backend.complete(_request())
     finally:
@@ -351,13 +384,14 @@ def test_live_honours_proxy_environment(script_server, credentials, monkeypatch)
         monkeypatch.delenv(name, raising=False)
         monkeypatch.delenv(name.upper(), raising=False)
     monkeypatch.setenv("HTTP_PROXY", "http://127.0.0.1:9")  # nothing listens there
+    _retries(monkeypatch, (0.0,), timeout_s=2.0)
     with pytest.raises(BackendError, match="transport failure"):
-        LiveBackend(base_url=base_url, backoff_s=(0.0,), timeout_s=2.0).complete(_request())
+        LiveBackend(base_url=base_url).complete(_request())
     assert _Script.requests_seen == []
 
     monkeypatch.setenv("NO_PROXY", "127.0.0.1")
     _Script.script = [(200, _ok_body("direct"))]
-    backend = LiveBackend(base_url=base_url, backoff_s=(0.0,), timeout_s=2.0)
+    backend = LiveBackend(base_url=base_url)
     assert backend.complete(_request()).text == "direct"
     assert len(_Script.requests_seen) == 1
 

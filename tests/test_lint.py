@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from specforge.analyzer import LintRule, lint, parse_annotations
+from specforge.analyzer import LintRule, lint, parse_annotations, parse_blocks
 
 VARIANT_FIRST_LOOP = """int f(int n) {
   int i = 0;
@@ -18,13 +18,13 @@ VARIANT_FIRST_LOOP = """int f(int n) {
 
 
 def test_variant_before_assigns_fires_once():
-    issues = lint(VARIANT_FIRST_LOOP)
+    issues = lint(parse_blocks(VARIANT_FIRST_LOOP))
     assert [i.rule for i in issues] == [LintRule.VARIANT_BEFORE_ASSIGNS]
     assert issues[0].line == 5
 
 
 def test_correct_loop_order_is_clean(bsearch_annotated):
-    assert lint(bsearch_annotated) == []
+    assert lint(parse_blocks(bsearch_annotated)) == []
 
 
 def test_variant_without_assigns_is_clean():
@@ -38,7 +38,7 @@ def test_variant_without_assigns_is_clean():
         "  return i;\n"
         "}\n"
     )
-    assert lint(code) == []
+    assert lint(parse_blocks(code)) == []
 
 
 def test_variant_order_checked_across_consecutive_line_annotations():
@@ -51,7 +51,7 @@ def test_variant_order_checked_across_consecutive_line_annotations():
         "  return i;\n"
         "}\n"
     )
-    issues = lint(code)
+    issues = lint(parse_blocks(code))
     assert [i.rule for i in issues] == [LintRule.VARIANT_BEFORE_ASSIGNS]
 
 
@@ -65,7 +65,7 @@ def test_assigns_out_of_scope_on_local():
         "  return counter;\n"
         "}\n"
     )
-    issues = lint(code)
+    issues = lint(parse_blocks(code))
     assert [i.rule for i in issues] == [LintRule.ASSIGNS_OUT_OF_SCOPE]
     assert "counter" in issues[0].detail
 
@@ -78,17 +78,17 @@ def test_assigns_formal_dereference_and_index_ok():
         "*/\n"
         "void f(char *buffer, int len) { buffer[0] = 0; }\n"
     )
-    assert lint(code) == []
+    assert lint(parse_blocks(code)) == []
 
 
 def test_assigns_nothing_and_result_ok():
     code = "/*@ assigns \\nothing; */\nint f(int n) { return n; }\n"
-    assert lint(code) == []
+    assert lint(parse_blocks(code)) == []
 
 
 def test_assigns_global_ok():
     code = "int total;\n/*@ assigns total; */\nvoid bump(void) { total++; }\n"
-    assert lint(code) == []
+    assert lint(parse_blocks(code)) == []
 
 
 def test_loop_assigns_not_scope_checked():
@@ -104,7 +104,7 @@ def test_loop_assigns_not_scope_checked():
         "  return i;\n"
         "}\n"
     )
-    assert lint(code) == []
+    assert lint(parse_blocks(code)) == []
 
 
 @pytest.mark.parametrize(
@@ -121,7 +121,7 @@ def test_loop_assigns_not_scope_checked():
     ids=["unclosed-parameter-list", "target-without-identifier"],
 )
 def test_assigns_scope_on_odd_headers_and_targets(code, details):
-    issues = lint(code)
+    issues = lint(parse_blocks(code))
     assert [(i.rule, i.detail) for i in issues] == [
         (LintRule.ASSIGNS_OUT_OF_SCOPE, detail) for detail in details
     ]
@@ -139,13 +139,13 @@ def test_block_style_in_body_fires():
         "  return x;\n"
         "}\n"
     )
-    issues = lint(code)
+    issues = lint(parse_blocks(code))
     assert [i.rule for i in issues] == [LintRule.BLOCK_STYLE_IN_BODY]
 
 
 def test_single_clause_body_block_is_clean(bsearch_annotated_verbose):
     # statement-position blocks in the verbose listing are all single-clause
-    assert lint(bsearch_annotated_verbose) == []
+    assert lint(parse_blocks(bsearch_annotated_verbose)) == []
 
 
 def test_issue_lines_point_at_parsed_annotations():
@@ -153,6 +153,6 @@ def test_issue_lines_point_at_parsed_annotations():
         VARIANT_FIRST_LOOP,
         "/*@ assigns counter; */\nint f(void) { int counter = 0; return counter; }\n",
     ):
-        annotation_lines = {a.line for a in parse_annotations(code)}
-        for issue in lint(code):
+        annotation_lines = {a.line for a in parse_annotations(parse_blocks(code))}
+        for issue in lint(parse_blocks(code)):
             assert issue.line in annotation_lines

@@ -91,14 +91,16 @@ def test_dropped_statement_detected():
     assert any("n = n + 1" in run.original.replace(" ", " ") for run in verdict.diff)
 
 
-def test_diff_run_limit_respected():
+def test_diff_run_limit_respected(monkeypatch):
     original = SourceProgram(
         name="p", source="".join(f"int v{i} = {i};\n" for i in range(40))
     )
     modified = "".join(f"int v{i} = {i + 1};\n" for i in range(40))
-    verdict = preservation(original.source, modified, max_diff_runs=10)
+    verdict = preservation(original.source, modified)
     assert not verdict.preserved
-    assert len(verdict.diff) == 10
+    assert len(verdict.diff) == checks.MAX_DIFF_RUNS == 10
+    monkeypatch.setattr(checks, "MAX_DIFF_RUNS", 3)  # read at each call
+    assert len(preservation(original.source, modified).diff) == 3
 
 
 def test_preservation_verdict_json_round_trip(corpus_load):
@@ -245,7 +247,9 @@ def test_edited_window_opcodes_equal_full_matcher(pair):
     a, b = pair
     assert checks._opcodes(a, b) == _full_opcodes(a, b)
     original, reply = "\n".join(a), "\n".join(b)
-    verdict = preservation(original, reply, max_diff_runs=100)
+    with pytest.MonkeyPatch.context() as patch:  # hypothesis takes no function-scoped fixture
+        patch.setattr(checks, "MAX_DIFF_RUNS", 100)
+        verdict = preservation(original, reply)
     assert verdict == strip_and_rescan_verdict(original, reply, max_diff_runs=100)
 
 

@@ -7,6 +7,7 @@ import importlib.util
 import json
 import random
 import re
+import shlex
 import shutil
 import sys
 import threading
@@ -19,8 +20,9 @@ from hypothesis import strategies as st
 from conftest import (
     ADPCM_CSV, ALIAS5_EVA_EXCERPT, CORPUS_DIR, FIXTURES_DIR, REPO_ROOT, TEMPLATES_DIR, within,
 )
+from reference_analyzer import count_by_kind
 from specforge import runner
-from specforge.analyzer import PreservationVerdict, count_by_kind, parse_blocks, tokenize
+from specforge.analyzer import PreservationVerdict, parse_blocks, tokenize
 from specforge.gateway import BackendError, CompletionResponse, ReplayBackend
 from specforge.model import AnnotationKind, GenerationConfig, Origin, PromptVariant
 from specforge.cli import main
@@ -33,6 +35,7 @@ from specforge.runner import (
     ConfigError,
     ExperimentReport,
     GenerationResult,
+    check_out_dir,
     emit,
     load_corpus,
     load_report,
@@ -91,7 +94,7 @@ def test_load_corpus_reads_meta(corpus_load_module):
     assert mutated.origin.kind == "mutant"
     assert mutated.origin.parent_name == "tritype"
     assert by_name["tritype"].provenance == "curated"
-    assert ("clarity", "clear") in by_name["tritype"].tags
+    assert by_name["tritype"].load_errors == ()  # its clarity and complexity keys are ignored
 
 
 def test_load_corpus_empty_directory(tmp_path):
@@ -748,15 +751,59 @@ def test_emit_refuses_a_directory_holding_another_reports_sources(full_report, t
     assert _tree(tmp_path) == before  # nothing written, nothing deleted
 
 
-def test_generate_with_fewer_samples_into_a_used_directory_exits_2(tmp_path, capsys):
+def test_generate_with_fewer_samples_into_a_used_directory_exits_2(
+    tmp_path, capsys, monkeypatch
+):
     out = tmp_path / "out"
     common = ["generate", "--corpus", str(CORPUS_DIR), "--fixtures", str(FIXTURES_DIR)]
     assert main([*common, "--samples", "3", "--out", str(out)]) == 0
     before = _tree(out)
     capsys.readouterr()
-    assert main([*common, "--samples", "1", "--out", str(out)]) == 2
+    sent = []
+    complete = ReplayBackend.complete
+
+    def counted(backend, request):
+        sent.append(request)
+        return complete(backend, request)
+
+    monkeypatch.setattr(ReplayBackend, "complete", counted)
+    marker = tmp_path / "hook_ran"  # levenshtein ships no tests.csv, so the hook would run
+    hook = ["--run-pathcrawler", f"touch {shlex.quote(str(marker))}"]
+    assert main([*common, *hook, "--samples", "1", "--out", str(out)]) == 2
+    assert sent == [] and not marker.exists()  # refused before any request or hook
     assert str(out / "generated" / "adpcm" / "baseline" / "1.c") in capsys.readouterr().err
     assert _tree(out) == before
+
+
+@pytest.mark.parametrize(
+    "name, refused",
+    [
+        ("f/baseline/0.c", False),
+        ("f/pathcrawler/2.c", False),
+        ("a name/baseline/1.c", False),
+        ("f/baseline/3.c", True),  # beyond --samples 3
+        ("f/eva/0.c", True),  # a variant not requested
+        ("f/baseline/00.c", True),
+        ("f/baseline/+1.c", True),
+        ("f/baseline/\u0661.c", True),  # a digit emit never writes
+        ("f/baseline/0.txt", True),
+        ("baseline/0.c", True),
+        ("g/f/baseline/0.c", True),
+    ],
+)
+def test_check_out_dir_allows_only_files_a_run_could_write(tmp_path, name, refused):
+    path = tmp_path / "generated" / name
+    path.parent.mkdir(parents=True)
+    path.write_text("int x;\n", encoding="utf-8")
+    variants = [PromptVariant.BASELINE, PromptVariant.PATHCRAWLER]
+    if refused:
+        with pytest.raises(ConfigError, match="holds 1 file"):
+            check_out_dir(tmp_path, variants, 3)
+    else:
+        check_out_dir(tmp_path, variants, 3)
+    check_out_dir(tmp_path / "fresh", variants, 3)  # an absent directory is fine
+    with pytest.raises(ConfigError, match="exists and is not a directory"):
+        check_out_dir(path, variants, 3)
 
 
 def test_report_re_emits_into_its_own_directory(full_report, tmp_path):

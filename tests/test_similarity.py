@@ -5,7 +5,7 @@ from collections import Counter
 from hypothesis import given
 from hypothesis import strategies as st
 
-from specforge.analyzer import normalize_clause, parse_annotations, spec_similarity
+from specforge.analyzer import normalize_clause, parse_annotations, parse_blocks, spec_similarity
 from specforge.analyzer.annotations import FUNCTION_CONTRACT, Annotation
 from specforge.model import AnnotationKind
 
@@ -39,7 +39,7 @@ def multiset_jaccard(a: list[str], b: list[str]) -> float:
 
 
 def test_identical_lists_score_one(bsearch_annotated):
-    annotations = parse_annotations(bsearch_annotated)
+    annotations = parse_annotations(parse_blocks(bsearch_annotated))
     assert similarity(annotations, annotations) == 1.0
 
 
@@ -54,7 +54,7 @@ def test_both_empty_scores_one():
 
 
 def test_one_clause_removed(bsearch_annotated):
-    annotations = parse_annotations(bsearch_annotated)
+    annotations = parse_annotations(parse_blocks(bsearch_annotated))
     shorter = annotations[:-1]
     expected = multiset_jaccard(
         [normalize_clause(a) for a in annotations],
@@ -66,7 +66,7 @@ def test_one_clause_removed(bsearch_annotated):
 
 
 def test_one_clause_replaced(bsearch_annotated):
-    annotations = parse_annotations(bsearch_annotated)
+    annotations = parse_annotations(parse_blocks(bsearch_annotated))
     swapped = annotations[:-1] + [_ann("requires", "completely different")]
     expected = multiset_jaccard(
         [normalize_clause(a) for a in annotations],

@@ -368,5 +368,5 @@ def test_one_walk_matches_the_reference_facts(source):
     reference_tokens = [Token(*t) for t in reference_tokenize(source)]
     reference_scope = frozenset(_file_scope_names(reference_tokens))
     assert analyzed.file_scope == reference_scope
-    # lint of the text, against lint fed the frozen oracle's file-scope names.
-    assert lint(source) == lint(replace(analyzed, file_scope=reference_scope))
+    # lint of the scan, against lint fed the frozen oracle's file-scope names.
+    assert lint(analyzed) == lint(replace(analyzed, file_scope=reference_scope))
