@@ -2,13 +2,13 @@
 
 This is deliberately a tokenizer, not a parser. ``scan`` goes from a source
 straight to what the analysis reads (the stream preservation compares, the
-file-scope names, the ACSL comments), and ``tokenize`` gives the tokens with
-their source spans that mutation and annotation stripping need; both take
-their tokens from one lexing loop. Comments survive as tokens (annotations
-live inside them), preprocessor directives collapse to one token per logical
-line, and any character the scanner does not recognize becomes a
-one-character punctuator so that scanning is total except for unterminated
-comments and literals.
+file-scope names, the ACSL comments), ``tokenize`` gives the tokens with
+their source spans that mutation sites and annotation stripping need, and
+``line_tokens`` gives those of one line; all take their tokens from one
+lexing loop. Comments survive as tokens (annotations live inside them),
+preprocessor directives collapse to one token per logical line, and any
+character the scanner does not recognize becomes a one-character punctuator
+so that scanning is total except for unterminated comments and literals.
 """
 
 from __future__ import annotations
@@ -135,8 +135,9 @@ _PREPROC, _NEWLINE, _ID, _COMMENT, _LINE_COMMENT, _PUNCT = (
 def _lex(source: str, pos: int, line: int) -> Iterator[tuple[int, str, int, int, int]]:
     """Yield ``(group, text, line, start, end)`` for each token from ``pos`` on.
 
-    ``pos`` is a line start outside comments, directives and literals, and
-    ``line`` its number; ``group`` is the number of the token's group in
+    ``pos`` is a line start, or the end of a token, outside comments,
+    directives and literals, and ``line`` its number (a directive starts
+    only at a line start); ``group`` is the number of the token's group in
     ``_TOKEN_RE``. A run of newlines is yielded too, with empty text and the
     number of the line after it. Raises TokenizeError for an unterminated
     comment or literal.
@@ -185,6 +186,25 @@ def tokenize(source: str) -> list[Token]:
         for group, text, line, start, end in _lex(source, 0, 1)
         if group != _NEWLINE
     ]
+
+
+def line_tokens(source: str, pos: int, line: int) -> list[Token]:
+    """The tokens, comments included, from ``pos`` on that start on ``line``.
+
+    ``pos`` is a place ``tokenize``'s scan of ``source`` stands at (see
+    ``_lex``) and ``line`` the number it has there; the tokens are then the
+    ones ``tokenize`` gives from there to the end of the line. Lexing stops
+    at the first token past the line, so a line is read alone. Raises
+    TokenizeError for an unterminated comment or literal.
+    """
+    new = tuple.__new__
+    kinds = _KINDS
+    tokens: list[Token] = []
+    for group, text, at, start, end in _lex(source, pos, line):
+        if at != line:  # a newline run, or a token after a multi-line one
+            break
+        tokens.append(new(Token, (kinds[group], text, at, start, end)))
+    return tokens
 
 
 @dataclass(frozen=True, slots=True, eq=False)

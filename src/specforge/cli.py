@@ -81,6 +81,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         tests_hook=args.run_pathcrawler if PromptVariant.PATHCRAWLER in variants else None,
         eva_hook=args.run_eva if PromptVariant.EVA in variants else None,
     )
+    programs = [entry.program.name for entry in corpus.entries]
+    check_out_dir(args.out, variants, config.samples_per_program, programs)  # before a request
     report = run(corpus, variants, config, backend, templates, max_workers=args.max_inflight)
     emit(report, args.out, normalize=args.normalize)
 

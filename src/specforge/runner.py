@@ -820,27 +820,46 @@ _SAMPLE_FILE = re.compile(r"(0|[1-9][0-9]*)\.c")  # ``<i>.c``, as ``emit`` names
 
 class _RunSources:
     """The files a run may write under ``generated``: ``<name>/<variant>/<i>.c``
-    for a requested variant and ``i`` below the samples per program."""
+    for a requested variant, ``i`` below the samples per program, and a name
+    among ``programs`` (any name when that is None)."""
 
-    def __init__(self, generated: Path, variants: Iterable[PromptVariant], samples: int):
+    def __init__(
+        self,
+        generated: Path,
+        variants: Iterable[PromptVariant],
+        samples: int,
+        programs: Iterable[str] | None,
+    ):
         self.generated, self.samples = generated, samples
         self.variants = {variant.value for variant in variants}
+        self.programs = None if programs is None else set(programs)
 
     def __contains__(self, path: Path) -> bool:
         parts = path.relative_to(self.generated).parts
         if len(parts) != 3 or parts[1] not in self.variants:
+            return False
+        if self.programs is not None and parts[0] not in self.programs:
             return False
         sample = _SAMPLE_FILE.fullmatch(parts[2])
         return sample is not None and int(sample[1]) < self.samples
 
 
 def check_out_dir(
-    directory: Path | str, variants: Iterable[PromptVariant], samples: int
+    directory: Path | str,
+    variants: Iterable[PromptVariant],
+    samples: int,
+    programs: Iterable[str] | None = None,
 ) -> None:
-    """``emit``'s check of ``directory`` against every file a run could write; the CLI
-    calls it before loading the corpus, so a refusal runs no hook and sends no request."""
+    """``emit``'s check of ``directory`` against every file a run could write.
+
+    The CLI calls it before loading the corpus, so a refusal runs no hook and
+    sends no request, and again with the loaded ``programs``' names before
+    the run, so a ``generated/`` left by another corpus sends none either.
+    """
     directory = Path(directory)
-    _refuse_stale_sources(directory, _RunSources(directory / "generated", variants, samples))
+    _refuse_stale_sources(
+        directory, _RunSources(directory / "generated", variants, samples, programs)
+    )
 
 
 def load_report(path: Path | str) -> ExperimentReport:

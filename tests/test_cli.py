@@ -257,6 +257,31 @@ def test_generate_replay_end_to_end(tmp_path, capsys):
     assert "failures: none" in out.out
 
 
+def test_generate_refuses_a_generated_dir_of_another_corpus_before_any_request(
+    tmp_path, capsys, monkeypatch
+):
+    requests = []
+    complete = ReplayBackend.complete
+
+    def counted(self, request):
+        requests.append(request)
+        return complete(self, request)
+
+    monkeypatch.setattr(ReplayBackend, "complete", counted)
+    argv = ["generate", "--corpus", str(CORPUS_DIR), "--fixtures", str(FIXTURES_DIR)]
+    assert main([*argv, "--out", str(tmp_path / "fresh")]) == 0
+    assert len(requests) == 57  # the shipped study, for scale
+    requests.clear()
+    foreign = tmp_path / "out" / "generated" / "other_program" / "baseline" / "0.c"
+    foreign.parent.mkdir(parents=True)
+    foreign.write_text("int x;\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    assert "holds 1 file(s) that this report would not write" in capsys.readouterr().err
+    assert requests == []
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["generated"]
+
+
 def test_generate_missing_fixture_exits_one(tmp_path, capsys):
     partial = tmp_path / "fixtures"
     shutil.copytree(FIXTURES_DIR, partial)

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import oracle_tokens
+from conftest import CORPUS_DIR, oracle_tokens
 from reference_mutation import (
     reference_enumerate_sites,
     reference_identifier_sites,
     reference_mutate,
 )
-from specforge.analyzer.lexer import tokenize
+from specforge import mutation
+from specforge.analyzer.lexer import TokenizeError, tokenize
 from specforge.model import SourceProgram
 from specforge.mutation import (
     MutationOperator,
@@ -241,7 +242,7 @@ def test_identifier_sites_match_reference(source):
 def _drawn(draw, program, seed):
     try:
         return draw(program, seed)
-    except NoMutationSite as e:
+    except (NoMutationSite, TokenizeError) as e:
         return str(e)
 
 
@@ -288,3 +289,79 @@ def test_mutate_unchanged_on_shipped_corpus(corpus_load):
     digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
     assert len(rows) == 550
     assert digest == "dd9207b480ec895c6fc115d11a9d6ad8245675641af33cde2b4c9e739d07e95a"
+
+
+# Lines of the shipped programs that lex alone, and multi-line pieces that
+# put the drawn token's line where lexing it alone could mislead: comments
+# that open on one line and close on the next (before code, or around quotes
+# and '<'), continued directives, literals holding operators or an escaped
+# newline, headers split across lines, and a line whose standalone lexing and
+# whose lexing after the comment it closes read the same texts.
+def _lexes(line: str) -> bool:
+    try:
+        tokenize(line)
+    except TokenizeError:
+        return False
+    return True
+
+
+_SHIPPED_LINES = sorted(
+    {
+        line
+        for path in CORPUS_DIR.glob("*/program.c")
+        for line in path.read_text(encoding="utf-8").splitlines()
+        if _lexes(line)
+    }
+)
+_EDGE_PIECES = [
+    "/* it's\n   a < b */",
+    "/* spans 'x' <\n   lines */ if (a < b + 1) s = s + a;",
+    "/*@ requires n < 'q';\n    ensures a + b < n; */ while (i < n) i = i + 1;",
+    "#define MAX(a, b) \\\n    ((a) < (b) ? (b) : (a))",
+    "#define STEP(x) \\\n  if (x < 1) \\\n    x = x + 1",
+    's = "a < b + c"; if (s < t) t = t - 1;',
+    'if (n < 2) puts("<+");',
+    'p = "x < \\\ny + 1"; if (p < q) q = q + p;',
+    "if (a <\n    b + c) a = a - 1;",
+    "while (i\n  < n &&\n  j > 0) j = j - i;",
+    "/* open\nif (a < b //*/ if (a < b\n) s = s - 1;",
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(
+        st.one_of(st.sampled_from(_SHIPPED_LINES), st.sampled_from(_EDGE_PIECES)),
+        min_size=1,
+        max_size=16,
+    ).map(lambda lines: "\n".join(lines) + "\n")
+)
+def test_mutate_matches_the_reference_around_multi_line_tokens(source):
+    program = SourceProgram(name="p", source=source)
+    for seed in range(50):
+        assert _drawn(mutate, program, seed) == _drawn(reference_mutate, program, seed)
+
+
+@pytest.mark.parametrize(
+    "source, fallback",
+    [
+        # the comment closes before the line's code: lexed after its '*/'
+        ("/* c\n */ if (a < b) a = b;\n", False),
+        # alone and after its '*/' the line reads 'if ( a < b' at two places
+        ("/* c\nif (a < b //*/ if (a < b\n) a = b;\n", True),
+        # the literal's escaped newline is not counted as a line, so the
+        # third line's draws sit on the fourth, which the third repeats
+        ('s = "\\\n";\nif (a < b) a = b;\nif (a < b) a = b;\n', True),
+    ],
+)
+def test_mutate_lexes_the_drawn_line_alone_only_where_that_is_exact(
+    monkeypatch, source, fallback
+):
+    calls = []
+    monkeypatch.setattr(
+        mutation, "tokenize", lambda source: calls.append(source) or tokenize(source)
+    )
+    program = SourceProgram(name="p", source=source)
+    for seed in range(10):
+        assert mutate(program, seed) == reference_mutate(program, seed)
+    assert bool(calls) == fallback

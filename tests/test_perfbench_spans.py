@@ -39,6 +39,9 @@ def test_tracer_rebinds_every_target_and_restores_it(monkeypatch):
 
 
 def test_mutate_tokenizes_once_under_the_tracer(monkeypatch, corpus_load):
+    # ``mutate`` takes its draw from ``scan`` and lexes only the drawn
+    # token's line, so the whole-program ``tokenize`` the tracer counts is
+    # its fallback, which levenshtein's seed-7 draw does not need.
     from specforge import mutation
 
     program = next(e.program for e in corpus_load.entries if e.program.name == "levenshtein")
@@ -48,7 +51,5 @@ def test_mutate_tokenizes_once_under_the_tracer(monkeypatch, corpus_load):
         mutation.mutate(program, 7)
     finally:
         tracer.uninstall()
-    assert tracer.counts[(tracer.op, "analyzer.tokenize_calls")] == 1
-    assert tracer.counts[(tracer.op, "analyzer.tokenize_bytes")] == len(
-        program.source.encode("utf-8")
-    )
+    assert tracer.counts.get((tracer.op, "analyzer.tokenize_calls"), 0) == 0
+    assert tracer.counts.get((tracer.op, "analyzer.tokenize_bytes"), 0) == 0
