@@ -10,7 +10,7 @@ from typing import Sequence
 
 from ..model import ASSIGNS, LOOP_ASSIGNS, LOOP_VARIANT, Record
 from .annotations import FUNCTION_CONTRACT, STATEMENT, AnalyzedCode, strip_annotations
-from .lexer import C_KEYWORDS, ComparableStream, scan
+from .lexer import C_KEYWORDS, ID_START, ComparableStream, scan
 from .lexer import tokenize  # not called here; perfbench/spans.py counts calls through it
 
 
@@ -209,12 +209,6 @@ def _split_targets(clause_text: str) -> list[str]:
     return [t for t in targets if t]
 
 
-# The first characters of identifier tokens; no other compare text starts
-# with one (numbers start with a digit or '.', and letters the lexer does not
-# know are one-character punctuators).
-_ID_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_$")
-
-
 def _formals_after(texts: Sequence[str], start: int) -> set[str] | None:
     """Parameter-list identifiers of the function header from compare text ``start``.
 
@@ -244,7 +238,7 @@ def _formals_after(texts: Sequence[str], start: int) -> set[str] | None:
             depth -= 1
             if depth == 0:
                 return names
-        elif text[0] in _ID_START and text not in C_KEYWORDS:
+        elif text[0] in ID_START and text not in C_KEYWORDS:
             names.add(text)
         i += 1
     return names

@@ -72,6 +72,10 @@ C_KEYWORDS = frozenset(
     """.split()
 )
 
+# What an identifier token starts with, and no other token: a number starts
+# with a digit or '.', and a letter the lexer does not know is a punctuator.
+ID_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_$")
+
 # Longest-match first; covers C punctuators plus nothing ACSL-specific (ACSL
 # text lives inside comment tokens and is never scanned here).
 _PUNCTUATORS = (
@@ -91,8 +95,9 @@ _PUNCTUATORS = (
 # it into its match; no token group matches a blank, so the run never gives
 # a character back to the token, and trailing blanks at the end of the input
 # match nothing. The token itself is the one named group that matched.
-# Newlines escaped inside literals do not count as lines. ``quote`` catches
-# literals the ``string``/``char`` forms cannot close.
+# A newline escaped inside a literal counts as a line, as one inside a
+# directive does. ``quote`` catches literals the ``string``/``char`` forms
+# cannot close.
 _TOKEN_RE = re.compile(
     r"^[ \t\r\v\f]*(?P<preproc>\#(?:[^\n]*\\[^\S\n]*\n)*[^\n]*)"
     r"|(?P<newline>(?:[ \t\r\v\f]*\n)+)"
@@ -130,6 +135,7 @@ _PREPROC, _NEWLINE, _ID, _COMMENT, _LINE_COMMENT, _PUNCT = (
     _TOKEN_RE.groupindex[g]
     for g in ("preproc", "newline", "id", "comment", "line_comment", "punct")
 )
+_SPANS_LINES = frozenset(_TOKEN_RE.groupindex[g] for g in ("preproc", "string", "char"))
 
 
 def _lex(source: str, pos: int, line: int) -> Iterator[tuple[int, str, int, int, int]]:
@@ -144,6 +150,7 @@ def _lex(source: str, pos: int, line: int) -> Iterator[tuple[int, str, int, int,
     """
     match = _TOKEN_RE.match
     kinds = _KINDS
+    spans_lines = _SPANS_LINES
     n = len(source)
     while pos < n:
         m = match(source, pos)
@@ -165,7 +172,7 @@ def _lex(source: str, pos: int, line: int) -> Iterator[tuple[int, str, int, int,
         elif kinds[group] is not None:
             text = source[start:end]
             yield group, text, line, start, end
-            if group == _PREPROC:
+            if group in spans_lines:
                 line += text.count("\n")
         else:  # quote
             raise TokenizeError(f"unterminated {source[start]} literal", line)

@@ -45,6 +45,7 @@ from .runner import (
     load_corpus,
     load_report,
     run,
+    run_hooks,
 )
 
 EXIT_OK = 0
@@ -74,15 +75,15 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         backend = LiveBackend(base_url=args.base_url, api_key_env=args.api_key_env)
 
     templates = load_templates(args.templates or default_template_dir())
-    check_run_config(variants, templates, args.max_inflight)  # before any hook runs
-    check_out_dir(args.out, variants, config.samples_per_program)  # and any request
-    corpus = load_corpus(
-        args.corpus,
+    check_run_config(variants, templates, args.max_inflight)
+    corpus = load_corpus(args.corpus)  # reads files only
+    programs = [entry.program.name for entry in corpus.entries]
+    check_out_dir(args.out, programs, variants, config.samples_per_program)
+    corpus = run_hooks(  # the costly step, once every check has passed
+        corpus,
         tests_hook=args.run_pathcrawler if PromptVariant.PATHCRAWLER in variants else None,
         eva_hook=args.run_eva if PromptVariant.EVA in variants else None,
     )
-    programs = [entry.program.name for entry in corpus.entries]
-    check_out_dir(args.out, variants, config.samples_per_program, programs)  # before a request
     report = run(corpus, variants, config, backend, templates, max_workers=args.max_inflight)
     emit(report, args.out, normalize=args.normalize)
 

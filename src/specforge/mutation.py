@@ -28,11 +28,11 @@ from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
-from string import ascii_letters
 from typing import Sequence
 
 from .analyzer.lexer import (
     C_KEYWORDS,
+    ID_START,
     Token,
     TokenizeError,
     TokenKind,
@@ -92,7 +92,6 @@ _OPERATOR_SWAPS = {  # token -> (operator, replacement)
     "-": (MutationOperator.ARITHMETIC_OPERATOR_SWAP, "+"),
 }
 _CONDITION_HEADS = frozenset(("if", "while", "for"))
-_NAME_STARTS = frozenset(ascii_letters + "_$")  # what an identifier starts with
 
 
 def _choices(
@@ -114,7 +113,7 @@ def _choices(
     depth = 0  # parenthesis depth inside a condition header; 0 outside one
     before = ""  # the last token's text
     for i, (text, line, after) in enumerate(zip(texts, lines, [*texts[1:], ""])):
-        if text[0] in _NAME_STARTS:
+        if text[0] in ID_START:
             if text not in C_KEYWORDS and after != "(":
                 names[line].add(text)
                 if depth:
@@ -212,21 +211,20 @@ def _token_at(source: str, texts: Sequence[str], lines: Sequence[int], index: in
     """The ``index``-th non-comment token of ``source``, whose texts and lines
     ``scan`` gave, found by lexing only its line where that is exact.
 
-    The line is lexed from its start, and also from just after its first
-    ``*/``, in case a comment from an earlier line closes there; the tokens
-    of the one place that reproduces ``texts`` for the line give the offsets.
-    A literal with an escaped newline before the line (which ``tokenize``
-    does not count as a line) or no such single place falls back to
-    tokenizing the whole source.
+    The line starts after the (line - 1)-th newline. It is lexed from its
+    start, and also from just after its first ``*/``, in case a comment from
+    an earlier line closes there; the tokens of the one place that
+    reproduces ``texts`` for the line give the offsets. A literal with an
+    escaped newline before the line (it may run into the line, and the scan
+    then stands inside it) or no such single place falls back to tokenizing
+    the whole source.
     """
     line = lines[index]
     first, last = bisect_left(lines, line), bisect_right(lines, line)
     if "\\\n" not in source or "\n" not in "".join(texts[:first]):
-        # No token before the line spans a newline that the line count
-        # skipped, so the line starts after the (line - 1)-th newline, and
-        # the scan stands there unless a comment runs into the line; a
-        # directive would take the whole line, and a literal running into
-        # it was ruled out.
+        # No literal before the line spans a newline, so the scan stands at
+        # the line start unless a comment runs into the line; a directive
+        # would take the whole line.
         start = len(source) - len(source.split("\n", line - 1)[-1])
         end = source.find("\n", start)
         close = source.find("*/", start, len(source) if end == -1 else end)

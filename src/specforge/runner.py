@@ -13,16 +13,15 @@ import hashlib
 import heapq
 import json
 import os
-import re
 import stat
 import threading
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import chain
 from pathlib import Path
-from typing import Any, Callable, Container, Generator, Iterable, Iterator, Sequence
+from typing import Any, Callable, Generator, Iterable, Iterator, Sequence
 
 from .analyzer import (
     Annotation,
@@ -183,26 +182,26 @@ def _run_hook(
 def _parse_context(
     parse: Callable[[str], Any], text: str, label: str, errors: list[str]
 ) -> Any:
-    """``parse(text)``, or None with ``"<label>: <reason>"`` added to ``errors``."""
+    """``parse(text)``, or None with ``"<label>: <reason>"`` added to ``errors``;
+    an EVA report whose summary miscounts its alarms is kept, the count added."""
     try:
-        return parse(text)
+        parsed = parse(text)
     except CsvError as exc:
         errors.append(f"{label}: {exc}")
         return None
+    summary = parsed.summary_alarm_count if isinstance(parsed, EvaReport) else None
+    if summary is not None and summary != len(parsed.alarms):
+        errors.append(f"{label}: summary counts {summary} alarms, {len(parsed.alarms)} parsed")
+    return parsed
 
 
-def load_corpus(
-    directory: Path | str,
-    tests_hook: str | None = None,
-    eva_hook: str | None = None,
-) -> CorpusLoad:
+def load_corpus(directory: Path | str) -> CorpusLoad:
     """Read ``<dir>/<name>/program.c`` entries with optional tests.csv/eva.txt/meta.json.
 
-    Context that cannot be read or parsed is recorded on the entry and left
-    absent; a program that cannot be read, is empty, or does not tokenize
-    skips the whole entry with a reason. Where no test suite (report) parsed,
-    ``tests_hook`` (``eva_hook``) runs on the program and its stdout is parsed
-    instead, outside the digest. Raises ConfigError when nothing loads.
+    It only reads: no hook runs (see ``run_hooks``). Context that cannot be
+    read or parsed is recorded on the entry and left absent; a program that
+    cannot be read, is empty, or does not tokenize skips the whole entry
+    with a reason. Raises ConfigError when nothing loads.
     """
     directory = Path(directory)
     entries: list[CorpusEntry] = []
@@ -255,24 +254,11 @@ def load_corpus(
         )
 
         # Looked up at call time, so a tracer that rebinds these names sees the calls.
-        context = []
-        for which, filename, parse, hook in (
-            ("tests", "tests.csv", parse_test_csv, tests_hook),
-            ("eva", "eva.txt", parse_eva_report, eva_hook),
-        ):
-            parsed = None
-            if filename in texts:
-                parsed = _parse_context(parse, texts[filename], filename, errors)
-            if parsed is None and hook:
-                stdout = _run_hook(hook, which, program, errors)
-                if stdout is not None:
-                    parsed = _parse_context(parse, stdout, f"{which} hook", errors)
-            context.append(parsed)
-        suite, report = context
-        if report is not None and report.summary_alarm_count not in (None, len(report.alarms)):
-            label = "eva.txt" if "eva.txt" in texts else "eva hook"  # eva.txt always parses
-            counts = f"{report.summary_alarm_count} alarms, {len(report.alarms)} parsed"
-            errors.append(f"{label}: summary counts {counts}")
+        suite = report = None
+        if "tests.csv" in texts:
+            suite = _parse_context(parse_test_csv, texts["tests.csv"], "tests.csv", errors)
+        if "eva.txt" in texts:
+            report = _parse_context(parse_eva_report, texts["eva.txt"], "eva.txt", errors)
 
         entries.append(
             CorpusEntry(
@@ -290,6 +276,30 @@ def load_corpus(
     return CorpusLoad(
         entries=tuple(entries), skipped=tuple(skipped), digest=hasher.hexdigest()
     )
+
+
+def run_hooks(corpus: CorpusLoad, tests_hook: str | None, eva_hook: str | None) -> CorpusLoad:
+    """``corpus`` with each suite (report) that is None taken from ``tests_hook``
+    (``eva_hook``), a shell command run on the entry's program; None runs none.
+
+    The hook's stdout is parsed as tests.csv (eva.txt) would be. Its failure,
+    or a parse error labelled ``"tests hook"`` (``"eva hook"``), is appended
+    to the entry's load errors. Hook output stays outside the corpus digest.
+    """
+    entries = []
+    for entry in corpus.entries:
+        errors = list(entry.load_errors)
+        found = {}
+        for which, attr, parse, hook in (
+            ("tests", "suite", parse_test_csv, tests_hook),
+            ("eva", "report", parse_eva_report, eva_hook),
+        ):
+            if hook and getattr(entry, attr) is None:
+                stdout = _run_hook(hook, which, entry.program, errors)
+                if stdout is not None:
+                    found[attr] = _parse_context(parse, stdout, f"{which} hook", errors)
+        entries.append(replace(entry, load_errors=tuple(errors), **found))
+    return replace(corpus, entries=tuple(entries))
 
 
 def histogram_to_dict(histogram: dict[AnnotationKind, int]) -> dict[str, int]:
@@ -740,7 +750,7 @@ def emit(
         raise ConfigError(f"normalize must be {modes}, got {normalize!r}")
     directory = Path(directory)
     sources = {  # every generated file, and so the only ones generated/ may hold
-        directory / "generated" / r.program_name / r.variant.value / f"{r.sample_index}.c": r.split
+        _source_path(directory, r.program_name, r.variant, r.sample_index): r.split
         for r in report.results
         if r.status == STATUS_OK and r.split is not None
     }
@@ -793,12 +803,18 @@ def emit(
     return written
 
 
-def _refuse_stale_sources(directory: Path, sources: Container[Path]) -> None:
+def _source_path(directory: Path, program: str, variant: PromptVariant, sample: int) -> Path:
+    """Where ``emit`` writes the generated source of one cell."""
+    return directory / "generated" / program / variant.value / f"{sample}.c"
+
+
+def _refuse_stale_sources(directory: Path, sources: Iterable[Path]) -> None:
     """Raise ``ConfigError`` if ``directory`` exists but is not a directory, or if
     its ``generated/`` holds a file not among ``sources``.
 
     Such a file, left by an earlier report, would sit beside a report.json
     that does not account for it. Nothing is deleted: the user's files stay.
+    ``sources`` is read only when ``directory`` exists.
     """
     try:
         if not stat.S_ISDIR(directory.stat().st_mode):  # the one stat on a fresh directory
@@ -807,7 +823,8 @@ def _refuse_stale_sources(directory: Path, sources: Container[Path]) -> None:
         return
     generated = directory / "generated"
     found = (Path(root, name) for root, _, names in os.walk(generated) for name in names)
-    stale = sorted(path for path in found if path not in sources)
+    allowed = set(sources)
+    stale = sorted(path for path in found if path not in allowed)
     if stale:
         raise ConfigError(
             f"{generated} holds {len(stale)} file(s) that this report would not write, "
@@ -815,51 +832,25 @@ def _refuse_stale_sources(directory: Path, sources: Container[Path]) -> None:
         )
 
 
-_SAMPLE_FILE = re.compile(r"(0|[1-9][0-9]*)\.c")  # ``<i>.c``, as ``emit`` names a source
-
-
-class _RunSources:
-    """The files a run may write under ``generated``: ``<name>/<variant>/<i>.c``
-    for a requested variant, ``i`` below the samples per program, and a name
-    among ``programs`` (any name when that is None)."""
-
-    def __init__(
-        self,
-        generated: Path,
-        variants: Iterable[PromptVariant],
-        samples: int,
-        programs: Iterable[str] | None,
-    ):
-        self.generated, self.samples = generated, samples
-        self.variants = {variant.value for variant in variants}
-        self.programs = None if programs is None else set(programs)
-
-    def __contains__(self, path: Path) -> bool:
-        parts = path.relative_to(self.generated).parts
-        if len(parts) != 3 or parts[1] not in self.variants:
-            return False
-        if self.programs is not None and parts[0] not in self.programs:
-            return False
-        sample = _SAMPLE_FILE.fullmatch(parts[2])
-        return sample is not None and int(sample[1]) < self.samples
-
-
 def check_out_dir(
     directory: Path | str,
-    variants: Iterable[PromptVariant],
+    programs: Sequence[str],
+    variants: Sequence[PromptVariant],
     samples: int,
-    programs: Iterable[str] | None = None,
 ) -> None:
     """``emit``'s check of ``directory`` against every file a run could write.
 
-    The CLI calls it before loading the corpus, so a refusal runs no hook and
-    sends no request, and again with the loaded ``programs``' names before
-    the run, so a ``generated/`` left by another corpus sends none either.
+    Those are the ``_source_path`` of each of ``programs`` and ``variants``
+    and each sample index below ``samples``. The CLI calls it once, after
+    reading the corpus and before any hook runs or request is sent, so a
+    refused run spends neither.
     """
     directory = Path(directory)
-    _refuse_stale_sources(
-        directory, _RunSources(directory / "generated", variants, samples, programs)
+    paths = (  # made only if the directory exists
+        _source_path(directory, program, variant, sample)
+        for program in programs for variant in variants for sample in range(samples)
     )
+    _refuse_stale_sources(directory, paths)
 
 
 def load_report(path: Path | str) -> ExperimentReport:

@@ -180,6 +180,8 @@ def reference_tokenize(source: str) -> list[RefToken]:
             while pos < n:
                 c = source[pos]
                 if c == "\\" and pos + 1 < n:
+                    if source[pos + 1] == "\n":  # an escaped newline is a line too
+                        line += 1
                     pos += 2
                     continue
                 if c == ch:

@@ -276,9 +276,12 @@ def test_generate_refuses_a_generated_dir_of_another_corpus_before_any_request(
     foreign.parent.mkdir(parents=True)
     foreign.write_text("int x;\n", encoding="utf-8")
     capsys.readouterr()
-    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    hook_log = tmp_path / "hook.log"  # 8 shipped programs have no eva.txt, so the hook would run
+    hook = ["--variants", "baseline,eva", "--run-eva", f"echo ran >> {shlex.quote(str(hook_log))}"]
+    assert main([*argv, *hook, "--out", str(tmp_path / "out")]) == 2
     assert "holds 1 file(s) that this report would not write" in capsys.readouterr().err
     assert requests == []
+    assert not hook_log.exists()  # refused before any context hook runs
     assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["generated"]
 
 

@@ -55,6 +55,24 @@ def test_variant_order_checked_across_consecutive_line_annotations():
     assert [i.rule for i in issues] == [LintRule.VARIANT_BEFORE_ASSIGNS]
 
 
+def test_clause_and_lint_lines_count_a_newline_escaped_in_a_literal():
+    code = (
+        'const char *s = "a\\\n'
+        'b";\n'
+        "int f(int n) {\n"
+        "  int i = 0;\n"
+        "  //@ loop variant n - i;\n"
+        "  //@ loop assigns i;\n"
+        "  while (i < n) { i = i + 1; }\n"
+        "  return i;\n"
+        "}\n"
+    )
+    analyzed = parse_blocks(code)
+    assert [a.line for a in parse_annotations(analyzed)] == [5, 6]
+    (issue,) = lint(analyzed)
+    assert (issue.rule, issue.line) == (LintRule.VARIANT_BEFORE_ASSIGNS, 5)
+
+
 def test_assigns_out_of_scope_on_local():
     code = (
         "/*@ requires n > 0;\n"

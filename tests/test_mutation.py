@@ -349,8 +349,8 @@ def test_mutate_matches_the_reference_around_multi_line_tokens(source):
         ("/* c\n */ if (a < b) a = b;\n", False),
         # alone and after its '*/' the line reads 'if ( a < b' at two places
         ("/* c\nif (a < b //*/ if (a < b\n) a = b;\n", True),
-        # the literal's escaped newline is not counted as a line, so the
-        # third line's draws sit on the fourth, which the third repeats
+        # a literal with an escaped newline comes before the drawn line and
+        # could run into it, so the whole source is tokenized
         ('s = "\\\n";\nif (a < b) a = b;\nif (a < b) a = b;\n', True),
     ],
 )
@@ -365,3 +365,10 @@ def test_mutate_lexes_the_drawn_line_alone_only_where_that_is_exact(
     for seed in range(10):
         assert mutate(program, seed) == reference_mutate(program, seed)
     assert bool(calls) == fallback
+
+
+def test_mutate_counts_a_newline_escaped_in_a_literal_as_a_line():
+    program = SourceProgram(name="p", source='s = "\\\n";\nif (a < b) a = b;\n')
+    _, record = mutate(program, 0)
+    assert record.line == 3  # the physical line of the drawn token
+    assert record.mutation_id == f"{record.operator.value}-l3-s0"

@@ -41,6 +41,7 @@ from specforge.runner import (
     load_report,
     mutant_pairs,
     run,
+    run_hooks,
     sum_histograms,
 )
 
@@ -194,7 +195,7 @@ def test_load_corpus_tests_hook_replaces_a_malformed_suite(tmp_path):
     program = _program(corpus, "broken")
     (program / "tests.csv").write_text("not,a,proper,header\n1,2\n")
     hook, log = _counting_hook(tmp_path, "also,not,a,suite\n")
-    (entry,) = load_corpus(corpus, tests_hook=hook).entries
+    (entry,) = run_hooks(load_corpus(corpus), tests_hook=hook, eva_hook=None).entries
     assert entry.suite is None
     assert [e.split(":")[0] for e in entry.load_errors] == ["tests.csv", "tests hook"]
     assert len(log.read_text().splitlines()) == 1
@@ -206,7 +207,8 @@ def test_load_corpus_tests_hook_skips_a_valid_suite(tmp_path):
     (_program(corpus, "valid") / "tests.csv").write_text(ADPCM_CSV)
     _program(corpus, "bare")
     hook, log = _counting_hook(tmp_path, ADPCM_CSV)
-    by_name = {e.program.name: e for e in load_corpus(corpus, tests_hook=hook).entries}
+    loaded = run_hooks(load_corpus(corpus), tests_hook=hook, eva_hook=None)
+    by_name = {e.program.name: e for e in loaded.entries}
     assert by_name["valid"].suite is not None and by_name["bare"].suite is not None
     assert by_name["valid"].load_errors == by_name["bare"].load_errors == ()
     (ran,) = log.read_text().splitlines()
@@ -226,7 +228,7 @@ def test_load_corpus_non_utf8_hook_stdout_is_a_load_error(tmp_path):
     _program(corpus, "p")
     _program(corpus, "q")
     hook = _eva_hook(tmp_path, "printf '\\377'\n")
-    entries = load_corpus(corpus, eva_hook=hook).entries
+    entries = run_hooks(load_corpus(corpus), tests_hook=None, eva_hook=hook).entries
     assert [e.program.name for e in entries] == ["p", "q"]
     for entry in entries:
         assert entry.report is None
@@ -239,7 +241,7 @@ def test_load_corpus_non_utf8_hook_stderr_is_kept_in_the_failure(tmp_path):
     corpus.mkdir()
     _program(corpus, "p")
     hook = _eva_hook(tmp_path, "printf 'bad \\377 byte\\n' >&2\nexit 3\n")
-    (entry,) = load_corpus(corpus, eva_hook=hook).entries
+    (entry,) = run_hooks(load_corpus(corpus), tests_hook=None, eva_hook=hook).entries
     assert entry.report is None
     assert entry.load_errors == ("eva hook failed (exit 3): bad \ufffd byte",)
 
@@ -259,7 +261,7 @@ def test_load_corpus_eva_hook_summary_miscount_names_the_hook(tmp_path):
     corpus.mkdir()
     _program(corpus, "p")
     hook = _eva_hook(tmp_path, f"cat <<'EOF'\n{MISCOUNTED_EVA}EOF\n")
-    (entry,) = load_corpus(corpus, eva_hook=hook).entries
+    (entry,) = run_hooks(load_corpus(corpus), tests_hook=None, eva_hook=hook).entries
     assert entry.report is not None
     assert entry.load_errors == ("eva hook: summary counts 6 alarms, 5 parsed",)
 
@@ -789,21 +791,22 @@ def test_generate_with_fewer_samples_into_a_used_directory_exits_2(
         ("f/baseline/0.txt", True),
         ("baseline/0.c", True),
         ("g/f/baseline/0.c", True),
+        ("g/baseline/0.c", True),  # a program not in the corpus
     ],
 )
 def test_check_out_dir_allows_only_files_a_run_could_write(tmp_path, name, refused):
     path = tmp_path / "generated" / name
     path.parent.mkdir(parents=True)
     path.write_text("int x;\n", encoding="utf-8")
-    variants = [PromptVariant.BASELINE, PromptVariant.PATHCRAWLER]
+    programs, variants = ["f", "a name"], [PromptVariant.BASELINE, PromptVariant.PATHCRAWLER]
     if refused:
         with pytest.raises(ConfigError, match="holds 1 file"):
-            check_out_dir(tmp_path, variants, 3)
+            check_out_dir(tmp_path, programs, variants, 3)
     else:
-        check_out_dir(tmp_path, variants, 3)
-    check_out_dir(tmp_path / "fresh", variants, 3)  # an absent directory is fine
+        check_out_dir(tmp_path, programs, variants, 3)
+    check_out_dir(tmp_path / "fresh", programs, variants, 3)  # an absent directory is fine
     with pytest.raises(ConfigError, match="exists and is not a directory"):
-        check_out_dir(path, variants, 3)
+        check_out_dir(path, programs, variants, 3)
 
 
 def test_report_re_emits_into_its_own_directory(full_report, tmp_path):
@@ -820,6 +823,14 @@ def test_emit_into_a_fresh_directory_walks_nothing(full_report, tmp_path, monkey
     monkeypatch.setattr(runner.os, "walk", no_walk)
     emit(full_report, tmp_path / "fresh")
     assert len(list((tmp_path / "fresh" / "generated").rglob("*.c"))) == len(full_report.results)
+
+
+def test_check_out_dir_of_a_fresh_directory_makes_no_path(tmp_path, monkeypatch):
+    def no_path(*args):
+        raise AssertionError("a path is made for a missing directory")
+
+    monkeypatch.setattr(runner, "_source_path", no_path)
+    check_out_dir(tmp_path / "fresh", ["f"], list(PromptVariant), 10**9)
 
 
 def test_histogram_csv_matches_report_recomputation(full_report, tmp_path):
