@@ -363,8 +363,10 @@ def parse_blocks(code: str, parsed: dict | None = None) -> AnalyzedCode:
     before the first place where the two differ and is scanned from there to
     its end. Under ``"lines"`` ``parsed`` also holds what ``scan`` recorded
     of each line at the depth it was reached, so a line that an earlier reply
-    already held at that depth is not scanned again. The dict holds every
-    distinct comment and line it has seen, so keep it no longer than one run.
+    already held at that depth is not scanned again; ``run`` starts it as a
+    copy of the corpus load's line memo, so a reply's code line that a loaded
+    program holds is not scanned either. The dict holds every distinct
+    comment and line it has seen, so keep it no longer than one run.
     Raises TokenizeError when ``code`` does not scan.
     """
     if parsed is None:

@@ -132,7 +132,7 @@ def check_code_preserved(
     Whitespace and comments never count; the diff localizes up to
     ``MAX_DIFF_RUNS`` mismatching token runs, line numbers taken from the
     original source where possible. ``original`` is the program's stream
-    (``load_corpus`` stores one per entry) and ``annotated_code`` the reply's
+    (``SourceProgram.comparable``) and ``annotated_code`` the reply's
     ``parse_blocks`` result, whose ``comparable`` stream its one scan already
     collected, so nothing is scanned twice.
 

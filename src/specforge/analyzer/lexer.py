@@ -268,7 +268,9 @@ def scan(
     brace depth it starts at to what it adds to a scan. A line that starts
     outside any comment, directive or literal and is in ``seen`` at its
     depth is not scanned again. Such a line that is not is scanned and added
-    to it, unless a comment, directive or literal runs on past its end. The
+    to it, unless a comment, directive or literal runs on past its end; so is
+    each blank line that the scan passes in a run of newlines, which a later
+    scan may reach at its start, after a line it found in ``seen``. The
     result, and any TokenizeError, are those of a scan with an empty
     ``seen``. ``seen`` holds every distinct line and depth it has been
     given, so share it only among sources scanned together.
@@ -323,6 +325,10 @@ def scan(
                     seen[key] = (
                         tuple(texts[base:]), depth, tuple(scope_names), tuple(line_comments)
                     )
+                if end - start > 1:  # blank lines in the run add nothing at this depth
+                    blank = ((), depth, (), ())
+                    for text in source[start:end].split("\n")[1:-1]:
+                        seen[text, depth] = blank
                 pos = end
                 break
             elif group == _COMMENT or group == _LINE_COMMENT:

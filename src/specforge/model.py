@@ -36,7 +36,10 @@ from dataclasses import MISSING, dataclass, field
 from enum import Enum
 from json.encoder import encode_basestring as _encode_str  # C-coded, as json.dumps uses it
 from operator import attrgetter
-from typing import Any, Callable, Iterable, TypeVar
+from typing import TYPE_CHECKING, Any, Callable, Iterable, TypeVar
+
+if TYPE_CHECKING:
+    from .analyzer.lexer import ComparableStream
 
 
 def canonical_json(data: Any) -> str:
@@ -392,6 +395,18 @@ class SourceProgram(Record):
             raise ValueError("program name must be non-empty")
         if not self.source:
             raise ValueError("program source must be non-empty")
+
+    @functools.cached_property
+    def comparable(self) -> ComparableStream:
+        """The stream preservation compares: ``scan``'s first result for ``source``.
+
+        ``load_corpus`` sets it from its own scan of the program; any other
+        program is scanned on first use. It is no field, so the codec,
+        equality and repr do not see it.
+        """
+        from .analyzer.lexer import scan  # the analyzer imports this module
+
+        return scan(self.source, {})[0]
 
 
 # The one record that keeps the generated ``__eq__`` and ``__hash__``: the

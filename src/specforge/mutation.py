@@ -10,9 +10,10 @@ so the same (program bytes, seed) always reproduces the same mutant.
 tokens' texts and lines (``_choices``): each operator token and each
 condition-header name is a single-token choice, with one site per
 replacement. ``enumerate_sites`` tokenizes the program and builds every
-site; ``mutate`` takes the texts and lines from ``scan``, counts the sites,
-draws the k-th, and lexes and builds only that one, so it draws what
-picking from ``enumerate_sites``' single-token sites would.
+site; ``mutate`` takes the texts and lines from the program's stream
+(``SourceProgram.comparable``), counts the sites, draws the k-th, and lexes
+and builds only that one, so it draws what picking from ``enumerate_sites``'
+single-token sites would.
 
 Mutants carry a contract: the parent and mutant token streams differ in
 exactly one position. A full index-pair swap edits two token positions, so
@@ -37,7 +38,6 @@ from .analyzer.lexer import (
     TokenizeError,
     TokenKind,
     line_tokens,
-    scan,
     tokenize,
 )
 from .model import NoMutationSite, Origin, Record, SourceProgram  # NoMutationSite re-exported
@@ -209,7 +209,8 @@ def apply_site(source: str, site: MutationSite) -> str:
 
 def _token_at(source: str, texts: Sequence[str], lines: Sequence[int], index: int) -> Token:
     """The ``index``-th non-comment token of ``source``, whose texts and lines
-    ``scan`` gave, found by lexing only its line where that is exact.
+    its stream gave (see ``scan``), found by lexing only its line where that
+    is exact.
 
     The line starts after the (line - 1)-th newline. It is lexed from its
     start, and also from just after its first ``*/``, in case a comment from
@@ -244,7 +245,8 @@ def _token_at(source: str, texts: Sequence[str], lines: Sequence[int], index: in
 def mutate(program: SourceProgram, seed: int) -> tuple[SourceProgram, MutationRecord]:
     """Apply one seeded single-token typo; same (program, seed) → same mutant.
 
-    Scans the program (``scan``, whose line memo lexes a repeated line once)
+    Reads the program's stream (``program.comparable``: the scan
+    ``load_corpus`` made of a loaded program, else one made on first use)
     and counts the single-token sites without building them: an operator
     token is one site, a condition-header name one per other candidate name
     on its line. The seed draws the k-th of them in ``enumerate_sites``'
@@ -254,8 +256,7 @@ def mutate(program: SourceProgram, seed: int) -> tuple[SourceProgram, MutationRe
     alone could mislead). Raises NoMutationSite when no single-token site
     exists.
     """
-    comparable, _, _ = scan(program.source, {})
-    texts, lines = comparable.texts, comparable.lines
+    texts, lines = program.comparable.texts, program.comparable.lines
     choices, names = _choices(texts, lines)
     totals = list(
         accumulate(

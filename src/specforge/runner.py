@@ -21,11 +21,11 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import chain
 from pathlib import Path
-from typing import Any, Callable, Generator, Iterable, Iterator, Sequence
+from types import MappingProxyType
+from typing import Any, Callable, ClassVar, Generator, Iterable, Iterator, Mapping, Sequence
 
 from .analyzer import (
     Annotation,
-    ComparableStream,
     NoCodeFence,
     PreservationVerdict,
     SplitResponse,
@@ -41,6 +41,7 @@ from .analyzer import (
 )
 from .analyzer import lint as lint_code
 from .analyzer.checks import LintIssue
+from .analyzer.lexer import LineFacts
 from .eva import EvaReport, parse_eva_report
 from .gateway import (
     CompletionBackend,
@@ -90,12 +91,18 @@ class ConfigError(RuntimeError):
 class CorpusEntry:
     """One program plus whatever symbolic context shipped next to it.
 
-    ``comparable`` is the program's preservation stream, computed once by
-    ``load_corpus``.
+    ``load_corpus`` scans each program once, through one line memo shared by
+    the whole load. The program keeps that scan's stream as
+    ``program.comparable``, which ``mutate`` and the preservation check read,
+    and the entry keeps the memo as ``load_lines``, from a copy of which
+    ``run`` starts each run's memo. Neither is a field. An entry built
+    elsewhere has an empty ``load_lines``, and its program is scanned on
+    first use.
     """
 
+    load_lines: ClassVar[Mapping[tuple[str, int], LineFacts]] = MappingProxyType({})
+
     program: SourceProgram
-    comparable: ComparableStream = field(repr=False)
     suite: TestSuite | None = None
     report: EvaReport | None = None
     load_errors: tuple[str, ...] = ()
@@ -202,11 +209,17 @@ def load_corpus(directory: Path | str) -> CorpusLoad:
     read or parsed is recorded on the entry and left absent; a program that
     cannot be read, is empty, or does not tokenize skips the whole entry
     with a reason. Raises ConfigError when nothing loads.
+
+    Every program is scanned through one line memo, so a line that an
+    earlier program held (as a mutant holds its parent's) is not lexed
+    again. Each program keeps its stream and each entry the memo (see
+    ``CorpusEntry``), so this is the only scan of a loaded program.
     """
     directory = Path(directory)
     entries: list[CorpusEntry] = []
     skipped: list[tuple[str, str]] = []
     hasher = hashlib.sha256()
+    lines: dict[tuple[str, int], LineFacts] = {}
 
     candidates = sorted(
         (p for p in directory.iterdir() if (p / "program.c").is_file())
@@ -238,7 +251,7 @@ def load_corpus(directory: Path | str) -> CorpusLoad:
             skipped.append((name, errors[0] if source is None else "program.c is empty"))
             continue
         try:
-            comparable = scan(source, {})[0]
+            comparable = scan(source, lines)[0]
         except TokenizeError as exc:
             skipped.append((name, f"program.c does not tokenize: {exc}"))
             continue
@@ -252,6 +265,7 @@ def load_corpus(directory: Path | str) -> CorpusLoad:
         program = SourceProgram(
             name=name, source=source, entry_function=meta.entry_function, origin=meta.origin
         )
+        object.__setattr__(program, "comparable", comparable)  # fills the frozen record's cache
 
         # Looked up at call time, so a tracer that rebinds these names sees the calls.
         suite = report = None
@@ -260,16 +274,15 @@ def load_corpus(directory: Path | str) -> CorpusLoad:
         if "eva.txt" in texts:
             report = _parse_context(parse_eva_report, texts["eva.txt"], "eva.txt", errors)
 
-        entries.append(
-            CorpusEntry(
-                program=program,
-                comparable=comparable,
-                suite=suite,
-                report=report,
-                load_errors=tuple(errors),
-                provenance=meta.provenance,
-            )
+        entry = CorpusEntry(
+            program=program,
+            suite=suite,
+            report=report,
+            load_errors=tuple(errors),
+            provenance=meta.provenance,
         )
+        object.__setattr__(entry, "load_lines", lines)
+        entries.append(entry)
 
     if not entries:
         raise ConfigError(f"no corpus entries under {directory}")
@@ -285,6 +298,7 @@ def run_hooks(corpus: CorpusLoad, tests_hook: str | None, eva_hook: str | None) 
     The hook's stdout is parsed as tests.csv (eva.txt) would be. Its failure,
     or a parse error labelled ``"tests hook"`` (``"eva hook"``), is appended
     to the entry's load errors. Hook output stays outside the corpus digest.
+    Each new entry keeps its old one's ``load_lines``.
     """
     entries = []
     for entry in corpus.entries:
@@ -298,7 +312,9 @@ def run_hooks(corpus: CorpusLoad, tests_hook: str | None, eva_hook: str | None) 
                 stdout = _run_hook(hook, which, entry.program, errors)
                 if stdout is not None:
                     found[attr] = _parse_context(parse, stdout, f"{which} hook", errors)
-        entries.append(replace(entry, load_errors=tuple(errors), **found))
+        hooked = replace(entry, load_errors=tuple(errors), **found)
+        object.__setattr__(hooked, "load_lines", entry.load_lines)  # ``replace`` copies fields only
+        entries.append(hooked)
     return replace(corpus, entries=tuple(entries))
 
 
@@ -447,7 +463,7 @@ def _analyze(
         annotations = tuple(parse_annotations(analyzed))
         histogram = count_blocks_by_kind(analyzed.blocks)
         lint_issues = tuple(lint_code(analyzed))
-        preservation = check_code_preserved(entry.comparable, analyzed)
+        preservation = check_code_preserved(entry.program.comparable, analyzed)
     except TokenizeError as exc:
         return GenerationResult(
             status=STATUS_PARSE_FAILED,
@@ -482,23 +498,24 @@ def _robustness_rows(
     rows = []
     for parent, mutant in pairs:
         for variant in variants:
-            scores = []
+            compared, total = 0, 0.0
             for sample in samples:
                 a = clause_keys.get((parent, variant.value, sample))
                 b = clause_keys.get((mutant, variant.value, sample))
                 if a is not None and b is not None:
-                    scores.append(
-                        spec_similarity(
-                            Counter(chain.from_iterable(a)), Counter(chain.from_iterable(b))
-                        )
+                    # Added left to right: ``sum`` of floats rounds otherwise
+                    # from Python 3.12 on, and the report bytes would differ.
+                    total += spec_similarity(
+                        Counter(chain.from_iterable(a)), Counter(chain.from_iterable(b))
                     )
+                    compared += 1
             rows.append(
                 RobustnessRow(
                     parent=parent,
                     mutant=mutant,
                     variant=variant,
-                    mean_similarity=sum(scores) / len(scores) if scores else None,
-                    pairs_compared=len(scores),
+                    mean_similarity=total / compared if compared else None,
+                    pairs_compared=compared,
                 )
             )
     rows.sort(key=lambda r: (r.variant.value, r.parent, r.mutant))
@@ -672,7 +689,10 @@ def run(
 
     The replies share one ``parse_blocks`` dict, made for this call and
     dropped when it returns. It holds the parse of every distinct ACSL
-    comment at each place and every scanned line, and none outlives it.
+    comment at each place and every scanned line, and none outlives it. Its
+    line memo starts as a copy of the entries' ``load_lines``, so a reply's
+    code line that a loaded program holds at the same depth is not lexed
+    again, while the load's memo never grows.
 
     At most ``max_workers`` backend attempts are on the wire, each on one of
     ``max_workers`` worker threads. A live request backing off between
@@ -709,7 +729,10 @@ def run(
         CompletionRequest(prompt=prompt, config=config, sample_index=sample)
         for _, prompt, sample in cells
     ]
-    parsed: dict = {}  # block parses and scanned lines shared by this run's replies only
+    lines: dict[tuple[str, int], LineFacts] = {}
+    for memo in {id(e.load_lines): e.load_lines for e in entries}.values():
+        lines.update(memo)
+    parsed: dict = {"lines": lines}  # block parses and scanned lines of this run's replies
     clause_keys: dict[_Cell, list[tuple[str, ...]]] = {}  # each ok cell's blocks' keys
     with _Dispatch(backend, requests, max_workers) as replies:
         results = [

@@ -103,7 +103,7 @@ def test_criterion_4_preservation(
     entries = {e.program.name: e for e in corpus_load.entries}
     pair_count = 0
     for text_path in sorted(FIXTURES_DIR.rglob("*.txt")):
-        original = entries[text_path.parts[-3]].comparable
+        original = entries[text_path.parts[-3]].program.comparable
         split = split_response(text_path.read_text(encoding="utf-8"))
         assert check_code_preserved(original, parse_blocks(split.code)).preserved, text_path
         pair_count += 1
@@ -111,7 +111,9 @@ def test_criterion_4_preservation(
 
     mutated = entries["tritype_mutated"].program
     repaired = mutated.source.replace("(i+k <= i)", "(j+k <= i)")
-    verdict = check_code_preserved(entries["tritype_mutated"].comparable, parse_blocks(repaired))
+    verdict = check_code_preserved(
+        entries["tritype_mutated"].program.comparable, parse_blocks(repaired)
+    )
     assert not verdict.preserved
     site_line = next(
         i

@@ -77,6 +77,6 @@ def test_a_mutants_cells_differ_from_their_parents_program(study):
     assert cells
     for result in cells:
         parent = entries[mutants[result.program_name]]
-        verdict = check_code_preserved(parent.comparable, parse_blocks(result.split.code))
+        verdict = check_code_preserved(parent.program.comparable, parse_blocks(result.split.code))
         assert not verdict.preserved
         assert _object_bytes(result.split.code) != parents[parent.program.name]

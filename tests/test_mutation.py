@@ -14,6 +14,7 @@ from reference_mutation import (
     reference_mutate,
 )
 from specforge import mutation
+from specforge.analyzer import lexer
 from specforge.analyzer.lexer import TokenizeError, tokenize
 from specforge.model import SourceProgram
 from specforge.mutation import (
@@ -24,6 +25,7 @@ from specforge.mutation import (
     enumerate_sites,
     mutate,
 )
+from specforge.runner import load_corpus
 
 TRITYPE_COND = SourceProgram(
     name="tritype",
@@ -274,11 +276,11 @@ def test_mutate_draws_what_building_every_site_draws(source, seeds):
         assert _drawn(mutate, program, seed) == _drawn(reference_mutate, program, seed)
 
 
-def test_mutate_unchanged_on_shipped_corpus(corpus_load):
-    # Digest of every shipped program's mutant and record for seeds 0-49,
-    # recorded from the implementation that built every site to draw one.
+def _shipped_mutations(entries) -> tuple[int, str]:
+    """How many (program, seed) draws for seeds 0-49, and the digest of their
+    mutants and records."""
     rows = []
-    for entry in corpus_load.entries:
+    for entry in entries:
         for seed in range(50):
             outcome = _drawn(mutate, entry.program, seed)
             if isinstance(outcome, str):
@@ -286,9 +288,40 @@ def test_mutate_unchanged_on_shipped_corpus(corpus_load):
             else:
                 mutant, record = outcome
                 rows.append([entry.program.name, seed, mutant.to_dict(), record.to_dict()])
-    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
-    assert len(rows) == 550
-    assert digest == "dd9207b480ec895c6fc115d11a9d6ad8245675641af33cde2b4c9e739d07e95a"
+    return len(rows), hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+
+
+# Recorded from the implementation that built every site to draw one.
+SHIPPED_MUTATIONS = (550, "dd9207b480ec895c6fc115d11a9d6ad8245675641af33cde2b4c9e739d07e95a")
+
+
+def test_mutate_unchanged_on_shipped_corpus(corpus_load):
+    assert _shipped_mutations(corpus_load.entries) == SHIPPED_MUTATIONS
+
+
+def test_mutate_scans_no_loaded_program(monkeypatch):
+    # ``load_corpus`` keeps each program's scan on the program, and ``mutate``
+    # reads it there: with every way to ``scan`` gone, the draws are the same.
+    entries = load_corpus(CORPUS_DIR).entries
+
+    def scanned(source, seen):
+        raise AssertionError("mutate scanned a loaded program")
+
+    monkeypatch.setattr(lexer, "scan", scanned)
+    monkeypatch.setattr(mutation, "scan", scanned, raising=False)
+    assert _shipped_mutations(entries) == SHIPPED_MUTATIONS
+
+
+def test_mutate_scans_a_program_built_elsewhere_on_first_use(monkeypatch):
+    scans = []
+    scan = lexer.scan
+    monkeypatch.setattr(
+        lexer, "scan", lambda source, seen: scans.append(source) or scan(source, seen)
+    )
+    program = SourceProgram(name="tritype", source=TRITYPE_COND.source)
+    for seed in range(5):
+        mutate(program, seed)
+    assert scans == [program.source]
 
 
 # Lines of the shipped programs that lex alone, and multi-line pieces that

@@ -23,7 +23,7 @@ from specforge.model import SourceProgram
 
 def test_identical_source_is_preserved(corpus_load):
     for entry in corpus_load.entries:
-        verdict = check_code_preserved(entry.comparable, parse_blocks(entry.program.source))
+        verdict = check_code_preserved(entry.program.comparable, parse_blocks(entry.program.source))
         assert verdict.preserved
         assert verdict.diff == ()
 
@@ -31,7 +31,7 @@ def test_identical_source_is_preserved(corpus_load):
 def test_annotated_output_preserves_code(bsearch_annotated, corpus_load):
     entries = {e.program.name: e for e in corpus_load.entries}
     verdict = check_code_preserved(
-        entries["binary_search"].comparable, parse_blocks(bsearch_annotated)
+        entries["binary_search"].program.comparable, parse_blocks(bsearch_annotated)
     )
     assert verdict.preserved
 
@@ -50,7 +50,9 @@ def test_every_recorded_fixture_preserves_its_program(corpus_load):
     for text_path in sorted(FIXTURES_DIR.rglob("*.txt")):
         program_name = text_path.parts[-3]
         split = split_response(text_path.read_text(encoding="utf-8"))
-        verdict = check_code_preserved(entries[program_name].comparable, parse_blocks(split.code))
+        verdict = check_code_preserved(
+            entries[program_name].program.comparable, parse_blocks(split.code)
+        )
         assert verdict.preserved, (text_path, verdict.diff[:3])
         checked += 1
     assert checked >= 24  # at least 8 programs x 3 samples

@@ -9,6 +9,7 @@ import random
 import re
 import shlex
 import shutil
+import subprocess
 import sys
 import threading
 from pathlib import Path
@@ -18,11 +19,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
-    ADPCM_CSV, ALIAS5_EVA_EXCERPT, CORPUS_DIR, FIXTURES_DIR, REPO_ROOT, TEMPLATES_DIR, within,
+    ADPCM_CSV, ALIAS5_EVA_EXCERPT, CORPUS_DIR, FIXTURES_DIR, REPO_ROOT, TEMPLATES_DIR, src_env,
+    within,
 )
 from reference_analyzer import count_by_kind
 from specforge import runner
-from specforge.analyzer import PreservationVerdict, parse_blocks, tokenize
+from specforge.analyzer import PreservationVerdict, parse_blocks, split_response, tokenize
 from specforge.gateway import BackendError, CompletionResponse, ReplayBackend
 from specforge.model import AnnotationKind, GenerationConfig, Origin, PromptVariant
 from specforge.cli import main
@@ -709,6 +711,35 @@ def test_emit_shipped_study_report_digest(full_report, tmp_path):
     assert digest == SHIPPED_REPORT_SHA256
 
 
+def _interpreter(python: str) -> str | None:
+    """The path of ``python`` if it is on ``PATH`` and starts; a version shim
+    may be found and exit 127."""
+    found = shutil.which(python)
+    if found is None:
+        return None
+    started = subprocess.run([found, "-c", "pass"], capture_output=True, timeout=60)
+    return found if started.returncode == 0 else None
+
+
+@pytest.mark.parametrize("python", ["python3.10", "python3.12", "python3.13"])
+def test_generate_writes_the_shipped_digest_under_another_python(python, tmp_path):
+    # From 3.12 on, ``sum`` of floats compensates its rounding error; a mean
+    # added that way moves one digit of the shipped report.
+    interpreter = _interpreter(python)
+    if interpreter is None:
+        pytest.skip(f"{python} is not on PATH or does not start")
+    proc = subprocess.run(
+        [
+            interpreter, "-m", "specforge.cli", "generate",
+            "--corpus", str(CORPUS_DIR), "--fixtures", str(FIXTURES_DIR), "--out", str(tmp_path),
+        ],
+        capture_output=True, text=True, env=src_env(), timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    digest = hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest()
+    assert digest == SHIPPED_REPORT_SHA256
+
+
 # The shipped study's CSVs, recorded before one writer replaced the hand-joined rows.
 SHIPPED_CSV_SHA256 = {
     ("totals", "histogram.csv"): "0df7da1dad95acee5c53403d6d8d9c0581d17a4560b5cb1336d9d249fb7be506",
@@ -983,6 +1014,28 @@ def _cells(report):
     return cells, report.robustness
 
 
+class _EchoBackend(ReplayBackend):
+    """Answers each request with its program's source in a code fence; reads no fixture."""
+
+    def __init__(self, sources):
+        super().__init__(FIXTURES_DIR)
+        self.sources = sources
+
+    def complete(self, request):
+        return CompletionResponse(
+            text=f"```c\n{self.sources[request.prompt.program_name]}```\n",
+            backend_kind="replay",
+            backend_detail="echo",
+            latency_ms=0,
+            request_digest=request.digest,
+        )
+
+
+def _without_load_memo(corpus):
+    """The same load with an empty ``load_lines``: ``replace`` copies fields only."""
+    return dataclasses.replace(corpus, entries=tuple(map(dataclasses.replace, corpus.entries)))
+
+
 @pytest.mark.parametrize("corpus", ["shipped", "synthetic seed 41"])
 def test_a_run_equals_one_that_parses_each_reply_with_a_fresh_memo(
     monkeypatch, tmp_path, templates_module, corpus
@@ -996,6 +1049,8 @@ def test_a_run_equals_one_that_parses_each_reply_with_a_fresh_memo(
         backend, variants = ReplayBackend(tmp_path / "fixtures"), [PromptVariant.BASELINE]
     config = GenerationConfig(samples_per_program=3)
     shared = run(entries, variants, config, backend, templates_module)
+    empty = run(_without_load_memo(entries), variants, config, backend, templates_module)
+    assert shared.to_dict() == empty.to_dict()  # the load's memo seeds nothing but speed
     monkeypatch.setattr(runner, "parse_blocks", lambda code, parsed: parse_blocks(code))
     alone = run(entries, variants, config, backend, templates_module)
     assert _cells(shared) == _cells(alone)
@@ -1004,6 +1059,74 @@ def test_a_run_equals_one_that_parses_each_reply_with_a_fresh_memo(
         if result.status == STATUS_OK:  # the census summed from blocks is count_by_kind's
             assert result.histogram == count_by_kind(result.annotations)
 
+
+# Each line 1, 3 and 6 starts a comment, directive or literal that runs on
+# past its end, so no memo holds it.
+_RUNS_ON = """/* a header comment
+   over two lines */
+#define MAX(a, b) \\
+  ((a) > (b) ? (a) : (b))
+int f(int a, int b) {
+  const char *s = "x\\
+y";
+
+  return MAX(a, b);
+}
+"""
+
+
+def test_a_run_lexes_only_the_code_lines_no_memo_can_hold(
+    monkeypatch, tmp_path, templates_module
+):
+    from specforge.analyzer import lexer
+
+    for path in sorted(CORPUS_DIR.glob("*/program.c")):
+        _program(tmp_path, path.parent.name, path.read_text(encoding="utf-8"))
+    _program(tmp_path, "runs_on", _RUNS_ON)
+    lexed: list[int] = []
+    lex = lexer._lex
+    monkeypatch.setattr(
+        lexer, "_lex", lambda source, pos, line: lexed.append(line) or lex(source, pos, line)
+    )
+    corpus = load_corpus(tmp_path)
+    loaded = len(lexed)
+    backend = _EchoBackend({e.program.name: e.program.source for e in corpus.entries})
+    config = GenerationConfig(samples_per_program=2)
+
+    def lexes(load):
+        del lexed[:]
+        report = run(load, [PromptVariant.BASELINE], config, backend, templates_module)
+        assert all(r.status == STATUS_OK and r.preservation.preserved for r in report.results)
+        return len(lexed)
+
+    # Scanned through a memo that holds its program's lines, a reply's code
+    # lexes just the lines that run on.
+    unheld = {}
+    for name, source in backend.sources.items():
+        held: dict = {}
+        lexer.scan(source, held)
+        del lexed[:]
+        lexer.scan(split_response(f"```c\n{source}```\n").code, held)
+        unheld[name] = list(lexed)
+    assert unheld.pop("runs_on") == [1, 3, 6]
+    assert not any(unheld.values())
+    assert lexes(corpus) == config.samples_per_program * 3
+    # Started empty, a run lexes at least every line that the load lexed.
+    assert lexes(_without_load_memo(corpus)) >= loaded > 100
+
+
+def test_the_load_memo_is_shared_kept_by_hooks_and_never_grows(
+    templates_module, replay_backend
+):
+    corpus = load_corpus(CORPUS_DIR)
+    lines = corpus.entries[0].load_lines
+    assert lines and all(entry.load_lines is lines for entry in corpus.entries)
+    hooked = run_hooks(corpus, tests_hook=None, eva_hook=None)
+    assert all(entry.load_lines is lines for entry in hooked.entries)
+    size = len(lines)
+    for _ in range(2):
+        run(hooked, ALL_VARIANTS, CONFIG, replay_backend, templates_module)
+        assert len(lines) == size
 
 
 # A synthetic reply puts each clause on a line of its own: the line opens with
