@@ -349,38 +349,62 @@ def _parse_block(
     return body, old_starts[:kept] + starts, (*old[:kept], *new), placement, counts, keys
 
 
+def _shifted(annotations: tuple[Annotation, ...], by: int) -> tuple[Annotation, ...]:
+    """``annotations`` with every line moved by ``by``."""
+    return tuple(
+        Annotation(a.kind, a.clause_text, a.block_style, a.line + by, a.enclosing)
+        for a in annotations
+    )
+
+
 def parse_blocks(code: str, parsed: dict | None = None) -> AnalyzedCode:
     """Scan ``code`` once and parse its annotation blocks.
 
-    ``parsed`` is a dict the caller passes to every reply of one run. Each
-    place of an ACSL comment (its first line, whether the next code token
-    heads a loop, whether it sits at brace depth 0, and its comment style)
-    maps there to a dict from each comment text seen at that place to its
-    ``_parse_block`` result, which depends on nothing else. A text already
-    there is not parsed again; only its ``code_index`` and ``loop_key`` come
-    from this ``code``. Another is parsed against the last parse made at its
-    place: a near repeat, such as a mutant's contract, keeps the clauses
-    before the first place where the two differ and is scanned from there to
-    its end. Under ``"lines"`` ``parsed`` also holds what ``scan`` recorded
-    of each line at the depth it was reached, so a line that an earlier reply
-    already held at that depth is not scanned again; ``run`` starts it as a
-    copy of the corpus load's line memo, so a reply's code line that a loaded
-    program holds is not scanned either. The dict holds every distinct
-    comment and line it has seen, so keep it no longer than one run.
-    Raises TokenizeError when ``code`` does not scan.
+    ``parsed`` is a dict the caller passes to every reply of one run. Its
+    text table (``"texts"``) maps each ACSL comment's text, whether the next
+    code token heads a loop and whether it sits at brace depth 0 (with its
+    first line, all a parse depends on) to the comment's ``_parse_block``
+    result at each line it was seen at. A text already there is not parsed
+    again, wherever it sits: at a new line, its first parse gives the body,
+    kind counts, clause keys and placement, and only its ``Annotation``s are
+    built again, each line moved by the difference. Only a block's
+    ``code_index`` and ``loop_key`` come from this ``code``. A text not
+    there is parsed against the last parse made at its place (its first
+    line, the two facts above and its comment style), which the place table
+    (``"places"``) holds in one slot per place: a near repeat, such as a
+    mutant's contract, keeps the clauses before the first place where the
+    two differ and is scanned from there to its end. Under ``"lines"``
+    ``parsed`` also holds what ``scan`` recorded of each line at the depth
+    it was reached, so a line that an earlier reply already held at that
+    depth is not scanned again; ``run`` starts it as a copy of the corpus
+    load's line memo, so a reply's code line that a loaded program holds is
+    not scanned either. The dict holds every distinct comment and line it
+    has seen, so keep it no longer than one run. Raises TokenizeError when
+    ``code`` does not scan.
     """
     if parsed is None:
         parsed = {}
     comparable, file_scope, acsl = scan(code, parsed.setdefault("lines", {}))
+    seen = parsed.setdefault("texts", {})
+    places = parsed.setdefault("places", {})
     texts = comparable.texts
     blocks: list[AnnotationBlock] = []
     for ordinal, (text, line, depth, code_index) in enumerate(acsl):
         heads_loop = code_index < len(texts) and texts[code_index] in _LOOP_HEADS
-        parses = parsed.setdefault((line, heads_loop, depth == 0, text[1]), {})
-        parse = parses.get(text)
+        key = (text, heads_loop, depth == 0)
+        by_line = seen.get(key)
+        if by_line is None:
+            by_line = seen[key] = {}
+        parse = by_line.get(line)
         if parse is None:
-            last = next(reversed(parses.values()), _NOTHING_PARSED)
-            parse = parses[text] = _parse_block(text, line, heads_loop, depth == 0, last)
+            if by_line:  # parsed at another line: the same facts, moved
+                first, parse = next(iter(by_line.items()))
+                parse = (*parse[:2], _shifted(parse[2], line - first), *parse[3:])
+            else:
+                place = (line, heads_loop, depth == 0, text[1])
+                last = places.get(place, _NOTHING_PARSED)
+                parse = places[place] = _parse_block(text, line, heads_loop, depth == 0, last)
+            by_line[line] = parse
         _, _, annotations, placement, kind_counts, clause_keys = parse
         if not annotations:
             continue

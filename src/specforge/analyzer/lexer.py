@@ -106,8 +106,8 @@ _TOKEN_RE = re.compile(
     r"|(?P<number>(?:0[xX][0-9a-fA-F]+|(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)[uUlLfF]*)"
     r"|(?P<comment>/\*)"
     r"|(?P<line_comment>//[^\n]*)"
-    r'|(?P<string>"[^"\\\n]*(?:\\[\s\S][^"\\\n]*)*")'
-    r"|(?P<char>'[^'\\\n]*(?:\\[\s\S][^'\\\n]*)*')"
+    r'|(?P<string>"[^"\\\n]*(?:\\(?:\r\n|[\s\S])[^"\\\n]*)*")'
+    r"|(?P<char>'[^'\\\n]*(?:\\(?:\r\n|[\s\S])[^'\\\n]*)*')"
     r"|(?P<quote>[\"'])"
     r"|(?P<punct>" + "|".join(re.escape(p) for p in _PUNCTUATORS) + ")"
     # Any other character but a blank (@, \, `, non-ASCII...) is a one-char

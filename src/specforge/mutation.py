@@ -222,7 +222,7 @@ def _token_at(source: str, texts: Sequence[str], lines: Sequence[int], index: in
     """
     line = lines[index]
     first, last = bisect_left(lines, line), bisect_right(lines, line)
-    if "\\\n" not in source or "\n" not in "".join(texts[:first]):
+    if ("\\\n" not in source and "\\\r\n" not in source) or "\n" not in "".join(texts[:first]):
         # No literal before the line spans a newline, so the scan stands at
         # the line start unless a comment runs into the line; a directive
         # would take the whole line.

@@ -689,10 +689,11 @@ def run(
 
     The replies share one ``parse_blocks`` dict, made for this call and
     dropped when it returns. It holds the parse of every distinct ACSL
-    comment at each place and every scanned line, and none outlives it. Its
-    line memo starts as a copy of the entries' ``load_lines``, so a reply's
-    code line that a loaded program holds at the same depth is not lexed
-    again, while the load's memo never grows.
+    comment text, moved to each line it was seen at, the last parse at each
+    place, and every scanned line, and none outlives it. Its line memo
+    starts as a copy of the entries' ``load_lines``, so a reply's code line
+    that a loaded program holds at the same depth is not lexed again, while
+    the load's memo never grows.
 
     At most ``max_workers`` backend attempts are on the wire, each on one of
     ``max_workers`` worker threads. A live request backing off between

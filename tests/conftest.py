@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import importlib.util
 import os
 import re
+import sys
 import threading
 import time
 from pathlib import Path
@@ -19,6 +21,17 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 CORPUS_DIR = REPO_ROOT / "corpus"
 FIXTURES_DIR = REPO_ROOT / "fixtures"
 TEMPLATES_DIR = REPO_ROOT / "src" / "specforge" / "templates"
+
+
+def load_synth(monkeypatch: pytest.MonkeyPatch) -> Any:
+    """``perfbench/synth.py`` as it ships, imported read-only."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_synth", REPO_ROOT / "perfbench" / "synth.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
 
 
 def src_env() -> dict[str, str]:

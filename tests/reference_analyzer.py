@@ -182,6 +182,9 @@ def reference_tokenize(source: str) -> list[RefToken]:
                 if c == "\\" and pos + 1 < n:
                     if source[pos + 1] == "\n":  # an escaped newline is a line too
                         line += 1
+                    elif source.startswith("\r\n", pos + 1):  # so is an escaped CR LF
+                        line += 1
+                        pos += 1
                     pos += 2
                     continue
                 if c == ch:

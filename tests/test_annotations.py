@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import contextlib
+from unittest import mock
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -23,6 +26,7 @@ from specforge.analyzer import (
     split_response,
     strip_annotations,
 )
+from specforge.analyzer import annotations as annotations_module
 from specforge.analyzer.annotations import _DECORATION, _normalize_line, _parse_block
 
 
@@ -486,16 +490,21 @@ _SHARED_IN = {
 
 @pytest.mark.parametrize("first", sorted(_SHARED_IN))
 def test_a_shared_block_parse_keeps_loop_head_and_file_scope_apart(first):
-    # before a loop head or a statement inside a body, and at file scope
+    # before a loop head or a statement inside a body, and at file scope, each
+    # at line 2 and then at line 5: three placements, so three parses
     parsed: dict = {}
     order = [first, *(context for context in sorted(_SHARED_IN) if context != first)]
-    for context in order:
-        (block,) = parse_blocks(_SHARED_IN[context], parsed).blocks
-        assert [block] == parse_blocks(_SHARED_IN[context]).blocks
+    placed = [(before, context) for before in (0, 3) for context in order]
+    codes = ["\n" * before + _SHARED_IN[context] for before, context in placed]
+    with _parses_made() as made:
+        shared = [_blocks_with_facts(parse_blocks(code, parsed)) for code in codes]
+    assert shared == [_blocks_with_facts(parse_blocks(code)) for code in codes]
+    for (before, context), [(block, _, _)] in zip(placed, shared):
         (annotation,) = block.annotations
-        assert (annotation.enclosing.context, annotation.line) == (context, 2)
+        assert (annotation.enclosing.context, annotation.line) == (context, 2 + before)
         assert (block.loop_key is None) == (context != "loop")
         assert block.placement.context == context
+    assert sorted(made) == [(_SHARED, False, False), (_SHARED, False, True), (_SHARED, True, False)]
 
 
 # ------------------------------------------- a block parsed against the last one
@@ -521,6 +530,49 @@ def test_a_missing_text_is_parsed_against_the_last_parse_at_its_place(monkeypatc
     comment = {code: code.partition("\n")[0] for code in (a, b, c)}
     assert [text for text, _ in calls] == [comment[a], comment[b], comment[c]]  # A once
     assert calls[2][1] is made[comment[b]]  # C against B, the last parse made there
+
+
+@contextlib.contextmanager
+def _parses_made():
+    """The (text, loop head, file scope) key of each block ``parse_blocks`` parses
+    meanwhile; a fresh re-parse inside ``_parse_block`` is not another."""
+    made: list[tuple[str, bool, bool]] = []
+    inside: list[bool] = []
+    parse = annotations_module._parse_block
+
+    def spy(text, line, heads_loop, at_file_scope, *last):
+        if not inside:
+            made.append((text, heads_loop, at_file_scope))
+        inside.append(True)
+        try:
+            return parse(text, line, heads_loop, at_file_scope, *last)
+        finally:
+            inside.pop()
+
+    with mock.patch.object(annotations_module, "_parse_block", spy):
+        yield made
+
+
+def test_a_comment_seen_at_another_line_is_moved_not_parsed_again(monkeypatch):
+    contract = "/*@ requires n >= 0;\n  @ assigns \\nothing;\n  @ ensures \\result >= n; */\n"
+    first, second = ("\n" * before + contract + "int f(int n);\n" for before in (4, 8))
+    scan = annotations_module._scan_clauses
+    scans: list[str] = []
+
+    def counting_scan(body, line, pos):
+        scans.append(body)
+        return scan(body, line, pos)
+
+    monkeypatch.setattr(annotations_module, "_scan_clauses", counting_scan)
+    parsed: dict = {}
+    (at_5,) = parse_blocks(first, parsed).blocks
+    (at_9,) = parse_blocks(second, parsed).blocks
+    assert len(scans) == 1
+    assert [a.line for a in at_5.annotations] == [5, 6, 7]
+    assert [a.line for a in at_9.annotations] == [9, 10, 11]  # each 4 higher
+    assert _blocks_with_facts(parse_blocks(second)) == [
+        (at_9, at_9.kind_counts, at_9.clause_keys)
+    ]
 
 
 # What an edit inserts: clause pieces, keywords, and the behavior headers and
@@ -656,6 +708,33 @@ def test_shipped_replies_through_one_dict_equal_each_parsed_alone(replies):
               for r in replies]
     alone = [_blocks_or_error(lambda c: _blocks_with_facts(parse_blocks(c)), r) for r in replies]
     assert shared == alone
+
+
+# Lines put before a reply: they move its comments down, and the braces also
+# change the depth they sit at.
+_LEADING_LINES = ["\n", "int g;\n", "/* c */\n", "//@ ghost int h;\n", "{\n", "}\n"]
+
+
+@st.composite
+def _moved_replies(draw):
+    """Shipped replies, each twice in random order, each time after random leading lines."""
+    chosen = draw(st.lists(st.sampled_from(_SHIPPED_REPLIES), min_size=1, max_size=3))
+    return [
+        "".join(draw(st.lists(st.sampled_from(_LEADING_LINES), max_size=4))) + code
+        for code in draw(st.permutations(chosen * 2))
+    ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_moved_replies())
+def test_shipped_replies_moved_by_leading_lines_parse_each_text_once(replies):
+    parsed: dict = {}
+    with _parses_made() as made:
+        shared = [_blocks_or_error(lambda c: _blocks_with_facts(parse_blocks(c, parsed)), r)
+                  for r in replies]
+    alone = [_blocks_or_error(lambda c: _blocks_with_facts(parse_blocks(c)), r) for r in replies]
+    assert shared == alone
+    assert len(made) == len(set(made))  # each (text, loop head, file scope) once
 
 
 def test_count_blocks_by_kind_is_count_by_kind_of_their_annotations():

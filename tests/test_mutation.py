@@ -385,6 +385,8 @@ def test_mutate_matches_the_reference_around_multi_line_tokens(source):
         # a literal with an escaped newline comes before the drawn line and
         # could run into it, so the whole source is tokenized
         ('s = "\\\n";\nif (a < b) a = b;\nif (a < b) a = b;\n', True),
+        # so does one continued by a backslash, CR and LF
+        ('s = "\\\r\n";\nif (a < b) a = b;\nif (a < b) a = b;\n', True),
     ],
 )
 def test_mutate_lexes_the_drawn_line_alone_only_where_that_is_exact(

@@ -3,14 +3,12 @@ from __future__ import annotations
 import csv
 import dataclasses
 import hashlib
-import importlib.util
 import json
 import random
 import re
 import shlex
 import shutil
 import subprocess
-import sys
 import threading
 from pathlib import Path
 
@@ -19,12 +17,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
-    ADPCM_CSV, ALIAS5_EVA_EXCERPT, CORPUS_DIR, FIXTURES_DIR, REPO_ROOT, TEMPLATES_DIR, src_env,
+    ADPCM_CSV, ALIAS5_EVA_EXCERPT, CORPUS_DIR, FIXTURES_DIR, TEMPLATES_DIR, load_synth, src_env,
     within,
 )
 from reference_analyzer import count_by_kind
 from specforge import runner
-from specforge.analyzer import PreservationVerdict, parse_blocks, split_response, tokenize
+from specforge.analyzer import (
+    PreservationVerdict,
+    TokenKind,
+    parse_blocks,
+    split_response,
+    tokenize,
+)
 from specforge.gateway import BackendError, CompletionResponse, ReplayBackend
 from specforge.model import AnnotationKind, GenerationConfig, Origin, PromptVariant
 from specforge.cli import main
@@ -985,23 +989,32 @@ def test_block_parses_are_shared_within_a_run_and_never_across_runs(
         before = len(scans)
         report = run(corpus_load_module, ALL_VARIANTS, CONFIG, replay_backend, templates_module)
         per_run.append(len(scans) - before)
-    comments = sum(
-        1 for r in report.results if r.status == STATUS_OK
-        for token in tokenize(r.split.code) if token.is_acsl
-    )
+    ok = [r for r in report.results if r.status == STATUS_OK]
+    comments = sum(1 for r in ok for token in tokenize(r.split.code) if token.is_acsl)
+    keys = set().union(*(_block_keys(r.split.code) for r in ok))
     assert per_run[0] == per_run[1]  # the second run reuses nothing from the first
-    assert 0 < per_run[0] < comments  # comments repeated within a run are scanned once
+    assert per_run[0] == len(keys) < comments  # one scan per text, loop head and file scope
 
 
-def _load_synth(monkeypatch):
-    """``perfbench/synth.py`` as it ships, imported read-only."""
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_synth", REPO_ROOT / "perfbench" / "synth.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up
-    spec.loader.exec_module(module)
-    return module
+def _block_keys(code):
+    """Each ACSL comment's (text, heads a loop, at brace depth 0), from ``code``'s tokens."""
+    keys = set()
+    depth = 0
+    tokens = tokenize(code)
+    for i, token in enumerate(tokens):
+        if token.is_acsl:
+            after = next((t.text for t in tokens[i + 1 :] if not t.is_comment), None)
+            keys.add((token.text, after in ("for", "while", "do"), depth == 0))
+        elif token.text == "{" and token.kind is TokenKind.PUNCT:
+            depth += 1
+        elif token.text == "}" and token.kind is TokenKind.PUNCT and depth:
+            depth -= 1
+    return keys
+
+
+# Seeded synthetic runs, each repeating comment texts at other lines: the
+# seeds guard the clause lines of moved parses.
+_SYNTH_SEEDS = (7, 41, 902)
 
 
 def _cells(report):
@@ -1036,7 +1049,7 @@ def _without_load_memo(corpus):
     return dataclasses.replace(corpus, entries=tuple(map(dataclasses.replace, corpus.entries)))
 
 
-@pytest.mark.parametrize("corpus", ["shipped", "synthetic seed 41"])
+@pytest.mark.parametrize("corpus", ["shipped", *(f"synthetic seed {s}" for s in _SYNTH_SEEDS)])
 def test_a_run_equals_one_that_parses_each_reply_with_a_fresh_memo(
     monkeypatch, tmp_path, templates_module, corpus
 ):
@@ -1044,7 +1057,7 @@ def test_a_run_equals_one_that_parses_each_reply_with_a_fresh_memo(
         entries, backend = load_corpus(CORPUS_DIR), ReplayBackend(FIXTURES_DIR)
         variants = ALL_VARIANTS
     else:
-        _load_synth(monkeypatch).generate(tmp_path, 41, 7)
+        load_synth(monkeypatch).generate(tmp_path, int(corpus.rpartition(" ")[2]), 7)
         entries = load_corpus(tmp_path / "corpus")
         backend, variants = ReplayBackend(tmp_path / "fixtures"), [PromptVariant.BASELINE]
     config = GenerationConfig(samples_per_program=3)
@@ -1134,8 +1147,11 @@ def test_the_load_memo_is_shared_kept_by_hooks_and_never_grows(
 _SYNTH_CLAUSE_LINE = re.compile(r"^\s*(?:/\*@|@|//@)\s*(.*?)\s*[;:]\s*$")
 
 
-def test_clause_lines_are_the_reply_lines_that_hold_them(monkeypatch, tmp_path, templates_module):
-    _load_synth(monkeypatch).generate(tmp_path, 41, 7)
+@pytest.mark.parametrize("seed", _SYNTH_SEEDS)
+def test_clause_lines_are_the_reply_lines_that_hold_them(
+    monkeypatch, tmp_path, templates_module, seed
+):
+    load_synth(monkeypatch).generate(tmp_path, seed, 7)
     report = run(
         load_corpus(tmp_path / "corpus"),
         [PromptVariant.BASELINE],

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import shutil
+import subprocess
 from dataclasses import replace
 
 import pytest
@@ -123,6 +125,25 @@ def test_spans_at_blank_run_edges(source, expected):
 def test_unterminated_literal_after_blanks_keeps_its_line():
     with pytest.raises(TokenizeError, match=r"^line 1: unterminated ' literal$"):
         tokenize("x = '")
+
+
+@pytest.mark.parametrize(
+    "source, head",
+    [('char *s = "a\\\r\nb";\n', ["char", "*", "s"]), ("int c = 'a\\\r\nb';\n", ["int", "c"])],
+)
+def test_a_literal_continued_by_backslash_cr_lf_lexes(tmp_path, source, head):
+    # gcc splices the backslash, CR and LF away in translation phase 2
+    literal = source[source.index("=") + 2 : source.rindex(";")]
+    expected = [(text, 1) for text in [*head, "=", literal]] + [(";", 2)]
+    assert [(t.text, t.line) for t in tokenize(source)] == expected
+    assert [(t[1], t[2]) for t in reference_tokenize(source)] == expected
+    gcc = shutil.which("gcc")
+    if gcc is not None:
+        (tmp_path / "literal.c").write_bytes(source.encode())
+        subprocess.run(
+            [gcc, "-std=c99", "-fsyntax-only", "-w", "literal.c"],
+            cwd=tmp_path, check=True, capture_output=True, timeout=60,
+        )
 
 
 def _opcodes(node, parser):
