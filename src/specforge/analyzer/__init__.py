@@ -15,7 +15,6 @@ from .annotations import (
     parse_annotations,
     parse_blocks,
     split_response,
-    strip_annotations,
 )
 from .checks import (
     DiffRun,

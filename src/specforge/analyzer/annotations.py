@@ -17,7 +17,8 @@ from operator import attrgetter
 from typing import Iterable
 
 from ..model import ASSIGNS, BEHAVIOR, KNOWN_KINDS, LOOP_ASSIGNS, AnnotationKind, Record
-from .lexer import ComparableStream, scan, tokenize
+from .lexer import ComparableStream, scan
+from .lexer import tokenize  # not called here; perfbench/spans.py counts calls through it
 from .similarity import normalize_clause
 
 
@@ -258,11 +259,9 @@ class AnalyzedCode:
       loop and contract rules;
     - ``comparable`` (the non-comment tokens' compare texts and lines): the
       preservation check, and lint's parameter lists;
-    - ``file_scope`` (``scan``'s file-scope names): lint's out-of-scope rule;
-    - ``code``: the preservation check's rare strip and re-scan.
+    - ``file_scope`` (``scan``'s file-scope names): lint's out-of-scope rule.
     """
 
-    code: str
     blocks: list[AnnotationBlock]
     comparable: ComparableStream
     file_scope: frozenset[str]
@@ -414,7 +413,7 @@ def parse_blocks(code: str, parsed: dict | None = None) -> AnalyzedCode:
         blocks.append(
             AnnotationBlock(annotations, code_index, loop_key, placement, kind_counts, clause_keys)
         )
-    return AnalyzedCode(code, blocks, comparable, file_scope)
+    return AnalyzedCode(blocks, comparable, file_scope)
 
 
 def parse_annotations(code: AnalyzedCode) -> list[Annotation]:
@@ -448,22 +447,3 @@ def merge_loop_assigns(
     merged[ASSIGNS] = merged.get(ASSIGNS, 0) + loop_count
     return merged
 
-
-def strip_annotations(source: str) -> str:
-    """Remove all ACSL comments from ``source``, preserving every other token in order.
-
-    Newlines inside removed blocks are kept so remaining tokens stay on their
-    original lines; code with no annotations comes back byte-identical.
-    """
-    spans = [(t.start, t.end, t.text) for t in tokenize(source) if t.is_acsl]
-    if not spans:
-        return source
-    out: list[str] = []
-    pos = 0
-    for start, end, text in spans:
-        out.append(source[pos:start])
-        newlines = "\n" * text.count("\n")
-        out.append(newlines if newlines else " ")
-        pos = end
-    out.append(source[pos:])
-    return "".join(out)

@@ -9,14 +9,14 @@ from enum import Enum
 from typing import Sequence
 
 from ..model import ASSIGNS, LOOP_ASSIGNS, LOOP_VARIANT, Record
-from .annotations import FUNCTION_CONTRACT, STATEMENT, AnalyzedCode, strip_annotations
-from .lexer import C_KEYWORDS, ID_START, ComparableStream, scan
+from .annotations import FUNCTION_CONTRACT, STATEMENT, AnalyzedCode
+from .lexer import C_KEYWORDS, ID_START, ComparableStream
 from .lexer import tokenize  # not called here; perfbench/spans.py counts calls through it
 
 
 @dataclass(frozen=True, eq=False, repr=False)
 class DiffRun(Record):
-    """One mismatching token run between original and annotated-then-stripped code."""
+    """One mismatching token run between original and annotated code."""
 
     line: int
     original: str
@@ -127,25 +127,18 @@ def _opcodes(a: Sequence[str], b: Sequence[str]) -> list[_Opcode]:
 def check_code_preserved(
     original: ComparableStream, annotated_code: AnalyzedCode
 ) -> PreservationVerdict:
-    """True iff stripping annotations from ``annotated_code`` leaves the original tokens.
+    """True iff ``annotated_code``'s tokens, comments aside, are the original's.
 
     Whitespace and comments never count; the diff localizes up to
     ``MAX_DIFF_RUNS`` mismatching token runs, line numbers taken from the
     original source where possible. ``original`` is the program's stream
     (``SourceProgram.comparable``) and ``annotated_code`` the reply's
     ``parse_blocks`` result, whose ``comparable`` stream its one scan already
-    collected, so nothing is scanned twice.
-
-    The reply's own non-comment tokens are compared directly: removing a
-    comment leaves whitespace, which changes no other token. The one
-    exception is a ``#`` that lexes as a punctuator because an ACSL comment
-    precedes it on its line; stripped, it may start the line and lex as a
-    directive. A reply whose compare texts hold a lone ``#``, a punctuator
-    or an empty directive, is therefore stripped and scanned again.
+    collected, so nothing is scanned twice. That stream is what removing the
+    ACSL comments would leave: the lexer reads a ``#`` as C does, with each
+    comment one space, so removing a comment changes no other token.
     """
     modified = annotated_code.comparable
-    if "#" in modified.texts:
-        modified = scan(strip_annotations(annotated_code.code), {})[0]
     values_orig, values_mod = original.texts, modified.texts
     if values_orig == values_mod:
         return PreservationVerdict(preserved=True, diff=())

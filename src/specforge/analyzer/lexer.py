@@ -3,12 +3,16 @@
 This is deliberately a tokenizer, not a parser. ``scan`` goes from a source
 straight to what the analysis reads (the stream preservation compares, the
 file-scope names, the ACSL comments), ``tokenize`` gives the tokens with
-their source spans that mutation sites and annotation stripping need, and
-``line_tokens`` gives those of one line; all take their tokens from one
-lexing loop. Comments survive as tokens (annotations live inside them),
-preprocessor directives collapse to one token per logical line, and any
-character the scanner does not recognize becomes a one-character punctuator
-so that scanning is total except for unterminated comments and literals.
+their source spans that mutation sites need, and ``line_tokens`` gives those
+of one line; all take their tokens from one lexing loop. Comments survive as
+tokens (annotations live inside them), preprocessor directives collapse to
+one token per logical line, and any character the scanner does not recognize
+becomes a one-character punctuator so that scanning is total except for
+unterminated comments and literals.
+
+A ``#`` starts a directive where C starts one, reading each comment as one
+space (translation phase 3): after only blanks and comments since the last
+line start outside a comment. So removing a comment changes no other token.
 """
 
 from __future__ import annotations
@@ -87,20 +91,18 @@ _PUNCTUATORS = (
 )
 
 # One master pattern; the first alternative that matches at a position wins.
-# Only " \t\r\v\f" and "\n" are whitespace, and only "\n" ends a line. A
-# directive starts at a '#' preceded on its line by whitespace alone, so
-# ``newline`` stops right after a newline for ``preproc`` to try the next
-# line; a line whose trailing-whitespace-stripped text ends in a backslash
-# continues the directive. Every other token takes the run of blanks before
-# it into its match; no token group matches a blank, so the run never gives
-# a character back to the token, and trailing blanks at the end of the input
-# match nothing. The token itself is the one named group that matched.
-# A newline escaped inside a literal counts as a line, as one inside a
-# directive does. ``quote`` catches literals the ``string``/``char`` forms
-# cannot close.
+# Only " \t\r\v\f" and "\n" are whitespace, and only "\n" ends a line. Every
+# token but a newline run takes the run of blanks before it into its match;
+# no token group matches a blank, so the run never gives a character back to
+# the token, and trailing blanks at the end of the input match nothing. The
+# token itself is the one named group that matched. ``preproc`` reads every
+# '#' as a directive: the rest of its line, and the next while the line's
+# trailing-whitespace-stripped text ends in a backslash; ``_lex`` keeps that
+# reading only where C starts a directive. A newline escaped inside a literal
+# counts as a line, as one inside a directive does. ``quote`` catches
+# literals the ``string``/``char`` forms cannot close.
 _TOKEN_RE = re.compile(
-    r"^[ \t\r\v\f]*(?P<preproc>\#(?:[^\n]*\\[^\S\n]*\n)*[^\n]*)"
-    r"|(?P<newline>(?:[ \t\r\v\f]*\n)+)"
+    r"(?P<newline>(?:[ \t\r\v\f]*\n)+)"
     r"|[ \t\r\v\f]*(?:"
     r"(?P<id>[A-Za-z_$][A-Za-z0-9_$]*)"
     r"|(?P<number>(?:0[xX][0-9a-fA-F]+|(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)[uUlLfF]*)"
@@ -110,10 +112,10 @@ _TOKEN_RE = re.compile(
     r"|(?P<char>'[^'\\\n]*(?:\\(?:\r\n|[\s\S])[^'\\\n]*)*')"
     r"|(?P<quote>[\"'])"
     r"|(?P<punct>" + "|".join(re.escape(p) for p in _PUNCTUATORS) + ")"
+    r"|(?P<preproc>\#(?:[^\n]*\\[^\S\n]*\n)*[^\n]*)"
     # Any other character but a blank (@, \, `, non-ASCII...) is a one-char
     # punctuator.
-    r"|(?P<other>[^ \t\r\v\f]))",
-    re.MULTILINE,
+    r"|(?P<other>[^ \t\r\v\f]))"
 )
 
 # ``m.lastindex`` of a match, the number of its token group, indexes this:
@@ -131,9 +133,9 @@ for _name, _kind in (
     ("other", TokenKind.PUNCT),
 ):
     _KINDS[_TOKEN_RE.groupindex[_name]] = _kind
-_PREPROC, _NEWLINE, _ID, _COMMENT, _LINE_COMMENT, _PUNCT = (
+_PREPROC, _NEWLINE, _ID, _COMMENT, _LINE_COMMENT, _PUNCT, _OTHER = (
     _TOKEN_RE.groupindex[g]
-    for g in ("preproc", "newline", "id", "comment", "line_comment", "punct")
+    for g in ("preproc", "newline", "id", "comment", "line_comment", "punct", "other")
 )
 _SPANS_LINES = frozenset(_TOKEN_RE.groupindex[g] for g in ("preproc", "string", "char"))
 
@@ -141,17 +143,19 @@ _SPANS_LINES = frozenset(_TOKEN_RE.groupindex[g] for g in ("preproc", "string", 
 def _lex(source: str, pos: int, line: int) -> Iterator[tuple[int, str, int, int, int]]:
     """Yield ``(group, text, line, start, end)`` for each token from ``pos`` on.
 
-    ``pos`` is a line start, or the end of a token, outside comments,
-    directives and literals, and ``line`` its number (a directive starts
-    only at a line start); ``group`` is the number of the token's group in
-    ``_TOKEN_RE``. A run of newlines is yielded too, with empty text and the
-    number of the line after it. Raises TokenizeError for an unterminated
-    comment or literal.
+    ``pos`` lies outside comments, directives and literals and is taken as a
+    line start, and ``line`` is its number; ``group`` is the number of the
+    token's group in ``_TOKEN_RE``. A run of newlines is yielded too, with
+    empty text and the number of the line after it. A ``#`` is a directive
+    only at ``line_start``: the last line start, or the end of a comment
+    that begins there; elsewhere it is a one-character punctuator. Raises
+    TokenizeError for an unterminated comment or literal.
     """
     match = _TOKEN_RE.match
     kinds = _KINDS
     spans_lines = _SPANS_LINES
     n = len(source)
+    line_start = pos
     while pos < n:
         m = match(source, pos)
         if m is None:  # only blanks are left
@@ -161,6 +165,7 @@ def _lex(source: str, pos: int, line: int) -> Iterator[tuple[int, str, int, int,
         if group == _NEWLINE:
             line += 1 if end - start == 1 else source.count("\n", start, end)
             yield group, "", line, start, end
+            line_start = end
         elif group == _COMMENT:
             close = source.find("*/", start + 2)
             if close == -1:
@@ -169,6 +174,11 @@ def _lex(source: str, pos: int, line: int) -> Iterator[tuple[int, str, int, int,
             text = source[start:end]
             yield group, text, line, start, end
             line += text.count("\n")
+            if pos == line_start:
+                line_start = end
+        elif group == _PREPROC and pos != line_start:  # code before it on its line
+            end = start + 1
+            yield _OTHER, "#", line, start, end
         elif kinds[group] is not None:
             text = source[start:end]
             yield group, text, line, start, end
@@ -184,7 +194,7 @@ def tokenize(source: str) -> list[Token]:
 
     Raises TokenizeError for an unterminated comment or literal; everything
     else scans. Analysis takes ``scan``'s facts instead; tokens are for what
-    needs offsets: mutation sites and stripping annotations.
+    needs offsets: mutation sites.
     """
     new = tuple.__new__  # builds a Token without the Python-level __new__ call
     kinds = _KINDS
@@ -198,9 +208,11 @@ def tokenize(source: str) -> list[Token]:
 def line_tokens(source: str, pos: int, line: int) -> list[Token]:
     """The tokens, comments included, from ``pos`` on that start on ``line``.
 
-    ``pos`` is a place ``tokenize``'s scan of ``source`` stands at (see
-    ``_lex``) and ``line`` the number it has there; the tokens are then the
-    ones ``tokenize`` gives from there to the end of the line. Lexing stops
+    ``pos`` is a place ``tokenize``'s scan of ``source`` stands at and
+    ``line`` the number it has there, and ``pos`` is taken as a line start
+    (see ``_lex``); where only blanks and comments lie between it and the
+    last line start, the tokens are the ones ``tokenize`` gives from there
+    to the end of the line. Lexing stops
     at the first token past the line, so a line is read alone. Raises
     TokenizeError for an unterminated comment or literal.
     """

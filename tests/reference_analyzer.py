@@ -1,9 +1,10 @@
 """Frozen reference implementations the analyzer is checked against.
 
-``reference_tokenize`` is the original character-loop scanner,
-``reference_split_response`` the original line-by-line fence splitter,
-``strip_and_rescan_verdict`` the original preservation check, which removes
-the ACSL comments from the reply text and scans what is left again,
+``reference_tokenize`` is the original character-loop scanner, with C's
+rule for where a directive starts, ``reference_split_response`` the original
+line-by-line fence splitter, ``strip_and_rescan_verdict`` the original
+preservation check, which removes the ACSL comments from the reply text and
+scans what is left again,
 ``reference_parse_blocks`` the clause scanner that tried every keyword at
 every position of an annotation body, ``_file_scope_names`` lint's own
 walk for the names visible at file scope, and ``count_by_kind`` the census
@@ -112,7 +113,13 @@ def reference_split_response(response_text: str) -> SplitResponse:
 
 
 def reference_tokenize(source: str) -> list[RefToken]:
-    """The original scanner: same tokens, spans, lines and exceptions."""
+    """The original scanner: same tokens, spans, lines and exceptions.
+
+    A ``#`` starts a directive when only blanks and comments come before it
+    since the last newline outside a comment: a block comment leaves
+    ``at_line_start`` as it found it, as C reads each comment as one space
+    before it finds directives.
+    """
     tokens: list[RefToken] = []
     pos = 0
     line = 1
@@ -143,7 +150,6 @@ def reference_tokenize(source: str) -> list[RefToken]:
             line += text.count("\n")
             tokens.append((TokenKind.COMMENT, text, start_line, start, end))
             pos = end
-            at_line_start = False
             continue
 
         if ch == "/" and source.startswith("//", pos):
@@ -236,14 +242,30 @@ def _is_acsl(token: RefToken) -> bool:
 
 
 def _strip_acsl(code: str) -> str:
-    spans = [(t[3], t[4], t[1]) for t in reference_tokenize(code) if _is_acsl(t)]
+    """``code`` with every ACSL comment removed, every other token kept in order.
+
+    A removed comment becomes one space, as in C's translation phase 3. One
+    that spans lines and has only blanks and comments before it since a line
+    start becomes its newlines instead: what follows then keeps its lines,
+    and its new line start is one C already reads there. After code, such a
+    comment's newlines would start a line that C does not have.
+    """
     out: list[str] = []
-    pos = 0
-    for start, end, text in spans:
-        out.append(code[pos:start])
-        newlines = "\n" * text.count("\n")
-        out.append(newlines if newlines else " ")
-        pos = end
+    pos = 0  # end of the code copied so far
+    last = 0  # end of the last token
+    at_line_start = True
+    for token in reference_tokenize(code):
+        kind, text, _, start, end = token
+        if "\n" in code[last:start]:
+            at_line_start = True
+        if _is_acsl(token):
+            out.append(code[pos:start])
+            newlines = "\n" * text.count("\n")
+            out.append(newlines if newlines and at_line_start else " ")
+            pos = end
+        elif kind is not TokenKind.COMMENT:
+            at_line_start = False
+        last = end
     out.append(code[pos:])
     return "".join(out)
 

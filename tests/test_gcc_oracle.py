@@ -3,9 +3,9 @@
 Comments and layout do not reach the object code under ``-O0 -g0``, so a
 cell that reads preserved compiles to its program's bytes, and a cell that
 changed a token compiles to other bytes. Each side is compiled alone, under
-the same file name in a temporary directory of its own. The shipped study
-and two seeded runs of ``perfbench/synth.py`` are checked. Runs where gcc is
-on ``PATH``.
+the same file name in a temporary directory of its own. The shipped study,
+two seeded runs of ``perfbench/synth.py`` and replies with a ``#`` after
+comments are checked. Runs where gcc is on ``PATH``.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import FIXTURES_DIR, load_synth
+from conftest import FIXTURES_DIR, load_synth, preservation
 from specforge.analyzer import check_code_preserved, parse_blocks
 from specforge.gateway import ReplayBackend
 from specforge.model import GenerationConfig, PromptVariant
@@ -125,3 +125,37 @@ def test_a_synthetic_cell_reads_preserved_exactly_when_it_compiles_to_its_progra
         assert result.preservation.preserved == same, (result.program_name, result.sample_index)
         checked += 1
     assert checked == agreed
+
+
+# A '#' with only comments before it on its line starts a directive, as
+# comments are one space by then in C (translation phase 3); after code it
+# is a stray '#', which gcc refuses.
+_HASH_PROGRAM = "int g;\n#define N 3\nint f(void) { return N; }\n"
+_HASH_REST = "#define N 3\nint f(void) { return N; }\n"
+
+
+@pytest.mark.parametrize(
+    "reply, preserved",
+    [
+        ("int g;\n/* c */ " + _HASH_REST, True),
+        ("int g;\n/*@ requires \\true; */ " + _HASH_REST, True),
+        # a comment that opens at a line start and closes on the '#'s line
+        ("int g;\n/*@ requires \\true;\n    ensures \\result == 3; */ " + _HASH_REST, True),
+        ("int g;\n  /* a\n   b */" + _HASH_REST, True),
+        # code, then such a comment, then the '#'
+        ("int g; /*@ requires \\true;\n    ensures \\result == 3; */ " + _HASH_REST, False),
+        ("int g; /* c */ " + _HASH_REST, False),
+        # two comments before the '#'
+        ("int g;\n/* a */ /*@ requires \\true; */ " + _HASH_REST, True),
+        ("int g;\n/* a\n */ /*@ requires \\true;\n */ " + _HASH_REST, True),
+    ],
+)
+def test_a_hash_after_comments_reads_preserved_exactly_when_gcc_gives_the_programs_bytes(
+    reply, preserved
+):
+    try:
+        same = _object_bytes(reply) == _object_bytes(_HASH_PROGRAM)
+    except subprocess.CalledProcessError:  # a stray '#'
+        same = False
+    assert same is preserved
+    assert preservation(_HASH_PROGRAM, reply).preserved is preserved

@@ -7,15 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FIXTURES_DIR, oracle_tokens, preservation
-from reference_analyzer import strip_and_rescan_verdict
+from conftest import CORPUS_DIR, FIXTURES_DIR, oracle_tokens, preservation
+from reference_analyzer import _strip_acsl, strip_and_rescan_verdict
 from specforge.analyzer import (
     DiffRun,
+    TokenKind,
     TokenizeError,
     check_code_preserved,
     parse_blocks,
+    scan,
     split_response,
-    strip_annotations,
+    tokenize,
 )
 from specforge.analyzer import checks
 from specforge.model import SourceProgram
@@ -39,8 +41,8 @@ def test_annotated_output_preserves_code(bsearch_annotated, corpus_load):
 def test_both_recorded_listings_strip_to_same_tokens(
     bsearch_annotated, bsearch_annotated_verbose
 ):
-    a = oracle_tokens(strip_annotations(bsearch_annotated))
-    b = oracle_tokens(strip_annotations(bsearch_annotated_verbose))
+    a = oracle_tokens(_strip_acsl(bsearch_annotated))
+    b = oracle_tokens(_strip_acsl(bsearch_annotated_verbose))
     assert a == b
 
 
@@ -114,8 +116,8 @@ def test_preservation_verdict_json_round_trip(corpus_load):
     assert PreservationVerdict.from_dict(verdict.to_dict()) == verdict
 
 
-# A '#' right after an ACSL comment lexes as a punctuator in the reply, but
-# as a directive once the comment is stripped and the '#' starts its line.
+# A '#' after comments alone on its line starts a directive, as in C: gcc
+# compiles each of these replies to its parent's object bytes.
 HASH_PARENT = SourceProgram(name="p", source="#define N 3\nint f(void) { return N; }\n")
 HASH_BODY = "#define N 3\nint f(void) { return N; }\n"
 
@@ -125,7 +127,7 @@ HASH_BODY = "#define N 3\nint f(void) { return N; }\n"
     [
         ("/*@ requires \\true; */ " + HASH_BODY, True),
         ("/*@ requires \\true;\n ensures 1; */" + HASH_BODY, True),
-        ("/* c */ " + HASH_BODY, False),
+        ("/* c */ " + HASH_BODY, True),
     ],
 )
 def test_directive_after_comment_verdicts(reply, preserved):
@@ -134,16 +136,17 @@ def test_directive_after_comment_verdicts(reply, preserved):
     assert verdict == strip_and_rescan_verdict(HASH_PARENT.source, reply)
 
 
-
+# A reply's own scan is what the verdict compares, a lone '#' or one after
+# an ACSL comment included: no reply is tokenized.
 @pytest.mark.parametrize(
-    "reply, tokenized",
+    "reply",
     [
-        (HASH_BODY, 0),
-        ("#\n" + HASH_BODY, 1),  # a lone '#': stripped (of nothing) and scanned again
-        ("/*@ requires \\true; */ " + HASH_BODY, 1),  # a punctuator '#': the same, no probe
+        HASH_BODY,
+        "#\n" + HASH_BODY,  # a lone '#': an empty directive
+        "/*@ requires \\true; */ " + HASH_BODY,  # a directive after a comment
     ],
 )
-def test_a_reply_is_tokenized_only_to_resolve_a_lone_hash(monkeypatch, reply, tokenized):
+def test_a_reply_is_tokenized_only_to_resolve_a_lone_hash(monkeypatch, reply):
     import specforge.analyzer.annotations as annotations
     import specforge.analyzer.checks as checks
     from specforge.analyzer import tokenize
@@ -157,7 +160,7 @@ def test_a_reply_is_tokenized_only_to_resolve_a_lone_hash(monkeypatch, reply, to
     monkeypatch.setattr(annotations, "tokenize", counting_tokenize)
     monkeypatch.setattr(checks, "tokenize", counting_tokenize)
     preservation(HASH_PARENT.source, reply)
-    assert calls == [reply] * tokenized
+    assert calls == []
 
 
 _PARENTS = [
@@ -212,6 +215,42 @@ def test_verdict_equals_strip_and_rescan(case):
     assert _outcome(preservation, parent, reply) == _outcome(
         strip_and_rescan_verdict, parent, reply
     )
+
+
+# ------------------------------------------------------- C's translation phase 3
+
+_SHIPPED_PROGRAMS = sorted(
+    path.read_text(encoding="utf-8") for path in CORPUS_DIR.glob("*/program.c")
+)
+_ACSL_COMMENTS = [
+    "/*@ assert a; */",
+    "/*@ requires a;\n    ensures \\result == 0; */",
+    "//@ assert a;\n",
+]
+
+
+@st.composite
+def _programs_with_acsl(draw):
+    """A shipped program with ACSL comments inserted at token boundaries,
+    often at the start of a directive."""
+    program = draw(st.sampled_from(_SHIPPED_PROGRAMS))
+    tokens = tokenize(program)
+    boundaries = sorted({0} | {t.start for t in tokens} | {t.end for t in tokens})
+    directives = [t.start for t in tokens if t.kind is TokenKind.PREPROC] or boundaries
+    at = st.one_of(st.sampled_from(boundaries), st.sampled_from(directives))
+    inserts = draw(st.lists(st.tuples(at, st.sampled_from(_ACSL_COMMENTS)), min_size=1, max_size=4))
+    for pos, comment in sorted(inserts, reverse=True):
+        program = program[:pos] + comment + program[pos:]
+    return program
+
+
+@settings(max_examples=300, deadline=None)
+@given(_programs_with_acsl())
+def test_an_acsl_comment_read_as_one_space_changes_no_compare_text(reply):
+    spaced = reply
+    for token in reversed([t for t in tokenize(reply) if t.is_acsl]):
+        spaced = spaced[: token.start] + " " + spaced[token.end :]
+    assert scan(reply, {})[0].texts == scan(spaced, {})[0].texts
 
 
 # ------------------------------------------------- edited-window diff exactness

@@ -962,7 +962,6 @@ def test_no_reply_is_tokenized(monkeypatch, corpus_load_module, templates_module
     ):
         monkeypatch.setattr(module, "tokenize", counting_tokenize)
     monkeypatch.setattr(specforge.analyzer.annotations, "scan", counting_scan)
-    monkeypatch.setattr(specforge.analyzer.checks, "scan", counting_scan)
 
     report = run(corpus_load_module, ALL_VARIANTS, CONFIG, replay_backend, templates_module)
     replies = [r.split.code for r in report.results if r.split is not None]

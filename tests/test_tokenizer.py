@@ -111,10 +111,7 @@ _ID, _PUNCT = TokenKind.ID, TokenKind.PUNCT
         ("a \v\f\t b", [(_ID, "a", 1, 0, 1), (_ID, "b", 1, 6, 7)]),
         ("x;  \t", [(_ID, "x", 1, 0, 1), (_PUNCT, ";", 1, 1, 2)]),
         ("  #define X 1\n", [(TokenKind.PREPROC, "#define X 1", 1, 2, 13)]),
-        (
-            "/* c */ # x\n",
-            [(TokenKind.COMMENT, "/* c */", 1, 0, 7), (_PUNCT, "#", 1, 8, 9), (_ID, "x", 1, 10, 11)],
-        ),
+        ("/* c */ # x\n", [(TokenKind.COMMENT, "/* c */", 1, 0, 7), (TokenKind.PREPROC, "# x", 1, 8, 11)]),
         ("x\r\n  y", [(_ID, "x", 1, 0, 1), (_ID, "y", 2, 5, 6)]),
     ],
 )
