@@ -36,90 +36,27 @@ class PreservationVerdict(Record):
 MAX_DIFF_RUNS = 10  # mismatching token runs a verdict's diff keeps, read at each call
 _Opcode = tuple[str, int, int, int, int]
 
-# Polynomial rolling hash over per-token hashes; equal hashes are only
-# candidates, confirmed by comparing the slices.
-_HASH_MOD = (1 << 61) - 1
-_HASH_BASE = 1_000_000_007
-
-
-def _prefix_hashes(values: Sequence[str]) -> list[int]:
-    """``h[k]`` hashes ``values[:k]``; ``values[i:i+m]`` hashes to ``h[i+m] - h[i]*B**m``."""
-    hashes = [0]
-    h = 0
-    for value in values:
-        h = (h * _HASH_BASE + hash(value)) % _HASH_MOD
-        hashes.append(h)
-    return hashes
-
-
-def _block_exists(
-    a: Sequence[str],
-    b: Sequence[str],
-    hashes: tuple[list[int], list[int]],
-    m: int,
-    window: tuple[int, int, int, int],
-    skip: tuple[int, int] | None = None,
-) -> bool:
-    """True iff ``a[i:i+m] == b[j:j+m]`` inside ``window`` for some ``(i, j) != skip``."""
-    alo, ahi, blo, bhi = window
-    if m > ahi - alo or m > bhi - blo:
-        return False
-    ha, hb = hashes
-    shift = pow(_HASH_BASE, m, _HASH_MOD)
-    starts: dict[int, list[int]] = {}
-    for j in range(blo, bhi - m + 1):
-        starts.setdefault((hb[j + m] - hb[j] * shift) % _HASH_MOD, []).append(j)
-    for i in range(alo, ahi - m + 1):
-        for j in starts.get((ha[i + m] - ha[i] * shift) % _HASH_MOD, ()):
-            if (i, j) != skip and a[i : i + m] == b[j : j + m]:
-                return True
-    return False
-
-
 def _opcodes(a: Sequence[str], b: Sequence[str]) -> list[_Opcode]:
-    """``SequenceMatcher(None, a, b, autojunk=False).get_opcodes()``, window first.
+    """An edit script from ``a`` to ``b``: the common ends, then the window's.
 
-    The matcher takes the longest common block of its window (ties go to the
-    earliest start in ``a``, then in ``b``) and recurses on both sides. Its
-    steps that take the common prefix or suffix are replayed here: the longer
-    of the two (the prefix on a tie) is taken when no other block would win,
-    then the same is tried at the other end. Only the edited window left
-    between them goes through the quadratic matcher. The prefix, starting at
-    (0, 0), wins every tie, so it is taken unless a block is longer; the
-    suffix, starting last, is taken only when no other block is as long.
+    The maximal common prefix is ``equal``, then the maximal common suffix of
+    what is left, so the two never overlap. Only the edited window between
+    them goes through ``SequenceMatcher``, whose opcodes neither start nor
+    end with an ``equal`` there, as the ends taken are maximal.
     """
-    alo, ahi, blo, bhi = 0, len(a), 0, len(b)
-    hashes = None
-    while True:
-        n = min(ahi - alo, bhi - blo)
-        head = 0
-        while head < n and a[alo + head] == b[blo + head]:
-            head += 1
-        tail = 0
-        while tail < n and a[ahi - tail - 1] == b[bhi - tail - 1]:
-            tail += 1
-        if not head and not tail:
-            break
-        if hashes is None:
-            hashes = (_prefix_hashes(a), _prefix_hashes(b))
-        window = (alo, ahi, blo, bhi)
-        if head >= tail:
-            if _block_exists(a, b, hashes, head + 1, window):
-                break
-            alo += head
-            blo += head
-        else:
-            if _block_exists(a, b, hashes, tail, window, skip=(ahi - tail, bhi - tail)):
-                break
-            ahi -= tail
-            bhi -= tail
-    # Trimmed ends are maximal, so the window's opcodes neither start nor end
-    # with an "equal" that would have to merge with theirs.
-    ops: list[_Opcode] = [("equal", 0, alo, 0, blo)] if alo else []
-    matcher = SequenceMatcher(None, a[alo:ahi], b[blo:bhi], autojunk=False)
+    n = min(len(a), len(b))
+    head = 0
+    while head < n and a[head] == b[head]:
+        head += 1
+    tail = 0
+    while tail < n - head and a[-tail - 1] == b[-tail - 1]:
+        tail += 1
+    ahi, bhi = len(a) - tail, len(b) - tail
+    ops: list[_Opcode] = [("equal", 0, head, 0, head)] if head else []
+    matcher = SequenceMatcher(None, a[head:ahi], b[head:bhi], autojunk=False)
     for tag, i1, i2, j1, j2 in matcher.get_opcodes():
-        ops.append((tag, i1 + alo, i2 + alo, j1 + blo, j2 + blo))
-    if ahi < len(a) or bhi < len(b):
+        ops.append((tag, i1 + head, i2 + head, j1 + head, j2 + head))
+    if tail:
         ops.append(("equal", ahi, len(a), bhi, len(b)))
     return ops
 
@@ -129,9 +66,13 @@ def check_code_preserved(
 ) -> PreservationVerdict:
     """True iff ``annotated_code``'s tokens, comments aside, are the original's.
 
-    Whitespace and comments never count; the diff localizes up to
-    ``MAX_DIFF_RUNS`` mismatching token runs, line numbers taken from the
-    original source where possible. ``original`` is the program's stream
+    Whitespace and comments never count. The verdict is the equality of the
+    two compare-text streams; only an unpreserved reply is diffed, and its
+    diff localizes up to ``MAX_DIFF_RUNS`` mismatching token runs of the
+    edited window left between the common prefix and suffix (``_opcodes``),
+    line numbers taken from the original source where possible. An ambiguous
+    edit may align one place over from where a matcher run over both whole
+    streams would put it. ``original`` is the program's stream
     (``SourceProgram.comparable``) and ``annotated_code`` the reply's
     ``parse_blocks`` result, whose ``comparable`` stream its one scan already
     collected, so nothing is scanned twice. That stream is what removing the

@@ -143,10 +143,9 @@ def _cmd_mutate(args: argparse.Namespace) -> int:
     mutant, record = mutate(program, args.seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    stem = f"{program.name}.mut{record.mutation_id}"
-    (out_dir / f"{stem}.c").write_text(mutant.source, encoding="utf-8")
-    (out_dir / f"{stem}.json").write_text(canonical_json(record.to_dict()), encoding="utf-8")
-    print(f"wrote {out_dir / (stem + '.c')}")
+    (out_dir / f"{mutant.name}.c").write_text(mutant.source, encoding="utf-8")
+    (out_dir / f"{mutant.name}.json").write_text(canonical_json(record.to_dict()), encoding="utf-8")
+    print(f"wrote {out_dir / (mutant.name + '.c')}")
     return EXIT_OK
 
 

@@ -35,7 +35,6 @@ from .analyzer.lexer import (
     C_KEYWORDS,
     ID_START,
     Token,
-    TokenizeError,
     TokenKind,
     line_tokens,
     tokenize,
@@ -212,33 +211,23 @@ def _token_at(source: str, texts: Sequence[str], lines: Sequence[int], index: in
     its stream gave (see ``scan``), found by lexing only its line where that
     is exact.
 
-    The line starts after the (line - 1)-th newline. It is lexed from its
-    start, and also from just after its first ``*/``, in case a comment from
-    an earlier line closes there; the tokens of the one place that
-    reproduces ``texts`` for the line give the offsets. A literal with an
-    escaped newline before the line (it may run into the line, and the scan
-    then stands inside it) or no such single place falls back to tokenizing
-    the whole source.
+    The line starts after the (line - 1)-th newline. A line without a ``*/``
+    cannot start inside a block comment, as one still open there would leave
+    no code on it; where no literal before it spans a newline either, the
+    scan stands at its start and it is lexed alone. Any other line falls back
+    to tokenizing the whole source.
     """
     line = lines[index]
-    first, last = bisect_left(lines, line), bisect_right(lines, line)
+    first = bisect_left(lines, line)
     if ("\\\n" not in source and "\\\r\n" not in source) or "\n" not in "".join(texts[:first]):
         # No literal before the line spans a newline, so the scan stands at
-        # the line start unless a comment runs into the line; a directive
-        # would take the whole line.
+        # the line start unless a comment runs into the line, closing on it;
+        # a directive would take the whole line.
         start = len(source) - len(source.split("\n", line - 1)[-1])
         end = source.find("\n", start)
-        close = source.find("*/", start, len(source) if end == -1 else end)
-        found = set()
-        for pos in (start,) if close == -1 else (start, close + 2):
-            try:
-                tokens = [t for t in line_tokens(source, pos, line) if not t.is_comment]
-            except TokenizeError:
-                continue
-            if [t.text for t in tokens] == list(texts[first:last]):
-                found.add(tokens[index - first])
-        if len(found) == 1:
-            return found.pop()
+        if source.find("*/", start, len(source) if end == -1 else end) == -1:
+            tokens = [t for t in line_tokens(source, start, line) if not t.is_comment]
+            return tokens[index - first]
     return [t for t in tokenize(source) if not t.is_comment][index]
 
 

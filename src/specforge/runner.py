@@ -21,8 +21,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import chain
 from pathlib import Path
-from types import MappingProxyType
-from typing import Any, Callable, ClassVar, Generator, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Generator, Iterable, Iterator, Mapping, Sequence
 
 from .analyzer import (
     Annotation,
@@ -95,18 +94,16 @@ class CorpusEntry:
     the whole load. The program keeps that scan's stream as
     ``program.comparable``, which ``mutate`` and the preservation check read,
     and the entry keeps the memo as ``load_lines``, from a copy of which
-    ``run`` starts each run's memo. Neither is a field. An entry built
-    elsewhere has an empty ``load_lines``, and its program is scanned on
-    first use.
+    ``run`` starts each run's memo. An entry built elsewhere has an empty
+    ``load_lines``, and its program is scanned on first use.
     """
-
-    load_lines: ClassVar[Mapping[tuple[str, int], LineFacts]] = MappingProxyType({})
 
     program: SourceProgram
     suite: TestSuite | None = None
     report: EvaReport | None = None
     load_errors: tuple[str, ...] = ()
     provenance: str = "unspecified"
+    load_lines: Mapping[tuple[str, int], LineFacts] = field(default_factory=dict, repr=False)
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -280,8 +277,8 @@ def load_corpus(directory: Path | str) -> CorpusLoad:
             report=report,
             load_errors=tuple(errors),
             provenance=meta.provenance,
+            load_lines=lines,
         )
-        object.__setattr__(entry, "load_lines", lines)
         entries.append(entry)
 
     if not entries:
@@ -312,9 +309,7 @@ def run_hooks(corpus: CorpusLoad, tests_hook: str | None, eva_hook: str | None) 
                 stdout = _run_hook(hook, which, entry.program, errors)
                 if stdout is not None:
                     found[attr] = _parse_context(parse, stdout, f"{which} hook", errors)
-        hooked = replace(entry, load_errors=tuple(errors), **found)
-        object.__setattr__(hooked, "load_lines", entry.load_lines)  # ``replace`` copies fields only
-        entries.append(hooked)
+        entries.append(replace(entry, load_errors=tuple(errors), **found))
     return replace(corpus, entries=tuple(entries))
 
 

@@ -3,8 +3,8 @@
 ``reference_tokenize`` is the original character-loop scanner, with C's
 rule for where a directive starts, ``reference_split_response`` the original
 line-by-line fence splitter, ``strip_and_rescan_verdict`` the original
-preservation check, which removes the ACSL comments from the reply text and
-scans what is left again,
+preservation check, which removes the ACSL comments from the reply text,
+scans what is left again and diffs the window its common ends leave,
 ``reference_parse_blocks`` the clause scanner that tried every keyword at
 every position of an annotation body, ``_file_scope_names`` lint's own
 walk for the names visible at file scope, and ``count_by_kind`` the census
@@ -15,6 +15,7 @@ differential tests can compare the faster implementations in
 
 from __future__ import annotations
 
+import os
 import re
 from bisect import bisect_right
 from collections import Counter
@@ -304,7 +305,11 @@ def _file_scope_names(tokens: list[Token]) -> set[str]:
 def strip_and_rescan_verdict(
     original_source: str, annotated_code: str, max_diff_runs: int = 10
 ) -> PreservationVerdict:
-    """The original preservation check: strip ACSL comments, re-scan, diff."""
+    """The original preservation check: strip ACSL comments, re-scan, diff.
+
+    The diff matches only the window left between the maximal common prefix
+    and the maximal common suffix of the rest.
+    """
     tok_orig = _comparable(original_source)
     tok_mod = _comparable(_strip_acsl(annotated_code))
     values_orig = [text for text, _ in tok_orig]
@@ -312,11 +317,19 @@ def strip_and_rescan_verdict(
     if values_orig == values_mod:
         return PreservationVerdict(preserved=True, diff=())
 
+    head = len(os.path.commonprefix([values_orig, values_mod]))
+    tail = len(os.path.commonprefix([values_orig[head:][::-1], values_mod[head:][::-1]]))
     runs: list[DiffRun] = []
-    matcher = SequenceMatcher(None, values_orig, values_mod, autojunk=False)
+    matcher = SequenceMatcher(
+        None,
+        values_orig[head : len(values_orig) - tail],
+        values_mod[head : len(values_mod) - tail],
+        autojunk=False,
+    )
     for op, i1, i2, j1, j2 in matcher.get_opcodes():
         if op == "equal":
             continue
+        i1, i2, j1, j2 = i1 + head, i2 + head, j1 + head, j2 + head
         if i1 < len(tok_orig):
             line = tok_orig[i1][1]
         elif tok_orig:

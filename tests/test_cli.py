@@ -65,6 +65,15 @@ def test_mutate_writes_mutant_and_record(tmp_path, capsys):
     assert record["original_token"] != record["mutated_token"]
 
 
+def test_mutate_names_its_files_after_the_mutant(tmp_path, capsys):
+    source = CORPUS_DIR / "tritype" / "program.c"
+    assert main(["mutate", str(source), "--seed", "7", "--out", str(tmp_path)]) == 0
+    mutant, _ = mutate(SourceProgram(name="program", source=source.read_text(encoding="utf-8")), 7)
+    assert mutant.name == "program.mut-variable_substitution-l21-s7"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [f"{mutant.name}.c", f"{mutant.name}.json"]
+    assert capsys.readouterr().out == f"wrote {tmp_path / mutant.name}.c\n"
+
+
 def test_mutate_list_sites(capsys):
     source = CORPUS_DIR / "levenshtein" / "program.c"
     assert main(["mutate", str(source), "--seed", "0", "--list-sites"]) == 0

@@ -378,10 +378,11 @@ def test_mutate_matches_the_reference_around_multi_line_tokens(source):
 @pytest.mark.parametrize(
     "source, fallback",
     [
-        # the comment closes before the line's code: lexed after its '*/'
-        ("/* c\n */ if (a < b) a = b;\n", False),
-        # alone and after its '*/' the line reads 'if ( a < b' at two places
+        # a line holding '*/' may start inside a comment: the whole source
+        ("/* c\n */ if (a < b) a = b;\n", True),
         ("/* c\nif (a < b //*/ if (a < b\n) a = b;\n", True),
+        # a line after a closed comment, with none of its own: lexed alone
+        ("/* c\n */\nif (a < b) a = b;\n", False),
         # a literal with an escaped newline comes before the drawn line and
         # could run into it, so the whole source is tokenized
         ('s = "\\\n";\nif (a < b) a = b;\nif (a < b) a = b;\n', True),

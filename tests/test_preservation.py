@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import os
 import re
 from difflib import SequenceMatcher
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CORPUS_DIR, FIXTURES_DIR, oracle_tokens, preservation
+from conftest import CORPUS_DIR, DATA_DIR, FIXTURES_DIR, load_synth, oracle_tokens, preservation
 from reference_analyzer import _strip_acsl, strip_and_rescan_verdict
 from specforge.analyzer import (
     DiffRun,
@@ -20,7 +21,8 @@ from specforge.analyzer import (
     tokenize,
 )
 from specforge.analyzer import checks
-from specforge.model import SourceProgram
+from specforge.model import SourceProgram, canonical_json
+from specforge.runner import load_corpus
 
 
 def test_identical_source_is_preserved(corpus_load):
@@ -253,10 +255,12 @@ def test_an_acsl_comment_read_as_one_space_changes_no_compare_text(reply):
     assert scan(reply, {})[0].texts == scan(spaced, {})[0].texts
 
 
-# ------------------------------------------------- edited-window diff exactness
+# ------------------------------------------------------- edited-window diff
 
-def _full_opcodes(a, b):
-    return SequenceMatcher(None, a, b, autojunk=False).get_opcodes()
+def _ends(a, b):
+    """The maximal common prefix's length, then that of the rest's common suffix."""
+    head = len(os.path.commonprefix([a, b]))
+    return head, len(os.path.commonprefix([a[head:][::-1], b[head:][::-1]]))
 
 
 @st.composite
@@ -284,9 +288,32 @@ def _streams(draw):
 
 @settings(max_examples=1000, deadline=None)
 @given(_streams())
-def test_edited_window_opcodes_equal_full_matcher(pair):
+def test_edited_window_opcodes_are_one_edit_script(pair):
     a, b = pair
-    assert checks._opcodes(a, b) == _full_opcodes(a, b)
+    at, last_tag = (0, 0), None
+    for tag, i1, i2, j1, j2 in checks._opcodes(a, b):
+        assert (i1, j1) == at and (i1, j1) < (i2, j2) and i1 <= i2 and j1 <= j2
+        if tag == "equal":
+            assert a[i1:i2] == b[j1:j2] and last_tag != "equal"
+        else:
+            kinds = {(True, True): "replace", (True, False): "delete", (False, True): "insert"}
+            assert tag == kinds[i1 < i2, j1 < j2]
+        at, last_tag = (i2, j2), tag
+    assert at == (len(a), len(b))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_streams())
+def test_edited_window_is_what_the_maximal_ends_leave(pair):
+    a, b = pair
+    ops = checks._opcodes(a, b)
+    head, tail = _ends(a, b)
+    assert (ops[:1] == [("equal", 0, head, 0, head)]) == bool(head)
+    assert (ops[-1:] == [("equal", len(a) - tail, len(a), len(b) - tail, len(b))]) == bool(tail)
+    window = SequenceMatcher(None, a[head : len(a) - tail], b[head : len(b) - tail], autojunk=False)
+    middle = [(t, i1 + head, i2 + head, j1 + head, j2 + head)
+              for t, i1, i2, j1, j2 in window.get_opcodes()]
+    assert ops[bool(head) : len(ops) - bool(tail)] == middle
     original, reply = "\n".join(a), "\n".join(b)
     with pytest.MonkeyPatch.context() as patch:  # hypothesis takes no function-scoped fixture
         patch.setattr(checks, "MAX_DIFF_RUNS", 100)
@@ -311,23 +338,56 @@ def matcher_windows(monkeypatch):
 @pytest.mark.parametrize(
     "a, b, window",
     [
-        # a block longer than the prefix: the suffix "A B" is it, taken first
-        ("A B", "A C A B", ((), ("A", "C"))),
-        # a block longer than both ends: the whole streams go to the matcher
-        ("A B C D X", "A Y B C D", None),
-        # a tie with the suffix: the earlier "A B" wins, so the suffix is not taken
-        ("Q A B X A B", "A B Z A B", None),
-        # a tie between prefix and suffix goes to the prefix, then the suffix
+        # the prefix "A" is taken, though the suffix "A B" of b is a longer block
+        ("A B", "A C A B", ((), ("C", "A"))),
+        # the prefix is taken, though "B C D" is a longer block
+        ("A B C D X", "A Y B C D", (("B", "C", "D", "X"), ("Y", "B", "C", "D"))),
+        # the suffix is taken, though the earlier "A B" is as long
+        ("Q A B X A B", "A B Z A B", (("Q", "A", "B", "X"), ("A", "B", "Z"))),
+        # a prefix and a suffix of equal length: both are taken
         ("A B X A B", "A B Y A B", (("X",), ("Y",))),
-        # an edit near the start: the longer suffix is taken first, then the prefix
+        # an edit near the start: a short prefix and a long suffix
         ("A X " + " ".join(f"t{i}" for i in range(50)),
          "A Y " + " ".join(f"t{i}" for i in range(50)), (("X",), ("Y",))),
     ],
 )
 def test_edited_window_pinned_cases(matcher_windows, a, b, window):
     a, b = a.split(), b.split()
-    assert checks._opcodes(a, b) == _full_opcodes(a, b)
-    assert matcher_windows[0] == (window or (tuple(a), tuple(b)))
+    checks._opcodes(a, b)
+    assert matcher_windows == [window]
+
+
+# What the preservation check reported for the two shipped mutants read as
+# replies to their parents, and for every unpreserved cell of six seeded
+# robustness-scale corpora, recorded before the edited-window rule.
+_TRAFFIC_SEEDS = (41, 7, 902, 1, 2, 3)
+
+
+def test_traffic_verdicts_are_the_recorded_ones(monkeypatch, tmp_path, corpus_load):
+    verdicts = {}
+    shipped = {e.program.name: e.program for e in corpus_load.entries}
+    for name, program in shipped.items():
+        if program.origin.kind == "mutant":
+            parent = shipped[program.origin.parent_name]
+            verdicts[f"shipped/{name}"] = check_code_preserved(
+                parent.comparable, parse_blocks(program.source)
+            )
+    synth = load_synth(monkeypatch)
+    for seed in _TRAFFIC_SEEDS:
+        root = tmp_path / str(seed)
+        parents = synth.generate(root, seed, 7)
+        programs = {e.program.name: e.program for e in load_corpus(root / "corpus").entries}
+        for parent in parents:
+            for name, expected in parent.replies.items():
+                for sample in (s for s, e in enumerate(expected) if not e.preserved):
+                    reply = root / "fixtures" / name / "baseline" / f"{sample}.txt"
+                    code = split_response(reply.read_text(encoding="utf-8")).code
+                    verdicts[f"seed {seed}/{name}/{sample}"] = check_code_preserved(
+                        programs[name].comparable, parse_blocks(code)
+                    )
+    assert len(verdicts) == 44
+    recorded = (DATA_DIR / "traffic_verdicts.json").read_text(encoding="utf-8")
+    assert canonical_json({k: v.to_dict() for k, v in verdicts.items()}) == recorded
 
 
 def test_edit_near_end_of_long_program_diffs_a_small_window(matcher_windows):
