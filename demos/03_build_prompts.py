@@ -30,8 +30,7 @@ for variant in PromptVariant:
     prompt = build_prompt(
         templates[variant], entry.program, suite=entry.suite, report=entry.report
     )
-    print(f"[{variant}] {len(prompt.text)} chars, context digest "
-          f"{prompt.context_digest[:12] or '(none)'}")
+    print(f"[{variant}] {len(prompt.text)} chars")
     for warning in prompt.warnings:
         print(f"  warning: {warning}")
 

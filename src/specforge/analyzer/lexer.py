@@ -1,14 +1,14 @@
 """Lexical scanner for C sources carrying ACSL comment annotations.
 
 This is deliberately a tokenizer, not a parser. ``scan`` goes from a source
-straight to what the analysis reads (the stream preservation compares, the
-file-scope names, the ACSL comments), ``tokenize`` gives the tokens with
-their source spans that mutation sites need, and ``line_tokens`` gives those
-of one line; all take their tokens from one lexing loop. Comments survive as
-tokens (annotations live inside them), preprocessor directives collapse to
-one token per logical line, and any character the scanner does not recognize
-becomes a one-character punctuator so that scanning is total except for
-unterminated comments and literals.
+straight to what the analysis and mutation read (the stream preservation
+compares, with each token's line and column, the file-scope names, the ACSL
+comments); ``tokenize`` gives the tokens with their source spans, and takes
+them from the same lexing loop. Comments survive as tokens (annotations live
+inside them), preprocessor directives collapse to one token per logical
+line, and any character the scanner does not recognize becomes a
+one-character punctuator so that scanning is total except for unterminated
+comments and literals.
 
 A ``#`` starts a directive where C starts one, reading each comment as one
 space (translation phase 3): after only blanks and comments since the last
@@ -41,9 +41,6 @@ class TokenKind(Enum):
     PUNCT = "punct"
 
 
-_COMMENT_KINDS = (TokenKind.COMMENT, TokenKind.LINE_COMMENT)
-
-
 class Token(NamedTuple):
     """One scanned token; a plain tuple, so it equals ``(kind, text, line, start, end)``."""
 
@@ -52,19 +49,6 @@ class Token(NamedTuple):
     line: int   # 1-based line of the token's first character
     start: int  # byte offset into the source, inclusive
     end: int    # byte offset, exclusive
-
-    @property
-    def is_comment(self) -> bool:
-        return self.kind in _COMMENT_KINDS
-
-    @property
-    def is_acsl(self) -> bool:
-        """True for ACSL annotation comments: ``/*@ ...`` or ``//@ ...``."""
-        if self.kind is TokenKind.COMMENT:
-            return self.text.startswith("/*@")
-        if self.kind is TokenKind.LINE_COMMENT:
-            return self.text.startswith("//@")
-        return False
 
 
 C_KEYWORDS = frozenset(
@@ -193,8 +177,9 @@ def tokenize(source: str) -> list[Token]:
     """Scan ``source`` into tokens, comments included.
 
     Raises TokenizeError for an unterminated comment or literal; everything
-    else scans. Analysis takes ``scan``'s facts instead; tokens are for what
-    needs offsets: mutation sites.
+    else scans. No package code calls it (``scan`` gives what the package
+    reads): it is the lexer's token API, which the tests use, and
+    perfbench/spans.py rebinds it on five modules to count calls.
     """
     new = tuple.__new__  # builds a Token without the Python-level __new__ call
     kinds = _KINDS
@@ -205,38 +190,20 @@ def tokenize(source: str) -> list[Token]:
     ]
 
 
-def line_tokens(source: str, pos: int, line: int) -> list[Token]:
-    """The tokens, comments included, from ``pos`` on that start on ``line``.
-
-    ``pos`` is a place ``tokenize``'s scan of ``source`` stands at and
-    ``line`` the number it has there, and ``pos`` is taken as a line start
-    (see ``_lex``); where only blanks and comments lie between it and the
-    last line start, the tokens are the ones ``tokenize`` gives from there
-    to the end of the line. Lexing stops
-    at the first token past the line, so a line is read alone. Raises
-    TokenizeError for an unterminated comment or literal.
-    """
-    new = tuple.__new__
-    kinds = _KINDS
-    tokens: list[Token] = []
-    for group, text, at, start, end in _lex(source, pos, line):
-        if at != line:  # a newline run, or a token after a multi-line one
-            break
-        tokens.append(new(Token, (kinds[group], text, at, start, end)))
-    return tokens
-
-
 @dataclass(frozen=True, slots=True, eq=False)
 class ComparableStream:
-    """The stream preservation compares: the compare texts and lines of a
-    source's non-comment tokens (see ``scan``).
+    """The stream preservation compares and mutation reads: the compare
+    texts, lines and columns of a source's non-comment tokens (see ``scan``).
 
-    It keeps strings and line numbers only, so a corpus entry can hold one
-    without its tokens.
+    A column is the token's offset from the start of its physical line, so
+    a token's offset in the source is its line's start plus its column. It
+    keeps strings and numbers only, so a corpus entry can hold one without
+    its tokens.
     """
 
     texts: tuple[str, ...]
     lines: tuple[int, ...]
+    cols: tuple[int, ...]
 
 
 # An ACSL comment as ``scan`` reports it: its text, its first line, the brace
@@ -245,11 +212,12 @@ class ComparableStream:
 AcslComment = tuple[str, int, int, int]
 
 # What a line adds to a scan that reaches it at a given brace depth: its
-# compare texts; the depth after it; its names at file scope, its ``#define``d
+# compare texts and their columns; the depth after it; its names at file scope, its ``#define``d
 # names among them; and each ACSL comment's text, depth and index among the
 # line's texts.
 LineFacts = tuple[
     tuple[str, ...],
+    tuple[int, ...],
     int,
     tuple[str, ...],
     tuple[tuple[str, int, int], ...],
@@ -262,12 +230,13 @@ _DEFINE_RE = re.compile(r"#\s*define\s+(\w+)")
 def scan(
     source: str, seen: dict[tuple[str, int], LineFacts]
 ) -> tuple[ComparableStream, frozenset[str], list[AcslComment]]:
-    """Collect, in one pass over ``source``, every fact the analysis reads.
+    """Collect, in one pass over ``source``, every fact the analysis and
+    mutation read.
 
     Returns ``(comparable, file_scope, acsl)``:
 
-    - ``comparable``: the compare text and line of every token that is not
-      a comment; a directive's compare text has its whitespace runs
+    - ``comparable``: the compare text, line and column of every token
+      that is not a comment; a directive's compare text has its whitespace runs
       collapsed, so layout-only edits to it do not count as code changes;
       this is the one rule for what preservation compares;
     - ``file_scope``: the non-keyword identifiers at brace depth 0 plus the
@@ -280,21 +249,25 @@ def scan(
     brace depth it starts at to what it adds to a scan. A line that starts
     outside any comment, directive or literal and is in ``seen`` at its
     depth is not scanned again. Such a line that is not is scanned and added
-    to it, unless a comment, directive or literal runs on past its end; so is
-    each blank line that the scan passes in a run of newlines, which a later
-    scan may reach at its start, after a line it found in ``seen``. The
+    to it, unless a comment, directive or literal runs on past its end, or
+    no newline follows it and it ends in a backslash and blanks (followed by
+    a newline, a directive there would run on); so is each blank line that
+    the scan passes in a run of newlines, which a later scan may reach at
+    its start, after a line it found in ``seen``. The
     result, and any TokenizeError, are those of a scan with an empty
     ``seen``. ``seen`` holds every distinct line and depth it has been
     given, so share it only among sources scanned together.
     """
     texts: list[str] = []
     lines: list[int] = []
+    cols: list[int] = []
     names: set[str] = set()
     acsl: list[AcslComment] = []
-    add_text, add_line = texts.append, lines.append
-    add_texts, add_lines, add_names = texts.extend, lines.extend, names.update
+    add_text, add_line, add_col = texts.append, lines.append, cols.append
+    add_texts, add_lines, add_cols = texts.extend, lines.extend, cols.extend
+    add_names = names.update
     get = seen.get
-    find = source.find
+    find, rfind = source.find, source.rfind
     keywords = C_KEYWORDS
     depth = 0
     line = 1
@@ -307,13 +280,14 @@ def scan(
         key = (source[pos:eol], depth)
         facts = get(key)
         if facts is not None:
-            line_texts, depth, line_names, comments = facts
+            line_texts, line_cols, depth, line_names, comments = facts
             if comments:
                 base = len(texts)
                 for text, at, k in comments:
                     acsl.append((text, line, at, base + k))
             add_texts(line_texts)
             add_lines([line] * len(line_texts))
+            add_cols(line_cols)
             add_names(line_names)
             line += 1
             pos = eol + 1
@@ -323,6 +297,7 @@ def scan(
         scope_names: list[str] = []
         line_comments: list[tuple[str, int, int]] = []
         add_name = scope_names.append
+        row, row_start = line, pos  # the physical line the columns count from
         for group, text, line, start, end in _lex(source, pos, line):
             if group == _ID:
                 if not depth and text not in keywords:
@@ -333,12 +308,9 @@ def scan(
                 elif text == "}" and depth:
                     depth -= 1
             elif group == _NEWLINE:
-                if start <= eol:  # no comment, directive or literal ran on past it
-                    seen[key] = (
-                        tuple(texts[base:]), depth, tuple(scope_names), tuple(line_comments)
-                    )
+                held = start <= eol  # no comment, directive or literal ran on past it
                 if end - start > 1:  # blank lines in the run add nothing at this depth
-                    blank = ((), depth, (), ())
+                    blank = ((), (), depth, (), ())
                     for text in source[start:end].split("\n")[1:-1]:
                         seen[text, depth] = blank
                 pos = end
@@ -355,7 +327,16 @@ def scan(
                     add_name(m.group(1))
             add_text(text)
             add_line(line)
-        else:
-            pos = n  # the source ended before another newline
+            if line != row:  # a comment, directive or literal ran on to this line
+                row, row_start = line, rfind("\n", pos, start) + 1
+            add_col(start - row_start)
+        else:  # the source ended before another newline
+            held = eol == n and not key[0].rstrip().endswith("\\")
+            pos = n
+        if held:
+            seen[key] = (
+                tuple(texts[base:]), tuple(cols[base:]), depth,
+                tuple(scope_names), tuple(line_comments),
+            )
         add_names(scope_names)
-    return ComparableStream(tuple(texts), tuple(lines)), frozenset(names), acsl
+    return ComparableStream(tuple(texts), tuple(lines), tuple(cols)), frozenset(names), acsl

@@ -398,7 +398,8 @@ class SourceProgram(Record):
 
     @functools.cached_property
     def comparable(self) -> ComparableStream:
-        """The stream preservation compares: ``scan``'s first result for ``source``.
+        """The stream preservation compares and mutation reads its sites and
+        offsets from: ``scan``'s first result for ``source``.
 
         ``load_corpus`` sets it from its own scan of the program; any other
         program is scanned on first use. It is no field, so the codec,

@@ -6,14 +6,13 @@ or narrowing a relational operator, and flipping an additive operator. Sites
 are enumerated in source order; ``mutate`` picks one with a seeded generator,
 so the same (program bytes, seed) always reproduces the same mutant.
 
-``enumerate_sites`` and ``mutate`` share one pass over the non-comment
-tokens' texts and lines (``_choices``): each operator token and each
-condition-header name is a single-token choice, with one site per
-replacement. ``enumerate_sites`` tokenizes the program and builds every
-site; ``mutate`` takes the texts and lines from the program's stream
-(``SourceProgram.comparable``), counts the sites, draws the k-th, and lexes
-and builds only that one, so it draws what picking from ``enumerate_sites``'
-single-token sites would.
+Both read the program's stream (``SourceProgram.comparable``: the texts,
+lines and columns of its non-comment tokens) and share one pass over it
+(``_choices``): each operator token and each condition-header name is a
+single-token choice, with one site per replacement. A site's offset is its
+line's start plus its column. ``enumerate_sites`` builds every site;
+``mutate`` counts the sites, draws the k-th, and builds only that one, so it
+draws what picking from ``enumerate_sites``' single-token sites would.
 
 Mutants carry a contract: the parent and mutant token streams differ in
 exactly one position. A full index-pair swap edits two token positions, so
@@ -24,21 +23,15 @@ index-swap sites are enumerated (and can be applied explicitly through
 from __future__ import annotations
 
 import random
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
 from typing import Sequence
 
-from .analyzer.lexer import (
-    C_KEYWORDS,
-    ID_START,
-    Token,
-    TokenKind,
-    line_tokens,
-    tokenize,
-)
+from .analyzer.lexer import C_KEYWORDS, ID_START
+from .analyzer.lexer import tokenize  # not called here; perfbench/spans.py counts calls through it
 from .model import NoMutationSite, Origin, Record, SourceProgram  # NoMutationSite re-exported
 
 
@@ -136,42 +129,54 @@ def _replacements(text: str, line: int, names: dict[int, set[str]]) -> list[str]
     return sorted(names[line] - {text})
 
 
-def _site(token: Token, replacement: str) -> MutationSite:
+def _site(text: str, line: int, start: int, replacement: str) -> MutationSite:
     operator = MutationOperator.VARIABLE_SUBSTITUTION
-    if token.text in _OPERATOR_SWAPS:
-        operator = _OPERATOR_SWAPS[token.text][0]
-    edits = ((token.start, token.end, replacement),)
-    return MutationSite(operator, token.line, token.text, replacement, edits)
+    if text in _OPERATOR_SWAPS:
+        operator = _OPERATOR_SWAPS[text][0]
+    edits = ((start, start + len(text), replacement),)
+    return MutationSite(operator, line, text, replacement, edits)
 
 
-def _index_swap_sites(tokens: list[Token]) -> list[MutationSite]:
+def _line_starts(source: str) -> list[int]:
+    """The offset each physical line starts at, line 1 at index 1: a token's
+    offset is its line's start plus its column."""
+    return [0, *accumulate((len(line) + 1 for line in source.split("\n")), initial=0)]
+
+
+def _single(text: str) -> bool:
+    """Whether a token is an identifier or a number, read from its text: a
+    number starts with a decimal digit, or a ``.`` and one, as the lexer's
+    ``\\d`` reads them."""
+    digits = text[1:2] if text[0] == "." else text[0]
+    return text[0] in ID_START or digits.isdecimal()
+
+
+def _index_swap_sites(
+    texts: Sequence[str], lines: Sequence[int], offsets: Sequence[int]
+) -> list[MutationSite]:
     """2-D accesses ``base[a][b]`` with distinct single-token indices."""
     sites: list[MutationSite] = []
-    single = (TokenKind.ID, TokenKind.NUMBER)
-    for i in range(len(tokens) - 6):
-        window = tokens[i : i + 7]
+    for i in range(len(texts) - 6):
+        base, first, second = texts[i], texts[i + 2], texts[i + 5]
         if (
-            window[0].kind is TokenKind.ID
-            and window[0].text not in C_KEYWORDS
-            and window[1].text == "["
-            and window[2].kind in single
-            and window[3].text == "]"
-            and window[4].text == "["
-            and window[5].kind in single
-            and window[6].text == "]"
-            and window[2].text != window[5].text
+            base[0] in ID_START
+            and base not in C_KEYWORDS
+            and texts[i + 1] == "["
+            and _single(first)
+            and texts[i + 3] == "]"
+            and texts[i + 4] == "["
+            and _single(second)
+            and texts[i + 6] == "]"
+            and first != second
         ):
-            base, first, second = window[0], window[2], window[5]
+            at, to = offsets[i + 2], offsets[i + 5]
             sites.append(
                 MutationSite(
                     operator=MutationOperator.INDEX_SWAP,
-                    line=base.line,
-                    token=f"{base.text}[{first.text}][{second.text}]",
-                    replacement=f"{base.text}[{second.text}][{first.text}]",
-                    edits=(
-                        (first.start, first.end, second.text),
-                        (second.start, second.end, first.text),
-                    ),
+                    line=lines[i],
+                    token=f"{base}[{first}][{second}]",
+                    replacement=f"{base}[{second}][{first}]",
+                    edits=((at, at + len(first), second), (to, to + len(second), first)),
                 )
             )
     return sites
@@ -180,20 +185,23 @@ def _index_swap_sites(tokens: list[Token]) -> list[MutationSite]:
 def enumerate_sites(program: SourceProgram) -> list[MutationSite]:
     """Every applicable typo site, ordered by source position.
 
-    Tokenizes the whole program for the sites' offsets. Each single-token
-    choice of ``mutate``'s pass (``_choices``, over the tokens' texts and
-    lines) becomes one site per replacement; the index-swap sites join them,
-    and the sort puts them in the order ``mutate`` counts (an index swap,
-    never drawn, sorts before a substitution at the same position).
+    Reads the program's stream. Each single-token choice of ``mutate``'s
+    pass (``_choices``) becomes one site per replacement; the index-swap
+    sites join them, and the sort puts them in the order ``mutate`` counts
+    (an index swap, never drawn, sorts before a substitution at the same
+    position).
     """
-    tokens = [t for t in tokenize(program.source) if not t.is_comment]
-    choices, names = _choices([t.text for t in tokens], [t.line for t in tokens])
+    stream = program.comparable
+    texts, lines = stream.texts, stream.lines
+    starts = _line_starts(program.source)
+    offsets = [starts[line] + col for line, col in zip(lines, stream.cols)]
+    choices, names = _choices(texts, lines)
     sites = [
-        _site(tokens[i], r)
+        _site(texts[i], lines[i], offsets[i], r)
         for i in choices
-        for r in _replacements(tokens[i].text, tokens[i].line, names)
+        for r in _replacements(texts[i], lines[i], names)
     ]
-    sites += _index_swap_sites(tokens)
+    sites += _index_swap_sites(texts, lines, offsets)
     sites.sort(key=lambda s: (s.edits[0][0], s.operator.value, s.replacement))
     return sites
 
@@ -206,31 +214,6 @@ def apply_site(source: str, site: MutationSite) -> str:
     return out
 
 
-def _token_at(source: str, texts: Sequence[str], lines: Sequence[int], index: int) -> Token:
-    """The ``index``-th non-comment token of ``source``, whose texts and lines
-    its stream gave (see ``scan``), found by lexing only its line where that
-    is exact.
-
-    The line starts after the (line - 1)-th newline. A line without a ``*/``
-    cannot start inside a block comment, as one still open there would leave
-    no code on it; where no literal before it spans a newline either, the
-    scan stands at its start and it is lexed alone. Any other line falls back
-    to tokenizing the whole source.
-    """
-    line = lines[index]
-    first = bisect_left(lines, line)
-    if ("\\\n" not in source and "\\\r\n" not in source) or "\n" not in "".join(texts[:first]):
-        # No literal before the line spans a newline, so the scan stands at
-        # the line start unless a comment runs into the line, closing on it;
-        # a directive would take the whole line.
-        start = len(source) - len(source.split("\n", line - 1)[-1])
-        end = source.find("\n", start)
-        if source.find("*/", start, len(source) if end == -1 else end) == -1:
-            tokens = [t for t in line_tokens(source, start, line) if not t.is_comment]
-            return tokens[index - first]
-    return [t for t in tokenize(source) if not t.is_comment][index]
-
-
 def mutate(program: SourceProgram, seed: int) -> tuple[SourceProgram, MutationRecord]:
     """Apply one seeded single-token typo; same (program, seed) → same mutant.
 
@@ -240,12 +223,11 @@ def mutate(program: SourceProgram, seed: int) -> tuple[SourceProgram, MutationRe
     token is one site, a condition-header name one per other candidate name
     on its line. The seed draws the k-th of them in ``enumerate_sites``'
     order, the site that drawing from that list would give. Only that site
-    is built: only its name pool is sorted, and only its line is lexed for
-    offsets (``_token_at``, which tokenizes the whole program where the line
-    alone could mislead). Raises NoMutationSite when no single-token site
-    exists.
+    is built, and only its name pool is sorted. Raises NoMutationSite when
+    no single-token site exists.
     """
-    texts, lines = program.comparable.texts, program.comparable.lines
+    stream = program.comparable
+    texts, lines = stream.texts, stream.lines
     choices, names = _choices(texts, lines)
     totals = list(
         accumulate(
@@ -258,7 +240,9 @@ def mutate(program: SourceProgram, seed: int) -> tuple[SourceProgram, MutationRe
     i = bisect_right(totals, k)
     index = choices[i]
     replacement = _replacements(texts[index], lines[index], names)[k - (totals[i - 1] if i else 0)]
-    site = _site(_token_at(program.source, texts, lines, index), replacement)
+    line = lines[index]
+    start = _line_starts(program.source)[line] + stream.cols[index]
+    site = _site(texts[index], line, start, replacement)
     mutation_id = f"{site.operator.value}-l{site.line}-s{seed}"
     record = MutationRecord(
         mutation_id=mutation_id,

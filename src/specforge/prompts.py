@@ -11,7 +11,6 @@ context and the snippets byte-for-byte, even when they hold slot-like text.
 
 from __future__ import annotations
 
-import hashlib
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -65,7 +64,6 @@ class BuiltPrompt(Record):
     variant: PromptVariant
     text: str
     program_name: str
-    context_digest: str  # sha256 of the substituted context; "" for baseline
     warnings: tuple[str, ...] = ()
 
 
@@ -173,12 +171,6 @@ def build_prompt(
         return values[match.group()]
 
     text = _PLACEHOLDER_RE.sub(fill, template.body)  # inserted text is not rescanned
-
-    digest = hashlib.sha256(context.encode("utf-8")).hexdigest() if context else ""
     return BuiltPrompt(
-        variant=template.variant,
-        text=text,
-        program_name=program.name,
-        context_digest=digest,
-        warnings=warnings,
+        variant=template.variant, text=text, program_name=program.name, warnings=warnings
     )

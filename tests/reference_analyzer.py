@@ -499,15 +499,15 @@ def reference_parse_blocks(code: str) -> list[AnnotationBlock]:
     # that heads no loop keys its loop by its own ordinal, made negative.
     code_index = [0]
     for token in tokens:
-        code_index.append(code_index[-1] + (not token.is_comment))
+        code_index.append(code_index[-1] + (token.kind not in _COMMENTS))
     acsl_ordinal = {
         idx: ordinal
-        for ordinal, idx in enumerate(i for i, t in enumerate(tokens) if t.is_acsl)
+        for ordinal, idx in enumerate(i for i, t in enumerate(tokens) if _is_acsl(t))
     }
     blocks: list[AnnotationBlock] = []
     depth = 0
     for idx, token in enumerate(tokens):
-        if not token.is_acsl:
+        if not _is_acsl(token):
             if token.kind is TokenKind.PUNCT:
                 if token.text == "{":
                     depth += 1
@@ -521,7 +521,7 @@ def reference_parse_blocks(code: str) -> list[AnnotationBlock]:
             continue
 
         next_code = idx + 1
-        while next_code < len(tokens) and tokens[next_code].is_comment:
+        while next_code < len(tokens) and tokens[next_code].kind in _COMMENTS:
             next_code += 1
         heads_loop = next_code < len(tokens) and tokens[next_code].text in _LOOP_HEADS
         has_loop_clause = any(c.kind.keyword.startswith("loop ") for c in clauses)

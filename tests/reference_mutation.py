@@ -154,7 +154,10 @@ def _index_swap_sites(tokens: list[Token]) -> list[MutationSite]:
 
 def reference_enumerate_sites(program: SourceProgram) -> list[MutationSite]:
     """Every applicable typo site, ordered by source position."""
-    tokens = [t for t in tokenize(program.source) if not t.is_comment]
+    tokens = [
+        t for t in tokenize(program.source)
+        if t.kind not in (TokenKind.COMMENT, TokenKind.LINE_COMMENT)
+    ]
     sites = (
         reference_identifier_sites(tokens)
         + _operator_sites(tokens)

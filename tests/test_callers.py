@@ -60,6 +60,28 @@ def test_every_public_package_name_has_a_caller():
     assert unused == []
 
 
+def test_every_package_method_and_property_is_read_by_a_caller():
+    """A method or property that only tests read is dead weight too; a dunder
+    is called by the language, not by name."""
+    defined: list[tuple[str, str]] = []
+    read: set[str] = set()
+    for path in sorted(path for root in CALLERS for path in root.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.ClassDef) and path.is_relative_to(PACKAGE):
+                where = f"{path.relative_to(REPO_ROOT)}: {node.name}"
+                defined += [
+                    (where, item.name)
+                    for item in node.body
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not (item.name.startswith("__") and item.name.endswith("__"))
+                ]
+    assert any(name == "to_dict" for _, name in defined)
+    assert [f"{where}.{name}" for where, name in defined if name not in read] == []
+
+
 def test_every_private_package_name_is_read_in_the_package():
     defined: list[str] = []
     read: set[str] = set()

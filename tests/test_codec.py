@@ -179,7 +179,6 @@ def golden_instances() -> dict[str, object]:
             variant=PromptVariant.PATHCRAWLER,
             text="Annotate:\nint f(void);\n",
             program_name="adpcm",
-            context_digest="cd" * 32,
             warnings=("suite has no outputs",),
         ),
         "prompt_template": PromptTemplate(variant=PromptVariant.EVA, body="{program}\n{eva}\n"),

@@ -41,7 +41,6 @@ def _request(sample_index: int = 0, text: str = "annotate this") -> CompletionRe
         variant=PromptVariant.BASELINE,
         text=text,
         program_name="binary_search",
-        context_digest="",
     )
     return CompletionRequest(
         prompt=prompt, config=GenerationConfig(), sample_index=sample_index

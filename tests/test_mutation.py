@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import CORPUS_DIR, oracle_tokens
+from conftest import CORPUS_DIR, load_synth, oracle_tokens
 from reference_mutation import (
     reference_enumerate_sites,
     reference_identifier_sites,
@@ -15,7 +15,7 @@ from reference_mutation import (
 )
 from specforge import mutation
 from specforge.analyzer import lexer
-from specforge.analyzer.lexer import TokenizeError, tokenize
+from specforge.analyzer.lexer import TokenizeError, TokenKind, tokenize
 from specforge.model import SourceProgram
 from specforge.mutation import (
     MutationOperator,
@@ -232,7 +232,8 @@ _C_PIECES = st.sampled_from([
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_C_PIECES, min_size=1, max_size=40).map("".join))
 def test_identifier_sites_match_reference(source):
-    tokens = [t for t in tokenize(source) if not t.is_comment]
+    comments = (TokenKind.COMMENT, TokenKind.LINE_COMMENT)
+    tokens = [t for t in tokenize(source) if t.kind not in comments]
     substitutions = [
         s
         for s in enumerate_sites(SourceProgram(name="p", source=source))
@@ -376,31 +377,48 @@ def test_mutate_matches_the_reference_around_multi_line_tokens(source):
 
 
 @pytest.mark.parametrize(
-    "source, fallback",
+    "source",
     [
-        # a line holding '*/' may start inside a comment: the whole source
-        ("/* c\n */ if (a < b) a = b;\n", True),
-        ("/* c\nif (a < b //*/ if (a < b\n) a = b;\n", True),
-        # a line after a closed comment, with none of its own: lexed alone
-        ("/* c\n */\nif (a < b) a = b;\n", False),
-        # a literal with an escaped newline comes before the drawn line and
-        # could run into it, so the whole source is tokenized
-        ('s = "\\\n";\nif (a < b) a = b;\nif (a < b) a = b;\n', True),
-        # so does one continued by a backslash, CR and LF
-        ('s = "\\\r\n";\nif (a < b) a = b;\nif (a < b) a = b;\n', True),
+        # a line holding '*/', where a comment closes before the drawn token
+        "/* c\n */ if (a < b) a = b;\n",
+        "/* c\nif (a < b //*/ if (a < b\n) a = b;\n",
+        # a line after a closed comment, with none of its own
+        "/* c\n */\nif (a < b) a = b;\n",
+        # a literal with an escaped newline before the drawn line
+        's = "\\\n";\nif (a < b) a = b;\nif (a < b) a = b;\n',
+        # and one continued by a backslash, CR and LF
+        's = "\\\r\n";\nif (a < b) a = b;\nif (a < b) a = b;\n',
     ],
 )
-def test_mutate_lexes_the_drawn_line_alone_only_where_that_is_exact(
-    monkeypatch, source, fallback
-):
+def test_mutate_and_enumerate_sites_take_offsets_from_the_scan(monkeypatch, source):
     calls = []
-    monkeypatch.setattr(
-        mutation, "tokenize", lambda source: calls.append(source) or tokenize(source)
-    )
+
+    def counted(source):
+        calls.append(source)
+        return tokenize(source)
+
+    monkeypatch.setattr(lexer, "tokenize", counted)
+    monkeypatch.setattr(mutation, "tokenize", counted)
     program = SourceProgram(name="p", source=source)
-    for seed in range(10):
-        assert mutate(program, seed) == reference_mutate(program, seed)
-    assert bool(calls) == fallback
+    drawn = [mutate(program, seed) for seed in range(10)]
+    sites = enumerate_sites(program)
+    assert calls == []
+    assert drawn == [reference_mutate(program, seed) for seed in range(10)]
+    assert sites == reference_enumerate_sites(program)
+
+
+@pytest.mark.parametrize("seed", [41, 7, 902])
+def test_enumerate_sites_matches_the_reference_on_synthetic_parents(
+    monkeypatch, tmp_path, seed
+):
+    load_synth(monkeypatch).generate(tmp_path, seed, 7)
+    parents = [
+        e.program for e in load_corpus(tmp_path / "corpus").entries
+        if e.program.origin.kind == "original"
+    ]
+    assert len(parents) == 7
+    for program in parents:
+        assert enumerate_sites(program) == reference_enumerate_sites(program), program.name
 
 
 def test_mutate_counts_a_newline_escaped_in_a_literal_as_a_line():

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import CORPUS_DIR, DATA_DIR, FIXTURES_DIR, load_synth, oracle_tokens, preservation
-from reference_analyzer import _strip_acsl, strip_and_rescan_verdict
+from reference_analyzer import _is_acsl, _strip_acsl, strip_and_rescan_verdict
 from specforge.analyzer import (
     DiffRun,
     TokenKind,
@@ -250,7 +250,7 @@ def _programs_with_acsl(draw):
 @given(_programs_with_acsl())
 def test_an_acsl_comment_read_as_one_space_changes_no_compare_text(reply):
     spaced = reply
-    for token in reversed([t for t in tokenize(reply) if t.is_acsl]):
+    for token in reversed([t for t in tokenize(reply) if _is_acsl(t)]):
         spaced = spaced[: token.start] + " " + spaced[token.end :]
     assert scan(reply, {})[0].texts == scan(spaced, {})[0].texts
 

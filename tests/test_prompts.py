@@ -105,7 +105,6 @@ def test_slot_formed_across_the_snippet_boundary_stays_literal(tmp_path):
 def test_build_baseline_contains_program_in_fence(templates):
     prompt = build_prompt(templates[PromptVariant.BASELINE], PROGRAM)
     assert f"```c\n{PROGRAM.source}\n```" in prompt.text
-    assert prompt.context_digest == ""
     assert prompt.warnings == ()
     # the few-shot examples survive substitution untouched
     assert "loop assigns must be placed before loop variant" in prompt.text
@@ -116,7 +115,6 @@ def test_build_pathcrawler_embeds_rendered_csv(templates):
     prompt = build_prompt(templates[PromptVariant.PATHCRAWLER], PROGRAM, suite=suite)
     assert suite.raw in prompt.text
     assert "PathCrawler Output:" in prompt.text
-    assert prompt.context_digest != ""
 
 
 def test_build_eva_embeds_raw_report(templates, labels_tritype_eva_report):
@@ -191,7 +189,6 @@ def test_build_is_deterministic(templates):
     a = build_prompt(templates[PromptVariant.PATHCRAWLER], PROGRAM, suite=suite)
     b = build_prompt(templates[PromptVariant.PATHCRAWLER], PROGRAM, suite=suite)
     assert a.text == b.text
-    assert a.context_digest == b.context_digest
 
 
 def test_state_mutation_warning_attached(templates):

@@ -20,7 +20,7 @@ from conftest import (
     ADPCM_CSV, ALIAS5_EVA_EXCERPT, CORPUS_DIR, FIXTURES_DIR, TEMPLATES_DIR, load_synth, src_env,
     within,
 )
-from reference_analyzer import count_by_kind
+from reference_analyzer import _COMMENTS, _is_acsl, count_by_kind
 from specforge import runner
 from specforge.analyzer import (
     PreservationVerdict,
@@ -989,7 +989,7 @@ def test_block_parses_are_shared_within_a_run_and_never_across_runs(
         report = run(corpus_load_module, ALL_VARIANTS, CONFIG, replay_backend, templates_module)
         per_run.append(len(scans) - before)
     ok = [r for r in report.results if r.status == STATUS_OK]
-    comments = sum(1 for r in ok for token in tokenize(r.split.code) if token.is_acsl)
+    comments = sum(1 for r in ok for token in tokenize(r.split.code) if _is_acsl(token))
     keys = set().union(*(_block_keys(r.split.code) for r in ok))
     assert per_run[0] == per_run[1]  # the second run reuses nothing from the first
     assert per_run[0] == len(keys) < comments  # one scan per text, loop head and file scope
@@ -1001,8 +1001,8 @@ def _block_keys(code):
     depth = 0
     tokens = tokenize(code)
     for i, token in enumerate(tokens):
-        if token.is_acsl:
-            after = next((t.text for t in tokens[i + 1 :] if not t.is_comment), None)
+        if _is_acsl(token):
+            after = next((t.text for t in tokens[i + 1 :] if t.kind not in _COMMENTS), None)
             keys.add((token.text, after in ("for", "while", "do"), depth == 0))
         elif token.text == "{" and token.kind is TokenKind.PUNCT:
             depth += 1
@@ -1229,7 +1229,7 @@ def test_a_cell_analyzed_through_a_shared_memo_equals_one_analyzed_alone(
     entries = corpus_load_module.entries
     for entry_index, sample_index, text in cells:
         entry = entries[entry_index % len(entries)]
-        prompt = BuiltPrompt(PromptVariant.BASELINE, "prompt", entry.program.name, "")
+        prompt = BuiltPrompt(PromptVariant.BASELINE, "prompt", entry.program.name)
         reply = CompletionResponse(text, "replay", "scripted", 0, "digest")
         shared_keys: dict = {}
         result = within(

@@ -9,7 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FIXTURES_DIR, oracle_tokens
-from reference_analyzer import _comparable, _file_scope_names, reference_tokenize
+from reference_analyzer import (
+    _COMMENTS,
+    _comparable,
+    _file_scope_names,
+    _is_acsl,
+    reference_tokenize,
+)
 from specforge.analyzer import (
     Token,
     TokenizeError,
@@ -20,6 +26,7 @@ from specforge.analyzer import (
     split_response,
     tokenize,
 )
+from specforge.analyzer import lexer
 
 
 def kinds(code):
@@ -40,9 +47,9 @@ def test_basic_stream():
 
 def test_comments_are_tokens():
     toks = tokenize("/*@ requires x; */ int x; //@ assert x;\n// plain\n")
-    assert toks[0].kind is TokenKind.COMMENT and toks[0].is_acsl
-    line_comments = [t for t in toks if t.kind is TokenKind.LINE_COMMENT]
-    assert [t.is_acsl for t in line_comments] == [True, False]
+    assert toks[0] == (TokenKind.COMMENT, "/*@ requires x; */", 1, 0, 18)
+    line_comments = [t.text for t in toks if t.kind is TokenKind.LINE_COMMENT]
+    assert line_comments == ["//@ assert x;", "// plain"]
 
 
 def test_block_comment_spans_lines_and_tracks_line_numbers():
@@ -180,7 +187,6 @@ def test_token_equals_its_plain_five_tuple():
     (token,) = tokenize("//@ assert x;")
     assert token == (TokenKind.LINE_COMMENT, "//@ assert x;", 1, 0, 13)
     assert Token(*token) == token
-    assert token.is_comment and token.is_acsl
 
 
 def test_compare_text_normalizes_preproc_whitespace():
@@ -192,7 +198,7 @@ def test_matches_oracle_on_shipped_programs(corpus_load):
     for entry in corpus_load.entries:
         source = entry.program.source
         mine = []
-        for tok in (t for t in tokenize(source) if not t.is_comment):
+        for tok in (t for t in tokenize(source) if t.kind not in _COMMENTS):
             if tok.kind is TokenKind.PREPROC:
                 # the oracle splits directives; do the same here
                 mine.extend(oracle_tokens(tok.text))
@@ -244,31 +250,38 @@ def _facts(scanned):
         (text, line, depth, texts[i] if i < len(texts) else None)
         for text, line, depth, i in acsl
     ]
-    return list(zip(texts, comparable.lines)), file_scope, comments
+    return list(zip(texts, comparable.lines, comparable.cols)), file_scope, comments
 
 
 def _reference_facts(source):
-    """``_facts`` of a walk over the frozen scanner's tokens."""
+    """``_facts`` of a walk over the frozen scanner's tokens; a column is a
+    token's start minus its line's start."""
     tokens = [Token(*t) for t in reference_tokenize(source)]
+    code_tokens = [t for t in tokens if t.kind not in _COMMENTS]
+    comparable = [
+        (text, line, token.start - source.rfind("\n", 0, token.start) - 1)
+        for (text, line), token in zip(_comparable(source), code_tokens, strict=True)
+    ]
     comments = []
     depth = 0
     for i, token in enumerate(tokens):
-        if token.is_acsl:
-            after = next((t for t in tokens[i + 1 :] if not t.is_comment), None)
+        if _is_acsl(token):
+            after = next((t for t in tokens[i + 1 :] if t.kind not in _COMMENTS), None)
             code = None
             if after is not None:
                 code = " ".join(after.text.split()) if after.kind is TokenKind.PREPROC else after.text
             comments.append((token.text, token.line, depth, code))
         elif token.kind is TokenKind.PUNCT and token.text in "{}":
             depth = depth + 1 if token.text == "{" else max(0, depth - 1)
-    return _comparable(source), frozenset(_file_scope_names(tokens)), comments
+    return comparable, frozenset(_file_scope_names(tokens)), comments
 
 
 # Whole lines that recur across sources: code, a CRLF line, the halves of a
-# block comment, a continued directive and a continued string and char.
+# block comment, a continued directive and a string and char continued by a
+# backslash and LF or CR LF.
 _SHARED_LINES = [
     "}", "x = 1;", "x = 1;\r", "  }  ", "/* open {", "} close */",
-    "#define A \\", '"a\\', 'b"', "'\\", "'",
+    "#define A \\", '"a\\', '"a\\\r', 'b"', "'\\", "'\\\r", "'",
 ]
 # Lines for the scan's memo: code that opens and closes braces (so a line
 # recurs at several depths, and a "}" can be stray at depth 0), names at and
@@ -317,18 +330,45 @@ def test_scan_matches_a_walk_over_the_reference_tokens(sources, rng):
     "later",
     [
         "/*\n}\nx = 1;\n*/ y;\n",
+        "/*\r\n}\r\nx = 1;\r\n*/ y;\r\n",
         "/*@ requires p;\nx = 1;\n}\n*/\n",
         "#define M \\\nx = 1; \\\nx = 1;\n",
-        's = "a\\\nx = 1; \\\n";\n',
+        "#define M \\\r\nx = 1;\\\n  x = 1;\r\n y = M;\n",
+        's = "a\\\nx = 1; \\\n"; t;\n',
+        's = "a\\\r\nx = 1;\\\r\nx = 1; \\\n"; t;\r\n',
     ],
-    ids=["comment", "acsl", "directive", "literal"],
+    ids=["comment", "comment-crlf", "acsl", "directive", "directive-crlf", "literal", "literal-crlf"],
 )
 def test_a_line_seen_as_code_is_not_reused_inside_a_comment_directive_or_literal(later):
     seen: dict = {}
-    scan("x = 1;\n}\nx = 1; \\\n", seen)
-    assert {("x = 1;", 0), ("}", 0), ("x = 1; \\", 0)} <= seen.keys()
+    scan("x = 1;\n}\nx = 1;\r\nx = 1;\\\r\nx = 1; \\\n", seen)
+    assert {
+        ("x = 1;", 0), ("}", 0), ("x = 1;\r", 0), ("x = 1;\\\r", 0), ("x = 1; \\", 0)
+    } <= seen.keys()
     assert _facts(scan(later, seen)) == _facts(scan(later, {})) == _reference_facts(later)
     assert not any(t.text in ("x", "}") for t in tokenize(later))
+
+
+@pytest.mark.parametrize("end", ["", "\n"])
+def test_a_source_scanned_again_through_its_memo_lexes_nothing(monkeypatch, end):
+    # a split reply's code ends without a newline, so its last line is one
+    source = "#define N 3\nint f(int a) {\n  //@ assert a;\n  return a + N;\n}" + end
+    seen: dict = {}
+    first = _facts(scan(source, seen))
+    lexed = []
+    lex = lexer._lex
+    monkeypatch.setattr(lexer, "_lex", lambda *args: lexed.append(args[1:]) or lex(*args))
+    assert _facts(scan(source, seen)) == first == _reference_facts(source)
+    assert lexed == []
+
+
+def test_a_last_line_ending_in_a_backslash_is_not_memoized():
+    # followed by a newline, the directive would run on into the next line
+    seen: dict = {}
+    scan("#define X \\", seen)
+    later = "#define X \\\nY\n"
+    assert _facts(scan(later, seen)) == _facts(scan(later, {})) == _reference_facts(later)
+    assert _facts(scan(later, {}))[0] == [("#define X \\ Y", 1, 0)]
 
 
 def test_a_line_reached_at_two_depths_gets_one_entry_per_depth():
