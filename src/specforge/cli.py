@@ -209,7 +209,13 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--model", default=defaults.model_id)
     gen.add_argument("--base-url", default=None, help="chat-completion endpoint base URL")
     gen.add_argument("--api-key-env", default=DEFAULT_API_KEY_ENV)
-    gen.add_argument("--max-inflight", type=int, default=DEFAULT_MAX_WORKERS)
+    gen.add_argument(
+        "--max-inflight",
+        type=int,
+        default=DEFAULT_MAX_WORKERS,
+        help="live requests on the wire at once; a replay run reads its fixtures "
+        "on the calling thread",
+    )
     gen.add_argument("--normalize", choices=NORMALIZE_MODES, default=NORMALIZE_MODES[0])
     gen.add_argument(
         "--run-pathcrawler",

@@ -16,17 +16,22 @@ import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Generator, Protocol
+from typing import TYPE_CHECKING, Generator, Protocol
 from urllib.parse import urlsplit
 
 from .model import GenerationConfig, Record
 from .prompts import BuiltPrompt
 
+if TYPE_CHECKING:
+    from email.message import Message
+
 DEFAULT_API_KEY_ENV = "SPECFORGE_API_KEY"
-# Seconds one live POST may take, and the wait before each retry (so at most
-# len(BACKOFF_S) retries); both are read when used, not when a backend is built.
+# Seconds one live POST may take, the wait before each retry (so at most
+# len(BACKOFF_S) retries), and the most of a reply's Retry-After that is
+# waited out instead; all are read when used, not when a backend is built.
 TIMEOUT_S = 120.0
 BACKOFF_S = (1.0, 2.0, 4.0)
+RETRY_AFTER_MAX_S = 60.0
 
 
 class GatewayError(RuntimeError):
@@ -165,9 +170,11 @@ class LiveBackend:
     modules are imported here, not by the package, so replay runs never load
     them.
 
-    Transport failures and 5xx responses are retried with exponential backoff
-    (one wait per retry, ``BACKOFF_S`` long); 4xx responses fail immediately,
-    and so do 3xx responses: redirects are never followed. The retry loop is
+    Transport failures, 429 and 5xx responses are retried with exponential
+    backoff (one wait per retry, ``BACKOFF_S`` long, or the reply's
+    ``Retry-After`` in whole seconds when that is longer, up to
+    ``RETRY_AFTER_MAX_S``); other 4xx responses fail immediately, and so do
+    3xx responses: redirects are never followed. The retry loop is
     :meth:`attempts`, which yields each backoff instead of waiting it out.
     :meth:`complete` sleeps through the backoffs on the calling thread;
     ``runner.run`` parks the request instead, so a backoff holds no thread
@@ -251,21 +258,25 @@ class LiveBackend:
 
         started = time.perf_counter()
         last_error: tuple[int | None, str] = (None, "no attempt made")
+        asked = 0.0  # seconds the last reply's Retry-After asked for
         for backoff in (None, *BACKOFF_S):  # no wait before the first attempt
             if backoff is not None:
-                yield backoff
+                yield max(backoff, asked)
+                asked = 0.0
             try:
-                status, location, raw = self._post(url, body, headers)
+                status, reply_headers, raw = self._post(url, body, headers)
             except self._transport_errors as exc:
                 last_error = (None, f"transport failure: {exc}")
                 continue
             if 300 <= status < 400:
+                location = reply_headers.get("Location")
                 raise BackendError(status, f"redirect to {location!r} not followed")
             if status >= 400:
                 message = raw.decode("utf-8", errors="replace")[:500]
-                if status < 500:
+                if status < 500 and status != 429:
                     raise BackendError(status, message)
                 last_error = (status, message)
+                asked = _retry_after(reply_headers)
                 continue
             try:
                 text = json.loads(raw)["choices"][0]["message"]["content"]
@@ -290,9 +301,20 @@ class LiveBackend:
 
     def _post(
         self, url: str, body: bytes, headers: dict[str, str]
-    ) -> tuple[int, str | None, bytes]:
-        """(status, Location header, body) of one POST, whatever the status."""
+    ) -> tuple[int, Message, bytes]:
+        """(status, headers, body) of one POST, whatever the status."""
         request = self._request_class(url, data=body, headers=headers, method="POST")
         with self._opener.open(request, timeout=TIMEOUT_S) as reply:
-            return reply.status, reply.headers.get("Location"), reply.read()
+            return reply.status, reply.headers, reply.read()
+
+
+def _retry_after(headers: Message) -> float:
+    """A reply's ``Retry-After`` in whole seconds, at most ``RETRY_AFTER_MAX_S``; else 0.
+
+    The HTTP-date form is not read: it would rest on the two hosts' clocks.
+    """
+    value = (headers.get("Retry-After") or "").strip()
+    if value.isascii() and value.isdigit():
+        return min(float(value), RETRY_AFTER_MAX_S)
+    return 0.0
 

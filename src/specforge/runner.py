@@ -70,7 +70,7 @@ STATUS_NO_CODE_FENCE = "no_code_fence"
 STATUS_PARSE_FAILED = "parse_failed"
 STATUS_BACKEND_FAILED = "backend_failed"
 
-DEFAULT_MAX_WORKERS = 4  # backend attempts on the wire at once
+DEFAULT_MAX_WORKERS = 4  # live attempts on the wire at once; a replay run starts no worker
 NORMALIZE_MODES = ("totals", "per-sample")  # histogram.csv: sum over samples, or mean per ok one
 
 HOOK_TIMEOUT_S = 600.0  # seconds per tests_hook / eva_hook invocation
@@ -535,12 +535,16 @@ _Reply = CompletionResponse | GatewayError
 class _Dispatch:
     """Each request's reply, or its ``GatewayError``, in request order.
 
-    ``max_workers`` threads each loop: take a job, send one attempt, then
-    deliver the reply or park the request. A job is a request's ``attempts``
-    generator (see ``CompletionBackend``); after a retryable failure it
-    yields a backoff, and the request is parked in a heap until then,
-    holding no thread, while its worker takes the next job. A parked request
+    A job is a request's ``attempts`` generator (see ``CompletionBackend``),
+    and one step of it sends one attempt, then delivers the reply or parks
+    the request: after a retryable failure the job yields a backoff, and the
+    request waits in a heap until then, holding no thread. A parked request
     whose time has come goes before a new one.
+
+    ``max_workers`` threads each loop: take a job and step it. With no
+    worker (``max_workers`` 0) the caller takes and steps each job itself,
+    in request order, as it reads the replies: a fixture read is a local file
+    read, and a thread would only hand it over.
 
     Leaving the ``with`` block stops new attempts and drops parked retries,
     then joins the workers once their attempts on the wire are done. Any
@@ -592,12 +596,18 @@ class _Dispatch:
 
     def _in_order(self) -> Iterator[_Reply]:
         for index in range(len(self._requests)):
-            with self._lock:
-                while index not in self._replies:
+            while True:
+                with self._lock:
+                    if index in self._replies:
+                        reply = self._replies.pop(index)
+                        break
                     if self._error is not None:
                         raise self._error
-                    self._done.wait()
-                reply = self._replies.pop(index)
+                    if self._threads:
+                        self._done.wait()
+                        continue
+                    job = self._take()  # not None: with no worker only an error stops, raised above
+                self._step(*job)
             yield reply
 
     def _take(self) -> tuple[int, _Steps] | None:
@@ -623,27 +633,30 @@ class _Dispatch:
                 job = self._take()
             if job is None:
                 return
-            index, steps = job
-            try:
-                delay = next(steps)
-            except StopIteration as finished:
-                reply: _Reply = finished.value
-            except GatewayError as exc:
-                reply = exc
-            except BaseException as exc:
-                with self._lock:
-                    if self._error is None:
-                        self._error = exc
-                    self._stop()
-                return
-            else:
-                with self._lock:
-                    if not self._stopped:
-                        heapq.heappush(self._parked, (time.monotonic() + delay, index, steps))
-                continue
+            self._step(*job)
+
+    def _step(self, index: int, steps: _Steps) -> None:
+        """Send one attempt: deliver the reply, park the request, or record a foreign error."""
+        try:
+            delay = next(steps)
+        except StopIteration as finished:
+            reply: _Reply = finished.value
+        except GatewayError as exc:
+            reply = exc
+        except BaseException as exc:
             with self._lock:
-                self._replies[index] = reply
-                self._done.notify()
+                if self._error is None:
+                    self._error = exc
+                self._stop()
+            return
+        else:
+            with self._lock:
+                if not self._stopped:
+                    heapq.heappush(self._parked, (time.monotonic() + delay, index, steps))
+            return
+        with self._lock:
+            self._replies[index] = reply
+            self._done.notify()
 
 
 def check_run_config(
@@ -690,13 +703,15 @@ def run(
     that a loaded program holds at the same depth is not lexed again, while
     the load's memo never grows.
 
-    At most ``max_workers`` backend attempts are on the wire, each on one of
-    ``max_workers`` worker threads. A live request backing off between
+    Requests go out on at most ``max_workers`` worker threads, so at most
+    ``max_workers`` attempts are on the wire. A request backing off between
     attempts holds neither: it waits in a heap, and is resent no sooner than
     its backoff, before any new cell once its time has come. Replies are
     analyzed on the calling thread, in order, while later requests are still
-    pending. Leaving early, by an exception or Ctrl-C, sends no new attempt
-    and drops waiting retries; attempts on the wire finish first.
+    pending. A ``ReplayBackend`` gets no worker: the calling thread reads
+    each fixture just before analyzing its reply. Leaving early, by an
+    exception or Ctrl-C, sends no new attempt and drops waiting retries;
+    attempts on the wire finish first.
     """
     if isinstance(corpus, CorpusLoad):
         entries: Sequence[CorpusEntry] = corpus.entries
@@ -730,7 +745,8 @@ def run(
         lines.update(memo)
     parsed: dict = {"lines": lines}  # block parses and scanned lines of this run's replies
     clause_keys: dict[_Cell, list[tuple[str, ...]]] = {}  # each ok cell's blocks' keys
-    with _Dispatch(backend, requests, max_workers) as replies:
+    replay = isinstance(backend, ReplayBackend)
+    with _Dispatch(backend, requests, 0 if replay else max_workers) as replies:
         results = [
             _analyze(*cell, reply, parsed, clause_keys) for cell, reply in zip(cells, replies)
         ]
@@ -738,7 +754,7 @@ def run(
 
     rows = _robustness_rows(clause_keys, mutant_pairs(entries), variants)
     notes = []
-    if isinstance(backend, ReplayBackend):
+    if replay:
         notes.append(REPLAY_PROVENANCE_NOTE)
     provenances = sorted({e.provenance for e in entries})
     notes.append("corpus provenance: " + ", ".join(provenances))

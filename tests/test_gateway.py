@@ -251,6 +251,41 @@ def test_live_4xx_fails_immediately(script_server, credentials):
     assert len(_Script.requests_seen) == 1
 
 
+@pytest.mark.parametrize(
+    "retry_after, backoff_s, wait_s",
+    [
+        (None, 0.5, 0.5),
+        ("0", 0.5, 0.5),  # the longer of the two
+        ("2", 0.5, 2.0),
+        ("30", 0.0, 3.0),  # capped by RETRY_AFTER_MAX_S
+        ("1.5", 0.0, 0.0),  # not whole seconds
+        ("Wed, 21 Oct 2026 07:28:00 GMT", 0.0, 0.0),  # an HTTP date is not read
+    ],
+)
+def test_live_retries_a_429_after_its_retry_after(
+    script_server, credentials, monkeypatch, retry_after, backoff_s, wait_s
+):
+    _, base_url = script_server
+    _retries(monkeypatch, (backoff_s,))
+    monkeypatch.setattr(gateway, "RETRY_AFTER_MAX_S", 3.0)
+    headers = {} if retry_after is None else {"Retry-After": retry_after}
+    _Script.script = [(429, "slow down", headers), (200, _ok_body("ok now"))]
+    steps = LiveBackend(base_url=base_url).attempts(_request())
+    assert next(steps) == wait_s
+    with pytest.raises(StopIteration) as done:
+        next(steps)
+    assert done.value.value.text == "ok now"
+    assert len(_Script.requests_seen) == 2
+
+
+def test_live_gives_up_on_429_after_bounded_retries(script_server, credentials):
+    _, base_url = script_server
+    _Script.script = [(429, "slow down", {"Retry-After": "0"})] * 4
+    with pytest.raises(BackendError, match=r"^backend error \(status=429\): retries exhausted"):
+        LiveBackend(base_url=base_url).complete(_request())
+    assert len(_Script.requests_seen) == 4
+
+
 def test_live_transport_error_retries_and_fails(credentials, monkeypatch):
     _retries(monkeypatch, (0.0,), timeout_s=0.2)
     backend = LiveBackend(base_url="http://127.0.0.1:9")

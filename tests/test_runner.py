@@ -10,6 +10,7 @@ import shlex
 import shutil
 import subprocess
 import threading
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -1213,20 +1214,23 @@ _MIXED_REPLIES = st.builds(
 )
 
 
-@pytest.fixture(scope="module")
-def shared_run_memo():
-    """One block-parse dict for every example of a property, as a run keeps one."""
-    return {}
+@cache
+def _shared_run() -> tuple[list, dict]:
+    """The corpus entries, and one block-parse dict for every example, as a run keeps one.
+
+    Not fixtures: hypothesis prints a failing example's arguments, fixtures
+    passed to ``@given`` among them, and the dict soon passes the size at
+    which it warns (an error here) instead of showing the example.
+    """
+    return load_corpus(CORPUS_DIR).entries, {}
 
 
 @settings(max_examples=200, deadline=None)
 @given(cells=st.lists(
     st.tuples(st.integers(0, 99), st.integers(0, 2), _MIXED_REPLIES), min_size=1, max_size=4
 ))
-def test_a_cell_analyzed_through_a_shared_memo_equals_one_analyzed_alone(
-    corpus_load_module, shared_run_memo, cells
-):
-    entries = corpus_load_module.entries
+def test_a_cell_analyzed_through_a_shared_memo_equals_one_analyzed_alone(cells):
+    entries, shared_run_memo = _shared_run()
     for entry_index, sample_index, text in cells:
         entry = entries[entry_index % len(entries)]
         prompt = BuiltPrompt(PromptVariant.BASELINE, "prompt", entry.program.name)
@@ -1357,23 +1361,28 @@ def test_replies_that_look_like_our_syntax(monkeypatch, tmp_path, templates_modu
 
 # ------------------------------------------------------------------ concurrency
 
-class _BarrierBackend(ReplayBackend):
-    """Replay backend whose requests wait until ``parties`` of them are in flight."""
+class _BarrierBackend:
+    """Fixture reads that wait until ``parties`` of them are in flight.
+
+    A plain ``attempts``, not a ``ReplayBackend``, so ``run`` steps it on
+    worker threads.
+    """
 
     def __init__(self, parties: int):
-        super().__init__(FIXTURES_DIR)
+        self.replay = ReplayBackend(FIXTURES_DIR)
         self.barrier = threading.Barrier(parties, timeout=10)
         self.lock = threading.Lock()
         self.inflight = 0
         self.peak = 0
 
-    def complete(self, request):
+    def attempts(self, request):
+        yield from ()
         with self.lock:
             self.inflight += 1
             self.peak = max(self.peak, self.inflight)
         try:
             self.barrier.wait()
-            return super().complete(request)
+            return self.replay.complete(request)
         finally:
             with self.lock:
                 self.inflight -= 1
