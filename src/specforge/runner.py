@@ -72,6 +72,7 @@ STATUS_BACKEND_FAILED = "backend_failed"
 
 DEFAULT_MAX_WORKERS = 4  # live attempts on the wire at once; a replay run starts no worker
 NORMALIZE_MODES = ("totals", "per-sample")  # histogram.csv: sum over samples, or mean per ok one
+_EMIT_WRITERS = 2  # threads writing generated sources; one beside the caller saves nothing
 
 HOOK_TIMEOUT_S = 600.0  # seconds per tests_hook / eva_hook invocation
 HOOK_STDERR_LINES, HOOK_STDERR_CHARS = 3, 500  # stderr kept in a hook's load error
@@ -777,8 +778,17 @@ def emit(
     ``normalize`` is one of ``NORMALIZE_MODES``: totals (sum over samples) or
     per-sample (mean per successful sample). Emission is deterministic: the
     same report always produces byte-identical files. Before writing anything
-    it raises ``ConfigError`` if ``directory`` is not a directory, or if
-    ``directory/generated`` holds a file that this report would not write.
+    it raises ``ConfigError`` if ``directory`` or ``directory/generated`` is
+    not a directory, if ``directory/generated`` holds a file that this report
+    would not write, or if a directory stands where it would write a file.
+
+    The generated sources are written by ``_EMIT_WRITERS`` threads, each
+    taking every ``_EMIT_WRITERS``-th sample directory, while the calling
+    thread writes the other three files; creating files, not computing them,
+    is what an emit spends its time on. Once any writer fails no writer
+    starts another directory, and ``emit`` raises the first writer error
+    after joining every writer. The returned paths are in the order above,
+    the sources in result order.
     """
     if normalize not in NORMALIZE_MODES:
         modes = " or ".join(map(repr, NORMALIZE_MODES))
@@ -791,51 +801,87 @@ def emit(
     }
     _refuse_stale_sources(directory, sources)
     directory.mkdir(parents=True, exist_ok=True)
+
+    sample_dirs: dict[Path, list[tuple[Path, str]]] = {}
+    for path, split in sources.items():
+        sample_dirs.setdefault(path.parent, []).append((path, split.code + "\n"))
+    by_dir = list(sample_dirs.items())
+    shares = [by_dir[n::_EMIT_WRITERS] for n in range(_EMIT_WRITERS)]
+    failed = threading.Event()  # once set, no writer starts another directory
+    errors: list[BaseException] = []
+
+    def write_share(share: list[tuple[Path, list[tuple[Path, str]]]]) -> None:
+        try:
+            for parent, files in share:
+                if failed.is_set():
+                    return
+                _write_sample_dir(parent, files)
+        except BaseException as exc:  # raised by emit, on the calling thread
+            errors.append(exc)
+            failed.set()
+
+    writers: list[threading.Thread] = []
     written: list[Path] = []
 
     def write(path: Path, text: str) -> None:
         path.write_text(text, encoding="utf-8")
         written.append(path)
 
-    write(directory / "report.json", canonical_json(report.to_dict()))
+    try:
+        for n, share in enumerate(shares):
+            if share:
+                writer = threading.Thread(
+                    target=write_share, args=(share,), name=f"specforge-emit-{n}", daemon=False
+                )
+                writer.start()
+                writers.append(writer)
 
-    aggregates = report.aggregate_histograms
-    ok_counts = Counter(r.variant for r in report.results if r.status == STATUS_OK)
-    kinds = sorted(
-        {kind for histogram in aggregates.values() for kind, n in histogram.items() if n},
-        key=kind_sort_key,
-    )
-    rows: list[list[object]] = [["kind", *(f"{v.value}_count" for v in PromptVariant)]]
-    for kind in kinds:
-        row: list[object] = [kind.keyword]
-        for variant in PromptVariant:
-            count = aggregates.get(variant, {}).get(kind, 0)
-            if normalize == NORMALIZE_MODES[1]:
-                ok = ok_counts.get(variant, 0)
-                row.append(f"{count / ok:.4f}" if ok else "0")
-            else:
-                row.append(count)
-        rows.append(row)
-    write(directory / "histogram.csv", csv_text(rows))
+        write(directory / "report.json", canonical_json(report.to_dict()))
 
-    robustness_rows: list[tuple[object, ...]] = [
-        ("parent", "mutant", "variant", "mean_similarity", "pairs_compared")
-    ]
-    for row in report.robustness:
-        value = "" if row.mean_similarity is None else f"{row.mean_similarity:.6f}"
-        robustness_rows.append(
-            (row.parent, row.mutant, row.variant.value, value, row.pairs_compared)
+        aggregates = report.aggregate_histograms
+        ok_counts = Counter(r.variant for r in report.results if r.status == STATUS_OK)
+        kinds = sorted(
+            {kind for histogram in aggregates.values() for kind, n in histogram.items() if n},
+            key=kind_sort_key,
         )
-    write(directory / "robustness.csv", csv_text(robustness_rows))
+        rows: list[list[object]] = [["kind", *(f"{v.value}_count" for v in PromptVariant)]]
+        for kind in kinds:
+            row: list[object] = [kind.keyword]
+            for variant in PromptVariant:
+                count = aggregates.get(variant, {}).get(kind, 0)
+                if normalize == NORMALIZE_MODES[1]:
+                    ok = ok_counts.get(variant, 0)
+                    row.append(f"{count / ok:.4f}" if ok else "0")
+                else:
+                    row.append(count)
+            rows.append(row)
+        write(directory / "histogram.csv", csv_text(rows))
 
-    made: set[Path] = set()  # each sample directory is created once, not once per sample
-    for path, split in sources.items():
-        if path.parent not in made:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            made.add(path.parent)
-        write(path, split.code + "\n")
+        robustness_rows: list[tuple[object, ...]] = [
+            ("parent", "mutant", "variant", "mean_similarity", "pairs_compared")
+        ]
+        for row in report.robustness:
+            value = "" if row.mean_similarity is None else f"{row.mean_similarity:.6f}"
+            robustness_rows.append(
+                (row.parent, row.mutant, row.variant.value, value, row.pairs_compared)
+            )
+        write(directory / "robustness.csv", csv_text(robustness_rows))
+    except BaseException:
+        failed.set()
+        raise
+    finally:
+        for writer in writers:
+            writer.join()
+    if errors:
+        raise errors[0]
+    return [*written, *sources]
 
-    return written
+
+def _write_sample_dir(parent: Path, files: Sequence[tuple[Path, str]]) -> None:
+    """Create one sample directory, once, and write its (path, text) sources."""
+    parent.mkdir(parents=True, exist_ok=True)
+    for path, text in files:
+        path.write_text(text, encoding="utf-8")
 
 
 def _source_path(directory: Path, program: str, variant: PromptVariant, sample: int) -> Path:
@@ -844,12 +890,15 @@ def _source_path(directory: Path, program: str, variant: PromptVariant, sample: 
 
 
 def _refuse_stale_sources(directory: Path, sources: Iterable[Path]) -> None:
-    """Raise ``ConfigError`` if ``directory`` exists but is not a directory, or if
-    its ``generated/`` holds a file not among ``sources``.
+    """Raise ``ConfigError`` if ``directory`` exists but is not a directory, if
+    its ``generated`` is not a directory, if its ``generated/`` holds a file
+    not among ``sources``, or if a directory stands where ``emit`` writes a
+    file: one of ``sources`` or report.json and the two CSVs.
 
     Such a file, left by an earlier report, would sit beside a report.json
-    that does not account for it. Nothing is deleted: the user's files stay.
-    ``sources`` is read only when ``directory`` exists.
+    that does not account for it; anything else refused here would fail a
+    write after other files were written. Nothing is deleted: the user's
+    files stay. ``sources`` is read only when ``directory`` exists.
     """
     try:
         if not stat.S_ISDIR(directory.stat().st_mode):  # the one stat on a fresh directory
@@ -857,13 +906,29 @@ def _refuse_stale_sources(directory: Path, sources: Iterable[Path]) -> None:
     except FileNotFoundError:
         return
     generated = directory / "generated"
-    found = (Path(root, name) for root, _, names in os.walk(generated) for name in names)
+    if not generated.is_dir() and generated.exists():
+        raise ConfigError(
+            f"{generated} exists and is not a directory; write the report into an empty directory"
+        )
     allowed = set(sources)
-    stale = sorted(path for path in found if path not in allowed)
+    stale: list[Path] = []
+    in_the_way = [
+        path
+        for path in map(directory.joinpath, ("report.json", "histogram.csv", "robustness.csv"))
+        if path.is_dir()
+    ]
+    for root, dirs, names in os.walk(generated):
+        stale += (path for path in map(Path(root).joinpath, names) if path not in allowed)
+        in_the_way += (path for path in map(Path(root).joinpath, dirs) if path in allowed)
     if stale:
         raise ConfigError(
             f"{generated} holds {len(stale)} file(s) that this report would not write, "
-            f"first {stale[0]}; write the report into an empty directory"
+            f"first {min(stale)}; write the report into an empty directory"
+        )
+    if in_the_way:
+        raise ConfigError(
+            f"{directory} holds {len(in_the_way)} directory(ies) where this report would "
+            f"write a file, first {min(in_the_way)}; write the report into an empty directory"
         )
 
 

@@ -400,10 +400,13 @@ def test_report_reemit_fixed_point(tmp_path):
         )
         == 0
     )
+    assert not [t for t in threading.enumerate() if t.name.startswith("specforge-emit-")]
     second = tmp_path / "second"
     assert main(["report", "--in", str(first / "report.json"), "--out", str(second)]) == 0
-    for name in ("report.json", "histogram.csv", "robustness.csv"):
-        assert (first / name).read_bytes() == (second / name).read_bytes()
+    assert not [t for t in threading.enumerate() if t.name.startswith("specforge-emit-")]
+    tree = _tree(first)
+    assert len(tree) == 3 + 57  # report.json, the two CSVs and every ok cell's source
+    assert tree == _tree(second)
 
 
 _PLUS_ONE = "int f(int x) { return x + 1; }\n"

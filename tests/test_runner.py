@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import errno
 import hashlib
 import json
+import os
 import random
 import re
 import shlex
@@ -689,20 +691,82 @@ def test_mutant_pairs_only_with_parent_present(corpus_load_module):
 
 # ------------------------------------------------------------------------- emit
 
+def _tree(directory):
+    return {
+        str(p.relative_to(directory)): p.read_bytes()
+        for p in sorted(directory.rglob("*"))
+        if p.is_file()
+    }
+
+
+def _emit_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("specforge-emit-")]
+
+
 def test_emit_writes_expected_files(full_report, tmp_path):
     written = emit(full_report, tmp_path)
-    names = {p.name for p in written}
-    assert {"report.json", "histogram.csv", "robustness.csv"} <= names
-    generated = list((tmp_path / "generated").rglob("*.c"))
     ok_results = [r for r in full_report.results if r.status == STATUS_OK]
-    assert len(generated) == len(ok_results)
+    assert written == [
+        tmp_path / "report.json",
+        tmp_path / "histogram.csv",
+        tmp_path / "robustness.csv",
+        *(
+            tmp_path / "generated" / r.program_name / r.variant.value / f"{r.sample_index}.c"
+            for r in ok_results
+        ),
+    ]
+    assert sorted(_tree(tmp_path)) == sorted(str(p.relative_to(tmp_path)) for p in written)
+    assert _emit_threads() == []
 
 
 def test_emit_is_deterministic(full_report, tmp_path):
     emit(full_report, tmp_path / "a")
     emit(full_report, tmp_path / "b")
-    for name in ("report.json", "histogram.csv", "robustness.csv"):
-        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+    assert _tree(tmp_path / "a") == _tree(tmp_path / "b")
+
+
+# The shipped study's generated/ tree: one sha256 over each file's relative
+# path and bytes, in path order. Recorded before the sources were written on
+# threads.
+SHIPPED_GENERATED_SHA256 = "c84e0ccb1413d4b80a5411898d8721a6b7b03778d93f7d71e7537f8869eae648"
+
+
+def test_emit_shipped_study_generated_digest(full_report, tmp_path):
+    emit(full_report, tmp_path)
+    digest = hashlib.sha256()
+    for name, data in sorted(_tree(tmp_path / "generated").items()):
+        digest.update(name.encode() + b"\0" + data + b"\0")
+    assert digest.hexdigest() == SHIPPED_GENERATED_SHA256
+
+
+def test_an_emit_writer_error_reaches_the_caller(full_report, tmp_path, monkeypatch, capsys):
+    cell = next(
+        r for r in full_report.results[10:] if r.status == STATUS_OK and r.sample_index == 0
+    )
+    full_dir = ("generated", cell.program_name, cell.variant.value)
+    write_text = Path.write_text
+
+    def full_disk(path, *args, **kwargs):
+        if path.parent.parts[-3:] == full_dir:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+        return write_text(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", full_disk)
+    with pytest.raises(OSError) as caught:
+        emit(full_report, tmp_path / "lib")
+    assert caught.value.errno == errno.ENOSPC
+    assert _emit_threads() == []
+
+    out = tmp_path / "cli"
+    argv = ["--corpus", str(CORPUS_DIR), "--fixtures", str(FIXTURES_DIR), "--out", str(out)]
+    assert main(["generate", *argv]) == 2
+    err = capsys.readouterr().err
+    first = out.joinpath(*full_dir, "0.c")  # the first write into that directory
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}: '{first}'"
+    ]
+    assert "Traceback" not in err and "Exception in thread" not in err
+    assert _emit_threads() == []
 
 
 # Recorded before the hand-written to_dict methods gave way to the dataclass
@@ -764,14 +828,8 @@ def test_report_load_emit_fixed_point(full_report, tmp_path):
     emit(full_report, tmp_path / "first")
     loaded = load_report(tmp_path / "first" / "report.json")
     emit(loaded, tmp_path / "second")
-    for name in ("report.json", "histogram.csv", "robustness.csv"):
-        assert (tmp_path / "first" / name).read_bytes() == (
-            tmp_path / "second" / name
-        ).read_bytes()
-
-
-def _tree(directory):
-    return {p: p.read_bytes() for p in sorted(directory.rglob("*")) if p.is_file()}
+    assert _tree(tmp_path / "first") == _tree(tmp_path / "second")
+    assert _emit_threads() == []
 
 
 def test_emit_refuses_a_directory_holding_another_reports_sources(full_report, tmp_path):
@@ -811,6 +869,53 @@ def test_generate_with_fewer_samples_into_a_used_directory_exits_2(
     assert sent == [] and not marker.exists()  # refused before any request or hook
     assert str(out / "generated" / "adpcm" / "baseline" / "1.c") in capsys.readouterr().err
     assert _tree(out) == before
+
+
+_A_DIRECTORY_IN_THE_WAY = "holds 1 directory(ies) where this report would write a file, first {};"
+
+
+@pytest.mark.parametrize("command", ["generate", "report"])
+@pytest.mark.parametrize(
+    "obstacle, is_dir, refusal",
+    [
+        ("generated/adpcm/baseline/0.c", True, _A_DIRECTORY_IN_THE_WAY),
+        ("report.json", True, _A_DIRECTORY_IN_THE_WAY),
+        ("generated", False, "{} exists and is not a directory;"),
+    ],
+    ids=["a-source-dir", "a-report-json-dir", "a-generated-file"],
+)
+def test_what_stands_where_emit_writes_exits_2(
+    command, obstacle, is_dir, refusal, full_report, tmp_path, capsys, monkeypatch
+):
+    study, out = tmp_path / "study", tmp_path / "out"
+    emit(full_report, study)
+    in_the_way = out / obstacle
+    if is_dir:
+        in_the_way.mkdir(parents=True)
+    else:
+        out.mkdir()
+        in_the_way.touch()
+    before = sorted(out.rglob("*"))
+    sent = []
+    complete = ReplayBackend.complete
+
+    def counted(backend, request):
+        sent.append(request)
+        return complete(backend, request)
+
+    monkeypatch.setattr(ReplayBackend, "complete", counted)
+    marker = tmp_path / "hook_ran"  # levenshtein ships no tests.csv, so the hook would run
+    argv = {
+        "generate": [
+            "generate", "--corpus", str(CORPUS_DIR), "--fixtures", str(FIXTURES_DIR),
+            "--run-pathcrawler", f"touch {shlex.quote(str(marker))}",
+        ],
+        "report": ["report", "--in", str(study / "report.json")],
+    }[command]
+    assert main([*argv, "--out", str(out)]) == 2
+    assert sent == [] and not marker.exists()  # refused before any request or hook
+    assert refusal.format(in_the_way) in capsys.readouterr().err
+    assert sorted(out.rglob("*")) == before  # nothing written, nothing deleted
 
 
 @pytest.mark.parametrize(
