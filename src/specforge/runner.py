@@ -785,9 +785,10 @@ def emit(
     The generated sources are written by ``_EMIT_WRITERS`` threads, each
     taking every ``_EMIT_WRITERS``-th sample directory, while the calling
     thread writes the other three files; creating files, not computing them,
-    is what an emit spends its time on. Once any writer fails no writer
-    starts another directory, and ``emit`` raises the first writer error
-    after joining every writer. The returned paths are in the order above,
+    is what an emit spends its time on. Once any writer fails, or the
+    caller is interrupted while it waits for them, no writer starts another
+    directory, and ``emit`` raises the first error after joining every
+    writer. The returned paths are in the order above,
     the sources in result order.
     """
     if normalize not in NORMALIZE_MODES:
@@ -870,8 +871,16 @@ def emit(
         failed.set()
         raise
     finally:
+        interrupted: BaseException | None = None
         for writer in writers:
-            writer.join()
+            while writer.is_alive():
+                try:
+                    writer.join()
+                except BaseException as exc:  # Ctrl-C while waiting: stop, still join
+                    failed.set()
+                    interrupted = interrupted or exc
+        if interrupted is not None:
+            raise interrupted
     if errors:
         raise errors[0]
     return [*written, *sources]

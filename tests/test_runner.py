@@ -14,6 +14,7 @@ import subprocess
 import threading
 from functools import cache
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -767,6 +768,37 @@ def test_an_emit_writer_error_reaches_the_caller(full_report, tmp_path, monkeypa
     ]
     assert "Traceback" not in err and "Exception in thread" not in err
     assert _emit_threads() == []
+
+
+def test_an_interrupted_emit_join_stops_and_joins_the_writers(full_report, tmp_path, monkeypatch):
+    # Both writers hold in their first directory until the caller's first
+    # join is interrupted; then each may finish that directory, and emit
+    # raises only after both have stopped.
+    gate = threading.Event()
+    started: list[Path] = []
+    write_sample_dir = runner._write_sample_dir
+
+    def held(parent, files):
+        started.append(parent)
+        gate.wait(timeout=60)
+        write_sample_dir(parent, files)
+
+    class Interrupted(threading.Thread):
+        def join(self, timeout=None):
+            if not gate.is_set():
+                gate.set()
+                raise KeyboardInterrupt
+            super().join(timeout)
+
+    monkeypatch.setattr(runner, "_write_sample_dir", held)
+    threads = SimpleNamespace(Thread=Interrupted, Event=threading.Event)
+    monkeypatch.setattr(runner, "threading", threads)
+    with pytest.raises(KeyboardInterrupt):
+        emit(full_report, tmp_path)
+    assert _emit_threads() == []
+    ok = [r for r in full_report.results if r.status == STATUS_OK]
+    sample_dirs = {(r.program_name, r.variant) for r in ok}
+    assert 0 < len(started) < len(sample_dirs) / 2
 
 
 # Recorded before the hand-written to_dict methods gave way to the dataclass
