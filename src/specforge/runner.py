@@ -529,52 +529,52 @@ def mutant_pairs(entries: Sequence[CorpusEntry]) -> list[tuple[str, str]]:
     return sorted(pairs)
 
 
-_Steps = Generator[float, None, CompletionResponse]  # one request's ``attempts``
-_Reply = CompletionResponse | GatewayError
+_Steps = Generator[float, None, Any]  # one job's steps, like a request's ``attempts``
 
 
 class _Dispatch:
-    """Each request's reply, or its ``GatewayError``, in request order.
+    """Each item's result, or its ``GatewayError``, in item order.
 
-    A job is a request's ``attempts`` generator (see ``CompletionBackend``),
-    and one step of it sends one attempt, then delivers the reply or parks
-    the request: after a retryable failure the job yields a backoff, and the
-    request waits in a heap until then, holding no thread. A parked request
-    whose time has come goes before a new one.
+    A job is the generator ``steps(item)``, such as a request's ``attempts``
+    (see ``CompletionBackend``), and one step of it sends one attempt, then
+    delivers the result or parks the job: after a retryable failure the job
+    yields a backoff, and it waits in a heap until then, holding no thread. A
+    parked job whose time has come goes before a new one.
 
-    ``max_workers`` threads each loop: take a job and step it. With no
-    worker (``max_workers`` 0) the caller takes and steps each job itself,
-    in request order, as it reads the replies: a fixture read is a local file
-    read, and a thread would only hand it over.
+    ``max_workers`` threads, named ``name-0``, ``name-1``..., each loop: take
+    a job and step it; no more start than there are items. With no worker
+    (``max_workers`` 0) the caller takes and steps each job itself, in item
+    order, as it reads the results: a fixture read is a local file read, and
+    a thread would only hand it over.
 
-    Leaving the ``with`` block stops new attempts and drops parked retries,
-    then joins the workers once their attempts on the wire are done. Any
-    exception but ``GatewayError`` from the backend stops the workers too and
-    is raised to the caller.
+    Leaving the ``with`` block stops new jobs and drops parked retries, then
+    joins the workers once their steps under way are done; an interrupt while
+    joining is raised after the last worker has stopped, so none outlives the
+    block. Any exception but ``GatewayError`` from a step stops the workers
+    too and is raised to the caller.
     """
 
     def __init__(
-        self, backend: CompletionBackend, requests: Sequence[CompletionRequest], max_workers: int
+        self, steps: Callable[[Any], _Steps], items: Sequence[Any], max_workers: int, name: str
     ):
-        self._attempts = backend.attempts
-        self._requests = requests
-        self._workers = min(max_workers, len(requests))
+        self._steps = steps
+        self._items = items
+        self._workers = min(max_workers, len(items))
+        self._name = name
         self._threads: list[threading.Thread] = []
         self._lock = threading.Lock()
         self._work = threading.Condition(self._lock)  # idle workers wait here
         self._done = threading.Condition(self._lock)  # the caller waits here
         self._parked: list[tuple[float, int, _Steps]] = []  # (resume time, index, steps)
-        self._replies: dict[int, _Reply] = {}
-        self._sent = 0  # requests taken for their first attempt
+        self._results: dict[int, Any] = {}
+        self._sent = 0  # items taken for their first step
         self._stopped = False
         self._error: BaseException | None = None
 
-    def __enter__(self) -> Iterator[_Reply]:
+    def __enter__(self) -> Iterator[Any]:
         try:
             for n in range(self._workers):
-                thread = threading.Thread(
-                    target=self._worker, name=f"specforge-request-{n}", daemon=True
-                )
+                thread = threading.Thread(target=self._worker, name=f"{self._name}-{n}")
                 thread.start()
                 self._threads.append(thread)
         except BaseException:
@@ -585,22 +585,29 @@ class _Dispatch:
     def __exit__(self, *exc_info: object) -> None:
         with self._lock:
             self._stop()
+        interrupted: BaseException | None = None
         for thread in self._threads:
-            thread.join()
+            while thread.is_alive():
+                try:
+                    thread.join()
+                except BaseException as exc:  # Ctrl-C while waiting: still join
+                    interrupted = interrupted or exc
+        if interrupted is not None:
+            raise interrupted
 
     def _stop(self) -> None:
-        """Under the lock: no new attempts, and every waiter wakes."""
+        """Under the lock: no new steps, and every waiter wakes."""
         self._stopped = True
         self._parked.clear()
         self._work.notify_all()
         self._done.notify_all()
 
-    def _in_order(self) -> Iterator[_Reply]:
-        for index in range(len(self._requests)):
+    def _in_order(self) -> Iterator[Any]:
+        for index in range(len(self._items)):
             while True:
                 with self._lock:
-                    if index in self._replies:
-                        reply = self._replies.pop(index)
+                    if index in self._results:
+                        result = self._results.pop(index)
                         break
                     if self._error is not None:
                         raise self._error
@@ -609,10 +616,10 @@ class _Dispatch:
                         continue
                     job = self._take()  # not None: with no worker only an error stops, raised above
                 self._step(*job)
-            yield reply
+            yield result
 
     def _take(self) -> tuple[int, _Steps] | None:
-        """Under the lock: a due retry, else a new request, else wait; None once stopped."""
+        """Under the lock: a due retry, else a new item, else wait; None once stopped."""
         while not self._stopped:
             wait = None
             if self._parked:
@@ -620,11 +627,11 @@ class _Dispatch:
                 if wait <= 0:
                     _, index, steps = heapq.heappop(self._parked)
                     return index, steps
-            if self._sent < len(self._requests):
+            if self._sent < len(self._items):
                 index = self._sent
                 self._sent += 1
-                return index, self._attempts(self._requests[index])
-            # A request parked later has its own worker come back for it.
+                return index, self._steps(self._items[index])
+            # A job parked later has its own worker come back for it.
             self._work.wait(wait)
         return None
 
@@ -637,13 +644,13 @@ class _Dispatch:
             self._step(*job)
 
     def _step(self, index: int, steps: _Steps) -> None:
-        """Send one attempt: deliver the reply, park the request, or record a foreign error."""
+        """Take one step: deliver the result, park the job, or record a foreign error."""
         try:
             delay = next(steps)
         except StopIteration as finished:
-            reply: _Reply = finished.value
+            result = finished.value
         except GatewayError as exc:
-            reply = exc
+            result = exc
         except BaseException as exc:
             with self._lock:
                 if self._error is None:
@@ -656,7 +663,7 @@ class _Dispatch:
                     heapq.heappush(self._parked, (time.monotonic() + delay, index, steps))
             return
         with self._lock:
-            self._replies[index] = reply
+            self._results[index] = result
             self._done.notify()
 
 
@@ -704,15 +711,17 @@ def run(
     that a loaded program holds at the same depth is not lexed again, while
     the load's memo never grows.
 
-    Requests go out on at most ``max_workers`` worker threads, so at most
-    ``max_workers`` attempts are on the wire. A request backing off between
+    Requests are ``_Dispatch`` jobs on at most ``max_workers`` worker
+    threads, so at most ``max_workers`` attempts are on the wire; ``emit``'s
+    source writers are the pool's other use. A request backing off between
     attempts holds neither: it waits in a heap, and is resent no sooner than
     its backoff, before any new cell once its time has come. Replies are
     analyzed on the calling thread, in order, while later requests are still
     pending. A ``ReplayBackend`` gets no worker: the calling thread reads
     each fixture just before analyzing its reply. Leaving early, by an
     exception or Ctrl-C, sends no new attempt and drops waiting retries;
-    attempts on the wire finish first.
+    attempts on the wire finish first, and no worker outlives the call, even
+    when a second Ctrl-C comes while it waits for them.
     """
     if isinstance(corpus, CorpusLoad):
         entries: Sequence[CorpusEntry] = corpus.entries
@@ -747,7 +756,8 @@ def run(
     parsed: dict = {"lines": lines}  # block parses and scanned lines of this run's replies
     clause_keys: dict[_Cell, list[tuple[str, ...]]] = {}  # each ok cell's blocks' keys
     replay = isinstance(backend, ReplayBackend)
-    with _Dispatch(backend, requests, 0 if replay else max_workers) as replies:
+    workers = 0 if replay else max_workers
+    with _Dispatch(backend.attempts, requests, workers, "specforge-request") as replies:
         results = [
             _analyze(*cell, reply, parsed, clause_keys) for cell, reply in zip(cells, replies)
         ]
@@ -782,14 +792,11 @@ def emit(
     not a directory, if ``directory/generated`` holds a file that this report
     would not write, or if a directory stands where it would write a file.
 
-    The generated sources are written by ``_EMIT_WRITERS`` threads, each
-    taking every ``_EMIT_WRITERS``-th sample directory, while the calling
-    thread writes the other three files; creating files, not computing them,
-    is what an emit spends its time on. Once any writer fails, or the
-    caller is interrupted while it waits for them, no writer starts another
-    directory, and ``emit`` raises the first error after joining every
-    writer. The returned paths are in the order above,
-    the sources in result order.
+    The generated sources are ``_Dispatch`` jobs, one per sample directory,
+    on ``_EMIT_WRITERS`` threads while the calling thread writes the other
+    three files, so a write error or Ctrl-C stops them as it stops ``run``'s
+    requests. The returned paths are in the order above, the sources in
+    result order.
     """
     if normalize not in NORMALIZE_MODES:
         modes = " or ".join(map(repr, NORMALIZE_MODES))
@@ -806,37 +813,14 @@ def emit(
     sample_dirs: dict[Path, list[tuple[Path, str]]] = {}
     for path, split in sources.items():
         sample_dirs.setdefault(path.parent, []).append((path, split.code + "\n"))
-    by_dir = list(sample_dirs.items())
-    shares = [by_dir[n::_EMIT_WRITERS] for n in range(_EMIT_WRITERS)]
-    failed = threading.Event()  # once set, no writer starts another directory
-    errors: list[BaseException] = []
-
-    def write_share(share: list[tuple[Path, list[tuple[Path, str]]]]) -> None:
-        try:
-            for parent, files in share:
-                if failed.is_set():
-                    return
-                _write_sample_dir(parent, files)
-        except BaseException as exc:  # raised by emit, on the calling thread
-            errors.append(exc)
-            failed.set()
-
-    writers: list[threading.Thread] = []
     written: list[Path] = []
 
     def write(path: Path, text: str) -> None:
         path.write_text(text, encoding="utf-8")
         written.append(path)
 
-    try:
-        for n, share in enumerate(shares):
-            if share:
-                writer = threading.Thread(
-                    target=write_share, args=(share,), name=f"specforge-emit-{n}", daemon=False
-                )
-                writer.start()
-                writers.append(writer)
-
+    jobs = list(sample_dirs.items())
+    with _Dispatch(_write_sample_dir, jobs, _EMIT_WRITERS, "specforge-emit") as done:
         write(directory / "report.json", canonical_json(report.to_dict()))
 
         aggregates = report.aggregate_histograms
@@ -867,27 +851,15 @@ def emit(
                 (row.parent, row.mutant, row.variant.value, value, row.pairs_compared)
             )
         write(directory / "robustness.csv", csv_text(robustness_rows))
-    except BaseException:
-        failed.set()
-        raise
-    finally:
-        interrupted: BaseException | None = None
-        for writer in writers:
-            while writer.is_alive():
-                try:
-                    writer.join()
-                except BaseException as exc:  # Ctrl-C while waiting: stop, still join
-                    failed.set()
-                    interrupted = interrupted or exc
-        if interrupted is not None:
-            raise interrupted
-    if errors:
-        raise errors[0]
+        for _ in done:  # raises the first writer's error
+            pass
     return [*written, *sources]
 
 
-def _write_sample_dir(parent: Path, files: Sequence[tuple[Path, str]]) -> None:
-    """Create one sample directory, once, and write its (path, text) sources."""
+def _write_sample_dir(job: tuple[Path, Sequence[tuple[Path, str]]]) -> _Steps:
+    """One step: create one sample directory, once, and write its (path, text) sources."""
+    yield from ()
+    parent, files = job
     parent.mkdir(parents=True, exist_ok=True)
     for path, text in files:
         path.write_text(text, encoding="utf-8")

@@ -133,6 +133,38 @@ def test_every_name_a_package_module_imports_is_read_there():
     assert unread == []
 
 
+def _threading(node: ast.AST, attr: str) -> bool:
+    return (
+        isinstance(node, ast.Attribute) and node.attr == attr
+        and isinstance(node.value, ast.Name) and node.value.id == "threading"
+    )
+
+
+def test_one_class_starts_the_package_threads():
+    """``runner._Dispatch`` is the package's one worker pool: nothing else calls
+    ``threading.Thread(``, and no ``threading.Event`` stands in for its stop."""
+    starts: list[str] = []
+    others: list[str] = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        where = path.relative_to(PACKAGE).as_posix()
+        owner = {
+            id(node): cls.name
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef)
+            for node in ast.walk(cls)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and _threading(node.func, "Thread"):
+                starts.append(f"{where}: {owner.get(id(node))}")
+            elif _threading(node, "Event"):
+                others.append(f"{where}:{node.lineno}: threading.Event")
+            elif isinstance(node, ast.ImportFrom) and node.module == "threading":
+                others.append(f"{where}:{node.lineno}: from threading import")
+    assert starts == ["runner.py: _Dispatch"]
+    assert others == []
+
+
 ERROR_ROOTS = frozenset({"Exception", "ValueError", "RuntimeError"})
 
 

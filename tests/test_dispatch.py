@@ -15,6 +15,7 @@ import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from types import SimpleNamespace
 
 import pytest
 
@@ -319,3 +320,55 @@ def test_leaving_run_early_stops_sending(monkeypatch, corpus_load, templates):
         )
     assert len(sent) <= 2 * 2
     assert not set(_workers()) - before
+
+
+def test_an_interrupted_join_in_run_stops_and_joins_the_workers(
+    monkeypatch, corpus_load, templates
+):
+    """Ctrl-C at the first join of a run that is already failing.
+
+    Every request but a cell's first sample is held until the second join
+    call, so both workers are on the wire when the join is interrupted: the
+    dispatch must keep joining them, then raise the interrupt.
+    """
+    import specforge.runner
+
+    released = threading.Event()
+    replay = ReplayBackend(FIXTURES_DIR)
+
+    class Held:
+        def attempts(self, request):
+            yield from ()
+            if request.sample_index:
+                released.wait(TIMEOUT_S)
+            return replay.complete(request)
+
+    def broken_analysis(*args):
+        raise RuntimeError("analysis bug")
+
+    interrupted: list[threading.Thread] = []
+
+    class Interrupted(threading.Thread):
+        def join(self, timeout=None):
+            if not interrupted:
+                interrupted.append(self)
+                raise KeyboardInterrupt
+            released.set()
+            super().join(timeout)
+
+    monkeypatch.setattr(specforge.runner, "_analyze", broken_analysis)
+    threads = SimpleNamespace(
+        Thread=Interrupted, Lock=threading.Lock, Condition=threading.Condition
+    )
+    monkeypatch.setattr(specforge.runner, "threading", threads)
+    before = set(_workers())
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            within(
+                TIMEOUT_S, run, corpus_load, list(PromptVariant), GenerationConfig(), Held(),
+                templates, max_workers=2,
+            )
+        assert len(interrupted) == 1
+        assert not set(_workers()) - before
+    finally:
+        released.set()  # so that a worker left running ends

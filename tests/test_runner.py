@@ -771,17 +771,23 @@ def test_an_emit_writer_error_reaches_the_caller(full_report, tmp_path, monkeypa
 
 
 def test_an_interrupted_emit_join_stops_and_joins_the_writers(full_report, tmp_path, monkeypatch):
-    # Both writers hold in their first directory until the caller's first
-    # join is interrupted; then each may finish that directory, and emit
-    # raises only after both have stopped.
+    # Both writers hold in their first directory. Ctrl-C comes while the
+    # caller writes robustness.csv, and again at its first join, which lets
+    # the writers go; each may finish that directory, and emit raises only
+    # after both have stopped.
     gate = threading.Event()
     started: list[Path] = []
-    write_sample_dir = runner._write_sample_dir
+    write_sample_dir, csv_text = runner._write_sample_dir, runner.csv_text
 
-    def held(parent, files):
-        started.append(parent)
+    def held(job):
+        started.append(job[0])
         gate.wait(timeout=60)
-        write_sample_dir(parent, files)
+        yield from write_sample_dir(job)
+
+    def interrupted_csv(rows):
+        if rows[0][0] == "parent":  # robustness.csv's header
+            raise KeyboardInterrupt
+        return csv_text(rows)
 
     class Interrupted(threading.Thread):
         def join(self, timeout=None):
@@ -791,7 +797,10 @@ def test_an_interrupted_emit_join_stops_and_joins_the_writers(full_report, tmp_p
             super().join(timeout)
 
     monkeypatch.setattr(runner, "_write_sample_dir", held)
-    threads = SimpleNamespace(Thread=Interrupted, Event=threading.Event)
+    monkeypatch.setattr(runner, "csv_text", interrupted_csv)
+    threads = SimpleNamespace(
+        Thread=Interrupted, Lock=threading.Lock, Condition=threading.Condition
+    )
     monkeypatch.setattr(runner, "threading", threads)
     with pytest.raises(KeyboardInterrupt):
         emit(full_report, tmp_path)
@@ -799,6 +808,29 @@ def test_an_interrupted_emit_join_stops_and_joins_the_writers(full_report, tmp_p
     ok = [r for r in full_report.results if r.status == STATUS_OK]
     sample_dirs = {(r.program_name, r.variant) for r in ok}
     assert 0 < len(started) < len(sample_dirs) / 2
+
+
+@pytest.mark.parametrize("cells", [0, 1], ids=["no-ok-cell", "one-sample-directory"])
+def test_emit_starts_only_the_writers_it_needs(full_report, tmp_path, monkeypatch, cells):
+    first = next(r for r in full_report.results if r.status == STATUS_OK)
+    results = tuple(
+        r for r in full_report.results
+        if r.status != STATUS_OK
+        or cells and (r.program_name, r.variant) == (first.program_name, first.variant)
+    )
+    started: list[str] = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self.name)
+            super().start()
+
+    threads = SimpleNamespace(Thread=Counted, Lock=threading.Lock, Condition=threading.Condition)
+    monkeypatch.setattr(runner, "threading", threads)
+    written = emit(dataclasses.replace(full_report, results=results), tmp_path)
+    assert started == [f"specforge-emit-{n}" for n in range(cells)]
+    assert len(written) == 3 + sum(r.status == STATUS_OK for r in results)
+    assert _emit_threads() == []
 
 
 # Recorded before the hand-written to_dict methods gave way to the dataclass
