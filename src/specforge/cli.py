@@ -76,9 +76,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
     templates = load_templates(args.templates or default_template_dir())
     check_run_config(variants, templates, args.max_inflight)
+    check_out_dir(args.out)  # no sources: generated/ must be absent or empty
     corpus = load_corpus(args.corpus)  # reads files only
-    programs = [entry.program.name for entry in corpus.entries]
-    check_out_dir(args.out, programs, variants, config.samples_per_program)
     corpus = run_hooks(  # the costly step, once every check has passed
         corpus,
         tests_hook=args.run_pathcrawler if PromptVariant.PATHCRAWLER in variants else None,

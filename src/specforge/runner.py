@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import chain
 from pathlib import Path
-from typing import Any, Callable, Generator, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Collection, Generator, Iterable, Iterator, Mapping, Sequence
 
 from .analyzer import (
     Annotation,
@@ -782,46 +782,39 @@ def run(
 
 def emit(
     report: ExperimentReport, directory: Path | str, normalize: str = NORMALIZE_MODES[0]
-) -> list[Path]:
+) -> None:
     """Write report.json, histogram.csv, robustness.csv, and generated sources.
 
     ``normalize`` is one of ``NORMALIZE_MODES``: totals (sum over samples) or
     per-sample (mean per successful sample). Emission is deterministic: the
     same report always produces byte-identical files. Before writing anything
-    it raises ``ConfigError`` if ``directory`` or ``directory/generated`` is
-    not a directory, if ``directory/generated`` holds a file that this report
-    would not write, or if a directory stands where it would write a file.
+    it runs ``check_out_dir`` with this report's sources, so ``directory``
+    may hold only what this report writes; re-emitting a report into its own
+    directory is allowed.
 
     The generated sources are ``_Dispatch`` jobs, one per sample directory,
     on ``_EMIT_WRITERS`` threads while the calling thread writes the other
     three files, so a write error or Ctrl-C stops them as it stops ``run``'s
-    requests. The returned paths are in the order above, the sources in
-    result order.
+    requests.
     """
     if normalize not in NORMALIZE_MODES:
         modes = " or ".join(map(repr, NORMALIZE_MODES))
         raise ConfigError(f"normalize must be {modes}, got {normalize!r}")
     directory = Path(directory)
     sources = {  # every generated file, and so the only ones generated/ may hold
-        _source_path(directory, r.program_name, r.variant, r.sample_index): r.split
+        directory / "generated" / r.program_name / r.variant.value / f"{r.sample_index}.c": r.split
         for r in report.results
         if r.status == STATUS_OK and r.split is not None
     }
-    _refuse_stale_sources(directory, sources)
+    check_out_dir(directory, sources)
     directory.mkdir(parents=True, exist_ok=True)
 
     sample_dirs: dict[Path, list[tuple[Path, str]]] = {}
     for path, split in sources.items():
         sample_dirs.setdefault(path.parent, []).append((path, split.code + "\n"))
-    written: list[Path] = []
-
-    def write(path: Path, text: str) -> None:
-        path.write_text(text, encoding="utf-8")
-        written.append(path)
-
     jobs = list(sample_dirs.items())
     with _Dispatch(_write_sample_dir, jobs, _EMIT_WRITERS, "specforge-emit") as done:
-        write(directory / "report.json", canonical_json(report.to_dict()))
+        (directory / "report.json").write_text(canonical_json(report.to_dict()), encoding="utf-8")
 
         aggregates = report.aggregate_histograms
         ok_counts = Counter(r.variant for r in report.results if r.status == STATUS_OK)
@@ -840,7 +833,7 @@ def emit(
                 else:
                     row.append(count)
             rows.append(row)
-        write(directory / "histogram.csv", csv_text(rows))
+        (directory / "histogram.csv").write_text(csv_text(rows), encoding="utf-8")
 
         robustness_rows: list[tuple[object, ...]] = [
             ("parent", "mutant", "variant", "mean_similarity", "pairs_compared")
@@ -850,10 +843,9 @@ def emit(
             robustness_rows.append(
                 (row.parent, row.mutant, row.variant.value, value, row.pairs_compared)
             )
-        write(directory / "robustness.csv", csv_text(robustness_rows))
+        (directory / "robustness.csv").write_text(csv_text(robustness_rows), encoding="utf-8")
         for _ in done:  # raises the first writer's error
             pass
-    return [*written, *sources]
 
 
 def _write_sample_dir(job: tuple[Path, Sequence[tuple[Path, str]]]) -> _Steps:
@@ -865,22 +857,23 @@ def _write_sample_dir(job: tuple[Path, Sequence[tuple[Path, str]]]) -> _Steps:
         path.write_text(text, encoding="utf-8")
 
 
-def _source_path(directory: Path, program: str, variant: PromptVariant, sample: int) -> Path:
-    """Where ``emit`` writes the generated source of one cell."""
-    return directory / "generated" / program / variant.value / f"{sample}.c"
+def check_out_dir(directory: Path | str, sources: Collection[Path] = ()) -> None:
+    """Raise ``ConfigError`` unless ``directory`` can take a report whose
+    generated files are ``sources``: the package's one ``--out`` check.
 
+    ``directory`` and its ``generated`` must each be absent or a directory,
+    and report.json and the two CSVs must not be directories. Under
+    ``generated/``, every file must be one of ``sources`` and every
+    directory must hold one of them. Any other file, left by an earlier
+    report, would sit beside a report.json that does not account for it;
+    anything else refused here would fail a write after other files were
+    written. Nothing is deleted: the user's files stay.
 
-def _refuse_stale_sources(directory: Path, sources: Iterable[Path]) -> None:
-    """Raise ``ConfigError`` if ``directory`` exists but is not a directory, if
-    its ``generated`` is not a directory, if its ``generated/`` holds a file
-    not among ``sources``, or if a directory stands where ``emit`` writes a
-    file: one of ``sources`` or report.json and the two CSVs.
-
-    Such a file, left by an earlier report, would sit beside a report.json
-    that does not account for it; anything else refused here would fail a
-    write after other files were written. Nothing is deleted: the user's
-    files stay. ``sources`` is read only when ``directory`` exists.
+    ``emit`` passes its report's sources. ``generate`` passes none before it
+    reads the corpus, so its ``generated/`` must be absent or empty, and
+    nothing is refused after the run.
     """
+    directory = Path(directory)
     try:
         if not stat.S_ISDIR(directory.stat().st_mode):  # the one stat on a fresh directory
             raise ConfigError(f"output {directory} exists and is not a directory")
@@ -891,7 +884,7 @@ def _refuse_stale_sources(directory: Path, sources: Iterable[Path]) -> None:
         raise ConfigError(
             f"{generated} exists and is not a directory; write the report into an empty directory"
         )
-    allowed = set(sources)
+    holders = {parent for path in sources for parent in path.parents}
     stale: list[Path] = []
     in_the_way = [
         path
@@ -899,8 +892,8 @@ def _refuse_stale_sources(directory: Path, sources: Iterable[Path]) -> None:
         if path.is_dir()
     ]
     for root, dirs, names in os.walk(generated):
-        stale += (path for path in map(Path(root).joinpath, names) if path not in allowed)
-        in_the_way += (path for path in map(Path(root).joinpath, dirs) if path in allowed)
+        stale += (path for path in map(Path(root).joinpath, names) if path not in sources)
+        in_the_way += (path for path in map(Path(root).joinpath, dirs) if path not in holders)
     if stale:
         raise ConfigError(
             f"{generated} holds {len(stale)} file(s) that this report would not write, "
@@ -911,27 +904,6 @@ def _refuse_stale_sources(directory: Path, sources: Iterable[Path]) -> None:
             f"{directory} holds {len(in_the_way)} directory(ies) where this report would "
             f"write a file, first {min(in_the_way)}; write the report into an empty directory"
         )
-
-
-def check_out_dir(
-    directory: Path | str,
-    programs: Sequence[str],
-    variants: Sequence[PromptVariant],
-    samples: int,
-) -> None:
-    """``emit``'s check of ``directory`` against every file a run could write.
-
-    Those are the ``_source_path`` of each of ``programs`` and ``variants``
-    and each sample index below ``samples``. The CLI calls it once, after
-    reading the corpus and before any hook runs or request is sent, so a
-    refused run spends neither.
-    """
-    directory = Path(directory)
-    paths = (  # made only if the directory exists
-        _source_path(directory, program, variant, sample)
-        for program in programs for variant in variants for sample in range(samples)
-    )
-    _refuse_stale_sources(directory, paths)
 
 
 def load_report(path: Path | str) -> ExperimentReport:

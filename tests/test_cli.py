@@ -293,6 +293,21 @@ def test_generate_refuses_a_generated_dir_of_another_corpus_before_any_request(
     assert not hook_log.exists()  # refused before any context hook runs
     assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["generated"]
 
+    # A leftover of the same corpus, where one cell now fails (its reply is
+    # gone): that cell's 0.c turns stale only once the run has sent every
+    # request, so it must be refused before the first.
+    partial = tmp_path / "fixtures"
+    shutil.copytree(FIXTURES_DIR, partial)
+    (partial / "tritype" / "baseline" / "0.txt").unlink()
+    before = _tree(tmp_path / "fresh")
+    argv = ["generate", "--corpus", str(CORPUS_DIR), "--fixtures", str(partial)]
+    hook = ["--run-eva", f"echo ran >> {shlex.quote(str(hook_log))}"]
+    assert main([*argv, *hook, "--out", str(tmp_path / "fresh")]) == 2
+    assert "file(s) that this report would not write" in capsys.readouterr().err
+    assert requests == []
+    assert not hook_log.exists()
+    assert _tree(tmp_path / "fresh") == before
+
 
 def test_generate_missing_fixture_exits_one(tmp_path, capsys):
     partial = tmp_path / "fixtures"

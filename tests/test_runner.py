@@ -705,18 +705,19 @@ def _emit_threads():
 
 
 def test_emit_writes_expected_files(full_report, tmp_path):
-    written = emit(full_report, tmp_path)
+    emit(full_report, tmp_path)
     ok_results = [r for r in full_report.results if r.status == STATUS_OK]
-    assert written == [
-        tmp_path / "report.json",
-        tmp_path / "histogram.csv",
-        tmp_path / "robustness.csv",
-        *(
-            tmp_path / "generated" / r.program_name / r.variant.value / f"{r.sample_index}.c"
-            for r in ok_results
-        ),
-    ]
-    assert sorted(_tree(tmp_path)) == sorted(str(p.relative_to(tmp_path)) for p in written)
+    assert sorted(_tree(tmp_path)) == sorted(
+        [
+            "report.json",
+            "histogram.csv",
+            "robustness.csv",
+            *(
+                str(Path("generated", r.program_name, r.variant.value, f"{r.sample_index}.c"))
+                for r in ok_results
+            ),
+        ]
+    )
     assert _emit_threads() == []
 
 
@@ -827,9 +828,9 @@ def test_emit_starts_only_the_writers_it_needs(full_report, tmp_path, monkeypatc
 
     threads = SimpleNamespace(Thread=Counted, Lock=threading.Lock, Condition=threading.Condition)
     monkeypatch.setattr(runner, "threading", threads)
-    written = emit(dataclasses.replace(full_report, results=results), tmp_path)
+    emit(dataclasses.replace(full_report, results=results), tmp_path)
     assert started == [f"specforge-emit-{n}" for n in range(cells)]
-    assert len(written) == 3 + sum(r.status == STATUS_OK for r in results)
+    assert len(_tree(tmp_path)) == 3 + sum(r.status == STATUS_OK for r in results)
     assert _emit_threads() == []
 
 
@@ -929,10 +930,11 @@ def test_generate_with_fewer_samples_into_a_used_directory_exits_2(
     monkeypatch.setattr(ReplayBackend, "complete", counted)
     marker = tmp_path / "hook_ran"  # levenshtein ships no tests.csv, so the hook would run
     hook = ["--run-pathcrawler", f"touch {shlex.quote(str(marker))}"]
-    assert main([*common, *hook, "--samples", "1", "--out", str(out)]) == 2
-    assert sent == [] and not marker.exists()  # refused before any request or hook
-    assert str(out / "generated" / "adpcm" / "baseline" / "1.c") in capsys.readouterr().err
-    assert _tree(out) == before
+    for samples in ("1", "3"):  # generated/ must be empty, even for the same inputs
+        assert main([*common, *hook, "--samples", samples, "--out", str(out)]) == 2
+        assert sent == [] and not marker.exists()  # refused before any request or hook
+        assert str(out / "generated" / "adpcm" / "baseline" / "0.c") in capsys.readouterr().err
+        assert _tree(out) == before
 
 
 _A_DIRECTORY_IN_THE_WAY = "holds 1 directory(ies) where this report would write a file, first {};"
@@ -954,6 +956,11 @@ def test_what_stands_where_emit_writes_exits_2(
     study, out = tmp_path / "study", tmp_path / "out"
     emit(full_report, study)
     in_the_way = out / obstacle
+    named = in_the_way
+    if command == "generate" and obstacle.startswith("generated/"):
+        # generated/ must be empty: each of the three directories is refused
+        named = out / "generated" / "adpcm"
+        refusal = refusal.replace("holds 1 ", "holds 3 ")
     if is_dir:
         in_the_way.mkdir(parents=True)
     else:
@@ -978,7 +985,7 @@ def test_what_stands_where_emit_writes_exits_2(
     }[command]
     assert main([*argv, "--out", str(out)]) == 2
     assert sent == [] and not marker.exists()  # refused before any request or hook
-    assert refusal.format(in_the_way) in capsys.readouterr().err
+    assert refusal.format(named) in capsys.readouterr().err
     assert sorted(out.rglob("*")) == before  # nothing written, nothing deleted
 
 
@@ -1003,15 +1010,35 @@ def test_check_out_dir_allows_only_files_a_run_could_write(tmp_path, name, refus
     path = tmp_path / "generated" / name
     path.parent.mkdir(parents=True)
     path.write_text("int x;\n", encoding="utf-8")
-    programs, variants = ["f", "a name"], [PromptVariant.BASELINE, PromptVariant.PATHCRAWLER]
+    sources = {  # a report's sources: programs f and "a name", two variants, --samples 3
+        tmp_path / "generated" / program / variant / f"{sample}.c"
+        for program in ("f", "a name")
+        for variant in ("baseline", "pathcrawler")
+        for sample in range(3)
+    }
     if refused:
         with pytest.raises(ConfigError, match="holds 1 file"):
-            check_out_dir(tmp_path, programs, variants, 3)
+            check_out_dir(tmp_path, sources)
     else:
-        check_out_dir(tmp_path, programs, variants, 3)
-    check_out_dir(tmp_path / "fresh", programs, variants, 3)  # an absent directory is fine
+        check_out_dir(tmp_path, sources)
+    with pytest.raises(ConfigError, match="holds 1 file"):
+        check_out_dir(tmp_path)  # before a run, generated/ must be empty
+    check_out_dir(tmp_path / "fresh", sources)  # an absent directory is fine
+    check_out_dir(tmp_path / "fresh")
     with pytest.raises(ConfigError, match="exists and is not a directory"):
-        check_out_dir(path, programs, variants, 3)
+        check_out_dir(path, sources)
+
+
+def test_check_out_dir_refuses_a_directory_that_holds_no_source(tmp_path):
+    (tmp_path / "generated" / "f" / "eva").mkdir(parents=True)
+    sources = [tmp_path / "generated" / "f" / "baseline" / "0.c"]
+    refusal = "holds {} directory(ies) where this report would write a file, first {};"
+    with pytest.raises(ConfigError) as caught:
+        check_out_dir(tmp_path, sources)
+    assert refusal.format(1, tmp_path / "generated" / "f" / "eva") in str(caught.value)
+    with pytest.raises(ConfigError) as caught:
+        check_out_dir(tmp_path)
+    assert refusal.format(2, tmp_path / "generated" / "f") in str(caught.value)
 
 
 def test_report_re_emits_into_its_own_directory(full_report, tmp_path):
@@ -1031,11 +1058,18 @@ def test_emit_into_a_fresh_directory_walks_nothing(full_report, tmp_path, monkey
 
 
 def test_check_out_dir_of_a_fresh_directory_makes_no_path(tmp_path, monkeypatch):
-    def no_path(*args):
-        raise AssertionError("a path is made for a missing directory")
+    class Unread(frozenset):  # the sources of a fresh directory are never read
+        def __iter__(self):
+            raise AssertionError("the sources of a missing directory are read")
 
-    monkeypatch.setattr(runner, "_source_path", no_path)
-    check_out_dir(tmp_path / "fresh", ["f"], list(PromptVariant), 10**9)
+        def __contains__(self, path):
+            raise AssertionError("the sources of a missing directory are read")
+
+    def no_walk(*args, **kwargs):
+        raise AssertionError("a missing directory is walked")
+
+    monkeypatch.setattr(runner.os, "walk", no_walk)
+    check_out_dir(tmp_path / "fresh", Unread())
 
 
 def test_histogram_csv_matches_report_recomputation(full_report, tmp_path):
